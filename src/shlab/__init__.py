@@ -13,9 +13,9 @@ from .fields import (
     SymTracelessField,
     TorusGrid,
     VectorField,
+    deviatoric_outer,
     integrate,
     lambda_max_traceless,
-    tensor_apply,
 )
 from .friction import FrictionParams, coulomb_selection, friction_shrink
 from .solver import Scenario, State, simulate
@@ -28,9 +28,9 @@ __all__ = [
     "VectorField",
     "SymTracelessField",
     "SpaceTimeField",
+    "deviatoric_outer",
     "integrate",
     "lambda_max_traceless",
-    "tensor_apply",
     "FrictionParams",
     "coulomb_selection",
     "friction_shrink",

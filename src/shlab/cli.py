@@ -8,21 +8,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import shutil
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .diagnostics import (
-    energy_inequality_residual,
-    weak_residual,
-    weak_strong_experiment,
-)
+from .diagnostics import energy_inequality_residual, weak_strong_experiment
 from .errors import (
     ConstraintError,
     DesignError,
@@ -130,7 +124,6 @@ def _cmd_workbench(args) -> int:
     fixed = cfg.values["workbench.lambda"]
     offset = fixed if fixed is not None else find_energy_offset(problem)
     sub = problem.build(offset)
-    report = subsolution_certificate(sub)
     out = _prep_out(args)
     outputs = []
 
@@ -184,7 +177,9 @@ def _cmd_diagnose(args) -> int:
     ledger_path = run_dir / "ledger.csv"
     if not ledger_path.exists():
         raise FormatError(f"no ledger.csv in {run_dir}")
-    rows = np.genfromtxt(ledger_path, delimiter=",", names=True)
+    rows = np.genfromtxt(ledger_path, delimiter=",", names=True, ndmin=1)
+    if rows.size == 0:
+        raise FormatError(f"{ledger_path} has no rows")
     residual = float(np.max(rows["e2_residual"]))
     mass = rows["mass"]
     drift = float(np.max(np.abs(mass - mass[0])) / abs(mass[0]))
@@ -203,12 +198,19 @@ def _cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+def _parse_eps(entry: str) -> float:
+    try:
+        return float(entry)
+    except ValueError:
+        raise ValidationError(f"--eps entry {entry!r} is not a number") from None
+
+
 def _cmd_wsu(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.scenario)
     coarse = TorusGrid(cfg.values["grid.nx"], cfg.values["grid.ny"])
     fine = TorusGrid(args.refine * coarse.nx, args.refine * coarse.ny)
-    eps_list = [float(e) for e in args.eps.split(",")] if args.eps else [0.0]
+    eps_list = [_parse_eps(e) for e in args.eps.split(",")] if args.eps else [0.0]
     out = _prep_out(args)
     outputs = []
     rates = []
@@ -252,6 +254,8 @@ def _cmd_convergence(args) -> int:
         traj = simulate(cfg.to_scenario(g))
         ref_h = restrict_state(ref.states[-1], g).h.values
         errors.append(float(np.mean(np.abs(traj.states[-1].h.values - ref_h))))
+    if min(errors) == 0.0:
+        raise NumericalAbort(f"observed L1 order is undefined: an L1 error is zero {errors}")
     order = float(np.log2(errors[0] / errors[1]))
     out = _prep_out(args)
     with open(out / "convergence.csv", "w") as fh:
@@ -305,28 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def thread_cap() -> int | None:
-    """Worker-parallelism cap from SHLAB_THREADS; None means no cap.
-
-    All current commands are single-process, so this only validates and
-    records the setting for forward compatibility.
-    """
-    raw = os.environ.get("SHLAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"SHLAB_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValidationError("SHLAB_THREADS must be >= 1")
-    return cap
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        thread_cap()
         return args.fn(args)
     except _VALIDATION_ERRORS as exc:
         sys.stderr.write(f"shlab: validation error: {exc}\n")

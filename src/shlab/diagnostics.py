@@ -3,13 +3,13 @@ the weak-formulation residual tester."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidValueError, PositivityError
 from .fields import ScalarField, TorusGrid, VectorField
-from .solver import EnergyLedger, Scenario, State, Trajectory, simulate
+from .solver import EnergyLedger, State, Trajectory, simulate
 from .workbench import SubsolutionState
 
 
@@ -122,21 +122,7 @@ def weak_strong_experiment(
 
     base = make_scenario(coarse)
     pert = perturbation(coarse, perturbation_size)
-    weak_scn = Scenario(
-        grid=coarse,
-        T=base.T,
-        a=base.a,
-        friction=base.friction,
-        h0=base.h0,
-        u0=VectorField(coarse, base.u0.values + pert.values),
-        f=base.f,
-        cfl=base.cfl,
-        n_output=base.n_output,
-        h_floor=base.h_floor,
-        dt_max=base.dt_max,
-        seed=base.seed,
-    )
-    weak_traj = simulate(weak_scn)
+    weak_traj = simulate(replace(base, u0=VectorField(coarse, base.u0.values + pert.values)))
 
     times = ref_traj.times[:cutoff]
     values = np.array(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidValueError, PositivityError
+from .errors import InvalidValueError
 
 
 @dataclass(frozen=True)
@@ -163,24 +163,15 @@ def integrate(f: ScalarField) -> float:
     return float(np.mean(f.values))
 
 
-def integrate_values(values: np.ndarray) -> float:
-    """integrate() for a bare (nx, ny) sample array."""
-    return float(np.mean(values))
+def deviatoric_outer(q: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Traceless part (p, s) of q (x) q / h for (..., 2, nx, ny) momentum
+    samples q and (..., nx, ny) heights h; shape (..., 2, nx, ny).
 
-
-def tensor_apply(q: VectorField, h: ScalarField) -> SymTracelessField:
-    """Traceless part of q (x) q / h as a SymTracelessField.
-
-    p = (q1^2 - q2^2) / (2h), s = q1 q2 / h.  Requires h > 0 everywhere.
+    p = (q1^2 - q2^2) / (2h), s = q1 q2 / h.  Its top eigenvalue equals
+    half |q|^2 / h.
     """
-    hv = h.values
-    if np.any(hv <= 0.0):
-        raise PositivityError("tensor_apply requires h > 0 everywhere")
-    q1, q2 = q.values
-    out = np.empty((2, *q.grid.shape))
-    out[0] = (q1 * q1 - q2 * q2) / (2.0 * hv)
-    out[1] = q1 * q2 / hv
-    return SymTracelessField(q.grid, out)
+    q1, q2 = q[..., 0, :, :], q[..., 1, :, :]
+    return np.stack([(q1 * q1 - q2 * q2) / (2.0 * h), q1 * q2 / h], axis=-3)
 
 
 @dataclass(frozen=True)

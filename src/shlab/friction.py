@@ -37,6 +37,12 @@ class FrictionParams:
         if self.gamma2 < 0.0:
             raise InvalidValueError("friction gamma2 must be nonnegative")
 
+    @property
+    def active(self) -> bool:
+        """True unless gamma vanishes everywhere and gamma2 is zero."""
+        g = self.gamma.values if isinstance(self.gamma, ScalarField) else self.gamma
+        return bool(np.any(np.asarray(g) > 0.0)) or self.gamma2 > 0.0
+
     def gamma_values(self, grid: TorusGrid) -> np.ndarray:
         if isinstance(self.gamma, ScalarField):
             if self.gamma.grid != grid:

@@ -9,12 +9,12 @@ what the energy ledger checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidValueError, NumericalAbort, PositivityError
-from .fields import ScalarField, TorusGrid, VectorField, integrate
+from .fields import ScalarField, TorusGrid, VectorField
 from .friction import FrictionParams, coulomb_selection, friction_shrink
 
 H_FLOOR = 1e-10
@@ -168,9 +168,9 @@ def step(state: State, scenario: Scenario, dt: float) -> tuple[State, StepInfo]:
     h_field = ScalarField(grid, hn)
     q_pre = VectorField(grid, np.stack([q1n, q2n]))
     q_post = (
-        q_pre
-        if _friction_is_trivial(scenario.friction)
-        else friction_shrink(q_pre, h_field, scenario.friction, dt)
+        friction_shrink(q_pre, h_field, scenario.friction, dt)
+        if scenario.friction.active
+        else q_pre
     )
 
     gamma = scenario.friction.gamma_values(grid)
@@ -197,11 +197,6 @@ def step(state: State, scenario: Scenario, dt: float) -> tuple[State, StepInfo]:
         work_inc = 0.0
 
     return State(h_field, q_final), StepInfo(B_field, diss_inc, work_inc)
-
-
-def _friction_is_trivial(params: FrictionParams) -> bool:
-    g = params.gamma.values if isinstance(params.gamma, ScalarField) else params.gamma
-    return not np.any(np.asarray(g) > 0.0) and params.gamma2 == 0.0
 
 
 @dataclass

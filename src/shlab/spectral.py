@@ -3,6 +3,8 @@
 Cell-center samples are treated as collocation values of the trigonometric
 interpolant.  All solves are diagonal per wavevector; the zero mode is fixed
 by a zero-mean gauge.  The Nyquist mode is zeroed for odd derivatives.
+Every ``*_values`` function acts on the trailing (nx, ny) axes and accepts any
+leading stack axes, e.g. a (K+1, nx, ny) time stack.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolvabilityError
-from .fields import ScalarField, SymTracelessField, TorusGrid, VectorField
+from .fields import ScalarField, SymTracelessField, VectorField
 
 #: mean-freeness tolerance for torus solvability; inputs within it are
 #: mean-corrected, beyond it rejected
@@ -38,42 +40,34 @@ def _wavenumbers(nx: int, ny: int):
 
 
 def grad_values(f: np.ndarray) -> np.ndarray:
-    """Spectral gradient of a scalar sample array, shape (2, nx, ny)."""
-    nx, ny = f.shape
-    _, _, k1d, k2d, _ = _wavenumbers(nx, ny)
-    fh = np.fft.fft2(f)
-    out = np.empty((2, nx, ny))
-    out[0] = np.real(np.fft.ifft2(1j * k1d * fh))
-    out[1] = np.real(np.fft.ifft2(1j * k2d * fh))
-    return out
+    """Spectral gradient of scalar samples (..., nx, ny), shape (..., 2, nx, ny)."""
+    _, _, k1d, k2d, _ = _wavenumbers(*f.shape[-2:])
+    fh = np.fft.fft2(f)[..., None, :, :]
+    return np.real(np.fft.ifft2(1j * np.stack([k1d, k2d]) * fh))
 
 
 def div_values(q: np.ndarray) -> np.ndarray:
-    """Spectral divergence of a (2, nx, ny) sample array."""
-    nx, ny = q.shape[1:]
-    _, _, k1d, k2d, _ = _wavenumbers(nx, ny)
-    qh1 = np.fft.fft2(q[0])
-    qh2 = np.fft.fft2(q[1])
-    return np.real(np.fft.ifft2(1j * k1d * qh1 + 1j * k2d * qh2))
+    """Spectral divergence of (..., 2, nx, ny) samples, shape (..., nx, ny)."""
+    _, _, k1d, k2d, _ = _wavenumbers(*q.shape[-2:])
+    qh = np.fft.fft2(q)
+    return np.real(np.fft.ifft2(1j * k1d * qh[..., 0, :, :] + 1j * k2d * qh[..., 1, :, :]))
 
 
 def laplacian_values(f: np.ndarray) -> np.ndarray:
-    nx, ny = f.shape
-    _, _, _, _, k2sum = _wavenumbers(nx, ny)
+    _, _, _, _, k2sum = _wavenumbers(*f.shape[-2:])
     return np.real(np.fft.ifft2(-k2sum * np.fft.fft2(f)))
 
 
 def div_traceless_values(ps: np.ndarray) -> np.ndarray:
-    """Divergence of [[p, s], [s, -p]] given (2, nx, ny) samples (p, s).
+    """Divergence of [[p, s], [s, -p]] given (..., 2, nx, ny) samples (p, s).
 
     Row-wise: (d1 p + d2 s, d1 s - d2 p).
     """
-    gp = grad_values(ps[0])
-    gs = grad_values(ps[1])
-    out = np.empty_like(ps)
-    out[0] = gp[0] + gs[1]
-    out[1] = gs[0] - gp[1]
-    return out
+    g = grad_values(ps)  # (..., component, derivative, nx, ny)
+    return np.stack(
+        [g[..., 0, 0, :, :] + g[..., 1, 1, :, :], g[..., 1, 0, :, :] - g[..., 0, 1, :, :]],
+        axis=-3,
+    )
 
 
 def spectral_grad(f: ScalarField) -> VectorField:
@@ -86,25 +80,23 @@ def spectral_div(q: VectorField) -> ScalarField:
     return ScalarField(q.grid, div_values(q.values))
 
 
-def spectral_div_traceless(m: SymTracelessField) -> VectorField:
-    """Divergence of a symmetric traceless tensor field."""
-    return VectorField(m.grid, div_traceless_values(m.values))
-
-
 def _demean(values: np.ndarray, what: str) -> np.ndarray:
-    mean = float(np.mean(values))
-    if abs(mean) > MEAN_TOL:
+    """Subtract the mean of each trailing (nx, ny) slice; reject any slice
+    whose mean exceeds MEAN_TOL."""
+    mean = np.mean(values, axis=(-2, -1), keepdims=True)
+    worst = float(np.max(np.abs(mean)))
+    if worst > MEAN_TOL:
         raise SolvabilityError(
-            f"{what} must be mean-free on the torus (|mean| = {abs(mean):.3e} > {MEAN_TOL:g})"
+            f"{what} must be mean-free on the torus (|mean| = {worst:.3e} > {MEAN_TOL:g})"
         )
     return values - mean
 
 
 def poisson_solve_values(rhs: np.ndarray) -> np.ndarray:
-    """Solve -Lap(psi) = rhs with zero mean; rhs must be mean-free."""
+    """Solve -Lap(psi) = rhs with zero mean per (nx, ny) slice; each slice of
+    rhs must be mean-free."""
     rhs = _demean(rhs, "Poisson right-hand side")
-    nx, ny = rhs.shape
-    _, _, _, _, k2sum = _wavenumbers(nx, ny)
+    _, _, _, _, k2sum = _wavenumbers(*rhs.shape[-2:])
     rh = np.fft.fft2(rhs)
     with np.errstate(divide="ignore", invalid="ignore"):
         ph = np.where(k2sum > 0.0, rh / k2sum, 0.0)
@@ -146,21 +138,16 @@ def korn_solve_values(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     In 2D the operator collapses to the componentwise Laplacian
     (div grad^t m and grad div m cancel), so the solve is a vector Poisson
-    problem; each component of rhs must be mean-free.  Returns (m, M) samples
-    with M the symmetric traceless tensor (p, s) = (d1 m1 - d2 m2, d1 m2 + d2 m1).
+    problem; each component of rhs must be mean-free.  Takes (..., 2, nx, ny)
+    samples and returns (m, M) of the same shape, with M the symmetric
+    traceless tensor (p, s) = (d1 m1 - d2 m2, d1 m2 + d2 m1).
     """
-    m = np.empty_like(rhs)
-    m[0] = -poisson_solve_values(
-        np.asarray(_demean(rhs[0], "stress right-hand side (component 1)"))
+    m = -poisson_solve_values(_demean(rhs, "stress right-hand side"))
+    g = grad_values(m)  # (..., component, derivative, nx, ny)
+    M = np.stack(
+        [g[..., 0, 0, :, :] - g[..., 1, 1, :, :], g[..., 1, 0, :, :] + g[..., 0, 1, :, :]],
+        axis=-3,
     )
-    m[1] = -poisson_solve_values(
-        np.asarray(_demean(rhs[1], "stress right-hand side (component 2)"))
-    )
-    g1 = grad_values(m[0])
-    g2 = grad_values(m[1])
-    M = np.empty_like(rhs)
-    M[0] = g1[0] - g2[1]
-    M[1] = g2[0] + g1[1]
     return m, M
 
 

@@ -27,9 +27,9 @@ from .errors import (
 from .fields import (
     ScalarField,
     SpaceTimeField,
-    SymTracelessField,
     TorusGrid,
     VectorField,
+    deviatoric_outer,
     lambda_max_traceless,
     time_derivative,
 )
@@ -85,10 +85,8 @@ def stream_potential(h: SpaceTimeField) -> SpaceTimeField:
     mass = h.values.mean(axis=(1, 2))
     if float(np.max(np.abs(mass - mass[0]))) > MASS_DRIFT_TOL:
         raise SolvabilityError("height mass drifts in time; potential undefined")
-    dh = time_derivative(h)
-    out = np.empty_like(h.values)
-    for k in range(h.num_nodes):
-        out[k] = spectral.poisson_solve_values(dh.values[k] - dh.values[k].mean())
+    dh = time_derivative(h).values
+    out = spectral.poisson_solve_values(dh - dh.mean(axis=(1, 2), keepdims=True))
     return SpaceTimeField(h.grid, h.times, out, kind="scalar")
 
 
@@ -140,11 +138,6 @@ def _coefficient_stack(
     return out
 
 
-def _friction_active(friction: FrictionParams) -> bool:
-    g = friction.gamma.values if isinstance(friction.gamma, ScalarField) else friction.gamma
-    return bool(np.any(np.asarray(g) > 0.0)) or friction.gamma2 > 0.0
-
-
 def solve_mean_momentum(
     v: SpaceTimeField,
     E: SpaceTimeField,
@@ -162,9 +155,8 @@ def solve_mean_momentum(
     integration; node data is interpolated linearly for the half steps.
     """
     times = h.times
-    grid = h.grid
     gpsi = _grad_stack(psi)
-    if _friction_active(friction):
+    if friction.active:
         coef = _coefficient_stack(h, E, friction, e_min)
     else:
         coef = np.zeros_like(h.values)
@@ -210,7 +202,7 @@ def solve_stress(
     of the friction-plus-force right-hand side, mean-zero per slice."""
     grid = h.grid
     gpsi = _grad_stack(psi)
-    if _friction_active(friction):
+    if friction.active:
         coef = _coefficient_stack(h, E, friction, e_min)
     else:
         coef = None
@@ -274,14 +266,6 @@ class CertificateReport:
     pointwise_bound_holds: bool
 
 
-def _deviatoric_outer(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, s) of the traceless part of g (x) g / h for stacked fields."""
-    g1, g2 = g[:, 0], g[:, 1]
-    p = (g1 * g1 - g2 * g2) / (2.0 * h)
-    s = g1 * g2 / h
-    return p, s
-
-
 def subsolution_certificate(sub: SubsolutionState) -> CertificateReport:
     """Pointwise margin E - delta - lambda_max[g (x) g / h - F - M].
 
@@ -290,11 +274,9 @@ def subsolution_certificate(sub: SubsolutionState) -> CertificateReport:
     """
     g = sub.total_momentum_stack()
     h = sub.height.values
-    p, s = _deviatoric_outer(g, h)
-    p = p - sub.flux.values[:, 0] - sub.stress.values[:, 0]
-    s = s - sub.flux.values[:, 1] - sub.stress.values[:, 1]
+    dev = deviatoric_outer(g, h) - sub.flux.values - sub.stress.values
     half_speed = 0.5 * (g[:, 0] ** 2 + g[:, 1] ** 2) / h
-    lam = half_speed + lambda_max_traceless(p, s)
+    lam = half_speed + lambda_max_traceless(dev[:, 0], dev[:, 1])
     margin = sub.kinetic_energy.values - sub.delta - lam
     bound_ok = bool(np.all(half_speed <= lam + 1e-12 * (1.0 + np.abs(lam))))
     return CertificateReport(
@@ -319,12 +301,8 @@ def energy_gap(sub: SubsolutionState) -> float:
 def transport_residual(sub: SubsolutionState) -> float:
     """Max residual of the linear constraint d(velocity)/dt + div(flux) = 0,
     with the discrete time stencil; interior nodes only."""
-    dv = time_derivative(sub.velocity)
-    worst = 0.0
-    for k in range(1, sub.times.size - 1):
-        divF = spectral.div_traceless_values(sub.flux.values[k])
-        worst = max(worst, float(np.max(np.abs(dv.values[k] + divF))))
-    return worst
+    dv = time_derivative(sub.velocity).values[1:-1]
+    return float(np.max(np.abs(dv + spectral.div_traceless_values(sub.flux.values[1:-1]))))
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +495,8 @@ class _WavePotential:
         chi_xy = np.outer(self._bump(x1, b.x_lo, b.x_hi, 0), self._bump(x2, b.y_lo, b.y_hi, 0))
         theta = 2.0 * np.pi * self.n * (e1 * x1[:, None] + e2 * x2[None, :])
 
-        k1 = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)[:, None]
-        k2 = 2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.dy)[None, :]
-        k1[grid.nx // 2, 0] = 0.0
-        k2[0, grid.ny // 2] = 0.0
+        # odd-derivative wavenumbers, so k2sum is Nyquist-zeroed as well
+        _, _, k1, k2, _ = spectral._wavenumbers(grid.nx, grid.ny)
         k2sum = k1 * k1 + k2 * k2
 
         w = np.empty((times.size, 2, grid.nx, grid.ny))
@@ -556,9 +532,9 @@ def _box_mask(times: np.ndarray, grid: TorusGrid, box: SpaceTimeBox) -> np.ndarr
     return mt[:, None, None] & m1[None, :, None] & m2[None, None, :]
 
 
-def _constraint_lambda(g: np.ndarray, r: np.ndarray, Wp: np.ndarray, Ws: np.ndarray) -> np.ndarray:
-    p, s = _deviatoric_outer(g, r)
-    return 0.5 * (g[:, 0] ** 2 + g[:, 1] ** 2) / r + lambda_max_traceless(p - Wp, s - Ws)
+def _constraint_lambda(g: np.ndarray, r: np.ndarray, W: np.ndarray) -> np.ndarray:
+    dev = deviatoric_outer(g, r) - W
+    return 0.5 * (g[:, 0] ** 2 + g[:, 1] ** 2) / r + lambda_max_traceless(dev[:, 0], dev[:, 1])
 
 
 def oscillatory_pair(
@@ -584,7 +560,7 @@ def oscillatory_pair(
     grid = g.grid
     if np.any(r.values <= 0.0):
         raise ConstraintError("oscillatory pair requires r > 0")
-    lam0 = _constraint_lambda(g.values, r.values, W.values[:, 0], W.values[:, 1])
+    lam0 = _constraint_lambda(g.values, r.values, W.values)
     mask = _box_mask(times, grid, box)
     if np.any((lam0 >= e.values) & mask):
         raise ConstraintError("constraint lambda_max[...] < e fails on the support box")
@@ -615,9 +591,7 @@ def oscillatory_pair(
     e_pad = np.where(mask, e.values, lam0 + 0.5 * gap)
     for _ in range(max_backtracks):
         w, G = wave.evaluate(times, grid, amp)
-        lam = _constraint_lambda(
-            g.values + w, r.values, W.values[:, 0] + G[:, 0], W.values[:, 1] + G[:, 1]
-        )
+        lam = _constraint_lambda(g.values + w, r.values, W.values + G)
         # outside the box only the spectral tail of the cutoff remains, so the
         # padded level (half the box gap above lambda0) is a strict check there
         if np.all(lam < e_pad):
@@ -685,11 +659,10 @@ def improvement_step(
         sub.grid, sub.times, sub.flux.values + pair.G.values, kind="symtraceless"
     )
     e_min = E_MIN_FACTOR * float(np.max(np.abs(sub.energy_offset)))
-    parts_V0 = sub.mean_momentum[0]
     try:
         V_new = solve_mean_momentum(
             v_new, sub.kinetic_energy, sub.height, sub.potential,
-            sub.friction, sub.force, parts_V0, e_min,
+            sub.friction, sub.force, sub.mean_momentum[0], e_min,
         )
         M_new = solve_stress(
             v_new, V_new, sub.kinetic_energy, sub.height, sub.potential,

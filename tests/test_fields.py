@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shlab.errors import InvalidValueError, PositivityError
+from shlab.errors import InvalidValueError
 from shlab.fields import (
     ScalarField,
     SpaceTimeField,
     SymTracelessField,
     TorusGrid,
     VectorField,
+    deviatoric_outer,
     integrate,
     lambda_max_traceless,
-    tensor_apply,
     time_derivative,
 )
 
@@ -72,41 +72,40 @@ class TestIntegrate:
 
 
 class TestTensorApply:
-    def test_unit_x_momentum(self, grid32):
-        out = tensor_apply(
-            VectorField.constant(grid32, 1.0, 0.0), ScalarField.constant(grid32, 1.0)
-        )
-        np.testing.assert_allclose(out.p, 0.5)
-        np.testing.assert_allclose(out.s, 0.0)
+    """deviatoric_outer: the traceless part of the tensor q (x) q / h."""
 
-    def test_diagonal_momentum(self, grid32):
-        out = tensor_apply(
-            VectorField.constant(grid32, 1.0, 1.0), ScalarField.constant(grid32, 2.0)
-        )
-        np.testing.assert_allclose(out.p, 0.0)
-        np.testing.assert_allclose(out.s, 0.5)
+    def test_unit_x_momentum(self):
+        q = np.zeros((2, 32, 32))
+        q[0] = 1.0
+        p, s = deviatoric_outer(q, np.ones((32, 32)))
+        np.testing.assert_allclose(p, 0.5)
+        np.testing.assert_allclose(s, 0.0)
 
-    def test_zero_momentum(self, grid32):
-        out = tensor_apply(
-            VectorField.constant(grid32, 0.0, 0.0), ScalarField.constant(grid32, 3.0)
-        )
-        assert not np.any(out.values)
+    def test_diagonal_momentum(self):
+        p, s = deviatoric_outer(np.ones((2, 32, 32)), np.full((32, 32), 2.0))
+        np.testing.assert_allclose(p, 0.0)
+        np.testing.assert_allclose(s, 0.5)
 
-    def test_requires_positive_height(self, grid32):
-        with pytest.raises(PositivityError):
-            tensor_apply(
-                VectorField.constant(grid32, 1.0, 0.0), ScalarField.constant(grid32, 0.0)
-            )
+    def test_zero_momentum(self):
+        assert not np.any(deviatoric_outer(np.zeros((2, 32, 32)), np.full((32, 32), 3.0)))
+
+    def test_stack_matches_slices(self, rng):
+        q = rng.standard_normal((3, 2, 8, 8))
+        h = 1.0 + rng.random((3, 8, 8))
+        dev = deviatoric_outer(q, h)
+        assert dev.shape == q.shape
+        for k in range(3):
+            np.testing.assert_array_equal(dev[k], deviatoric_outer(q[k], h[k]))
 
     @settings(max_examples=50, deadline=None)
     @given(q1=finite, q2=finite, h=positive)
     def test_kinetic_energy_equals_lambda_max(self, q1, q2, h):
         # half |q|^2 / h is exactly the top eigenvalue of the deviatoric part
         # of q (x) q / h -- the identity the certificate leans on
-        grid = TorusGrid(4, 4)
-        dev = tensor_apply(VectorField.constant(grid, q1, q2), ScalarField.constant(grid, h))
+        q = np.array([q1, q2])[:, None, None] * np.ones((2, 4, 4))
+        p, s = deviatoric_outer(q, np.full((4, 4), h))
         kinetic = 0.5 * (q1 * q1 + q2 * q2) / h
-        lam = lambda_max_traceless(dev.p, dev.s)
+        lam = lambda_max_traceless(p, s)
         np.testing.assert_allclose(lam, kinetic, rtol=1e-12, atol=1e-12)
 
 

@@ -38,6 +38,14 @@ class TestParams:
         with pytest.raises(InvalidValueError):
             FrictionParams(gamma=gamma).gamma_values(grid32)
 
+    def test_active(self, grid32):
+        assert not FrictionParams().active
+        assert not FrictionParams(gamma=ScalarField.constant(grid32, 0.0)).active
+        assert FrictionParams(gamma=0.1).active
+        assert FrictionParams(gamma2=0.1, law="extended").active
+        field = ScalarField.from_function(grid32, lambda x1, x2: np.where(x1 < 0.5, 0.0, 0.2))
+        assert FrictionParams(gamma=field).active
+
 
 class TestSelection:
     def test_normalization(self, grid32):

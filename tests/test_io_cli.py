@@ -235,15 +235,6 @@ class TestCliSimulate:
         assert cli.main(["simulate", str(missing), "--out", str(tmp_path / "out")]) == 4
         assert "io error" in capsys.readouterr().err
 
-    def test_thread_cap_env_validation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SHLAB_THREADS", "zero")
-        scn = write_scenario(tmp_path)
-        assert cli.main(["simulate", str(scn), "--out", str(tmp_path / "out")]) == 2
-        monkeypatch.setenv("SHLAB_THREADS", "0")
-        assert cli.main(["simulate", str(scn), "--out", str(tmp_path / "out")]) == 2
-        monkeypatch.setenv("SHLAB_THREADS", "2")
-        assert cli.main(["simulate", str(scn), "--out", str(tmp_path / "out")]) == 0
-
 
 WORKBENCH = MINIMAL + """
 initial.u0x = 0
@@ -288,6 +279,22 @@ class TestCliDiagnose:
         (tmp_path / "empty").mkdir()
         assert cli.main(["diagnose", str(tmp_path / "empty")]) == 4
 
+    def test_one_row_ledger(self, tmp_path, capsys):
+        # T = 0 stores only the initial state, so the ledger has a single row
+        scn = write_scenario(tmp_path, MINIMAL.replace("physics.T = 0.05", "physics.T = 0"))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(scn), "--out", str(out)]) == 0
+        assert len((out / "ledger.csv").read_text().splitlines()) == 2
+        assert cli.main(["diagnose", str(out)]) == 0
+        assert "rows: 1\n" in capsys.readouterr().out
+
+    def test_header_only_ledger_exits_4(self, tmp_path):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run/ledger.csv").write_text(
+            "t,mass,kinetic,potential,total,dissipation_cum,work_cum,e2_residual\n"
+        )
+        assert cli.main(["diagnose", str(tmp_path / "run")]) == 4
+
 
 class TestCliExperiments:
     def test_wsu_smoke(self, tmp_path):
@@ -301,6 +308,22 @@ class TestCliExperiments:
         lines = (out / "wsu_eps0.01.csv").read_text().splitlines()
         assert lines[0] == "t,E_rel,fitted_c"
         assert len(lines) > 1
+
+    @pytest.mark.parametrize("eps,bad", [("abc", "'abc'"), ("1e-3,", "''")])
+    def test_wsu_bad_eps_exits_2(self, tmp_path, capsys, eps, bad):
+        scn = write_scenario(tmp_path)
+        argv = ["wsu", str(scn), "--eps", eps, "--out", str(tmp_path / "wsu")]
+        assert cli.main(argv) == 2
+        assert f"--eps entry {bad} is not a number" in capsys.readouterr().err
+
+    def test_convergence_flat_state_exits_3(self, tmp_path, capsys):
+        # a flat state at rest stays exact on every grid: both L1 errors are 0
+        scn = write_scenario(
+            tmp_path,
+            "grid.nx = 8\ngrid.ny = 8\nphysics.T = 0.05\ninitial.h0 = 1\noutput.times = 2\n",
+        )
+        assert cli.main(["convergence", str(scn), "--out", str(tmp_path / "conv")]) == 3
+        assert "order is undefined" in capsys.readouterr().err
 
     def test_convergence_smoke(self, tmp_path, capsys):
         scn = write_scenario(

@@ -188,3 +188,54 @@ class TestKorn:
             if grad_norm == 0.0:
                 continue
             assert op_norm >= 0.5 * grad_norm - 1e-12
+
+
+class TestStacks:
+    """Leading stack axes: each slice comes out bitwise as if solved alone."""
+
+    @pytest.fixture
+    def stacks(self, rng):
+        f = rng.standard_normal((3, 16, 8))
+        f -= f.mean(axis=(1, 2), keepdims=True)
+        q = rng.standard_normal((3, 2, 16, 8))
+        q -= q.mean(axis=(2, 3), keepdims=True)
+        return f, q
+
+    @pytest.mark.parametrize(
+        "fn,arg",
+        [
+            (grad_values, 0),
+            (laplacian_values, 0),
+            (poisson_solve_values, 0),
+            (div_values, 1),
+            (div_traceless_values, 1),
+        ],
+    )
+    def test_stack_equals_slices(self, stacks, fn, arg):
+        x = stacks[arg]
+        out = fn(x)
+        for k in range(3):
+            assert np.array_equal(out[k], fn(x[k]))
+
+    def test_korn_stack_equals_slices(self, stacks):
+        _, q = stacks
+        m, M = korn_solve_values(q)
+        for k in range(3):
+            mk, Mk = korn_solve_values(q[k])
+            assert np.array_equal(m[k], mk)
+            assert np.array_equal(M[k], Mk)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_one_slice_with_mean_rejected(self, stacks, k):
+        f = stacks[0].copy()
+        f[k] += 1e-6
+        with pytest.raises(SolvabilityError):
+            poisson_solve_values(f)
+        poisson_solve_values(np.delete(f, k, axis=0))
+
+    def test_cancelling_slice_means_rejected(self, stacks):
+        f = stacks[0].copy()
+        f[0] += 1e-6
+        f[2] -= 1e-6
+        with pytest.raises(SolvabilityError):
+            poisson_solve_values(f)
