@@ -180,6 +180,9 @@ def _cmd_diagnose(args) -> int:
     rows = np.genfromtxt(ledger_path, delimiter=",", names=True, ndmin=1)
     if rows.size == 0:
         raise FormatError(f"{ledger_path} has no rows")
+    missing = [c for c in ("mass", "e2_residual", "dissipation_cum") if c not in rows.dtype.names]
+    if missing:
+        raise FormatError(f"{ledger_path} lacks column(s): {', '.join(missing)}")
     residual = float(np.max(rows["e2_residual"]))
     mass = rows["mass"]
     drift = float(np.max(np.abs(mass - mass[0])) / abs(mass[0]))

@@ -160,43 +160,53 @@ def _gauss3(lo: np.ndarray, hi: np.ndarray):
     return nodes, weights
 
 
-def _time_integral(times: np.ndarray, series: np.ndarray, weight_fn) -> float:
-    """Integral of (piecewise-linear interpolant of series) * weight_fn(t).
+def _time_weights(times: np.ndarray, weight_fn) -> np.ndarray:
+    """Node weights w such that w @ y is the integral of (piecewise-linear
+    interpolant of the node series y) * weight_fn(t).
 
     Exact per interval for polynomial weights of degree <= 4, so the only
     quadrature error left is the linear interpolation of the node series.
     """
     t0, t1 = times[:-1], times[1:]
-    y0, y1 = series[:-1], series[1:]
     nodes, weights = _gauss3(t0, t1)
     frac = (nodes - t0) / (t1 - t0)
-    vals = (y0 + frac * (y1 - y0)) * weight_fn(nodes)
-    return float(np.sum(vals * weights))
+    wf = weight_fn(nodes) * weights
+    w = np.zeros(times.size)
+    w[:-1] += np.sum(wf * (1.0 - frac), axis=0)
+    w[1:] += np.sum(wf * frac, axis=0)
+    return w
 
 
-def _spatial_basis(grid: TorusGrid, max_mode: int):
-    """Tensor-product trig basis with modes <= max_mode per direction.
+def _mode_coefficients(fields: np.ndarray, max_mode: int) -> np.ndarray:
+    """C(k) = cell-center mean of F exp(-2 pi i k.x) for -m <= k1 <= m and
+    0 <= k2 <= m (m = max_mode <= min(nx, ny) // 2), shape (..., 2m+1, m+1).
 
-    Yields (values, grad) pairs with both arrays sampled at cell centers.
+    With cell centers at (i + 1/2)/nx, C(k) is rfft2(F)[k] times the
+    half-cell phase exp(-i pi (k1/nx + k2/ny)) over nx ny.
     """
-    x1, x2 = grid.cell_centers()
-    two_pi = 2.0 * np.pi
+    nx, ny = fields.shape[-2:]
+    k1 = np.arange(-max_mode, max_mode + 1)
+    k2 = np.arange(max_mode + 1)
+    phase = np.exp(-1j * np.pi * (k1[:, None] / nx + k2 / ny)) / (nx * ny)
+    return np.fft.rfft2(fields)[..., : max_mode + 1][..., k1 % nx, :] * phase
 
-    def factors(k, x):
-        out = [(np.cos(two_pi * k * x), -two_pi * k * np.sin(two_pi * k * x))]
-        if k > 0:
-            out.append((np.sin(two_pi * k * x), two_pi * k * np.cos(two_pi * k * x)))
-        return out
 
-    basis = []
-    for kx in range(max_mode + 1):
-        for ky in range(max_mode + 1):
-            for fx, dfx in factors(kx, x1):
-                for fy, dfy in factors(ky, x2):
-                    vals = fx * fy
-                    grad = np.stack([dfx * fy, fx * dfy])
-                    basis.append((vals, grad))
-    return basis
+def _cos_sin_moments(coef: np.ndarray) -> np.ndarray:
+    """Means against the tensor-product cos/sin basis from the coefficients
+    of ``_mode_coefficients`` (of a real field, or a real-linear image of one
+    such as its pairing with a gradient).
+
+    The result has shape (..., 4, m+1, m+1), indexed [product, k1, k2] with
+    the products cos cos, sin sin, sin cos and cos sin of the x1 and x2
+    factors cos/sin(2 pi k x).  They are half sums and differences of
+    C(k1, k2) and C(k1, -k2) = conj C(-k1, k2).  Entries with a sine factor at
+    k = 0 stand for the zero function and hold zero up to roundoff.
+    """
+    m = coef.shape[-1] - 1
+    plus = coef[..., m:, :]
+    minus = np.conj(coef[..., m::-1, :])
+    parts = [(plus + minus).real, (minus - plus).real, -(plus + minus).imag, (minus - plus).imag]
+    return 0.5 * np.stack(parts, axis=-3)
 
 
 @dataclass
@@ -208,17 +218,25 @@ class WeakResidualReport:
 
 def weak_residual(traj: Trajectory, basis_size: int = 4) -> WeakResidualReport:
     """Residuals of the mass and momentum integral identities over a basis of
-    separable test functions (trig modes in space, cubic decay-to-zero bump
-    in time, vanishing at the final time).
+    separable test functions (trig modes up to ``basis_size`` per direction in
+    space, cubic decay-to-zero bump in time, vanishing at the final time).
 
     The recorded friction selections are used as data, honoring the
     multi-valued formulation; the time quadrature integrates the piecewise
     linear interpolant of the stored snapshots exactly against the polynomial
-    time weight.
+    time weight.  Both identities are linear in the snapshots, so each is
+    first summed over time into a handful of weighted fields, whose moments
+    against every test mode are then read from one DFT.
     """
     if traj.selections is None or len(traj.selections) != len(traj.states):
         raise InvalidValueError("trajectory lacks friction-selection records")
     scn = traj.scenario
+    grid = scn.grid
+    if not 0 <= basis_size <= min(grid.nx, grid.ny) // 2:
+        raise InvalidValueError(
+            f"basis_size must lie in [0, {min(grid.nx, grid.ny) // 2}] on a "
+            f"{grid.nx}x{grid.ny} grid, got {basis_size}"
+        )
     times = traj.times
     T = float(times[-1])
     if T <= 0.0:
@@ -230,38 +248,37 @@ def weak_residual(traj: Trajectory, basis_size: int = 4) -> WeakResidualReport:
     def drho(t):
         return -3.0 / T * (1.0 - t / T) ** 2
 
-    gamma = scn.friction.gamma_values(scn.grid)
-    fvals = scn.f.values if scn.f is not None else np.zeros((2, *scn.grid.shape))
-    h = np.array([st.h.values for st in traj.states])
-    q = np.array([st.q.values for st in traj.states])
-    B = np.array([b.values for b in traj.selections])
+    w = _time_weights(times, rho)
+    dw = _time_weights(times, drho)
+    dw[0] += rho(0.0)  # initial-data term
+    gamma = scn.friction.gamma_values(grid)
+    f = scn.f.values if scn.f is not None else 0.0
 
-    worst_cont = 0.0
-    worst_mom = 0.0
-    mass_mode = None
-    for idx, (X, gX) in enumerate(_spatial_basis(scn.grid, basis_size)):
-        a_series = (h * X).mean(axis=(1, 2))
-        b_series = (q[:, 0] * gX[0] + q[:, 1] * gX[1]).mean(axis=(1, 2))
-        r_cont = (
-            _time_integral(times, a_series, drho)
-            + _time_integral(times, b_series, rho)
-            + a_series[0] * rho(0.0)
-        )
-        worst_cont = max(worst_cont, abs(r_cont))
-        if idx == 0:
-            mass_mode = abs(r_cont)  # basis starts with the constant mode
+    # time-weighted fields: mass, mass flux q, momentum (with the friction and
+    # force source), momentum flux q (x) q / h + a h^2 I as (11, 12, 22)
+    acc = np.zeros((8, *grid.shape))
+    mass, flux, mom, mflux = acc[0], acc[1:3], acc[3:5], acc[5:8]
+    for wj, dwj, st, sel in zip(w, dw, traj.states, traj.selections):
+        h, q = st.h.values, st.q.values
+        mass += dwj * h
+        flux += wj * q
+        mom += dwj * q
+        mom -= wj * (h * (gamma * sel.values - f))
+        pres = scn.a * h * h
+        mflux[0] += wj * (q[0] * q[0] / h + pres)
+        mflux[1] += wj * (q[0] * q[1] / h)
+        mflux[2] += wj * (q[1] * q[1] / h + pres)
 
-        qdotg = q[:, 0] * gX[0] + q[:, 1] * gX[1]
-        for d in range(2):
-            c_series = (q[:, d] * X).mean(axis=(1, 2))
-            conv = (q[:, d] * qdotg / h).mean(axis=(1, 2))
-            pres = (scn.a * h * h * gX[d]).mean(axis=(1, 2))
-            src = (h * (gamma * B[:, d] - fvals[d]) * X).mean(axis=(1, 2))
-            r_mom = (
-                _time_integral(times, c_series, drho)
-                + _time_integral(times, conv + pres, rho)
-                - _time_integral(times, src, rho)
-                + c_series[0] * rho(0.0)
-            )
-            worst_mom = max(worst_mom, abs(r_mom))
-    return WeakResidualReport(worst_cont, worst_mom, mass_mode)
+    # the mean of F times a derivative d/dx_j of exp(-2 pi i k.x) is
+    # -2 pi i k_j C(k), so each identity is one combination of coefficients
+    c = _mode_coefficients(acc, basis_size)
+    d1 = -2j * np.pi * np.arange(-basis_size, basis_size + 1)[:, None]
+    d2 = -2j * np.pi * np.arange(basis_size + 1)
+    r_cont = _cos_sin_moments(c[0] + d1 * c[1] + d2 * c[2])
+    # momentum flux rows (11, 12) and (21, 22)
+    r_mom = _cos_sin_moments(c[3:5] + d1 * c[[5, 6]] + d2 * c[[6, 7]])
+    return WeakResidualReport(
+        continuity=float(np.max(np.abs(r_cont))),
+        momentum=float(np.max(np.abs(r_mom))),
+        mass_mode=float(abs(r_cont[0, 0, 0])),  # the constant test mode
+    )

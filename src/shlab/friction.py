@@ -31,11 +31,13 @@ class FrictionParams:
     def __post_init__(self):
         if self.law not in LAWS:
             raise InvalidValueError(f"friction law must be one of {LAWS}, got {self.law!r}")
-        g = self.gamma.values if isinstance(self.gamma, ScalarField) else self.gamma
-        if np.any(np.asarray(g) < 0.0):
+        g = np.asarray(self.gamma.values if isinstance(self.gamma, ScalarField) else self.gamma)
+        if not np.all(np.isfinite(g)):
+            raise InvalidValueError("friction gamma must be finite")
+        if np.any(g < 0.0):
             raise InvalidValueError("friction gamma must be nonnegative")
-        if self.gamma2 < 0.0:
-            raise InvalidValueError("friction gamma2 must be nonnegative")
+        if not self.gamma2 >= 0.0:
+            raise InvalidValueError(f"friction gamma2 must be nonnegative, got {self.gamma2}")
 
     @property
     def active(self) -> bool:

@@ -57,16 +57,25 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.T < 0.0:
-            raise InvalidValueError("final time T must be nonnegative")
-        if self.a <= 0.0:
-            raise InvalidValueError("pressure coefficient a must be positive")
+        # written so that NaN fails every range check
+        if not 0.0 <= self.T < np.inf:
+            raise InvalidValueError(f"final time T must be finite and nonnegative, got {self.T}")
+        if not 0.0 < self.a < np.inf:
+            raise InvalidValueError(
+                f"pressure coefficient a must be finite and positive, got {self.a}"
+            )
         if not 0.0 < self.cfl < 1.0:
             raise InvalidValueError("Courant number must lie in (0, 1)")
         if np.any(self.h0.values <= 0.0):
             raise PositivityError("initial height must satisfy h0 > 0 everywhere")
         if self.n_output < 2:
             raise InvalidValueError("need at least 2 output times")
+        if not 0.0 < self.h_floor < np.inf:
+            raise InvalidValueError(
+                f"height floor h_floor must be finite and positive, got {self.h_floor}"
+            )
+        if self.dt_max is not None and not self.dt_max > 0.0:
+            raise InvalidValueError(f"dt_max must be positive, got {self.dt_max}")
 
     def initial_state(self) -> State:
         return State(self.h0, VectorField(self.grid, self.h0.values * self.u0.values))

@@ -1,12 +1,19 @@
-"""The benchmark's tracing hooks name attributes of shlab; every one must
-still resolve, or ``bench/run.py --trace 1`` breaks."""
+"""The benchmark harness must keep working: its tracing hooks name
+attributes of shlab, every one of which must still resolve (or
+``bench/run.py --trace 1`` breaks), and a smoke-size job must run and pass
+its correctness gate."""
 
 import importlib.util
+import json
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -25,3 +32,25 @@ tracing = _load_tracing()
 )
 def test_hook_resolves(owner, attr):
     assert callable(getattr(tracing._owner(owner), attr))
+
+
+def test_analysis_job_smoke(tmp_path):
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [
+            sys.executable, str(BENCH / "job.py"),
+            "--workload", "analysis-128", "--mode", "plain", "--smoke", "--seed", "0",
+            "--dir", str(tmp_path / "work"), "--result", str(result),
+            "--spawned-at", repr(time.monotonic()),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(result.read_text())
+    assert record["exit_code"] == 0
+    names = {check["name"] for check in record["gate"]}
+    assert {"continuity", "momentum", "mass_mode"} <= names
+    bad = [c for c in record["gate"] if c["status"] not in ("ok", "skipped")]
+    assert not bad, bad

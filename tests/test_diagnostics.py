@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shlab.errors import InvalidValueError, PositivityError
 from shlab.fields import ScalarField, TorusGrid, VectorField
 from shlab.friction import FrictionParams
 from shlab.diagnostics import (
+    _gauss3,
     energy_inequality_residual,
     energy_jump,
     relative_energy,
@@ -15,7 +18,7 @@ from shlab.diagnostics import (
     weak_residual,
     weak_strong_experiment,
 )
-from shlab.solver import EnergyLedger, Scenario, State, simulate
+from shlab.solver import EnergyLedger, Scenario, State, Trajectory, simulate
 from shlab.workbench import WorkbenchProblem
 
 TWO_PI = 2.0 * np.pi
@@ -222,3 +225,149 @@ class TestWeakResidual:
         # friction is the dominant physics here; honoring B keeps the
         # momentum residual at the splitting error, not O(1)
         assert rep.momentum < 0.05
+
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 12)])
+    def test_basis_size_bounds(self, shape):
+        traj = simulate(wave_scenario(TorusGrid(*shape), T=0.05, n_output=3))
+        nyquist = min(shape) // 2
+        assert weak_residual(traj, basis_size=0).mass_mode <= 1e-12
+        assert weak_residual(traj, basis_size=nyquist).mass_mode <= 1e-12
+        for aliased_or_negative in (-1, nyquist + 1):
+            with pytest.raises(InvalidValueError):
+                weak_residual(traj, basis_size=aliased_or_negative)
+
+
+# ---------------------------------------------------------------------------
+# loop oracle: one full-grid pass per separable test function
+
+
+def _loop_time_integral(times, series, weight_fn):
+    """Integral of (piecewise-linear interpolant of series) * weight_fn(t)."""
+    t0, t1 = times[:-1], times[1:]
+    y0, y1 = series[:-1], series[1:]
+    nodes, weights = _gauss3(t0, t1)
+    frac = (nodes - t0) / (t1 - t0)
+    vals = (y0 + frac * (y1 - y0)) * weight_fn(nodes)
+    return float(np.sum(vals * weights))
+
+
+def _spatial_basis(grid, max_mode):
+    """Tensor-product trig basis with modes <= max_mode per direction, as
+    (values, grad) pairs sampled at cell centers; the constant mode is first."""
+    x1, x2 = grid.cell_centers()
+
+    def factors(k, x):
+        out = [(np.cos(TWO_PI * k * x), -TWO_PI * k * np.sin(TWO_PI * k * x))]
+        if k > 0:
+            out.append((np.sin(TWO_PI * k * x), TWO_PI * k * np.cos(TWO_PI * k * x)))
+        return out
+
+    basis = []
+    for kx in range(max_mode + 1):
+        for ky in range(max_mode + 1):
+            for fx, dfx in factors(kx, x1):
+                for fy, dfy in factors(ky, x2):
+                    basis.append((fx * fy, np.stack([dfx * fy, fx * dfy])))
+    return basis
+
+
+def loop_weak_residual(traj, basis_size):
+    """Reference weak residual: each test function's space integrals are
+    computed by direct passes over the (K+1, nx, ny) snapshot stacks."""
+    scn = traj.scenario
+    times = traj.times
+    T = float(times[-1])
+
+    def rho(t):
+        return (1.0 - t / T) ** 3
+
+    def drho(t):
+        return -3.0 / T * (1.0 - t / T) ** 2
+
+    gamma = scn.friction.gamma_values(scn.grid)
+    fvals = scn.f.values if scn.f is not None else np.zeros((2, *scn.grid.shape))
+    h = np.array([s.h.values for s in traj.states])
+    q = np.array([s.q.values for s in traj.states])
+    B = np.array([b.values for b in traj.selections])
+
+    worst_cont = worst_mom = 0.0
+    mass_mode = None
+    for X, gX in _spatial_basis(scn.grid, basis_size):
+        a_series = (h * X).mean(axis=(1, 2))
+        b_series = (q[:, 0] * gX[0] + q[:, 1] * gX[1]).mean(axis=(1, 2))
+        r_cont = (
+            _loop_time_integral(times, a_series, drho)
+            + _loop_time_integral(times, b_series, rho)
+            + a_series[0] * rho(0.0)
+        )
+        worst_cont = max(worst_cont, abs(r_cont))
+        if mass_mode is None:
+            mass_mode = abs(r_cont)
+        qdotg = q[:, 0] * gX[0] + q[:, 1] * gX[1]
+        for d in range(2):
+            c_series = (q[:, d] * X).mean(axis=(1, 2))
+            conv = (q[:, d] * qdotg / h).mean(axis=(1, 2))
+            pres = (scn.a * h * h * gX[d]).mean(axis=(1, 2))
+            src = (h * (gamma * B[:, d] - fvals[d]) * X).mean(axis=(1, 2))
+            r_mom = (
+                _loop_time_integral(times, c_series, drho)
+                + _loop_time_integral(times, conv + pres, rho)
+                - _loop_time_integral(times, src, rho)
+                + c_series[0] * rho(0.0)
+            )
+            worst_mom = max(worst_mom, abs(r_mom))
+    return worst_cont, worst_mom, mass_mode
+
+
+def band_limited(rng, grid, kmax=3, amplitude=1.0):
+    """Random real trig polynomial with modes |k| <= kmax per direction,
+    scaled so its sup norm is at most ``amplitude``."""
+    x1, x2 = grid.cell_centers()
+    out = np.zeros(grid.shape)
+    for k1 in range(-kmax, kmax + 1):
+        for k2 in range(kmax + 1):
+            c, phi = rng.normal(), rng.uniform(0.0, TWO_PI)
+            out += c * np.cos(TWO_PI * (k1 * x1 + k2 * x2) + phi)
+    return amplitude * out / np.max(np.abs(out))
+
+
+def random_trajectory(seed, grid, n_times):
+    """Arbitrary (not solver-produced) snapshots: h > 0, any q, |B| <= 1,
+    a varying gamma and a nonzero force, at random increasing times."""
+    rng = np.random.default_rng(seed)
+    scn = Scenario(
+        grid=grid,
+        T=1.0,
+        a=float(rng.uniform(0.2, 2.0)),
+        friction=FrictionParams(gamma=ScalarField(grid, 0.3 + band_limited(rng, grid, 2, 0.25))),
+        h0=ScalarField.constant(grid, 1.0),
+        u0=VectorField.constant(grid, 0.0, 0.0),
+        f=VectorField(grid, np.stack([band_limited(rng, grid), band_limited(rng, grid)])),
+    )
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n_times - 1))])
+    times[-1] = 1.0
+    states, selections = [], []
+    for _ in times:
+        h = 1.0 + band_limited(rng, grid, amplitude=0.9)
+        q = np.stack([band_limited(rng, grid, amplitude=2.0) for _ in range(2)])
+        B = np.stack([band_limited(rng, grid) for _ in range(2)])
+        B /= max(1.0, float(np.max(np.hypot(B[0], B[1]))))
+        states.append(State(ScalarField(grid, h), VectorField(grid, q)))
+        selections.append(VectorField(grid, B))
+    return Trajectory(scn, times, states, selections, EnergyLedger())
+
+
+@pytest.mark.parametrize(
+    "shape,basis_size",
+    [((16, 16), 4), ((16, 16), 8), ((12, 20), 3), ((12, 20), 6)],
+    ids=["16x16-m4", "16x16-nyquist", "12x20-m3", "12x20-nyquist"],
+)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_times=st.integers(2, 5))
+def test_dft_residual_matches_loop_oracle(shape, basis_size, seed, n_times):
+    traj = random_trajectory(seed, TorusGrid(*shape), n_times)
+    rep = weak_residual(traj, basis_size=basis_size)
+    ref = loop_weak_residual(traj, basis_size)
+    scale = max(ref)
+    for got, want in zip((rep.continuity, rep.momentum, rep.mass_mode), ref):
+        assert abs(got - want) <= 1e-12 * scale

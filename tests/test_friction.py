@@ -29,6 +29,15 @@ class TestParams:
         with pytest.raises(InvalidValueError):
             FrictionParams(gamma=-1.0)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(InvalidValueError, match="finite"):
+            FrictionParams(gamma=gamma)
+
+    def test_rejects_nan_gamma2(self):
+        with pytest.raises(InvalidValueError, match="gamma2"):
+            FrictionParams(gamma2=float("nan"), law="extended")
+
     def test_rejects_unknown_law(self):
         with pytest.raises(InvalidValueError):
             FrictionParams(law="sticky")

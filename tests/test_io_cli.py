@@ -226,6 +226,18 @@ class TestCliSimulate:
         assert cli.main(["simulate", str(scn), "--out", str(tmp_path / "out")]) == 2
         assert "validation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["physics.T = nan", "physics.T = inf", "physics.a = nan", "friction.gamma2 = nan"]
+    )
+    def test_non_finite_scenario_float_exits_2(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        text = "\n".join(x for x in MINIMAL.splitlines() if not x.startswith(key))
+        scn = write_scenario(tmp_path, text + "\n" + line + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(scn), "--out", str(out)]) == 2
+        assert "validation" in capsys.readouterr().err
+        assert not (out / "ledger.csv").exists()
+
     def test_parse_error_exits_2(self, tmp_path):
         scn = write_scenario(tmp_path, MINIMAL + "not a key value line\n")
         assert cli.main(["simulate", str(scn), "--out", str(tmp_path / "out")]) == 2
@@ -287,6 +299,14 @@ class TestCliDiagnose:
         assert len((out / "ledger.csv").read_text().splitlines()) == 2
         assert cli.main(["diagnose", str(out)]) == 0
         assert "rows: 1\n" in capsys.readouterr().out
+
+    def test_ledger_without_expected_columns_exits_4(self, tmp_path, capsys):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run/ledger.csv").write_text("a,b\n1,2\n3,4\n")
+        assert cli.main(["diagnose", str(tmp_path / "run")]) == 4
+        err = capsys.readouterr().err
+        assert "mass, e2_residual, dissipation_cum" in err
+        assert "Traceback" not in err
 
     def test_header_only_ledger_exits_4(self, tmp_path):
         (tmp_path / "run").mkdir()

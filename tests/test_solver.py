@@ -58,6 +58,23 @@ class TestStateAndScenario:
         with pytest.raises(PositivityError):
             uniform_scenario(grid32, h=0.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("T", float("nan")),
+            ("T", float("inf")),
+            ("a", float("nan")),
+            ("a", float("inf")),
+            ("h_floor", float("nan")),
+            ("h_floor", 0.0),
+            ("dt_max", float("nan")),
+            ("dt_max", -1.0),
+        ],
+    )
+    def test_scenario_rejects_nan_and_out_of_range(self, grid32, field, value):
+        with pytest.raises(InvalidValueError, match=field):
+            uniform_scenario(grid32, **{field: value})
+
     def test_initial_state_momentum(self, grid32):
         scn = uniform_scenario(grid32, h=2.0, u=(1.5, 0.0))
         np.testing.assert_allclose(scn.initial_state().q.values[0], 3.0)
