@@ -31,7 +31,7 @@ class FrictionParams:
     def __post_init__(self):
         if self.law not in LAWS:
             raise InvalidValueError(f"friction law must be one of {LAWS}, got {self.law!r}")
-        g = np.asarray(self.gamma.values if isinstance(self.gamma, ScalarField) else self.gamma)
+        g = np.asarray(self.gamma_array)
         if not np.all(np.isfinite(g)):
             raise InvalidValueError("friction gamma must be finite")
         if np.any(g < 0.0):
@@ -40,10 +40,14 @@ class FrictionParams:
             raise InvalidValueError(f"friction gamma2 must be nonnegative, got {self.gamma2}")
 
     @property
+    def gamma_array(self) -> float | np.ndarray:
+        """gamma as a float or as the (nx, ny) values of its field."""
+        return self.gamma.values if isinstance(self.gamma, ScalarField) else self.gamma
+
+    @property
     def active(self) -> bool:
         """True unless gamma vanishes everywhere and gamma2 is zero."""
-        g = self.gamma.values if isinstance(self.gamma, ScalarField) else self.gamma
-        return bool(np.any(np.asarray(g) > 0.0)) or self.gamma2 > 0.0
+        return bool(np.any(np.asarray(self.gamma_array) > 0.0)) or self.gamma2 > 0.0
 
     def gamma_values(self, grid: TorusGrid) -> np.ndarray:
         if isinstance(self.gamma, ScalarField):
@@ -100,20 +104,20 @@ def friction_shrink(
     return VectorField(q.grid, out)
 
 
-def friction_coefficient_field(
-    h: ScalarField, E: ScalarField, params: FrictionParams
-) -> ScalarField:
-    """Scalar multiplier that renders the friction term linear in momentum.
+def friction_coefficient_values(
+    h: np.ndarray, E: np.ndarray, params: FrictionParams
+) -> np.ndarray:
+    """Scalar multiplier that renders the friction term linear in momentum,
+    on (..., nx, ny) samples of h and E, e.g. a whole (K+1, nx, ny) stack.
 
     gamma * sqrt(h / 2E) for the Coulomb law; the extended law adds
     gamma2 * sqrt(2E / h).  Requires h > 0 and E > 0 everywhere.
     """
-    hv, Ev = h.values, E.values
-    if np.any(hv <= 0.0):
+    if np.any(h <= 0.0):
         raise PositivityError("friction coefficient requires h > 0 everywhere")
-    if np.any(Ev <= 0.0):
+    if np.any(E <= 0.0):
         raise EnergyPositivityError("friction coefficient requires E > 0 everywhere")
-    out = params.gamma_values(h.grid) * np.sqrt(hv / (2.0 * Ev))
+    out = params.gamma_array * np.sqrt(h / (2.0 * E))
     if params.law == "extended":
-        out = out + params.gamma2 * np.sqrt(2.0 * Ev / hv)
-    return ScalarField(h.grid, out)
+        out = out + params.gamma2 * np.sqrt(2.0 * E / h)
+    return out

@@ -17,8 +17,6 @@ from .errors import InvalidValueError, NumericalAbort, PositivityError
 from .fields import ScalarField, TorusGrid, VectorField
 from .friction import FrictionParams, coulomb_selection, friction_shrink
 
-H_FLOOR = 1e-10
-
 
 @dataclass(frozen=True)
 class State:
@@ -52,7 +50,6 @@ class Scenario:
     f: VectorField | None = None
     cfl: float = 0.4
     n_output: int = 101
-    h_floor: float = H_FLOOR
     dt_max: float | None = None
     seed: int = 0
 
@@ -64,18 +61,16 @@ class Scenario:
             raise InvalidValueError(
                 f"pressure coefficient a must be finite and positive, got {self.a}"
             )
-        if not 0.0 < self.cfl < 1.0:
-            raise InvalidValueError("Courant number must lie in (0, 1)")
+        if not 0.0 < self.cfl <= 0.5:
+            raise InvalidValueError(f"Courant number cfl must lie in (0, 1/2], got {self.cfl}")
         if np.any(self.h0.values <= 0.0):
             raise PositivityError("initial height must satisfy h0 > 0 everywhere")
         if self.n_output < 2:
             raise InvalidValueError("need at least 2 output times")
-        if not 0.0 < self.h_floor < np.inf:
-            raise InvalidValueError(
-                f"height floor h_floor must be finite and positive, got {self.h_floor}"
-            )
         if self.dt_max is not None and not self.dt_max > 0.0:
             raise InvalidValueError(f"dt_max must be positive, got {self.dt_max}")
+        if self.seed < 0:
+            raise InvalidValueError(f"seed must be nonnegative, got {self.seed}")
 
     def initial_state(self) -> State:
         return State(self.h0, VectorField(self.grid, self.h0.values * self.u0.values))
@@ -93,8 +88,14 @@ def max_wave_speed(state: State, a: float) -> float:
 
 
 def cfl_dt(state: State, a: float, cfl: float, dx: float, dt_max: float) -> float:
-    if not 0.0 < cfl < 1.0:
-        raise InvalidValueError("Courant number must lie in (0, 1)")
+    """cfl dx / (largest wave speed), capped at dt_max.
+
+    With dx the smaller cell width, dt (s_x/dx + s_y/dy) <= 2 cfl, and the
+    unsplit Rusanov update keeps h > 0 while that is <= 1 (Bouchut 2004); so
+    cfl is limited to (0, 1/2].
+    """
+    if not 0.0 < cfl <= 0.5:
+        raise InvalidValueError(f"Courant number cfl must lie in (0, 1/2], got {cfl}")
     speed = max_wave_speed(state, a)
     if speed <= 0.0:
         return dt_max
@@ -161,16 +162,9 @@ def step(state: State, scenario: Scenario, dt: float) -> tuple[State, StepInfo]:
         q1n -= coef * (flux[1] - np.roll(flux[1], 1, axis=axis))
         q2n -= coef * (flux[2] - np.roll(flux[2], 1, axis=axis))
 
-    if np.any(hn < scenario.h_floor):
-        # clip-and-renormalize fallback, at most once per step
-        mass_before = float(np.mean(hn))
-        hn = np.maximum(hn, scenario.h_floor)
-        mass_after = float(np.mean(hn))
-        if mass_after <= 0.0 or not np.isfinite(mass_after):
-            raise NumericalAbort("height positivity lost beyond recovery")
-        hn *= mass_before / mass_after
-        if np.any(hn < scenario.h_floor * (1.0 - 1e-12)) or np.any(~np.isfinite(hn)):
-            raise NumericalAbort("height positivity lost after fallback")
+    # unreachable for a dt from cfl_dt (see there); a larger dt must not pass
+    if not (np.all(hn > 0.0) and np.all(np.isfinite(hn))):
+        raise NumericalAbort("height lost positivity or finiteness: dt exceeds the CFL bound")
     if not (np.all(np.isfinite(q1n)) and np.all(np.isfinite(q2n))):
         raise NumericalAbort("momentum became non-finite")
 

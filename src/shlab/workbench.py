@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .fields import (
     lambda_max_traceless,
     time_derivative,
 )
-from .friction import FrictionParams, friction_coefficient_field
+from .friction import FrictionParams, friction_coefficient_values
 
 E_MIN_FACTOR = 1e-6
 MASS_DRIFT_TOL = 1e-10
@@ -86,82 +87,59 @@ def stream_potential(h: SpaceTimeField) -> SpaceTimeField:
     if float(np.max(np.abs(mass - mass[0]))) > MASS_DRIFT_TOL:
         raise SolvabilityError("height mass drifts in time; potential undefined")
     dh = time_derivative(h).values
-    out = spectral.poisson_solve_values(dh - dh.mean(axis=(1, 2), keepdims=True))
+    # a compact copy: the real part of the transform would keep the complex
+    # array alive, and a problem keeps psi for all its builds
+    out = np.ascontiguousarray(
+        spectral.poisson_solve_values(dh - dh.mean(axis=(1, 2), keepdims=True))
+    )
     return SpaceTimeField(h.grid, h.times, out, kind="scalar")
 
 
-def _as_a_values(a, grid: TorusGrid) -> np.ndarray:
-    if isinstance(a, ScalarField):
-        return a.values
-    return np.full(grid.shape, float(a))
-
-
-def _as_offset_series(offset, times: np.ndarray) -> np.ndarray:
-    arr = np.asarray(offset, dtype=float)
-    if arr.ndim == 0:
-        return np.full(times.size, float(arr))
-    if arr.shape != times.shape:
-        raise InvalidValueError("energy offset series must match the time nodes")
-    return arr
-
-
-def kinetic_energy_field(offset, a, h: SpaceTimeField, psi: SpaceTimeField) -> SpaceTimeField:
-    """Kinetic-energy budget E(t, x) = offset(t) - a h^2 - d(psi)/dt."""
-    lam = _as_offset_series(offset, h.times)
-    av = _as_a_values(a, h.grid)
-    dpsi = time_derivative(psi)
-    values = lam[:, None, None] - av[None] * h.values**2 - dpsi.values
+def kinetic_energy_field(
+    offset: float, a: float, h: SpaceTimeField, psi: SpaceTimeField
+) -> SpaceTimeField:
+    """Kinetic-energy budget E(t, x) = offset - a h^2 - d(psi)/dt."""
+    values = offset - a * h.values**2 - time_derivative(psi).values
     return SpaceTimeField(h.grid, h.times, values, kind="scalar")
 
 
-def _grad_stack(psi: SpaceTimeField) -> np.ndarray:
-    out = np.empty((psi.num_nodes, 2, *psi.grid.shape))
-    for k in range(psi.num_nodes):
-        out[k] = spectral.grad_values(psi.values[k])
-    return out
-
-
-def _coefficient_stack(
-    h: SpaceTimeField, E: SpaceTimeField, friction: FrictionParams, e_min: float
-) -> np.ndarray:
-    """Per-node linear friction coefficient field gamma sqrt(h/2E) (+ extended
-    term).  Raises if E dips below the admissible floor."""
-    if float(np.min(E.values)) < e_min:
+def drag_coefficient(
+    E: SpaceTimeField, h: SpaceTimeField, friction: FrictionParams, offset: float
+) -> np.ndarray | None:
+    """(K+1, nx, ny) stack of the linear friction coefficient gamma sqrt(h/2E)
+    (+ extended term), or None without friction.  Raises if E, the budget
+    built from the energy offset, dips below the floor E_MIN_FACTOR |offset|."""
+    if not friction.active:
+        return None
+    e_min = E_MIN_FACTOR * abs(offset)
+    e_low = float(np.min(E.values))
+    if e_low < e_min:
         raise EnergyPositivityError(
-            f"kinetic energy floor violated: min E = {float(np.min(E.values)):.3e} < {e_min:.3e}"
+            f"kinetic energy floor violated: min E = {e_low:.3e} < {e_min:.3e}"
         )
-    out = np.empty_like(h.values)
-    for k in range(h.num_nodes):
-        out[k] = friction_coefficient_field(
-            ScalarField(h.grid, h.values[k]), ScalarField(h.grid, E.values[k]), friction
-        ).values
-    return out
+    return friction_coefficient_values(h.values, E.values, friction)
 
 
 def solve_mean_momentum(
-    v: SpaceTimeField,
-    E: SpaceTimeField,
+    v: np.ndarray,
+    drag: np.ndarray | None,
+    grad_psi: np.ndarray,
     h: SpaceTimeField,
-    psi: SpaceTimeField,
-    friction: FrictionParams,
     f: VectorField | None,
     V0,
-    e_min: float = 0.0,
 ) -> np.ndarray:
     """Spatial-mean momentum component V(t) from its linear ODE.
 
-    dV/dt = mean(coef) V + mean(coef (v + grad psi) + h f), V(0) = V0, with
-    coef the linear friction coefficient.  Classical 4th-order one-step
-    integration; node data is interpolated linearly for the half steps.
+    dV/dt = mean(drag) V + mean(drag (v + grad psi) + h f), V(0) = V0, with
+    v and grad psi (K+1, 2, nx, ny) stacks on the nodes of h and drag the
+    linear friction coefficient stack (None without friction).  Classical
+    4th-order one-step integration; node data is interpolated linearly for
+    the half steps.
     """
     times = h.times
-    gpsi = _grad_stack(psi)
-    if friction.active:
-        coef = _coefficient_stack(h, E, friction, e_min)
-    else:
-        coef = np.zeros_like(h.values)
+    coef = np.zeros_like(h.values) if drag is None else drag
     cbar = coef.mean(axis=(1, 2))
-    rhs = coef[:, None] * (v.values + gpsi)
+    rhs = coef[:, None] * (v + grad_psi)
     if f is not None:
         rhs = rhs + h.values[:, None] * f.values[None]
     bbar = rhs.mean(axis=(2, 3))  # (K+1, 2)
@@ -189,29 +167,23 @@ def solve_mean_momentum(
 
 
 def solve_stress(
-    v: SpaceTimeField,
+    v: np.ndarray,
     V: np.ndarray,
-    E: SpaceTimeField,
+    drag: np.ndarray | None,
+    grad_psi: np.ndarray,
     h: SpaceTimeField,
-    psi: SpaceTimeField,
-    friction: FrictionParams,
     f: VectorField | None,
-    e_min: float = 0.0,
 ) -> SpaceTimeField:
     """Deviatoric stress corrector M(t) with div M equal to the mean-free part
-    of the friction-plus-force right-hand side, mean-zero per slice."""
+    of the friction-plus-force right-hand side, mean-zero per slice.  The
+    arguments are those of solve_mean_momentum plus its solution V."""
     grid = h.grid
-    gpsi = _grad_stack(psi)
-    if friction.active:
-        coef = _coefficient_stack(h, E, friction, e_min)
-    else:
-        coef = None
     out = np.zeros((h.num_nodes, 2, *grid.shape))
     for k in range(h.num_nodes):
         rhs = np.zeros((2, *grid.shape))
-        if coef is not None:
-            drag = coef[k][None] * (v.values[k] + V[k][:, None, None] + gpsi[k])
-            rhs -= drag - drag.mean(axis=(1, 2))[:, None, None]
+        if drag is not None:
+            term = drag[k][None] * (v[k] + V[k][:, None, None] + grad_psi[k])
+            rhs -= term - term.mean(axis=(1, 2))[:, None, None]
         if f is not None:
             force = h.values[k][None] * f.values
             rhs += force - force.mean(axis=(1, 2))[:, None, None]
@@ -229,19 +201,20 @@ def solve_stress(
 class SubsolutionState:
     """Full record of one candidate subsolution.
 
-    velocity is the divergence-free mean-zero part, flux its space-time
-    companion, mean_momentum the V(t) series, stress the corrector M(t), and
-    delta the certified margin.
+    grad_potential is grad(psi) at every node, velocity the
+    divergence-free mean-zero part, flux its space-time companion,
+    mean_momentum the V(t) series, stress the corrector M(t), and delta the
+    certified margin.
     """
 
     grid: TorusGrid
     times: np.ndarray
-    a: float | ScalarField
+    a: float
     friction: FrictionParams
     force: VectorField | None
     height: SpaceTimeField
-    potential: SpaceTimeField
-    energy_offset: np.ndarray  # (K+1,)
+    grad_potential: np.ndarray  # (K+1, 2, nx, ny)
+    energy_offset: float
     kinetic_energy: SpaceTimeField
     velocity: SpaceTimeField
     flux: SpaceTimeField
@@ -254,7 +227,7 @@ class SubsolutionState:
         return (
             self.velocity.values
             + self.mean_momentum[:, :, None, None]
-            + _grad_stack(self.potential)
+            + self.grad_potential
         )
 
 
@@ -311,12 +284,17 @@ def transport_residual(sub: SubsolutionState) -> float:
 
 @dataclass(frozen=True)
 class WorkbenchProblem:
-    """Scenario-level inputs for the subsolution pipeline."""
+    """Scenario-level inputs for the subsolution pipeline.
+
+    The height design, the potential psi and grad(psi) do not depend on the
+    energy offset, so they are derived once per problem (cached properties)
+    and shared, unmodified, by every candidate that build returns.
+    """
 
     grid: TorusGrid
     T: float
     num_steps: int
-    a: float | ScalarField
+    a: float
     friction: FrictionParams
     h0: ScalarField
     u0: VectorField
@@ -324,29 +302,45 @@ class WorkbenchProblem:
     delta: float = 0.1
     amplitude_cap: float = 0.25
 
-    def initial_split(self):
+    def __post_init__(self):
+        if self.num_steps < 2:
+            raise InvalidValueError(
+                f"workbench needs at least 2 time steps, got {self.num_steps}"
+            )
+
+    @cached_property
+    def initial_split(self) -> spectral.HelmholtzParts:
+        """q0 = v0 + V0 + grad(psi0) for the initial momentum q0 = h0 u0."""
         q0 = VectorField(self.grid, self.h0.values * self.u0.values)
         return spectral.helmholtz_decompose(q0)
 
-    def build(self, offset) -> SubsolutionState:
-        """Assemble the candidate with velocity frozen at v0 and zero flux."""
-        parts = self.initial_split()
-        height = design_height(self.h0, parts.psi, self.T, self.num_steps, self.amplitude_cap)
-        psi = stream_potential(height)
-        offset_series = _as_offset_series(offset, height.times)
-        E = kinetic_energy_field(offset_series, self.a, height, psi)
-        e_min = E_MIN_FACTOR * float(np.max(np.abs(offset_series)))
-        v = SpaceTimeField(
-            self.grid,
-            height.times,
-            np.broadcast_to(parts.v.values, (height.num_nodes, 2, *self.grid.shape)).copy(),
-            kind="vector",
-        )
-        V = solve_mean_momentum(v, E, height, psi, self.friction, self.force, parts.Vmean, e_min)
-        M = solve_stress(v, V, E, height, psi, self.friction, self.force, e_min)
-        flux = SpaceTimeField(
-            self.grid, height.times, np.zeros_like(v.values), kind="symtraceless"
-        )
+    @cached_property
+    def height(self) -> SpaceTimeField:
+        psi0 = self.initial_split.psi
+        return design_height(self.h0, psi0, self.T, self.num_steps, self.amplitude_cap)
+
+    @cached_property
+    def potential(self) -> SpaceTimeField:
+        return stream_potential(self.height)
+
+    @cached_property
+    def grad_potential(self) -> np.ndarray:
+        # compact copy, as in stream_potential
+        return np.ascontiguousarray(spectral.grad_values(self.potential.values))
+
+    def build(self, offset: float) -> SubsolutionState:
+        """Assemble the candidate with velocity frozen at v0 and zero flux.
+
+        Only E, the drag coefficient, V and M depend on the offset.
+        """
+        offset = float(offset)
+        parts, height = self.initial_split, self.height
+        E = kinetic_energy_field(offset, self.a, height, self.potential)
+        drag = drag_coefficient(E, height, self.friction, offset)
+        # read-only view of the one v0 slice at every node
+        v = np.broadcast_to(parts.v.values, (height.num_nodes, 2, *self.grid.shape))
+        V = solve_mean_momentum(v, drag, self.grad_potential, height, self.force, parts.Vmean)
+        M = solve_stress(v, V, drag, self.grad_potential, height, self.force)
         return SubsolutionState(
             grid=self.grid,
             times=height.times,
@@ -354,11 +348,11 @@ class WorkbenchProblem:
             friction=self.friction,
             force=self.force,
             height=height,
-            potential=psi,
-            energy_offset=offset_series,
+            grad_potential=self.grad_potential,
+            energy_offset=offset,
             kinetic_energy=E,
-            velocity=v,
-            flux=flux,
+            velocity=SpaceTimeField(self.grid, height.times, v, kind="vector"),
+            flux=SpaceTimeField(self.grid, height.times, np.zeros(v.shape), kind="symtraceless"),
             mean_momentum=V,
             stress=M,
             delta=self.delta,
@@ -385,9 +379,8 @@ def find_energy_offset(
         except EnergyPositivityError:
             return False
 
-    a_vals = _as_a_values(problem.a, problem.grid)
     lo = 0.0
-    hi = float(np.max(a_vals) * np.max(problem.h0.values) ** 2 + problem.delta)
+    hi = float(problem.a * np.max(problem.h0.values) ** 2 + problem.delta)
     for _ in range(max_doublings):
         if passes(hi):
             break
@@ -556,6 +549,8 @@ def oscillatory_pair(
     whole box.  A vanishing constraint gap yields the zero perturbation with
     the degenerate flag set instead of an error.
     """
+    if n < 1:
+        raise InvalidValueError(f"oscillation frequency n must be a positive integer, got {n}")
     times = g.times
     grid = g.grid
     if np.any(r.values <= 0.0):
@@ -647,6 +642,8 @@ def improvement_step(
         sub.grid, sub.times, sub.kinetic_energy.values - 0.5 * sub.delta, kind="scalar"
     )
     pair = oscillatory_pair(g_stack, W, sub.height, e_level, n, box, seed=seed)
+    # freed before the solves and the re-certification, which set the peak memory
+    del g_stack, W, e_level
     if pair.degenerate:
         return sub, ImprovementReport(
             False, gap_before, gap_before, sub.delta, "degenerate gap"
@@ -658,18 +655,14 @@ def improvement_step(
     flux_new = SpaceTimeField(
         sub.grid, sub.times, sub.flux.values + pair.G.values, kind="symtraceless"
     )
-    e_min = E_MIN_FACTOR * float(np.max(np.abs(sub.energy_offset)))
     try:
-        V_new = solve_mean_momentum(
-            v_new, sub.kinetic_energy, sub.height, sub.potential,
-            sub.friction, sub.force, sub.mean_momentum[0], e_min,
-        )
-        M_new = solve_stress(
-            v_new, V_new, sub.kinetic_energy, sub.height, sub.potential,
-            sub.friction, sub.force, e_min,
-        )
+        drag = drag_coefficient(sub.kinetic_energy, sub.height, sub.friction, sub.energy_offset)
     except EnergyPositivityError as exc:
         return sub, ImprovementReport(False, gap_before, gap_before, sub.delta, str(exc))
+    V_new = solve_mean_momentum(
+        v_new.values, drag, sub.grad_potential, sub.height, sub.force, sub.mean_momentum[0]
+    )
+    M_new = solve_stress(v_new.values, V_new, drag, sub.grad_potential, sub.height, sub.force)
 
     candidate = replace(
         sub,

@@ -34,13 +34,14 @@ def test_hook_resolves(owner, attr):
     assert callable(getattr(tracing._owner(owner), attr))
 
 
-def test_analysis_job_smoke(tmp_path):
-    result = tmp_path / "result.json"
+def run_job(tmp_path, workload: str, mode: str) -> dict:
+    """Run one smoke-size bench/job.py job in a subprocess; return its record."""
+    result = tmp_path / f"{mode}.json"
     proc = subprocess.run(
         [
             sys.executable, str(BENCH / "job.py"),
-            "--workload", "analysis-128", "--mode", "plain", "--smoke", "--seed", "0",
-            "--dir", str(tmp_path / "work"), "--result", str(result),
+            "--workload", workload, "--mode", mode, "--smoke", "--seed", "0",
+            "--dir", str(tmp_path / f"work-{mode}"), "--result", str(result),
             "--spawned-at", repr(time.monotonic()),
         ],
         capture_output=True,
@@ -50,7 +51,29 @@ def test_analysis_job_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = json.loads(result.read_text())
     assert record["exit_code"] == 0
-    names = {check["name"] for check in record["gate"]}
-    assert {"continuity", "momentum", "mass_mode"} <= names
     bad = [c for c in record["gate"] if c["status"] not in ("ok", "skipped")]
     assert not bad, bad
+    return record
+
+
+def test_analysis_job_smoke(tmp_path):
+    record = run_job(tmp_path, "analysis-128", "plain")
+    names = {check["name"] for check in record["gate"]}
+    assert {"continuity", "momentum", "mass_mode"} <= names
+
+
+@pytest.mark.parametrize("mode", ["plain", "trace"])
+def test_workbench_job_smoke(tmp_path, mode):
+    record = run_job(tmp_path, "workbench-32", mode)
+    assert {"offset", "certificate", "gap_rows"} <= {check["name"] for check in record["gate"]}
+    if mode == "trace":
+        layers = record["layers"]
+        for name in (
+            "workbench.find_energy_offset.s",
+            "workbench.build.calls",
+            "workbench.solve_mean_momentum.self_s",
+            "workbench.solve_stress.self_s",
+            "workbench.improvement_step.calls",
+            "spectral.korn_solve_values.calls",
+        ):
+            assert layers[name] > 0, name

@@ -11,7 +11,7 @@ from shlab.friction import (
     FrictionParams,
     coulomb_selection,
     default_velocity_floor,
-    friction_coefficient_field,
+    friction_coefficient_values,
     friction_shrink,
 )
 
@@ -161,33 +161,38 @@ class TestShrink:
 
 class TestCoefficientField:
     def test_coulomb_value(self, grid32):
-        out = friction_coefficient_field(
-            ScalarField.constant(grid32, 1.0),
-            ScalarField.constant(grid32, 0.5),
-            FrictionParams(gamma=1.0),
+        out = friction_coefficient_values(
+            np.ones(grid32.shape), np.full(grid32.shape, 0.5), FrictionParams(gamma=1.0)
         )
-        np.testing.assert_allclose(out.values, 1.0)
+        np.testing.assert_allclose(out, 1.0)
 
     def test_extended_value(self, grid32):
-        out = friction_coefficient_field(
-            ScalarField.constant(grid32, 2.0),
-            ScalarField.constant(grid32, 1.0),
+        out = friction_coefficient_values(
+            np.full(grid32.shape, 2.0),
+            np.ones(grid32.shape),
             FrictionParams(gamma=1.0, gamma2=1.0, law="extended"),
         )
-        np.testing.assert_allclose(out.values, 2.0)
+        np.testing.assert_allclose(out, 2.0)
 
     def test_zero_coefficients(self, grid32):
-        out = friction_coefficient_field(
-            ScalarField.constant(grid32, 1.0),
-            ScalarField.constant(grid32, 0.5),
-            FrictionParams(),
+        out = friction_coefficient_values(
+            np.ones(grid32.shape), np.full(grid32.shape, 0.5), FrictionParams()
         )
-        assert not np.any(out.values)
+        assert not np.any(out)
 
     def test_requires_positive_energy(self, grid32):
         with pytest.raises(EnergyPositivityError):
-            friction_coefficient_field(
-                ScalarField.constant(grid32, 1.0),
-                ScalarField.constant(grid32, 0.0),
-                FrictionParams(gamma=1.0),
+            friction_coefficient_values(
+                np.ones(grid32.shape), np.zeros(grid32.shape), FrictionParams(gamma=1.0)
             )
+
+    def test_stack_equals_slices_with_gamma_field(self, grid32, rng):
+        gamma = ScalarField(grid32, rng.uniform(0.0, 1.0, grid32.shape))
+        params = FrictionParams(gamma=gamma, gamma2=0.3, law="extended")
+        h = rng.uniform(0.5, 1.5, (5, *grid32.shape))
+        E = rng.uniform(0.1, 1.0, (5, *grid32.shape))
+        out = friction_coefficient_values(h, E, params)
+        for k in range(5):
+            expected = gamma.values * np.sqrt(h[k] / (2.0 * E[k])) + 0.3 * np.sqrt(2.0 * E[k] / h[k])
+            np.testing.assert_array_equal(out[k], friction_coefficient_values(h[k], E[k], params))
+            np.testing.assert_allclose(out[k], expected, rtol=1e-15)

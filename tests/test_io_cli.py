@@ -1,7 +1,15 @@
 """Snapshot format, scenario parsing, and the command-line entry points."""
 
+import contextlib
+import io
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from shlab import cli
 from shlab.errors import FormatError, ParseError, ValidationError
@@ -274,6 +282,99 @@ class TestCliWorkbench:
         scn = write_scenario(tmp_path, text)
         assert cli.main(["workbench", str(scn), "--steps", "0", "--out", str(tmp_path / "wb")]) == 3
         assert "numerical" in capsys.readouterr().err
+
+
+WORKBENCH8 = {
+    "grid.nx": "8",
+    "grid.ny": "8",
+    "physics.T": "1.0",
+    "initial.h0": "1 + 0.05*cos(2*pi*x1)",
+    "initial.u0x": "0.1*sin(2*pi*x2)",
+    "friction.gamma": "0.2",
+    "workbench.time_nodes": "8",
+    "workbench.osc_n": "4",
+}
+
+
+def workbench8(tmp_path, **overrides) -> str:
+    """An 8x8 workbench scenario file; keyword arguments replace keys (with
+    dots written as double underscores) or, when None, drop them."""
+    keys = dict(WORKBENCH8)
+    for key, value in overrides.items():
+        key = key.replace("__", ".")
+        if value is None:
+            keys.pop(key, None)
+        else:
+            keys[key] = value
+    return str(write_scenario(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items())))
+
+
+class TestCliWorkbenchExitCodes:
+    @pytest.mark.parametrize(
+        "overrides,args",
+        [
+            ({"workbench__time_nodes": "-5"}, []),
+            ({"workbench__osc_n": "0"}, []),
+            ({"workbench__osc_n": "-3"}, []),
+            ({"seed": "-1"}, []),
+            ({}, ["--seed", "-1"]),
+        ],
+    )
+    def test_bad_workbench_input_exits_2(self, tmp_path, capsys, overrides, args):
+        scn = workbench8(tmp_path, **overrides)
+        out = tmp_path / "wb"
+        assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out), *args]) == 2
+        assert "validation" in capsys.readouterr().err
+        assert not (out / "gap.csv").exists()
+
+    def test_negative_seed_rejected_by_simulate(self, tmp_path):
+        scn = write_scenario(tmp_path)
+        assert cli.main(["simulate", str(scn), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+
+
+def _maybe(values):
+    return st.one_of(st.none(), values)
+
+
+SPECIAL = st.sampled_from([0.0, -1.0, 1e-12, 1e6, float("nan"), float("inf"), float("-inf")])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    time_nodes=_maybe(st.integers(-3, 10)),
+    osc_n=_maybe(st.integers(-3, 16)),
+    delta=_maybe(st.one_of(st.floats(-0.1, 1.0), SPECIAL)),
+    lam=_maybe(st.one_of(st.floats(-1.0, 3.0), SPECIAL)),
+    amplitude_cap=_maybe(st.one_of(st.floats(-0.5, 1.5), SPECIAL)),
+    seed=_maybe(st.integers(-3, 2**40)),
+    steps=st.integers(-1, 3),
+)
+def test_workbench_exit_codes_are_documented(
+    time_nodes, osc_n, delta, lam, amplitude_cap, seed, steps
+):
+    """Whatever the workbench keys and arguments, main returns 0, 2, 3 or 4,
+    and nothing escapes it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        overrides = {
+            "workbench__time_nodes": time_nodes,
+            "workbench__osc_n": osc_n,
+            "workbench__delta": delta,
+            "workbench__lambda": lam,
+            "workbench__amplitude_cap": amplitude_cap,
+        }
+        scn = workbench8(
+            Path(tmp), **{k: None if v is None else repr(v) for k, v in overrides.items()}
+        )
+        argv = ["workbench", scn, "--steps", str(steps), "--out", str(Path(tmp) / "wb")]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.main(argv)
+    event(f"exit code {code}")
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestCliDiagnose:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shlab.errors import InvalidValueError, PositivityError
+from shlab.errors import InvalidValueError, NumericalAbort, PositivityError
 from shlab.fields import ScalarField, TorusGrid, VectorField
 from shlab.friction import FrictionParams
 from shlab.solver import (
@@ -55,6 +57,7 @@ class TestStateAndScenario:
             uniform_scenario(grid32, a=-1.0)
         with pytest.raises(InvalidValueError):
             uniform_scenario(grid32, cfl=1.5)
+        assert uniform_scenario(grid32, cfl=0.5).cfl == 0.5
         with pytest.raises(PositivityError):
             uniform_scenario(grid32, h=0.0)
 
@@ -65,8 +68,9 @@ class TestStateAndScenario:
             ("T", float("inf")),
             ("a", float("nan")),
             ("a", float("inf")),
-            ("h_floor", float("nan")),
-            ("h_floor", 0.0),
+            ("cfl", 0.6),
+            ("cfl", float("nan")),
+            ("seed", -1),
             ("dt_max", float("nan")),
             ("dt_max", -1.0),
         ],
@@ -100,6 +104,11 @@ class TestWaveSpeedAndCfl:
         assert cfl_dt(st, 0.5, 0.4, 0.01, dt_max=10.0) == pytest.approx(0.002)
         still = uniform_scenario(grid32).initial_state()  # speed 1
         assert cfl_dt(still, 0.5, 0.5, 0.02, dt_max=10.0) == pytest.approx(0.01)
+
+    def test_cfl_above_half_rejected(self, grid32):
+        still = uniform_scenario(grid32).initial_state()
+        with pytest.raises(InvalidValueError, match="cfl"):
+            cfl_dt(still, 0.5, 0.51, 0.02, dt_max=10.0)
 
     def test_zero_speed_returns_cap(self, grid32):
         st = State(
@@ -175,6 +184,69 @@ class TestStep:
         for _ in range(50):
             st, _ = step(st, scn, dt=2e-3)
         assert float(np.mean(st.h.values)) == pytest.approx(m0, rel=1e-13)
+
+    def test_dt_beyond_the_cfl_bound_aborts(self, grid32):
+        # 16 times the largest stable dt drives some height negative
+        scn = Scenario(
+            grid=grid32,
+            T=1.0,
+            a=0.5,
+            friction=FrictionParams(),
+            h0=ScalarField.from_function(grid32, lambda x1, x2: 1.0 + 0.9 * np.sin(2 * np.pi * x1)),
+            u0=VectorField.constant(grid32, 2.0, 0.0),
+        )
+        st0 = scn.initial_state()
+        dt = 16.0 * cfl_dt(st0, scn.a, 0.5, grid32.dx, dt_max=1.0)
+        with pytest.raises(NumericalAbort, match="positivity"):
+            step(st0, scn, dt)
+
+
+def band_limited(coeffs, x1, x2):
+    """Sum of four low Fourier modes with the given amplitudes."""
+    c = coeffs
+    return (
+        c[0] * np.cos(2 * np.pi * x1)
+        + c[1] * np.sin(2 * np.pi * x2)
+        + c[2] * np.cos(2 * np.pi * (x1 + x2))
+        + c[3] * np.sin(2 * np.pi * (2 * x1 - x2))
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from([(8, 8), (8, 12), (16, 8)]),
+    coeffs=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+    h_min=st.floats(1e-3, 1.0),
+    speed=st.floats(0.0, 3.0),
+    a=st.floats(0.05, 2.0),
+    gamma=st.floats(0.0, 1.0),
+    cfl=st.one_of(st.just(0.5), st.floats(1e-3, 0.5)),
+)
+def test_positivity_and_mass_under_the_cfl_bound(shape, coeffs, h_min, speed, a, gamma, cfl):
+    """dt from cfl_dt with cfl <= 1/2 keeps h > 0 (the Rusanov update is then
+    a convex combination of neighbouring heights) and conserves mass."""
+    grid = TorusGrid(*shape)
+    x1, x2 = grid.cell_centers()
+    bump = band_limited(coeffs[0:4], x1, x2)
+    h0 = h_min + bump - bump.min()
+    u0 = speed * np.stack([band_limited(coeffs[4:8], x1, x2), band_limited(coeffs[8:12], x1, x2)])
+    scn = Scenario(
+        grid=grid,
+        T=1.0,
+        a=a,
+        friction=FrictionParams(gamma=gamma),
+        h0=ScalarField(grid, h0),
+        u0=VectorField(grid, u0),
+        f=VectorField.constant(grid, 0.3, -0.1),
+        cfl=cfl,
+    )
+    state = scn.initial_state()
+    mass0 = float(np.mean(h0))
+    for _ in range(4):
+        dt = cfl_dt(state, a, cfl, min(grid.dx, grid.dy), dt_max=1.0)
+        state, _ = step(state, scn, dt)
+        assert np.all(state.h.values > 0.0)
+        assert abs(float(np.mean(state.h.values)) - mass0) <= 1e-14 * mass0
 
 
 class TestSimulate:

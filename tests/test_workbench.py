@@ -4,7 +4,8 @@ oscillatory perturbations, and the improvement loop."""
 import numpy as np
 import pytest
 
-from shlab.errors import ConstraintError, DesignError, SolvabilityError
+from shlab import workbench
+from shlab.errors import ConstraintError, DesignError, InvalidValueError, SolvabilityError
 from shlab.fields import (
     ScalarField,
     SpaceTimeField,
@@ -12,7 +13,7 @@ from shlab.fields import (
     VectorField,
     integrate,
 )
-from shlab.friction import FrictionParams
+from shlab.friction import FrictionParams, friction_coefficient_values
 from shlab.spectral import div_traceless_values, div_values, grad_values
 from shlab.workbench import (
     SpaceTimeBox,
@@ -173,29 +174,27 @@ class TestMeanMomentum:
     def setup_fields(self, grid, K=32, E0=0.5):
         times = np.linspace(0.0, 1.0, K + 1)
         h = SpaceTimeField(grid, times, np.ones((K + 1, *grid.shape)))
-        psi = SpaceTimeField(grid, times, np.zeros((K + 1, *grid.shape)))
-        v = SpaceTimeField(grid, times, np.zeros((K + 1, 2, *grid.shape)), kind="vector")
-        E = SpaceTimeField(grid, times, np.full((K + 1, *grid.shape), E0))
-        return times, h, psi, v, E
+        zero = np.zeros((K + 1, 2, *grid.shape))  # v and grad psi
+        E = np.full((K + 1, *grid.shape), E0)
+        return times, h, zero, E
 
     def test_frictionless_unforced_is_constant(self, grid32):
-        _, h, psi, v, E = self.setup_fields(grid32)
-        V = solve_mean_momentum(v, E, h, psi, FrictionParams(), None, (0.3, -0.1))
+        _, h, zero, _ = self.setup_fields(grid32)
+        V = solve_mean_momentum(zero, None, zero, h, None, (0.3, -0.1))
         np.testing.assert_allclose(V, np.tile([0.3, -0.1], (V.shape[0], 1)), atol=1e-14)
 
     def test_pure_quadrature_of_force(self, grid32):
-        times, h, psi, v, E = self.setup_fields(grid32)
+        times, h, zero, _ = self.setup_fields(grid32)
         f = VectorField.constant(grid32, 1.0, 0.0)
-        V = solve_mean_momentum(v, E, h, psi, FrictionParams(), f, (0.0, 0.0))
+        V = solve_mean_momentum(zero, None, zero, h, f, (0.0, 0.0))
         np.testing.assert_allclose(V[:, 0], times, atol=1e-12)
         np.testing.assert_allclose(V[:, 1], 0.0, atol=1e-14)
 
     def test_exponential_growth_oracle(self, grid32):
         # gamma sqrt(h/2E) = 1 => dV/dt = V, so V(t) = V0 e^t
-        times, h, psi, v, E = self.setup_fields(grid32, K=64)
-        V = solve_mean_momentum(
-            v, E, h, psi, FrictionParams(gamma=1.0), None, (1.0, 2.0)
-        )
+        times, h, zero, E = self.setup_fields(grid32, K=64)
+        drag = friction_coefficient_values(h.values, E, FrictionParams(gamma=1.0))
+        V = solve_mean_momentum(zero, drag, zero, h, None, (1.0, 2.0))
         np.testing.assert_allclose(V[:, 0], np.exp(times), rtol=1e-8)
         np.testing.assert_allclose(V[:, 1], 2.0 * np.exp(times), rtol=1e-8)
 
@@ -204,49 +203,115 @@ class TestStress:
     def setup_fields(self, grid, K=8):
         times = np.linspace(0.0, 1.0, K + 1)
         h = SpaceTimeField(grid, times, np.ones((K + 1, *grid.shape)))
-        psi = SpaceTimeField(grid, times, np.zeros((K + 1, *grid.shape)))
-        v = SpaceTimeField(grid, times, np.zeros((K + 1, 2, *grid.shape)), kind="vector")
-        E = SpaceTimeField(grid, times, np.full((K + 1, *grid.shape), 0.5))
-        return times, h, psi, v, E
+        zero = np.zeros((K + 1, 2, *grid.shape))  # v and grad psi
+        E = np.full((K + 1, *grid.shape), 0.5)
+        return times, h, zero, E
 
     def test_constant_force_gives_zero(self, grid32):
-        _, h, psi, v, E = self.setup_fields(grid32)
+        _, h, zero, _ = self.setup_fields(grid32)
         V = np.zeros((h.num_nodes, 2))
-        M = solve_stress(v, V, E, h, psi, FrictionParams(), VectorField.constant(grid32, 2.0, -1.0))
+        M = solve_stress(zero, V, None, zero, h, VectorField.constant(grid32, 2.0, -1.0))
         assert not np.any(M.values)
 
     def test_sine_force_forward_divergence(self, grid32):
-        _, h, psi, v, E = self.setup_fields(grid32)
+        _, h, zero, _ = self.setup_fields(grid32)
         V = np.zeros((h.num_nodes, 2))
         f = VectorField.from_functions(
             grid32, lambda x1, x2: np.sin(TWO_PI * x2), lambda x1, x2: 0.0 * x1
         )
-        M = solve_stress(v, V, E, h, psi, FrictionParams(), f)
+        M = solve_stress(zero, V, None, zero, h, f)
         for k in (0, 4, 8):
             div_M = div_traceless_values(M.values[k])
             np.testing.assert_allclose(div_M, f.values, atol=1e-9)
 
     def test_full_rhs_forward_oracle(self, grid32, rng):
-        times, h, psi, v, E = self.setup_fields(grid32)
+        times, h, zero, E = self.setup_fields(grid32)
         # random smooth velocity, nonzero mean momentum, friction + force
         x1, x2 = grid32.cell_centers()
         w = np.stack([np.sin(TWO_PI * x2), np.cos(TWO_PI * x1)]) * 0.1
-        v = SpaceTimeField(
-            grid32, times, np.broadcast_to(w, (times.size, 2, 32, 32)).copy(), kind="vector"
-        )
+        v = np.broadcast_to(w, (times.size, 2, 32, 32))
         V = np.tile([0.05, -0.02], (times.size, 1))
-        friction = FrictionParams(gamma=0.4)
+        drag = friction_coefficient_values(h.values, E, FrictionParams(gamma=0.4))
         f = VectorField.from_functions(
             grid32, lambda x1, x2: 0.2 * np.cos(TWO_PI * x1), lambda x1, x2: 0.0 * x1
         )
-        M = solve_stress(v, V, E, h, psi, friction, f)
+        M = solve_stress(v, V, drag, zero, h, f)
         coef = 0.4 * np.sqrt(1.0 / (2.0 * 0.5))  # gamma sqrt(h/2E) = 0.4
         for k in (0, 8):
-            drag = coef * (v.values[k] + V[k][:, None, None])
-            rhs = -(drag - drag.mean(axis=(1, 2))[:, None, None])
+            term = coef * (v[k] + V[k][:, None, None])
+            rhs = -(term - term.mean(axis=(1, 2))[:, None, None])
             force = f.values
             rhs = rhs + force - force.mean(axis=(1, 2))[:, None, None]
             np.testing.assert_allclose(div_traceless_values(M.values[k]), rhs, atol=1e-9)
+
+    def test_grad_potential_enters_the_drag(self, grid32):
+        times, h, zero, E = self.setup_fields(grid32)
+        x1, _ = grid32.cell_centers()
+        gpsi = np.zeros_like(zero)
+        gpsi[:, 0] = 0.1 * np.sin(TWO_PI * x1)
+        drag = friction_coefficient_values(h.values, E, FrictionParams(gamma=0.4))
+        M = solve_stress(zero, np.zeros((times.size, 2)), drag, gpsi, h, None)
+        # drag = 0.4, so div M = -0.4 grad psi
+        for k in (0, 8):
+            np.testing.assert_allclose(div_traceless_values(M.values[k]), -0.4 * gpsi[k], atol=1e-9)
+
+
+def nonflat_problem(grid, num_steps=8):
+    return WorkbenchProblem(
+        grid=grid,
+        T=1.0,
+        num_steps=num_steps,
+        a=0.5,
+        friction=FrictionParams(gamma=0.2),
+        h0=ScalarField.from_function(grid, lambda x1, x2: 1.0 + 0.05 * np.cos(TWO_PI * x1)),
+        u0=VectorField.from_functions(
+            grid, lambda x1, x2: 0.1 * np.sin(TWO_PI * x2), lambda x1, x2: 0.0 * x1
+        ),
+        force=VectorField.constant(grid, 0.1, 0.0),
+        delta=0.05,
+    )
+
+
+class TestBuildReuse:
+    """build derives the offset-independent fields once per problem."""
+
+    STATE_ARRAYS = ("height", "kinetic_energy", "velocity", "flux", "stress")
+
+    def test_rebuild_is_bitwise_equal_to_a_fresh_build(self, grid32):
+        prob = nonflat_problem(grid32)
+        lam = find_energy_offset(prob)
+        improvement_step(prob.build(lam), seed=0)
+        prob.build(2.0 * lam)
+        again = prob.build(lam)
+        fresh = nonflat_problem(grid32).build(lam)
+        for name in self.STATE_ARRAYS:
+            assert getattr(again, name).values.tobytes() == getattr(fresh, name).values.tobytes()
+        assert again.grad_potential.tobytes() == fresh.grad_potential.tobytes()
+        assert again.mean_momentum.tobytes() == fresh.mean_momentum.tobytes()
+        assert again.energy_offset == fresh.energy_offset == lam
+
+    def test_second_build_reuses_the_potential(self, grid32, monkeypatch):
+        calls = []
+        real = workbench.stream_potential
+        monkeypatch.setattr(
+            workbench, "stream_potential", lambda h: calls.append(h) or real(h)
+        )
+        prob = nonflat_problem(grid32)
+        prob.build(1.2)
+        prob.build(1.5)
+        assert len(calls) == 1
+
+    def test_grad_potential_is_the_spectral_gradient(self, grid32):
+        prob = nonflat_problem(grid32)
+        sub = prob.build(1.2)
+        for k in (0, 4, 8):
+            np.testing.assert_array_equal(
+                sub.grad_potential[k], grad_values(prob.potential.values[k])
+            )
+
+    def test_too_few_time_steps_rejected(self, grid32):
+        with pytest.raises(InvalidValueError, match="time steps"):
+            nonflat_problem(grid32, num_steps=1)
 
 
 class TestCertificateAndGap:
@@ -381,6 +446,12 @@ class TestOscillatoryPair:
         assert pair.degenerate
         assert not np.any(pair.w.values)
         assert not np.any(pair.G.values)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_frequency_rejected(self, grid32, n):
+        g, W, r, e = lemma_inputs(grid32, K=8)
+        with pytest.raises(InvalidValueError, match="frequency"):
+            oscillatory_pair(g, W, r, e, n, CENTERED_BOX)
 
     def test_violated_constraint_rejected(self, grid32):
         g, W, r, e = lemma_inputs(grid32, K=8)
