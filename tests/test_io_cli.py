@@ -296,16 +296,10 @@ WORKBENCH8 = {
 }
 
 
-def workbench8(tmp_path, **overrides) -> str:
-    """An 8x8 workbench scenario file; keyword arguments replace keys (with
-    dots written as double underscores) or, when None, drop them."""
-    keys = dict(WORKBENCH8)
-    for key, value in overrides.items():
-        key = key.replace("__", ".")
-        if value is None:
-            keys.pop(key, None)
-        else:
-            keys[key] = value
+def workbench8(tmp_path, overrides: dict) -> str:
+    """An 8x8 workbench scenario file with some keys replaced (or, when the
+    value is None, dropped)."""
+    keys = {k: v for k, v in {**WORKBENCH8, **overrides}.items() if v is not None}
     return str(write_scenario(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items())))
 
 
@@ -313,15 +307,15 @@ class TestCliWorkbenchExitCodes:
     @pytest.mark.parametrize(
         "overrides,args",
         [
-            ({"workbench__time_nodes": "-5"}, []),
-            ({"workbench__osc_n": "0"}, []),
-            ({"workbench__osc_n": "-3"}, []),
+            ({"workbench.time_nodes": "-5"}, []),
+            ({"workbench.osc_n": "0"}, []),
+            ({"workbench.osc_n": "-3"}, []),
             ({"seed": "-1"}, []),
             ({}, ["--seed", "-1"]),
         ],
     )
     def test_bad_workbench_input_exits_2(self, tmp_path, capsys, overrides, args):
-        scn = workbench8(tmp_path, **overrides)
+        scn = workbench8(tmp_path, overrides)
         out = tmp_path / "wb"
         assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out), *args]) == 2
         assert "validation" in capsys.readouterr().err
@@ -339,7 +333,7 @@ def _maybe(values):
 SPECIAL = st.sampled_from([0.0, -1.0, 1e-12, 1e6, float("nan"), float("inf"), float("-inf")])
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     time_nodes=_maybe(st.integers(-3, 10)),
     osc_n=_maybe(st.integers(-3, 16)),
@@ -356,14 +350,14 @@ def test_workbench_exit_codes_are_documented(
     and nothing escapes it."""
     with tempfile.TemporaryDirectory() as tmp:
         overrides = {
-            "workbench__time_nodes": time_nodes,
-            "workbench__osc_n": osc_n,
-            "workbench__delta": delta,
-            "workbench__lambda": lam,
-            "workbench__amplitude_cap": amplitude_cap,
+            "workbench.time_nodes": time_nodes,
+            "workbench.osc_n": osc_n,
+            "workbench.delta": delta,
+            "workbench.lambda": lam,
+            "workbench.amplitude_cap": amplitude_cap,
         }
         scn = workbench8(
-            Path(tmp), **{k: None if v is None else repr(v) for k, v in overrides.items()}
+            Path(tmp), {k: None if v is None else repr(v) for k, v in overrides.items()}
         )
         argv = ["workbench", scn, "--steps", str(steps), "--out", str(Path(tmp) / "wb")]
         if seed is not None:
