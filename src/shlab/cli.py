@@ -117,6 +117,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_workbench(args) -> int:
     t0 = time.perf_counter()
+    if args.steps < 0:
+        raise ValidationError(f"--steps must be nonnegative, got {args.steps}")
     cfg = load_config(args.scenario)
     if args.seed is not None:
         cfg.values["seed"] = args.seed

@@ -251,7 +251,7 @@ def weak_residual(traj: Trajectory, basis_size: int = 4) -> WeakResidualReport:
     w = _time_weights(times, rho)
     dw = _time_weights(times, drho)
     dw[0] += rho(0.0)  # initial-data term
-    gamma = scn.friction.gamma_values(grid)
+    gamma = scn.friction.gamma_array
     f = scn.f.values if scn.f is not None else 0.0
 
     # time-weighted fields: mass, mass flux q, momentum (with the friction and

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnergyPositivityError, InvalidValueError, PositivityError
-from .fields import ScalarField, TorusGrid, VectorField
+from .fields import ScalarField, VectorField
 
 LAWS = ("coulomb", "extended")
 
@@ -49,13 +49,6 @@ class FrictionParams:
         """True unless gamma vanishes everywhere and gamma2 is zero."""
         return bool(np.any(np.asarray(self.gamma_array) > 0.0)) or self.gamma2 > 0.0
 
-    def gamma_values(self, grid: TorusGrid) -> np.ndarray:
-        if isinstance(self.gamma, ScalarField):
-            if self.gamma.grid != grid:
-                raise InvalidValueError("gamma field lives on a different grid")
-            return self.gamma.values
-        return np.full(grid.shape, float(self.gamma))
-
 
 def default_velocity_floor(u: VectorField) -> float:
     """Scale-aware threshold below which the selection snaps to zero."""
@@ -76,9 +69,10 @@ def coulomb_selection(u: VectorField, tol_u: float | None = None) -> VectorField
 
 
 def friction_shrink(
-    q: VectorField, h: ScalarField, params: FrictionParams, dt: float
-) -> VectorField:
-    """Exact backward-Euler resolvent of the friction inclusion on momentum.
+    q: np.ndarray, h: np.ndarray, params: FrictionParams, dt: float
+) -> np.ndarray:
+    """Exact backward-Euler resolvent of the friction inclusion on momentum,
+    for a (2, nx, ny) momentum stack q and (nx, ny) heights h.
 
     Coulomb part: q' = 0 if |q| <= dt*gamma*h, else q scaled by
     (1 - dt*gamma*h/|q|).  Extended law follows with the closed-form solve of
@@ -86,22 +80,21 @@ def friction_shrink(
     """
     if dt <= 0.0:
         raise InvalidValueError("dt must be positive")
-    hv = h.values
-    if np.any(hv <= 0.0):
+    if np.any(h <= 0.0):
         raise PositivityError("friction_shrink requires h > 0 everywhere")
-    norm = q.norm()
-    thresh = dt * params.gamma_values(q.grid) * hv
+    norm = np.hypot(q[0], q[1])
+    thresh = dt * params.gamma_array * h
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(norm > thresh, 1.0 - thresh / np.where(norm > 0, norm, 1.0), 0.0)
-    out = q.values * factor
+    out = q * factor
     if params.law == "extended" and params.gamma2 > 0.0:
-        c = dt * params.gamma2 / hv
+        c = dt * params.gamma2 / h
         mag = np.hypot(out[0], out[1])
         # |q'| = (-1 + sqrt(1 + 4 c |q|)) / (2 c), written to avoid cancellation
         new_mag = 2.0 * mag / (1.0 + np.sqrt(1.0 + 4.0 * c * mag))
         with np.errstate(divide="ignore", invalid="ignore"):
             out = out * np.where(mag > 0.0, new_mag / np.where(mag > 0, mag, 1.0), 0.0)
-    return VectorField(q.grid, out)
+    return out
 
 
 def friction_coefficient_values(

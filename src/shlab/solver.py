@@ -65,10 +65,16 @@ class Scenario:
             raise InvalidValueError(f"Courant number cfl must lie in (0, 1/2], got {self.cfl}")
         if np.any(self.h0.values <= 0.0):
             raise PositivityError("initial height must satisfy h0 > 0 everywhere")
+        gamma = self.friction.gamma
+        if isinstance(gamma, ScalarField) and gamma.grid != self.grid:
+            raise InvalidValueError("friction gamma field lives on a different grid")
         if self.n_output < 2:
             raise InvalidValueError("need at least 2 output times")
         if self.dt_max is not None and not self.dt_max > 0.0:
             raise InvalidValueError(f"dt_max must be positive, got {self.dt_max}")
+        if self.T > 0.0 and not self.default_dt_max() > 0.0:
+            # a zero step cap would never advance the clock
+            raise InvalidValueError(f"final time T = {self.T} underflows the step cap T/100")
         if self.seed < 0:
             raise InvalidValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -102,45 +108,34 @@ def cfl_dt(state: State, a: float, cfl: float, dx: float, dt_max: float) -> floa
     return min(cfl * dx / speed, dt_max)
 
 
-def physical_flux(h, q1, q2, a, axis):
-    """Exact flux 3-vector (mass, x-momentum, y-momentum) along an axis."""
-    qa = q1 if axis == 0 else q2
-    f0 = qa
-    f1 = qa * q1 / h
-    f2 = qa * q2 / h
-    if axis == 0:
-        f1 = f1 + a * h * h
-    else:
-        f2 = f2 + a * h * h
-    return f0, f1, f2
-
-
-def rusanov_flux(left, right, a: float, axis: int):
-    """Rusanov interface flux between cell values (h, q1, q2).
-
-    Accepts scalars or arrays; returns the flux 3-tuple
-    (F(L) + F(R)) / 2 - s (U_R - U_L) / 2 with s the larger of the two cells'
-    |u_axis| + sqrt(2 a h).
+def rusanov_flux(h: np.ndarray, q1: np.ndarray, q2: np.ndarray, a: float, axis: int):
+    """Rusanov flux (mass, x-momentum, y-momentum) through the face between
+    each cell U and its +1 neighbour U+ along the axis, on the torus:
+    (F(U) + F(U+)) / 2 - s (U+ - U) / 2 with s the larger of the two cells'
+    |u_axis| + sqrt(2 a h).  Each cell's F and speed are computed once.
     """
-    hl, q1l, q2l = left
-    hr, q1r, q2r = right
-    fl = physical_flux(hl, q1l, q2l, a, axis)
-    fr = physical_flux(hr, q1r, q2r, a, axis)
-    ul = (q1l if axis == 0 else q2l) / hl
-    ur = (q1r if axis == 0 else q2r) / hr
-    s = np.maximum(np.abs(ul) + np.sqrt(2.0 * a * hl), np.abs(ur) + np.sqrt(2.0 * a * hr))
-    return tuple(
-        0.5 * (a_ + b_) - 0.5 * s * (wr - wl)
-        for a_, b_, wl, wr in zip(fl, fr, (hl, q1l, q2l), (hr, q1r, q2r))
-    )
+    qa = q1 if axis == 0 else q2
+    speed = np.abs(qa / h) + np.sqrt(2.0 * a * h)
+    half_s = 0.5 * np.maximum(speed, np.roll(speed, -1, axis=axis))
+    del speed  # freed before the fluxes are built, so fewer temporaries are alive at once
+    pressure = a * h * h
+    out = []
+    for c, w in enumerate((h, q1, q2)):
+        f = qa if c == 0 else qa * w / h
+        if c == axis + 1:
+            f += pressure
+        out.append(
+            0.5 * (f + np.roll(f, -1, axis=axis)) - half_s * (np.roll(w, -1, axis=axis) - w)
+        )
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class StepInfo:
-    """Per-step bookkeeping: the effective friction selection actually applied
-    and the energy-ledger increments."""
+    """Per-step bookkeeping: the (2, nx, ny) effective friction selection B
+    actually applied and the energy-ledger increments."""
 
-    B: VectorField
+    B: np.ndarray
     dissipation_inc: float
     work_inc: float
 
@@ -148,58 +143,48 @@ class StepInfo:
 def step(state: State, scenario: Scenario, dt: float) -> tuple[State, StepInfo]:
     """One split step: Rusanov fluxes, friction resolvent, explicit force."""
     grid = state.grid
-    a = scenario.a
     h = state.h.values
     q1, q2 = state.q.values
 
-    hn, q1n, q2n = h.copy(), q1.copy(), q2.copy()
+    hn, q_pre = h.copy(), state.q.values.copy()
+    q1n, q2n = q_pre
     for axis, dxi in ((0, grid.dx), (1, grid.dy)):
-        left = (h, q1, q2)
-        right = tuple(np.roll(w, -1, axis=axis) for w in left)
-        flux = rusanov_flux(left, right, a, axis)
+        flux = rusanov_flux(h, q1, q2, scenario.a, axis)
         coef = dt / dxi
-        hn -= coef * (flux[0] - np.roll(flux[0], 1, axis=axis))
-        q1n -= coef * (flux[1] - np.roll(flux[1], 1, axis=axis))
-        q2n -= coef * (flux[2] - np.roll(flux[2], 1, axis=axis))
+        for w, fl in zip((hn, q1n, q2n), flux):
+            w -= coef * (fl - np.roll(fl, 1, axis=axis))
 
     # unreachable for a dt from cfl_dt (see there); a larger dt must not pass
     if not (np.all(hn > 0.0) and np.all(np.isfinite(hn))):
         raise NumericalAbort("height lost positivity or finiteness: dt exceeds the CFL bound")
-    if not (np.all(np.isfinite(q1n)) and np.all(np.isfinite(q2n))):
+    if not np.all(np.isfinite(q_pre)):
         raise NumericalAbort("momentum became non-finite")
 
-    h_field = ScalarField(grid, hn)
-    q_pre = VectorField(grid, np.stack([q1n, q2n]))
-    q_post = (
-        friction_shrink(q_pre, h_field, scenario.friction, dt)
-        if scenario.friction.active
-        else q_pre
-    )
+    friction = scenario.friction
+    q_post = friction_shrink(q_pre, hn, friction, dt) if friction.active else q_pre
 
-    gamma = scenario.friction.gamma_values(grid)
+    gamma = friction.gamma_array
     denom = dt * gamma * hn
     with np.errstate(divide="ignore", invalid="ignore"):
-        B = np.where(denom > 0.0, (q_pre.values - q_post.values) / np.where(denom > 0, denom, 1.0), 0.0)
+        B = np.where(denom > 0.0, (q_pre - q_post) / np.where(denom > 0, denom, 1.0), 0.0)
     Bnorm = np.hypot(B[0], B[1])
     over = Bnorm > 1.0
     if np.any(over):
         B = B / np.where(over, Bnorm, 1.0)
-    B_field = VectorField(grid, B)
 
-    u_post = q_post.values / hn
+    u_post = q_post / hn
     diss_inc = dt * float(np.mean(gamma * hn * (B[0] * u_post[0] + B[1] * u_post[1])))
 
     if scenario.f is not None:
-        q_final = VectorField(grid, q_post.values + dt * hn * scenario.f.values)
-        u_final = q_final.values / hn
-        work_inc = dt * float(
-            np.mean(hn * (scenario.f.values[0] * u_final[0] + scenario.f.values[1] * u_final[1]))
-        )
+        f = scenario.f.values
+        q_final = q_post + dt * hn * f
+        u_final = q_final / hn
+        work_inc = dt * float(np.mean(hn * (f[0] * u_final[0] + f[1] * u_final[1])))
     else:
         q_final = q_post
         work_inc = 0.0
 
-    return State(h_field, q_final), StepInfo(B_field, diss_inc, work_inc)
+    return State(ScalarField(grid, hn), VectorField(grid, q_final)), StepInfo(B, diss_inc, work_inc)
 
 
 @dataclass
@@ -291,6 +276,8 @@ def simulate(scenario: Scenario) -> Trajectory:
             last_info = info
         t = target
         states.append(state)
-        selections.append(last_info.B if last_info is not None else selections[0])
+        selections.append(
+            VectorField(scenario.grid, last_info.B) if last_info is not None else selections[0]
+        )
         ledger.append(t, state, scenario.a, diss_cum, work_cum)
     return Trajectory(scenario, out_times, states, selections, ledger, n_steps)

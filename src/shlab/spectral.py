@@ -39,23 +39,29 @@ def _wavenumbers(nx: int, ny: int):
     return k1, k2, np.broadcast_to(k1d, (nx, ny)), np.broadcast_to(k2d, (nx, ny)), k2sum
 
 
+def _real_ifft2(spectrum: np.ndarray) -> np.ndarray:
+    """Real part of the inverse transform as a compact array; the strided
+    view that np.real returns would keep the complex result alive."""
+    return np.fft.ifft2(spectrum).real.copy()
+
+
 def grad_values(f: np.ndarray) -> np.ndarray:
     """Spectral gradient of scalar samples (..., nx, ny), shape (..., 2, nx, ny)."""
     _, _, k1d, k2d, _ = _wavenumbers(*f.shape[-2:])
     fh = np.fft.fft2(f)[..., None, :, :]
-    return np.real(np.fft.ifft2(1j * np.stack([k1d, k2d]) * fh))
+    return _real_ifft2(1j * np.stack([k1d, k2d]) * fh)
 
 
 def div_values(q: np.ndarray) -> np.ndarray:
     """Spectral divergence of (..., 2, nx, ny) samples, shape (..., nx, ny)."""
     _, _, k1d, k2d, _ = _wavenumbers(*q.shape[-2:])
     qh = np.fft.fft2(q)
-    return np.real(np.fft.ifft2(1j * k1d * qh[..., 0, :, :] + 1j * k2d * qh[..., 1, :, :]))
+    return _real_ifft2(1j * k1d * qh[..., 0, :, :] + 1j * k2d * qh[..., 1, :, :])
 
 
 def laplacian_values(f: np.ndarray) -> np.ndarray:
     _, _, _, _, k2sum = _wavenumbers(*f.shape[-2:])
-    return np.real(np.fft.ifft2(-k2sum * np.fft.fft2(f)))
+    return _real_ifft2(-k2sum * np.fft.fft2(f))
 
 
 def div_traceless_values(ps: np.ndarray) -> np.ndarray:
@@ -100,7 +106,7 @@ def poisson_solve_values(rhs: np.ndarray) -> np.ndarray:
     rh = np.fft.fft2(rhs)
     with np.errstate(divide="ignore", invalid="ignore"):
         ph = np.where(k2sum > 0.0, rh / k2sum, 0.0)
-    return np.real(np.fft.ifft2(ph))
+    return _real_ifft2(ph)
 
 
 def poisson_solve(rhs: ScalarField) -> ScalarField:

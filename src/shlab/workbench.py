@@ -87,11 +87,7 @@ def stream_potential(h: SpaceTimeField) -> SpaceTimeField:
     if float(np.max(np.abs(mass - mass[0]))) > MASS_DRIFT_TOL:
         raise SolvabilityError("height mass drifts in time; potential undefined")
     dh = time_derivative(h).values
-    # a compact copy: the real part of the transform would keep the complex
-    # array alive, and a problem keeps psi for all its builds
-    out = np.ascontiguousarray(
-        spectral.poisson_solve_values(dh - dh.mean(axis=(1, 2), keepdims=True))
-    )
+    out = spectral.poisson_solve_values(dh - dh.mean(axis=(1, 2), keepdims=True))
     return SpaceTimeField(h.grid, h.times, out, kind="scalar")
 
 
@@ -307,6 +303,13 @@ class WorkbenchProblem:
             raise InvalidValueError(
                 f"workbench needs at least 2 time steps, got {self.num_steps}"
             )
+        # written so that NaN fails both range checks
+        if not 0.0 < self.delta < np.inf:
+            raise InvalidValueError(f"margin delta must be finite and positive, got {self.delta}")
+        if not 0.0 < self.amplitude_cap < 1.0:
+            raise InvalidValueError(
+                f"amplitude_cap must lie in (0, 1), got {self.amplitude_cap}"
+            )
 
     @cached_property
     def initial_split(self) -> spectral.HelmholtzParts:
@@ -325,8 +328,7 @@ class WorkbenchProblem:
 
     @cached_property
     def grad_potential(self) -> np.ndarray:
-        # compact copy, as in stream_potential
-        return np.ascontiguousarray(spectral.grad_values(self.potential.values))
+        return spectral.grad_values(self.potential.values)
 
     def build(self, offset: float) -> SubsolutionState:
         """Assemble the candidate with velocity frozen at v0 and zero flux.
@@ -370,8 +372,6 @@ def find_energy_offset(
     rel_tol and multiplied by a safety factor."""
     if delta is not None:
         problem = replace(problem, delta=delta)
-    if problem.delta <= 0.0:
-        raise InvalidValueError("margin delta must be positive")
 
     def passes(lam: float) -> bool:
         try:

@@ -77,3 +77,17 @@ def test_workbench_job_smoke(tmp_path, mode):
             "spectral.korn_solve_values.calls",
         ):
             assert layers[name] > 0, name
+
+
+@pytest.mark.parametrize("mode", ["plain", "trace"])
+def test_simulate_job_smoke(tmp_path, mode):
+    record = run_job(tmp_path, "simulate-256", mode)
+    assert {"mass_drift", "e2_residual_max"} <= {check["name"] for check in record["gate"]}
+    if mode == "trace":
+        layers = record["layers"]
+        for name in (
+            "solver.step.calls",
+            "solver.rusanov_flux.calls",
+            "friction.friction_shrink.calls",
+        ):
+            assert layers[name] > 0, name

@@ -284,7 +284,7 @@ def loop_weak_residual(traj, basis_size):
     def drho(t):
         return -3.0 / T * (1.0 - t / T) ** 2
 
-    gamma = scn.friction.gamma_values(scn.grid)
+    gamma = scn.friction.gamma_array
     fvals = scn.f.values if scn.f is not None else np.zeros((2, *scn.grid.shape))
     h = np.array([s.h.values for s in traj.states])
     q = np.array([s.q.values for s in traj.states])

@@ -14,10 +14,15 @@ from shlab.friction import (
     friction_coefficient_values,
     friction_shrink,
 )
+from shlab.solver import Scenario
 
 
 def const_state(grid, q1, q2, h):
-    return VectorField.constant(grid, q1, q2), ScalarField.constant(grid, h)
+    """Constant (2, nx, ny) momentum stack and (nx, ny) heights."""
+    q = np.empty((2, *grid.shape))
+    q[0] = q1
+    q[1] = q2
+    return q, np.full(grid.shape, float(h))
 
 
 class TestParams:
@@ -43,9 +48,17 @@ class TestParams:
             FrictionParams(law="sticky")
 
     def test_gamma_field_on_wrong_grid(self, grid32):
+        # rejected once, when the scenario is built, not on every step
         gamma = ScalarField.constant(TorusGrid(16, 16), 0.5)
-        with pytest.raises(InvalidValueError):
-            FrictionParams(gamma=gamma).gamma_values(grid32)
+        with pytest.raises(InvalidValueError, match="grid"):
+            Scenario(
+                grid=grid32,
+                T=1.0,
+                a=0.5,
+                friction=FrictionParams(gamma=gamma),
+                h0=ScalarField.constant(grid32, 1.0),
+                u0=VectorField.constant(grid32, 0.0, 0.0),
+            )
 
     def test_active(self, grid32):
         assert not FrictionParams().active
@@ -89,26 +102,35 @@ class TestSelection:
 
 
 class TestShrink:
+    def test_gamma_field_acts_cell_by_cell(self, grid32, rng):
+        gamma = rng.uniform(0.0, 3.0, grid32.shape)
+        q, h = const_state(grid32, 3.0, 4.0, 1.0)
+        out = friction_shrink(q, h, FrictionParams(gamma=ScalarField(grid32, gamma)), dt=1.0)
+        # |q| = 5 shrinks by gamma to max(5 - gamma, 0) along (0.6, 0.8)
+        expected = np.maximum(5.0 - gamma, 0.0)
+        np.testing.assert_allclose(out[0], 0.6 * expected, atol=1e-14)
+        np.testing.assert_allclose(out[1], 0.8 * expected, atol=1e-14)
+
     def test_closed_form(self, grid32):
         q, h = const_state(grid32, 3.0, 4.0, 1.0)
         out = friction_shrink(q, h, FrictionParams(gamma=2.0), dt=1.0)
-        np.testing.assert_allclose(out.values[0], 1.8, atol=1e-14)
-        np.testing.assert_allclose(out.values[1], 2.4, atol=1e-14)
+        np.testing.assert_allclose(out[0], 1.8, atol=1e-14)
+        np.testing.assert_allclose(out[1], 2.4, atol=1e-14)
 
     def test_full_stop_inside_set_valued_regime(self, grid32):
         q, h = const_state(grid32, 0.1, 0.0, 1.0)
         out = friction_shrink(q, h, FrictionParams(gamma=0.5), dt=1.0)
-        assert not np.any(out.values)
+        assert not np.any(out)
 
     def test_zero_friction_is_identity(self, grid32):
         q, h = const_state(grid32, 1.5, -0.5, 2.0)
         out = friction_shrink(q, h, FrictionParams(), dt=0.1)
-        np.testing.assert_array_equal(out.values, q.values)
+        np.testing.assert_array_equal(out, q)
 
     def test_requires_positive_height(self, grid32):
         q, _ = const_state(grid32, 1.0, 0.0, 1.0)
         with pytest.raises(PositivityError):
-            friction_shrink(q, ScalarField.constant(grid32, 0.0), FrictionParams(gamma=1.0), 0.1)
+            friction_shrink(q, np.zeros(grid32.shape), FrictionParams(gamma=1.0), 0.1)
 
     def test_requires_positive_dt(self, grid32):
         q, h = const_state(grid32, 1.0, 0.0, 1.0)
@@ -120,9 +142,9 @@ class TestShrink:
         gamma, dt = 0.7, 1e-6
         q, h = const_state(grid32, 3.0, 4.0, 2.0)
         out = friction_shrink(q, h, FrictionParams(gamma=gamma), dt)
-        rate = (q.values - out.values) / dt
-        B = coulomb_selection(VectorField(grid32, q.values / h.values))
-        np.testing.assert_allclose(rate, gamma * h.values * B.values, rtol=1e-9)
+        rate = (q - out) / dt
+        B = coulomb_selection(VectorField(grid32, q / h))
+        np.testing.assert_allclose(rate, gamma * h * B.values, rtol=1e-9)
 
     def test_extended_law_against_quadratic_oracle(self, grid32):
         # |q'| solves c x^2 + x - |q_c| = 0 after the coulomb shrink
@@ -135,7 +157,7 @@ class TestShrink:
         c = dt * gamma2 / hval
         roots = np.roots([c, 1.0, -mag_c])
         expected = float(roots[roots > 0][0])
-        np.testing.assert_allclose(np.hypot(out.values[0], out.values[1]), expected, rtol=1e-12)
+        np.testing.assert_allclose(np.hypot(out[0], out[1]), expected, rtol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -151,11 +173,11 @@ class TestShrink:
         q, h = const_state(grid, q1, q2, 1.0)
         out = friction_shrink(q, h, params, dt)
         mag_in = np.hypot(q1, q2)
-        mag_out = float(np.hypot(out.values[0], out.values[1]).max())
+        mag_out = float(np.hypot(out[0], out[1]).max())
         assert mag_out <= mag_in + 1e-12
         if mag_out > 0:
             # direction is preserved
-            cross = out.values[0] * q2 - out.values[1] * q1
+            cross = out[0] * q2 - out[1] * q1
             np.testing.assert_allclose(cross, 0.0, atol=1e-10 * (1 + mag_in))
 
 

@@ -296,10 +296,10 @@ WORKBENCH8 = {
 }
 
 
-def workbench8(tmp_path, overrides: dict) -> str:
-    """An 8x8 workbench scenario file with some keys replaced (or, when the
-    value is None, dropped)."""
-    keys = {k: v for k, v in {**WORKBENCH8, **overrides}.items() if v is not None}
+def scenario8(tmp_path, overrides: dict, base: dict = WORKBENCH8) -> str:
+    """An 8x8 scenario file (by default the workbench one) with some keys
+    replaced (or, when the value is None, dropped)."""
+    keys = {k: v for k, v in {**base, **overrides}.items() if v is not None}
     return str(write_scenario(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items())))
 
 
@@ -312,10 +312,13 @@ class TestCliWorkbenchExitCodes:
             ({"workbench.osc_n": "-3"}, []),
             ({"seed": "-1"}, []),
             ({}, ["--seed", "-1"]),
+            ({"workbench.amplitude_cap": "1.5"}, []),
+            ({"workbench.delta": "-0.1", "workbench.lambda": "2.0"}, []),
+            ({}, ["--steps", "-2"]),
         ],
     )
     def test_bad_workbench_input_exits_2(self, tmp_path, capsys, overrides, args):
-        scn = workbench8(tmp_path, overrides)
+        scn = scenario8(tmp_path, overrides)
         out = tmp_path / "wb"
         assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out), *args]) == 2
         assert "validation" in capsys.readouterr().err
@@ -356,7 +359,7 @@ def test_workbench_exit_codes_are_documented(
             "workbench.lambda": lam,
             "workbench.amplitude_cap": amplitude_cap,
         }
-        scn = workbench8(
+        scn = scenario8(
             Path(tmp), {k: None if v is None else repr(v) for k, v in overrides.items()}
         )
         argv = ["workbench", scn, "--steps", str(steps), "--out", str(Path(tmp) / "wb")]
@@ -366,6 +369,98 @@ def test_workbench_exit_codes_are_documented(
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code = cli.main(argv)
+    event(f"exit code {code}")
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+SIMULATE8 = {
+    "grid.nx": "8",
+    "grid.ny": "8",
+    "initial.h0": "1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)",
+    "initial.u0y": "0.1*sin(2*pi*x1)",
+}
+
+# one key or argument set to an invalid or degenerate value
+BROKEN = st.one_of(
+    st.tuples(
+        st.sampled_from(
+            [
+                "physics.T",
+                "physics.a",
+                "physics.cfl",
+                "friction.law",
+                "friction.gamma",
+                "friction.gamma2",
+                "output.times",
+                "seed",
+            ]
+        ),
+        st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1/0", "x1 - 0.5", "sticky"]),
+    ),
+    st.tuples(st.just("--cfl"), st.sampled_from(["0", "-1", "0.51", "nan", "inf", "-inf"])),
+    st.tuples(st.just("--seed"), st.sampled_from(["-1", "-2"])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    T=st.floats(0.0, 0.1),
+    a=_maybe(st.floats(1e-3, 10.0)),
+    cfl=_maybe(st.floats(0.02, 0.5)),
+    cfl_arg=_maybe(st.floats(0.02, 0.5)),
+    u0=st.floats(-10.0, 10.0),
+    law=_maybe(st.sampled_from(["coulomb", "extended"])),
+    gamma=_maybe(
+        st.one_of(st.floats(0.0, 5.0).map(repr), st.just("0.2 + 0.1*cos(2*pi*x1)"))
+    ),
+    gamma2=_maybe(st.floats(0.0, 5.0)),
+    times=_maybe(st.integers(2, 6)),
+    seed=_maybe(st.integers(0, 2**40)),
+    seed_arg=_maybe(st.integers(0, 10)),
+    broken=_maybe(BROKEN),
+)
+def test_simulate_exit_codes_are_documented(
+    T, a, cfl, cfl_arg, u0, law, gamma, gamma2, times, seed, seed_arg, broken
+):
+    """Whatever the physics, friction, output and seed keys and arguments,
+    the command exits 0, 2, 3 or 4, and no traceback escapes it.
+
+    T <= 0.1, a <= 10, |u0| <= 10 and cfl >= 0.02 bound the step count, which
+    grows with T (|u| + sqrt(2 a h)) / (cfl dx) without limit."""
+    keys = {
+        "physics.T": T,
+        "physics.a": a,
+        "physics.cfl": cfl,
+        "initial.u0x": f"{u0!r}*cos(2*pi*x2)",
+        "friction.law": law,
+        "friction.gamma": gamma,
+        "friction.gamma2": gamma2,
+        "output.times": times,
+        "seed": seed,
+    }
+    args = {"--cfl": cfl_arg, "--seed": seed_arg}
+    if broken is not None:
+        (keys if broken[0] in keys else args)[broken[0]] = broken[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        scn = scenario8(
+            Path(tmp),
+            {k: v if v is None or isinstance(v, str) else repr(v) for k, v in keys.items()},
+            base=SIMULATE8,
+        )
+        argv = ["simulate", scn, "--out", str(Path(tmp) / "sim")]
+        for flag, value in args.items():
+            if value is not None:
+                argv += [flag, str(value)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                # argparse reports a malformed argument ("--cfl -inf" reads as
+                # a missing value) by exiting with its usage code, 2
+                code = exc.code
     event(f"exit code {code}")
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()

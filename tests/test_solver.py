@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shlab.errors import InvalidValueError, NumericalAbort, PositivityError
 from shlab.fields import ScalarField, TorusGrid, VectorField
@@ -14,7 +15,6 @@ from shlab.solver import (
     State,
     cfl_dt,
     max_wave_speed,
-    physical_flux,
     rusanov_flux,
     simulate,
     step,
@@ -66,6 +66,7 @@ class TestStateAndScenario:
         [
             ("T", float("nan")),
             ("T", float("inf")),
+            ("T", 5e-324),  # its step cap T/100 underflows to zero
             ("a", float("nan")),
             ("a", float("inf")),
             ("cfl", 0.6),
@@ -118,42 +119,107 @@ class TestWaveSpeedAndCfl:
         assert cfl_dt(st, 0.5, 0.4, 0.01, dt_max=0.25) == pytest.approx(0.25)
 
 
+def physical_flux(h, q1, q2, a, axis):
+    """Exact flux 3-vector (mass, x-momentum, y-momentum) along an axis."""
+    qa = q1 if axis == 0 else q2
+    f0 = qa
+    f1 = qa * q1 / h
+    f2 = qa * q2 / h
+    if axis == 0:
+        f1 = f1 + a * h * h
+    else:
+        f2 = f2 + a * h * h
+    return f0, f1, f2
+
+
+def two_sided_flux(left, right, a, axis):
+    """Oracle Rusanov flux between cell values (h, q1, q2), scalars or arrays:
+    (F(L) + F(R)) / 2 - s (U_R - U_L) / 2 with s the larger of the two cells'
+    |u_axis| + sqrt(2 a h), every term evaluated at the face."""
+    hl, q1l, q2l = left
+    hr, q1r, q2r = right
+    fl = physical_flux(hl, q1l, q2l, a, axis)
+    fr = physical_flux(hr, q1r, q2r, a, axis)
+    ul = (q1l if axis == 0 else q2l) / hl
+    ur = (q1r if axis == 0 else q2r) / hr
+    s = np.maximum(np.abs(ul) + np.sqrt(2.0 * a * hl), np.abs(ur) + np.sqrt(2.0 * a * hr))
+    return tuple(
+        0.5 * (a_ + b_) - 0.5 * s * (wr - wl)
+        for a_, b_, wl, wr in zip(fl, fr, (hl, q1l, q2l), (hr, q1r, q2r))
+    )
+
+
+def constant_cells(shape, h, q1, q2):
+    return tuple(np.full(shape, float(v)) for v in (h, q1, q2))
+
+
 class TestRusanovFlux:
     def test_identical_cells_give_exact_flux(self):
-        cell = (1.3, 0.4, -0.2)
-        flux = rusanov_flux(cell, cell, a=0.5, axis=0)
-        np.testing.assert_allclose(flux, physical_flux(*cell, 0.5, 0))
+        cells = constant_cells((4, 6), 1.3, 0.4, -0.2)
+        for axis in (0, 1):
+            flux = rusanov_flux(*cells, a=0.5, axis=axis)
+            for got, exact in zip(flux, physical_flux(1.3, 0.4, -0.2, 0.5, axis)):
+                np.testing.assert_allclose(got, exact, rtol=1e-15)
 
     def test_pure_pressure(self):
-        cell = (1.0, 0.0, 0.0)
-        flux = rusanov_flux(cell, cell, a=0.5, axis=0)
-        np.testing.assert_allclose(flux, (0.0, 0.5, 0.0))
+        cells = constant_cells((4, 6), 1.0, 0.0, 0.0)
+        for axis, expected in ((0, (0.0, 0.5, 0.0)), (1, (0.0, 0.0, 0.5))):
+            flux = rusanov_flux(*cells, a=0.5, axis=axis)
+            for got, value in zip(flux, expected):
+                np.testing.assert_allclose(got, value, atol=1e-16)
 
     def test_dam_break_against_scalar_oracle(self):
-        # independent plain-float implementation of the same formula
+        # independent plain-float implementation of the same formula, at the
+        # faces 1|2 (deep to shallow) and 3|0 (shallow to deep, across the
+        # periodic boundary) of a height step along axis 0
         a = 0.5
         hl, hr = 2.0, 1.0
-        left = (hl, 0.0, 0.0)
-        right = (hr, 0.0, 0.0)
+        h = np.where(np.arange(4)[:, None] < 2, hl, hr) + np.zeros((4, 6))
+        flux = rusanov_flux(h, np.zeros_like(h), np.zeros_like(h), a, axis=0)
         s = max(np.sqrt(2 * a * hl), np.sqrt(2 * a * hr))
-        expect_mass = 0.5 * (0.0 + 0.0) - 0.5 * s * (hr - hl)
         expect_mom = 0.5 * (a * hl**2 + a * hr**2)
-        flux = rusanov_flux(left, right, a, axis=0)
-        assert flux[0] == pytest.approx(expect_mass, rel=1e-14)
-        assert flux[1] == pytest.approx(expect_mom, rel=1e-14)
-        assert flux[2] == pytest.approx(0.0, abs=1e-15)
+        for i, jump in ((1, hr - hl), (3, hl - hr)):
+            np.testing.assert_allclose(flux[0][i], 0.5 * (0.0 + 0.0) - 0.5 * s * jump, rtol=1e-14)
+            np.testing.assert_allclose(flux[1][i], expect_mom, rtol=1e-14)
+            np.testing.assert_allclose(flux[2][i], 0.0, atol=1e-15)
+        # inside each still pool the face flux is the pressure alone
+        np.testing.assert_allclose(flux[1][0], a * hl**2, rtol=1e-14)
+        np.testing.assert_allclose(flux[1][2], a * hr**2, rtol=1e-14)
 
     def test_vectorized_matches_scalar(self, rng):
-        h = rng.uniform(0.5, 2.0, size=8)
-        q1 = rng.normal(size=8)
-        q2 = rng.normal(size=8)
-        arr = rusanov_flux((h, q1, q2), (h[::-1], q1[::-1], q2[::-1]), 0.5, axis=1)
-        for i in range(8):
-            one = rusanov_flux(
-                (h[i], q1[i], q2[i]), (h[7 - i], q1[7 - i], q2[7 - i]), 0.5, axis=1
-            )
-            for c in range(3):
-                assert arr[c][i] == pytest.approx(one[c], rel=1e-14, abs=1e-14)
+        h = rng.uniform(0.5, 2.0, size=(4, 6))
+        q1 = rng.normal(size=(4, 6))
+        q2 = rng.normal(size=(4, 6))
+        arr = rusanov_flux(h, q1, q2, 0.5, axis=1)
+        for i in range(4):
+            for j in range(6):
+                k = (j + 1) % 6
+                one = two_sided_flux(
+                    (h[i, j], q1[i, j], q2[i, j]), (h[i, k], q1[i, k], q2[i, k]), 0.5, axis=1
+                )
+                for c in range(3):
+                    assert arr[c][i, j] == pytest.approx(one[c], rel=1e-14, abs=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.sampled_from([(4, 6), (6, 4), (8, 10)]),
+    a=st.floats(0.05, 10.0),
+    axis=st.sampled_from([0, 1]),
+)
+def test_one_sided_flux_is_bitwise_the_two_sided_oracle(data, shape, a, axis):
+    """Computing each cell's flux and speed once and rolling them to the +1
+    neighbour gives the very bits of the face-by-face formula on
+    (U, roll(U, -1))."""
+    h = data.draw(arrays(np.float64, shape, elements=st.floats(1e-3, 10.0)))
+    q1 = data.draw(arrays(np.float64, shape, elements=st.floats(-10.0, 10.0)))
+    q2 = data.draw(arrays(np.float64, shape, elements=st.floats(-10.0, 10.0)))
+    cells = (h, q1, q2)
+    expected = two_sided_flux(cells, tuple(np.roll(w, -1, axis=axis) for w in cells), a, axis)
+    got = rusanov_flux(h, q1, q2, a, axis)
+    for c in range(3):
+        assert got[c].tobytes() == expected[c].tobytes(), c
 
 
 class TestStep:
