@@ -179,14 +179,19 @@ def _cmd_diagnose(args) -> int:
     ledger_path = run_dir / "ledger.csv"
     if not ledger_path.exists():
         raise FormatError(f"no ledger.csv in {run_dir}")
-    rows = np.genfromtxt(ledger_path, delimiter=",", names=True, ndmin=1)
+    try:
+        rows = np.genfromtxt(ledger_path, delimiter=",", names=True, ndmin=1)
+    except ValueError as exc:  # includes UnicodeDecodeError
+        raise FormatError(f"{ledger_path} is not a readable CSV ledger: {exc}") from None
     if rows.size == 0:
         raise FormatError(f"{ledger_path} has no rows")
     missing = [c for c in ("mass", "e2_residual", "dissipation_cum") if c not in rows.dtype.names]
     if missing:
         raise FormatError(f"{ledger_path} lacks column(s): {', '.join(missing)}")
-    residual = float(np.max(rows["e2_residual"]))
     mass = rows["mass"]
+    if not np.all(np.isfinite(mass)) or mass[0] == 0.0:
+        raise FormatError(f"{ledger_path}: column mass must be finite with a nonzero first row")
+    residual = float(np.max(rows["e2_residual"]))
     drift = float(np.max(np.abs(mass - mass[0])) / abs(mass[0]))
     diss = rows["dissipation_cum"]
     monotone = bool(np.all(np.diff(diss) >= -1e-14))
@@ -216,25 +221,24 @@ def _cmd_wsu(args) -> int:
     coarse = TorusGrid(cfg.values["grid.nx"], cfg.values["grid.ny"])
     fine = TorusGrid(args.refine * coarse.nx, args.refine * coarse.ny)
     eps_list = [_parse_eps(e) for e in args.eps.split(",")] if args.eps else [0.0]
+    reports = weak_strong_experiment(cfg.to_scenario, eps_list, coarse, fine)
     out = _prep_out(args)
     outputs = []
-    rates = []
-    for eps in eps_list:
-        report = weak_strong_experiment(cfg.to_scenario, eps, coarse, fine)
+    for eps, report in zip(eps_list, reports):
         p = out / f"wsu_eps{eps:g}.csv"
         with open(p, "w") as fh:
             fh.write("t,E_rel,fitted_c\n")
             for t, v in zip(report.times, report.values):
                 fh.write(f"{t:.17g},{v:.17g},{report.rate:.17g}\n")
         outputs.append(p)
-        rates.append((eps, report.rate, report.values[0], report.values[-1], report.truncated))
     summary = out / "summary.txt"
     with open(summary, "w") as fh:
         fh.write("shlab wsu\n")
-        for eps, rate, e0, eT, trunc in rates:
+        for eps, report in zip(eps_list, reports):
+            e0, eT = report.values[0], report.values[-1]
             fh.write(
-                f"eps = {eps:g}: E(0) = {e0:.6g}, E(T) = {eT:.6g}, fitted c = {rate:.6g}"
-                + ("  [truncated at shock]" if trunc else "")
+                f"eps = {eps:g}: E(0) = {e0:.6g}, E(T) = {eT:.6g}, fitted c = {report.rate:.6g}"
+                + ("  [truncated at shock]" if report.truncated else "")
                 + "\n"
             )
     outputs.append(summary)

@@ -140,10 +140,6 @@ class SymTracelessField:
     def s(self) -> np.ndarray:
         return self.values[1]
 
-    @classmethod
-    def zeros(cls, grid: TorusGrid) -> "SymTracelessField":
-        return cls(grid, np.zeros((2, *grid.shape)))
-
 
 def lambda_max_traceless(p, s):
     """Largest eigenvalue of the traceless symmetric matrix [[p, s], [s, -p]].

@@ -36,8 +36,10 @@ class FrictionParams:
             raise InvalidValueError("friction gamma must be finite")
         if np.any(g < 0.0):
             raise InvalidValueError("friction gamma must be nonnegative")
-        if not self.gamma2 >= 0.0:
-            raise InvalidValueError(f"friction gamma2 must be nonnegative, got {self.gamma2}")
+        if not 0.0 <= self.gamma2 < np.inf:
+            raise InvalidValueError(
+                f"friction gamma2 must be finite and nonnegative, got {self.gamma2}"
+            )
 
     @property
     def gamma_array(self) -> float | np.ndarray:

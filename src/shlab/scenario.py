@@ -143,12 +143,6 @@ class ScenarioConfig:
     values: dict
     base_dir: Path
 
-    def get(self, key):
-        return self.values[key]
-
-    def build_grid(self, grid: TorusGrid | None = None) -> TorusGrid:
-        return grid if grid is not None else TorusGrid(self.values["grid.nx"], self.values["grid.ny"])
-
     def friction_params(self, grid: TorusGrid) -> FrictionParams:
         raw = self.values["friction.gamma"]
         if raw.startswith("@"):
@@ -169,8 +163,9 @@ class ScenarioConfig:
             raise ValidationError(str(exc)) from exc
 
     def to_scenario(self, grid: TorusGrid | None = None) -> Scenario:
-        grid = self.build_grid(grid)
         v = self.values
+        if grid is None:
+            grid = TorusGrid(v["grid.nx"], v["grid.ny"])
         h0 = _scalar_from_source(v["initial.h0"], grid, self.base_dir, "initial.h0")
         if np.any(h0 <= 0.0):
             raise ValidationError("initial.h0 must satisfy h0 > 0 everywhere on the domain")
@@ -231,7 +226,10 @@ class ScenarioConfig:
 def load_config(path) -> ScenarioConfig:
     path = Path(path)
     # OSError propagates: an unreadable file is an IO failure, not bad syntax
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -258,8 +256,3 @@ def load_config(path) -> ScenarioConfig:
             raise ParseError(f"{path}: missing required key {key!r}")
         values[key] = default
     return ScenarioConfig(values=values, base_dir=path.parent)
-
-
-def parse_scenario(path) -> Scenario:
-    """Read, validate, and sample a scenario file into a Scenario."""
-    return load_config(path).to_scenario()

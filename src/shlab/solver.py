@@ -50,7 +50,6 @@ class Scenario:
     f: VectorField | None = None
     cfl: float = 0.4
     n_output: int = 101
-    dt_max: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class Scenario:
             raise InvalidValueError("friction gamma field lives on a different grid")
         if self.n_output < 2:
             raise InvalidValueError("need at least 2 output times")
-        if self.dt_max is not None and not self.dt_max > 0.0:
-            raise InvalidValueError(f"dt_max must be positive, got {self.dt_max}")
         if self.T > 0.0 and not self.default_dt_max() > 0.0:
             # a zero step cap would never advance the clock
             raise InvalidValueError(f"final time T = {self.T} underflows the step cap T/100")
@@ -82,19 +79,12 @@ class Scenario:
         return State(self.h0, VectorField(self.grid, self.h0.values * self.u0.values))
 
     def default_dt_max(self) -> float:
-        return self.dt_max if self.dt_max is not None else self.T / 100.0
-
-
-def max_wave_speed(state: State, a: float) -> float:
-    """Largest |u_axis| + sqrt(2 a h) over cells and both axis directions."""
-    h = state.h.values
-    c = np.sqrt(2.0 * a * h)
-    u = np.abs(state.q.values) / h
-    return float(np.max(u + c))
+        return self.T / 100.0
 
 
 def cfl_dt(state: State, a: float, cfl: float, dx: float, dt_max: float) -> float:
-    """cfl dx / (largest wave speed), capped at dt_max.
+    """cfl dx / (largest wave speed), capped at dt_max.  The wave speed is
+    the largest |u_axis| + sqrt(2 a h) over cells and both axis directions.
 
     With dx the smaller cell width, dt (s_x/dx + s_y/dy) <= 2 cfl, and the
     unsplit Rusanov update keeps h > 0 while that is <= 1 (Bouchut 2004); so
@@ -102,7 +92,8 @@ def cfl_dt(state: State, a: float, cfl: float, dx: float, dt_max: float) -> floa
     """
     if not 0.0 < cfl <= 0.5:
         raise InvalidValueError(f"Courant number cfl must lie in (0, 1/2], got {cfl}")
-    speed = max_wave_speed(state, a)
+    h = state.h.values
+    speed = float(np.max(np.abs(state.q.values) / h + np.sqrt(2.0 * a * h)))
     if speed <= 0.0:
         return dt_max
     return min(cfl * dx / speed, dt_max)

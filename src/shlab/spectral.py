@@ -76,16 +76,6 @@ def div_traceless_values(ps: np.ndarray) -> np.ndarray:
     )
 
 
-def spectral_grad(f: ScalarField) -> VectorField:
-    """Exact gradient of the trigonometric interpolant of f."""
-    return VectorField(f.grid, grad_values(f.values))
-
-
-def spectral_div(q: VectorField) -> ScalarField:
-    """Exact divergence of the trigonometric interpolant of q."""
-    return ScalarField(q.grid, div_values(q.values))
-
-
 def _demean(values: np.ndarray, what: str) -> np.ndarray:
     """Subtract the mean of each trailing (nx, ny) slice; reject any slice
     whose mean exceeds MEAN_TOL."""

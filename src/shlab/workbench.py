@@ -361,17 +361,9 @@ class WorkbenchProblem:
         )
 
 
-def find_energy_offset(
-    problem: WorkbenchProblem,
-    delta: float | None = None,
-    rel_tol: float = 1e-3,
-    safety: float = 1.1,
-    max_doublings: int = 60,
-) -> float:
+def find_energy_offset(problem: WorkbenchProblem) -> float:
     """Smallest constant energy offset whose candidate certifies, bisected to
-    rel_tol and multiplied by a safety factor."""
-    if delta is not None:
-        problem = replace(problem, delta=delta)
+    a relative width of 1e-3 and multiplied by a safety factor of 1.1."""
 
     def passes(lam: float) -> bool:
         try:
@@ -381,20 +373,20 @@ def find_energy_offset(
 
     lo = 0.0
     hi = float(problem.a * np.max(problem.h0.values) ** 2 + problem.delta)
-    for _ in range(max_doublings):
+    for _ in range(60):
         if passes(hi):
             break
         lo = hi
         hi *= 2.0
     else:
         raise SearchError("energy offset search hit its cap without certifying")
-    while hi - lo > rel_tol * hi:
+    while hi - lo > 1e-3 * hi:
         mid = 0.5 * (lo + hi)
         if passes(mid):
             hi = mid
         else:
             lo = mid
-    return safety * hi
+    return 1.1 * hi
 
 
 # ---------------------------------------------------------------------------
@@ -538,16 +530,14 @@ def oscillatory_pair(
     n: int,
     box: SpaceTimeBox,
     seed: int = 0,
-    amplitude: float | None = None,
-    max_backtracks: int = 60,
 ) -> OscillatoryPair:
     """Compactly supported oscillation preserving the pointwise constraint.
 
     The pair comes from a single plane-wave potential with a smooth cutoff:
     the wave direction lies in the cone b . eta_x = 0, the amplitude is
-    backtracked until lambda_max[(g+w)(x)(g+w)/r - (W+G)] < e survives on the
-    whole box.  A vanishing constraint gap yields the zero perturbation with
-    the degenerate flag set instead of an error.
+    halved, at most 60 times, until lambda_max[(g+w)(x)(g+w)/r - (W+G)] < e
+    survives on the whole box.  A vanishing constraint gap yields the zero
+    perturbation with the degenerate flag set instead of an error.
     """
     if n < 1:
         raise InvalidValueError(f"oscillation frequency n must be a positive integer, got {n}")
@@ -579,12 +569,9 @@ def oscillatory_pair(
     omega = float(rng.uniform(2.0, 6.0))
     wave = _WavePotential(box, (e1, e2), n, omega)
 
-    if amplitude is None:
-        amp = 0.5 * math.sqrt(gap * float(np.min(r.values)))
-    else:
-        amp = float(amplitude)
+    amp = 0.5 * math.sqrt(gap * float(np.min(r.values)))
     e_pad = np.where(mask, e.values, lam0 + 0.5 * gap)
-    for _ in range(max_backtracks):
+    for _ in range(60):
         w, G = wave.evaluate(times, grid, amp)
         lam = _constraint_lambda(g.values + w, r.values, W.values + G)
         # outside the box only the spectral tail of the cutoff remains, so the
@@ -614,25 +601,19 @@ class ImprovementReport:
     note: str = ""
 
 
-def default_box(T: float) -> SpaceTimeBox:
-    return SpaceTimeBox(0.15 * T, 0.85 * T, 0.1, 0.9, 0.1, 0.9)
-
-
 def improvement_step(
-    sub: SubsolutionState,
-    seed: int = 0,
-    n: int = 8,
-    box: SpaceTimeBox | None = None,
+    sub: SubsolutionState, seed: int = 0, n: int = 8
 ) -> tuple[SubsolutionState, ImprovementReport]:
     """One convex-integration improvement: perturb (velocity, flux) with an
-    oscillatory pair generated at energy level E - delta/2, recompute the
-    mean momentum and stress for the perturbed velocity, and re-certify at the
-    halved margin.  Rejected steps leave the state unchanged."""
+    oscillatory pair supported in (0.15 T, 0.85 T) x (0.1, 0.9)^2 and
+    generated at energy level E - delta/2, recompute the mean momentum and
+    stress for the perturbed velocity, and re-certify at the halved margin.
+    Rejected steps leave the state unchanged."""
     gap_before = energy_gap(sub)
     if gap_before >= -1e-14:
         return sub, ImprovementReport(False, gap_before, gap_before, sub.delta, "zero gap")
-    if box is None:
-        box = default_box(float(sub.times[-1]))
+    T = float(sub.times[-1])
+    box = SpaceTimeBox(0.15 * T, 0.85 * T, 0.1, 0.9, 0.1, 0.9)
 
     g_stack = SpaceTimeField(sub.grid, sub.times, sub.total_momentum_stack(), kind="vector")
     W = SpaceTimeField(

@@ -325,7 +325,7 @@ def test_criterion_7_relative_energy_experiment():
     fine = TorusGrid(128, 128)
     finals = []
     for nc in (16, 32):
-        rep = weak_strong_experiment(wave, 0.0, TorusGrid(nc, nc), fine)
+        [rep] = weak_strong_experiment(wave, [0.0], TorusGrid(nc, nc), fine)
         finals.append(rep.values[-1])
     assert finals[0] / finals[1] >= 1.5
 
@@ -342,11 +342,9 @@ def test_criterion_7_relative_energy_experiment():
         )
 
     eps_list = (1e-3, 1e-2, 1e-1)
-    initials, rates = [], []
-    for eps in eps_list:
-        rep = weak_strong_experiment(flat, eps, TorusGrid(16, 16), TorusGrid(64, 64))
-        initials.append(rep.values[0])
-        rates.append(rep.rate)
+    reports = weak_strong_experiment(flat, eps_list, TorusGrid(16, 16), TorusGrid(64, 64))
+    initials = [rep.values[0] for rep in reports]
+    rates = [rep.rate for rep in reports]
     slope = np.polyfit(np.log(eps_list), np.log(initials), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
     mean_rate = np.mean(rates)

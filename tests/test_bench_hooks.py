@@ -91,3 +91,9 @@ def test_simulate_job_smoke(tmp_path, mode):
             "friction.friction_shrink.calls",
         ):
             assert layers[name] > 0, name
+
+
+def test_wsu_job_smoke(tmp_path):
+    record = run_job(tmp_path, "wsu-32x128", "plain")
+    names = {check["name"] for check in record["gate"]}
+    assert {"E0_increases_with_eps", "E_rel_eps1e-3"} <= names

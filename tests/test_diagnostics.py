@@ -178,22 +178,19 @@ def wave_scenario(grid, T=0.1, n_output=6):
 class TestWeakStrong:
     def test_requires_fine_grid(self):
         with pytest.raises(InvalidValueError):
-            weak_strong_experiment(wave_scenario, 0.0, TorusGrid(16, 16), TorusGrid(32, 32))
+            weak_strong_experiment(wave_scenario, [0.0], TorusGrid(16, 16), TorusGrid(32, 32))
 
     def test_refinement_shrinks_relative_energy(self):
         fine = TorusGrid(64, 64)
-        r8 = weak_strong_experiment(wave_scenario, 0.0, TorusGrid(8, 8), fine)
-        r16 = weak_strong_experiment(wave_scenario, 0.0, TorusGrid(16, 16), fine)
+        [r8] = weak_strong_experiment(wave_scenario, [0.0], TorusGrid(8, 8), fine)
+        [r16] = weak_strong_experiment(wave_scenario, [0.0], TorusGrid(16, 16), fine)
         assert r16.values[-1] < r8.values[-1] / 1.5
 
     def test_epsilon_squared_initial_scaling(self):
         flat = lambda grid: uniform_scenario(grid, T=0.1, n_output=6)  # noqa: E731
         coarse, fine = TorusGrid(8, 8), TorusGrid(32, 32)
-        values = []
         eps_list = (1e-2, 1e-1)
-        for eps in eps_list:
-            rep = weak_strong_experiment(flat, eps, coarse, fine)
-            values.append(rep.values[0])
+        values = [rep.values[0] for rep in weak_strong_experiment(flat, eps_list, coarse, fine)]
         slope = np.log(values[1] / values[0]) / np.log(eps_list[1] / eps_list[0])
         assert slope == pytest.approx(2.0, abs=0.05)
 

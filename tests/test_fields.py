@@ -125,7 +125,7 @@ class TestFieldValidation:
             ScalarField(grid32, bad)
 
     def test_symtraceless_components(self, grid32):
-        f = SymTracelessField.zeros(grid32)
+        f = SymTracelessField(grid32, np.zeros((2, 32, 32)))
         assert f.p.shape == (32, 32)
         assert f.s.shape == (32, 32)
 

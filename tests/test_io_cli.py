@@ -11,10 +11,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from shlab import cli
-from shlab.errors import FormatError, ParseError, ValidationError
+from shlab import cli, diagnostics
+from shlab.errors import FormatError, NumericalAbort, ParseError, ValidationError
 from shlab.fields import ScalarField, SymTracelessField, TorusGrid, VectorField
-from shlab.scenario import eval_expression, load_config, parse_scenario
+from shlab.scenario import eval_expression, load_config
 from shlab.snapshots import read_snapshot, write_snapshot
 
 MINIMAL = """
@@ -134,7 +134,7 @@ class TestExpressions:
 
 class TestScenarioParsing:
     def test_minimal_file_with_defaults(self, tmp_path):
-        scn = parse_scenario(write_scenario(tmp_path))
+        scn = load_config(write_scenario(tmp_path)).to_scenario()
         assert scn.grid.nx == 16
         assert scn.a == 0.5
         assert scn.friction.gamma == 0.0
@@ -164,17 +164,17 @@ class TestScenarioParsing:
     def test_negative_height_rejected(self, tmp_path):
         p = write_scenario(tmp_path, MINIMAL.replace("1 + 0.1*cos", "-1 + 0.1*cos"))
         with pytest.raises(ValidationError):
-            parse_scenario(p)
+            load_config(p).to_scenario()
 
     def test_negative_gamma_rejected(self, tmp_path):
         p = write_scenario(tmp_path, MINIMAL + "friction.gamma = -1\n")
         with pytest.raises(ValidationError):
-            parse_scenario(p)
+            load_config(p).to_scenario()
 
     def test_force_components_must_pair(self, tmp_path):
         p = write_scenario(tmp_path, MINIMAL + "force.fx = 0.1\n")
         with pytest.raises(ValidationError):
-            parse_scenario(p)
+            load_config(p).to_scenario()
 
     def test_snapshot_reference_for_initial_height(self, tmp_path):
         grid = TorusGrid(16, 16)
@@ -183,7 +183,7 @@ class TestScenarioParsing:
         p = write_scenario(
             tmp_path, MINIMAL.replace("1 + 0.1*cos(2*pi*x1)", "@h0.shlab")
         )
-        scn = parse_scenario(p)
+        scn = load_config(p).to_scenario()
         np.testing.assert_array_equal(scn.h0.values, h.values)
 
     def test_snapshot_reference_grid_mismatch(self, tmp_path):
@@ -193,11 +193,11 @@ class TestScenarioParsing:
             tmp_path, MINIMAL.replace("1 + 0.1*cos(2*pi*x1)", "@h0.shlab")
         )
         with pytest.raises(ValidationError):
-            parse_scenario(p)
+            load_config(p).to_scenario()
 
     def test_spatially_varying_gamma(self, tmp_path):
         p = write_scenario(tmp_path, MINIMAL + "friction.gamma = 0.2 + 0.1*cos(2*pi*x1)\n")
-        scn = parse_scenario(p)
+        scn = load_config(p).to_scenario()
         assert isinstance(scn.friction.gamma, ScalarField)
 
     def test_workbench_problem_from_config(self, tmp_path):
@@ -235,7 +235,14 @@ class TestCliSimulate:
         assert "validation" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line", ["physics.T = nan", "physics.T = inf", "physics.a = nan", "friction.gamma2 = nan"]
+        "line",
+        [
+            "physics.T = nan",
+            "physics.T = inf",
+            "physics.a = nan",
+            "friction.gamma2 = nan",
+            "friction.gamma2 = inf",
+        ],
     )
     def test_non_finite_scenario_float_exits_2(self, tmp_path, capsys, line):
         key = line.split(" = ")[0]
@@ -249,6 +256,14 @@ class TestCliSimulate:
     def test_parse_error_exits_2(self, tmp_path):
         scn = write_scenario(tmp_path, MINIMAL + "not a key value line\n")
         assert cli.main(["simulate", str(scn), "--out", str(tmp_path / "out")]) == 2
+
+    def test_non_utf8_scenario_exits_2(self, tmp_path, capsys):
+        scn = tmp_path / "run.scn"
+        scn.write_bytes(MINIMAL.replace("grid.nx = 16", "grid.nx = 8\xff").encode("latin-1"))
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_config(scn)
+        assert cli.main(["simulate", str(scn), "--out", str(tmp_path / "out")]) == 2
+        assert "validation error" in capsys.readouterr().err
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         missing = tmp_path / "nope.scn"
@@ -498,6 +513,24 @@ class TestCliDiagnose:
         assert "mass, e2_residual, dissipation_cum" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "body,named",
+        [
+            (b"0,1\xff,0,0\n", "not a readable CSV"),  # not UTF-8
+            (b"0,1,0,0\n1,1,0\n", "not a readable CSV"),  # ragged row
+            (b"0,nan,0,0\n1,1,0,0\n", "column mass"),
+            (b"0,1,0,0\n1,inf,0,0\n", "column mass"),
+            (b"0,0,0,0\n1,0,0,0\n", "column mass"),
+        ],
+    )
+    def test_unusable_ledger_exits_4(self, tmp_path, capsys, body, named):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run/ledger.csv").write_bytes(b"t,mass,e2_residual,dissipation_cum\n" + body)
+        assert cli.main(["diagnose", str(tmp_path / "run")]) == 4
+        err = capsys.readouterr().err
+        assert named in err
+        assert not (tmp_path / "run/diagnose.txt").exists()
+
     def test_header_only_ledger_exits_4(self, tmp_path):
         (tmp_path / "run").mkdir()
         (tmp_path / "run/ledger.csv").write_text(
@@ -506,18 +539,50 @@ class TestCliDiagnose:
         assert cli.main(["diagnose", str(tmp_path / "run")]) == 4
 
 
+WSU_SMALL = (
+    "grid.nx = 8\ngrid.ny = 8\nphysics.T = 0.05\n"
+    "initial.h0 = 1 + 0.1*cos(2*pi*x1)\noutput.times = 3\n"
+)
+
+
+def count_simulate_calls(monkeypatch, fail_at=None) -> list:
+    """Wrap diagnostics.simulate; raise NumericalAbort on call number fail_at."""
+    calls = []
+    real = diagnostics.simulate
+
+    def counted(scenario):
+        calls.append(scenario.grid.nx)
+        if len(calls) == fail_at:
+            raise NumericalAbort("injected")
+        return real(scenario)
+
+    monkeypatch.setattr(diagnostics, "simulate", counted)
+    return calls
+
+
 class TestCliExperiments:
     def test_wsu_smoke(self, tmp_path):
-        scn = write_scenario(
-            tmp_path,
-            "grid.nx = 8\ngrid.ny = 8\nphysics.T = 0.05\n"
-            "initial.h0 = 1 + 0.1*cos(2*pi*x1)\noutput.times = 3\n",
-        )
+        scn = write_scenario(tmp_path, WSU_SMALL)
         out = tmp_path / "wsu"
         assert cli.main(["wsu", str(scn), "--eps", "0.01", "--refine", "4", "--out", str(out)]) == 0
         lines = (out / "wsu_eps0.01.csv").read_text().splitlines()
         assert lines[0] == "t,E_rel,fitted_c"
         assert len(lines) > 1
+
+    def test_wsu_simulates_the_reference_once(self, tmp_path, monkeypatch):
+        calls = count_simulate_calls(monkeypatch)
+        scn = write_scenario(tmp_path, WSU_SMALL)
+        argv = ["wsu", str(scn), "--eps", "1e-3,1e-2,1e-1", "--out", str(tmp_path / "wsu")]
+        assert cli.main(argv) == 0
+        assert calls == [32, 8, 8, 8]  # one 4x reference, then one coarse run per eps
+
+    def test_wsu_abort_leaves_no_partial_csv(self, tmp_path, monkeypatch, capsys):
+        count_simulate_calls(monkeypatch, fail_at=3)
+        scn = write_scenario(tmp_path, WSU_SMALL)
+        out = tmp_path / "wsu"
+        assert cli.main(["wsu", str(scn), "--eps", "1e-3,1e-2,1e-1", "--out", str(out)]) == 3
+        assert "injected" in capsys.readouterr().err
+        assert not out.exists()  # the outputs are written only after every run succeeded
 
     @pytest.mark.parametrize("eps,bad", [("abc", "'abc'"), ("1e-3,", "''")])
     def test_wsu_bad_eps_exits_2(self, tmp_path, capsys, eps, bad):

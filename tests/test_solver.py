@@ -14,7 +14,6 @@ from shlab.solver import (
     Scenario,
     State,
     cfl_dt,
-    max_wave_speed,
     rusanov_flux,
     simulate,
     step,
@@ -72,8 +71,6 @@ class TestStateAndScenario:
             ("cfl", 0.6),
             ("cfl", float("nan")),
             ("seed", -1),
-            ("dt_max", float("nan")),
-            ("dt_max", -1.0),
         ],
     )
     def test_scenario_rejects_nan_and_out_of_range(self, grid32, field, value):
@@ -86,19 +83,20 @@ class TestStateAndScenario:
 
 
 class TestWaveSpeedAndCfl:
+    # with cfl = 0.5, dx = 1 and no cap, cfl_dt is 0.5 / (largest wave speed)
     def test_still_state(self, grid32):
         st = uniform_scenario(grid32).initial_state()
-        assert max_wave_speed(st, 0.5) == pytest.approx(1.0)
+        assert cfl_dt(st, 0.5, 0.5, 1.0, dt_max=np.inf) == pytest.approx(0.5 / 1.0)
 
     def test_moving_state(self, grid32):
         st = uniform_scenario(grid32, u=(2.0, 0.0)).initial_state()
-        assert max_wave_speed(st, 0.5) == pytest.approx(3.0)
+        assert cfl_dt(st, 0.5, 0.5, 1.0, dt_max=np.inf) == pytest.approx(0.5 / 3.0)
 
     def test_vacuum_limit(self, grid32):
         st = State(
             ScalarField.constant(grid32, 1e-14), VectorField.constant(grid32, 0.0, 0.0)
         )
-        assert max_wave_speed(st, 0.5) < 1e-6
+        assert cfl_dt(st, 0.5, 0.5, 1.0, dt_max=np.inf) > 0.5 / 1e-6
 
     def test_cfl_values(self, grid32):
         st = uniform_scenario(grid32, u=(1.0, 0.0)).initial_state()  # speed 2
