@@ -208,11 +208,23 @@ def _cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def _parse_eps(entry: str) -> float:
-    try:
-        return float(entry)
-    except ValueError:
-        raise ValidationError(f"--eps entry {entry!r} is not a number") from None
+def _parse_eps(text: str) -> list[float]:
+    """The --eps entries as floats.  Each names its output file by f"{eps:g}",
+    so two entries with one name are rejected before anything runs."""
+    if not text:
+        return [0.0]
+    eps_list, seen = [], {}
+    for entry in text.split(","):
+        try:
+            eps = float(entry)
+        except ValueError:
+            raise ValidationError(f"--eps entry {entry!r} is not a number") from None
+        name = f"wsu_eps{eps:g}.csv"
+        if name in seen:
+            raise ValidationError(f"--eps entries {seen[name]!r} and {entry!r} both name {name}")
+        seen[name] = entry
+        eps_list.append(eps)
+    return eps_list
 
 
 def _cmd_wsu(args) -> int:
@@ -220,7 +232,7 @@ def _cmd_wsu(args) -> int:
     cfg = load_config(args.scenario)
     coarse = TorusGrid(cfg.values["grid.nx"], cfg.values["grid.ny"])
     fine = TorusGrid(args.refine * coarse.nx, args.refine * coarse.ny)
-    eps_list = [_parse_eps(e) for e in args.eps.split(",")] if args.eps else [0.0]
+    eps_list = _parse_eps(args.eps)
     reports = weak_strong_experiment(cfg.to_scenario, eps_list, coarse, fine)
     out = _prep_out(args)
     outputs = []

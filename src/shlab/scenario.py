@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import InvalidValueError, ParseError, PositivityError, ValidationError
 from .fields import ScalarField, TorusGrid, VectorField
 from .friction import FrictionParams
 from .snapshots import read_snapshot
@@ -33,6 +33,8 @@ _ALLOWED_FUNCS = {
     "log": np.log,
 }
 _ALLOWED_NAMES = {"pi": math.pi, "e": math.e}
+# what the field and parameter constructors raise on bad scenario values
+_FIELD_ERRORS = (InvalidValueError, PositivityError)
 
 _SCHEMA: dict[str, tuple[type, object]] = {
     # key: (type, default); REQUIRED marks mandatory keys
@@ -145,21 +147,13 @@ class ScenarioConfig:
 
     def friction_params(self, grid: TorusGrid) -> FrictionParams:
         raw = self.values["friction.gamma"]
-        if raw.startswith("@"):
-            gamma = read_snapshot(self.base_dir / raw[1:])
-            if not isinstance(gamma, ScalarField) or gamma.grid != grid:
-                raise ValidationError("friction.gamma snapshot must be scalar on the scenario grid")
-        else:
-            sampled = eval_expression(raw, grid)
-            if np.ptp(sampled) == 0.0:
-                gamma = float(sampled.flat[0])
-            else:
-                gamma = ScalarField(grid, sampled)
+        sampled = _scalar_from_source(raw, grid, self.base_dir, "friction.gamma")
+        gamma = float(sampled.flat[0]) if np.ptp(sampled) == 0.0 else ScalarField(grid, sampled)
         try:
             return FrictionParams(
                 gamma=gamma, gamma2=self.values["friction.gamma2"], law=self.values["friction.law"]
             )
-        except Exception as exc:
+        except _FIELD_ERRORS as exc:
             raise ValidationError(str(exc)) from exc
 
     def to_scenario(self, grid: TorusGrid | None = None) -> Scenario:
@@ -201,9 +195,7 @@ class ScenarioConfig:
                 n_output=v["output.times"],
                 seed=v["seed"],
             )
-        except ValidationError:
-            raise
-        except Exception as exc:
+        except _FIELD_ERRORS as exc:
             raise ValidationError(str(exc)) from exc
 
     def to_workbench_problem(self, grid: TorusGrid | None = None) -> WorkbenchProblem:

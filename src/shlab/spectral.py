@@ -136,15 +136,18 @@ def korn_solve_values(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (div grad^t m and grad div m cancel), so the solve is a vector Poisson
     problem; each component of rhs must be mean-free.  Takes (..., 2, nx, ny)
     samples and returns (m, M) of the same shape, with M the symmetric
-    traceless tensor (p, s) = (d1 m1 - d2 m2, d1 m2 + d2 m1).
+    traceless tensor (p, s) = (d1 m1 - d2 m2, d1 m2 + d2 m1).  Both are one
+    Fourier symbol of rhs: m^ = -r^/|k|^2, then M^ from the odd-derivative
+    wavenumbers, so one forward and one inverse transform suffice.
     """
-    m = -poisson_solve_values(_demean(rhs, "stress right-hand side"))
-    g = grad_values(m)  # (..., component, derivative, nx, ny)
-    M = np.stack(
-        [g[..., 0, 0, :, :] - g[..., 1, 1, :, :], g[..., 1, 0, :, :] + g[..., 0, 1, :, :]],
-        axis=-3,
-    )
-    return m, M
+    rh = np.fft.fft2(_demean(rhs, "stress right-hand side"))
+    _, _, k1d, k2d, k2sum = _wavenumbers(*rhs.shape[-2:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mh = np.where(k2sum > 0.0, -rh / k2sum, 0.0)
+    m1, m2 = mh[..., 0, :, :], mh[..., 1, :, :]
+    Mh = np.stack([1j * k1d * m1 - 1j * k2d * m2, 1j * k1d * m2 + 1j * k2d * m1], axis=-3)
+    out = _real_ifft2(np.concatenate([mh, Mh], axis=-3))
+    return out[..., :2, :, :], out[..., 2:, :, :]
 
 
 def korn_solve(rhs: VectorField) -> tuple[VectorField, SymTracelessField]:

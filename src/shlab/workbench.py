@@ -129,8 +129,8 @@ def solve_mean_momentum(
     dV/dt = mean(drag) V + mean(drag (v + grad psi) + h f), V(0) = V0, with
     v and grad psi (K+1, 2, nx, ny) stacks on the nodes of h and drag the
     linear friction coefficient stack (None without friction).  Classical
-    4th-order one-step integration; node data is interpolated linearly for
-    the half steps.
+    4th-order one-step integration on the uniform nodes; the half steps read
+    the linear interpolant of the node data, the mean of the two neighbours.
     """
     times = h.times
     coef = np.zeros_like(h.values) if drag is None else drag
@@ -139,25 +139,17 @@ def solve_mean_momentum(
     if f is not None:
         rhs = rhs + h.values[:, None] * f.values[None]
     bbar = rhs.mean(axis=(2, 3))  # (K+1, 2)
-
-    def interp(series, t):
-        return np.interp(t, times, series) if series.ndim == 1 else np.array(
-            [np.interp(t, times, series[:, d]) for d in range(series.shape[1])]
-        )
+    cmid = 0.5 * (cbar[:-1] + cbar[1:])
+    bmid = 0.5 * (bbar[:-1] + bbar[1:])
 
     V = np.empty((times.size, 2))
     V[0] = np.asarray(V0, dtype=float)
     dt = float(times[1] - times[0])
     for k in range(times.size - 1):
-        t = times[k]
-
-        def rate(tt, vv):
-            return interp(cbar, tt) * vv + interp(bbar, tt)
-
-        k1 = rate(t, V[k])
-        k2 = rate(t + dt / 2, V[k] + dt / 2 * k1)
-        k3 = rate(t + dt / 2, V[k] + dt / 2 * k2)
-        k4 = rate(t + dt, V[k] + dt * k3)
+        k1 = cbar[k] * V[k] + bbar[k]
+        k2 = cmid[k] * (V[k] + dt / 2 * k1) + bmid[k]
+        k3 = cmid[k] * (V[k] + dt / 2 * k2) + bmid[k]
+        k4 = cbar[k + 1] * (V[k] + dt * k3) + bbar[k + 1]
         V[k + 1] = V[k] + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return V
 
@@ -394,23 +386,13 @@ def find_energy_offset(problem: WorkbenchProblem) -> float:
 
 
 def _bump_derivs(xi: np.ndarray, order: int) -> np.ndarray:
-    """Derivatives (0..order <= 3) of exp(1 - 1/(1 - xi^2)), zero outside."""
+    """exp(1 - 1/(1 - xi^2)) (order 0) or its derivative (order 1), zero outside."""
     inside = np.abs(xi) < 1.0
     x = np.where(inside, xi, 0.0)
     gsafe = 1.0 - x * x
-    r1 = -2.0 * x / gsafe**2
-    r2 = -2.0 / gsafe**2 - 8.0 * x * x / gsafe**3
-    r3 = -24.0 * x / gsafe**3 - 48.0 * x**3 / gsafe**4
     with np.errstate(over="ignore"):
         b = np.where(inside, np.exp(1.0 - 1.0 / gsafe), 0.0)
-    out = [b]
-    if order >= 1:
-        out.append(np.where(inside, b * r1, 0.0))
-    if order >= 2:
-        out.append(np.where(inside, b * (r2 + r1 * r1), 0.0))
-    if order >= 3:
-        out.append(np.where(inside, b * (r3 + 3.0 * r1 * r2 + r1**3), 0.0))
-    return out[order]
+    return b if order == 0 else np.where(inside, b * (-2.0 * x / gsafe**2), 0.0)
 
 
 @dataclass(frozen=True)
@@ -442,6 +424,7 @@ class OscillatoryPair:
     degenerate: bool = False
 
 
+@dataclass(frozen=True)
 class _WavePotential:
     """Scalar potential phi = A chi_t(t) chi_x(x) chi_y(y) sin(omega t + theta(x)).
 
@@ -456,18 +439,22 @@ class _WavePotential:
     spectral tail of the C-infinity bump.
     """
 
-    def __init__(self, box: SpaceTimeBox, eta_x: tuple[float, float], n: int, omega: float):
-        self.box = box
-        self.eta_x = eta_x
-        self.n = n
-        self.omega = omega
+    box: SpaceTimeBox
+    eta_x: tuple[float, float]
+    n: int
+    omega: float
 
     def _bump(self, u: np.ndarray, lo: float, hi: float, order: int) -> np.ndarray:
         xi = (2.0 * u - lo - hi) / (hi - lo)
         return _bump_derivs(xi, order) * (2.0 / (hi - lo)) ** order
 
     def evaluate(self, times: np.ndarray, grid: TorusGrid, amplitude: float):
-        """Sampled (w, G) arrays, shapes (K+1, 2, nx, ny) each."""
+        """Sampled (w, G) arrays, shapes (K+1, 2, nx, ny) each.
+
+        sin(theta + omega t) = sin(theta) cos(omega t) + cos(theta) sin(omega t),
+        so phi and dphi/dt are scalar-time combinations of the two fixed fields
+        S = chi_xy sin(theta) and C = chi_xy cos(theta), differentiated once.
+        """
         b = self.box
         e1, e2 = self.eta_x
         kmag = 2.0 * np.pi * self.n * math.hypot(e1, e2)
@@ -475,34 +462,25 @@ class _WavePotential:
 
         x1 = (np.arange(grid.nx) + 0.5) * grid.dx
         x2 = (np.arange(grid.ny) + 0.5) * grid.dy
-        chi_t = self._bump(times, b.t_lo, b.t_hi, 0)
-        dchi_t = self._bump(times, b.t_lo, b.t_hi, 1)
         chi_xy = np.outer(self._bump(x1, b.x_lo, b.x_hi, 0), self._bump(x2, b.y_lo, b.y_hi, 0))
         theta = 2.0 * np.pi * self.n * (e1 * x1[:, None] + e2 * x2[None, :])
+        gX = spectral.grad_values(chi_xy * np.stack([np.sin(theta), np.cos(theta)]))
+        H = spectral.grad_values(gX)  # H[j, i, l] = d_l d_i of field j
+        glap = spectral.grad_values(H[:, 0, 0] + H[:, 1, 1])
+        # per field: w-part (d2 Lap, -d1 Lap) and G-part (-2 d1 d2, d1^2 - d2^2)
+        w_part = np.stack([glap[:, 1], -glap[:, 0]], axis=1)
+        G_part = np.stack([-2.0 * H[:, 0, 1], H[:, 0, 0] - H[:, 1, 1]], axis=1)
 
-        # odd-derivative wavenumbers, so k2sum is Nyquist-zeroed as well
-        _, _, k1, k2, _ = spectral._wavenumbers(grid.nx, grid.ny)
-        k2sum = k1 * k1 + k2 * k2
-
-        w = np.empty((times.size, 2, grid.nx, grid.ny))
-        G = np.empty_like(w)
-        for k in range(times.size):
-            wt = self.omega * times[k]
-            phi = A * chi_t[k] * chi_xy * np.sin(theta + wt)
-            dphi = A * chi_xy * (
-                dchi_t[k] * np.sin(theta + wt) + chi_t[k] * self.omega * np.cos(theta + wt)
-            )
-            if chi_t[k] == 0.0 and dchi_t[k] == 0.0:
-                w[k] = 0.0
-                G[k] = 0.0
-                continue
-            ph = np.fft.fft2(phi)
-            dph = np.fft.fft2(dphi)
-            w[k, 0] = np.real(np.fft.ifft2(-1j * k2 * k2sum * ph))
-            w[k, 1] = np.real(np.fft.ifft2(1j * k1 * k2sum * ph))
-            G[k, 0] = np.real(np.fft.ifft2(2.0 * k1 * k2 * dph))
-            G[k, 1] = np.real(np.fft.ifft2((k2 * k2 - k1 * k1) * dph))
-        return w, G
+        # phi = A chi_t (cos S + sin C), so dphi/dt = A (dchi_t cos - omega chi_t sin) S
+        # + A (dchi_t sin + omega chi_t cos) C, with cos, sin of omega t
+        chi_t = self._bump(times, b.t_lo, b.t_hi, 0)
+        dchi_t = self._bump(times, b.t_lo, b.t_hi, 1)
+        c, s = np.cos(self.omega * times), np.sin(self.omega * times)
+        a = A * chi_t[:, None] * np.stack([c, s], axis=1)
+        d = A * np.stack(
+            [dchi_t * c - self.omega * chi_t * s, dchi_t * s + self.omega * chi_t * c], axis=1
+        )
+        return np.einsum("kj,j...->k...", a, w_part), np.einsum("kj,j...->k...", d, G_part)
 
 
 _DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0))
@@ -571,8 +549,8 @@ def oscillatory_pair(
 
     amp = 0.5 * math.sqrt(gap * float(np.min(r.values)))
     e_pad = np.where(mask, e.values, lam0 + 0.5 * gap)
+    w, G = wave.evaluate(times, grid, amp)
     for _ in range(60):
-        w, G = wave.evaluate(times, grid, amp)
         lam = _constraint_lambda(g.values + w, r.values, W.values + G)
         # outside the box only the spectral tail of the cutoff remains, so the
         # padded level (half the box gap above lambda0) is a strict check there
@@ -584,7 +562,10 @@ def oscillatory_pair(
                 box=box,
                 amplitude=amp,
             )
+        # halving by a power of two is exact, so this is evaluate(amp / 2) bitwise
         amp *= 0.5
+        w *= 0.5
+        G *= 0.5
     return zero()
 
 

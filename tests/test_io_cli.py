@@ -253,6 +253,17 @@ class TestCliSimulate:
         assert "validation" in capsys.readouterr().err
         assert not (out / "ledger.csv").exists()
 
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_bad_gamma_snapshot_exits_4(self, tmp_path, capsys, damage):
+        # read like every other @snapshot value: an unreadable file is an IO failure
+        if damage == "truncated":
+            p = tmp_path / "gamma.shlab"
+            write_snapshot(ScalarField.constant(TorusGrid(16, 16), 0.2), p)
+            p.write_bytes(p.read_bytes()[:-8])
+        scn = write_scenario(tmp_path, MINIMAL + "friction.gamma = @gamma.shlab\n")
+        assert cli.main(["simulate", str(scn), "--out", str(tmp_path / "out")]) == 4
+        assert "io error" in capsys.readouterr().err
+
     def test_parse_error_exits_2(self, tmp_path):
         scn = write_scenario(tmp_path, MINIMAL + "not a key value line\n")
         assert cli.main(["simulate", str(scn), "--out", str(tmp_path / "out")]) == 2
@@ -584,12 +595,26 @@ class TestCliExperiments:
         assert "injected" in capsys.readouterr().err
         assert not out.exists()  # the outputs are written only after every run succeeded
 
-    @pytest.mark.parametrize("eps,bad", [("abc", "'abc'"), ("1e-3,", "''")])
-    def test_wsu_bad_eps_exits_2(self, tmp_path, capsys, eps, bad):
+    @pytest.mark.parametrize(
+        "eps,message",
+        [
+            pytest.param("abc", "--eps entry 'abc' is not a number", id="abc-'abc'"),
+            pytest.param("1e-3,", "--eps entry '' is not a number", id="1e-3,-''"),
+            # both would write wsu_eps0.001.csv
+            pytest.param(
+                "1e-3,0.001",
+                "--eps entries '1e-3' and '0.001' both name wsu_eps0.001.csv",
+                id="1e-3,0.001-duplicate",
+            ),
+        ],
+    )
+    def test_wsu_bad_eps_exits_2(self, tmp_path, capsys, monkeypatch, eps, message):
+        calls = count_simulate_calls(monkeypatch)
         scn = write_scenario(tmp_path)
         argv = ["wsu", str(scn), "--eps", eps, "--out", str(tmp_path / "wsu")]
         assert cli.main(argv) == 2
-        assert f"--eps entry {bad} is not a number" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert calls == []  # rejected before any simulation
 
     def test_convergence_flat_state_exits_3(self, tmp_path, capsys):
         # a flat state at rest stays exact on every grid: both L1 errors are 0

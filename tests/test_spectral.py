@@ -1,5 +1,8 @@
 """Spectral derivative operators and elliptic solves on the torus."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,18 @@ def band_limited(rng, n, kmax=None):
     fh[:kmax, -kmax:] = rng.standard_normal((kmax, kmax)) + 1j * rng.standard_normal((kmax, kmax))
     fh[-kmax:, -kmax:] = rng.standard_normal((kmax, kmax)) + 1j * rng.standard_normal((kmax, kmax))
     return np.fft.ifft2(fh).real
+
+
+def korn_poisson_then_gradient(rhs):
+    """Reference Korn solve in two passes: the vector Poisson solve for m, then
+    the spectral gradient of m assembled into M = (d1 m1 - d2 m2, d1 m2 + d2 m1)."""
+    m = -poisson_solve_values(rhs)
+    g = grad_values(m)  # (..., component, derivative, nx, ny)
+    M = np.stack(
+        [g[..., 0, 0, :, :] - g[..., 1, 1, :, :], g[..., 1, 0, :, :] + g[..., 0, 1, :, :]],
+        axis=-3,
+    )
+    return m, M
 
 
 class TestDerivatives:
@@ -166,6 +181,17 @@ class TestKorn:
             div_traceless_values(M), rhs, atol=1e-8 * np.abs(rhs).max()
         )
 
+    @pytest.mark.parametrize("shape", [(2, 32, 32), (2, 24, 8), (3, 2, 16, 40)])
+    def test_matches_poisson_then_gradient(self, rng, shape):
+        # full spectrum, Nyquist modes included
+        rhs = rng.standard_normal(shape)
+        rhs -= rhs.mean(axis=(-2, -1), keepdims=True)
+        m, M = korn_solve_values(rhs)
+        m_ref, M_ref = korn_poisson_then_gradient(rhs)
+        assert m.shape == M.shape == rhs.shape
+        assert np.abs(m - m_ref).max() <= 1e-12 * np.abs(m_ref).max()
+        assert np.abs(M - M_ref).max() <= 1e-12 * np.abs(M_ref).max()
+
     def test_korn_inequality_on_band_limited_fields(self, rng):
         """L2 inequality ||grad m + grad^T m - div m I|| >= (1/2) ||grad m||."""
         grid = TorusGrid(32, 32)
@@ -238,3 +264,67 @@ class TestStacks:
         f[2] -= 1e-6
         with pytest.raises(SolvabilityError):
             poisson_solve_values(f)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "shlab"
+# the one transform outside spectral.py: the real-input DFT coefficients of the
+# weak residual
+FFT_EXCEPTIONS = {("diagnostics.py", "_mode_coefficients")}
+
+
+def _layer_violations(path):
+    """(function, what) for each numpy.fft use and each private spectral name
+    in one module; function is the enclosing top-level def, or None."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in ("np", "numpy") and node.attr == "fft":
+                    found.append((owner, "numpy.fft"))
+                if node.value.id == "spectral" and node.attr.startswith("_"):
+                    found.append((owner, f"spectral.{node.attr}"))
+            elif isinstance(node, ast.Import):
+                found += [(owner, a.name) for a in node.names if a.name.startswith("numpy.fft")]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if module.startswith("numpy.fft") or (
+                    module == "numpy" and any(a.name == "fft" for a in node.names)
+                ):
+                    found.append((owner, "numpy.fft"))
+                if module.endswith("spectral"):
+                    private = [a.name for a in node.names if a.name.startswith("_")]
+                    found += [(owner, f"spectral.{name}") for name in private]
+    return found
+
+
+def test_one_spectral_layer():
+    """Only spectral.py transforms, and nothing imports its private names."""
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for owner, what in _layer_violations(path):
+            if what == "numpy.fft" and (path.name, owner) in FFT_EXCEPTIONS:
+                continue
+            bad.append(f"{path.name}:{owner}: {what}")
+    assert not bad, bad
+
+
+def test_layer_guard_sees_each_form(tmp_path):
+    p = tmp_path / "mod.py"
+    p.write_text(
+        "import numpy.fft\n"
+        "from numpy import fft\n"
+        "from .spectral import _wavenumbers\n"
+        "def f(x):\n"
+        "    return np.fft.fft2(x), spectral._wavenumbers(4, 4)\n"
+    )
+    assert sorted(_layer_violations(p), key=str) == [
+        ("f", "numpy.fft"),
+        ("f", "spectral._wavenumbers"),
+        (None, "numpy.fft"),
+        (None, "numpy.fft"),
+        (None, "spectral._wavenumbers"),
+    ]

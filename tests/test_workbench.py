@@ -199,6 +199,51 @@ class TestMeanMomentum:
         np.testing.assert_allclose(V[:, 1], 2.0 * np.exp(times), rtol=1e-8)
 
 
+def rk4_with_interp(v, drag, grad_psi, h, f, V0):
+    """Reference mean-momentum RK4 that reads the node data at every stage time
+    through np.interp."""
+    times = h.times
+    coef = np.zeros_like(h.values) if drag is None else drag
+    cbar = coef.mean(axis=(1, 2))
+    rhs = coef[:, None] * (v + grad_psi)
+    if f is not None:
+        rhs = rhs + h.values[:, None] * f.values[None]
+    bbar = rhs.mean(axis=(2, 3))
+
+    def rate(t, V):
+        b = np.array([np.interp(t, times, bbar[:, d]) for d in range(2)])
+        return np.interp(t, times, cbar) * V + b
+
+    V = np.empty((times.size, 2))
+    V[0] = V0
+    dt = float(times[1] - times[0])
+    for k in range(times.size - 1):
+        t = times[k]
+        k1 = rate(t, V[k])
+        k2 = rate(t + dt / 2, V[k] + dt / 2 * k1)
+        k3 = rate(t + dt / 2, V[k] + dt / 2 * k2)
+        k4 = rate(t + dt, V[k] + dt * k3)
+        V[k + 1] = V[k] + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return V
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mean_momentum_matches_interp_rk4(seed):
+    rng = np.random.default_rng(seed)
+    grid = TorusGrid(*rng.choice([8, 12, 16], size=2))
+    K = int(rng.integers(2, 40))
+    times = np.linspace(0.0, float(rng.uniform(0.1, 3.0)), K + 1)
+    shape = (K + 1, *grid.shape)
+    h = SpaceTimeField(grid, times, rng.uniform(0.5, 1.5, shape))
+    drag = None if seed == 0 else rng.uniform(0.0, 2.0, shape)
+    v, grad_psi = rng.standard_normal((2, K + 1, 2, *grid.shape))
+    f = None if seed == 1 else VectorField(grid, rng.standard_normal((2, *grid.shape)))
+    V0 = rng.standard_normal(2)
+    V = solve_mean_momentum(v, drag, grad_psi, h, f, V0)
+    V_ref = rk4_with_interp(v, drag, grad_psi, h, f, V0)
+    assert np.abs(V - V_ref).max() <= 1e-14 * np.abs(V_ref).max()
+
+
 class TestStress:
     def setup_fields(self, grid, K=8):
         times = np.linspace(0.0, 1.0, K + 1)
@@ -438,6 +483,73 @@ def lemma_inputs(grid, K=32, T=1.0):
 CENTERED_BOX = SpaceTimeBox(0.15, 0.85, 0.1, 0.9, 0.1, 0.9)
 
 
+def wave_per_node(wave, times, grid, amplitude):
+    """Reference (w, G) of a wave potential: six transforms of phi and dphi/dt
+    at each node, with the Nyquist-zeroed wavenumbers of the spectral layer."""
+    b = wave.box
+    e1, e2 = wave.eta_x
+    A = amplitude / (TWO_PI * wave.n * np.hypot(e1, e2)) ** 3
+    x1 = (np.arange(grid.nx) + 0.5) * grid.dx
+    x2 = (np.arange(grid.ny) + 0.5) * grid.dy
+    chi_t = wave._bump(times, b.t_lo, b.t_hi, 0)
+    dchi_t = wave._bump(times, b.t_lo, b.t_hi, 1)
+    chi_xy = np.outer(wave._bump(x1, b.x_lo, b.x_hi, 0), wave._bump(x2, b.y_lo, b.y_hi, 0))
+    theta = TWO_PI * wave.n * (e1 * x1[:, None] + e2 * x2[None, :])
+    k1 = TWO_PI * np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)[:, None]
+    k2 = TWO_PI * np.fft.fftfreq(grid.ny, d=1.0 / grid.ny)[None, :]
+    k1[grid.nx // 2] = 0.0
+    k2[:, grid.ny // 2] = 0.0
+    k2sum = k1 * k1 + k2 * k2
+    w = np.zeros((times.size, 2, *grid.shape))
+    G = np.zeros_like(w)
+    for k in range(times.size):
+        if chi_t[k] == 0.0 and dchi_t[k] == 0.0:
+            continue
+        sin, cos = np.sin(theta + wave.omega * times[k]), np.cos(theta + wave.omega * times[k])
+        ph = np.fft.fft2(A * chi_t[k] * chi_xy * sin)
+        dph = np.fft.fft2(A * chi_xy * (dchi_t[k] * sin + chi_t[k] * wave.omega * cos))
+        w[k, 0] = np.fft.ifft2(-1j * k2 * k2sum * ph).real
+        w[k, 1] = np.fft.ifft2(1j * k1 * k2sum * ph).real
+        G[k, 0] = np.fft.ifft2(2.0 * k1 * k2 * dph).real
+        G[k, 1] = np.fft.ifft2((k2 * k2 - k1 * k1) * dph).real
+    return w, G
+
+
+def random_wave(rng):
+    box = SpaceTimeBox(
+        rng.uniform(0.0, 0.4), rng.uniform(0.6, 1.0),
+        rng.uniform(0.0, 0.3), rng.uniform(0.7, 1.0),
+        rng.uniform(0.0, 0.3), rng.uniform(0.7, 1.0),
+    )
+    eta = workbench._DIRECTIONS[rng.integers(len(workbench._DIRECTIONS))]
+    return workbench._WavePotential(box, eta, int(rng.integers(1, 9)), rng.uniform(2.0, 6.0))
+
+
+class TestWavePotential:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_node_transforms(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = TorusGrid(*rng.choice([16, 24, 32, 40], size=2))
+        times = np.linspace(0.0, 1.0, int(rng.integers(8, 33)) + 1)
+        wave = random_wave(rng)
+        amp = rng.uniform(0.1, 2.0)
+        w, G = wave.evaluate(times, grid, amp)
+        w_ref, G_ref = wave_per_node(wave, times, grid, amp)
+        assert w.shape == G.shape == (times.size, 2, *grid.shape)
+        assert np.abs(w - w_ref).max() <= 1e-12 * np.abs(w_ref).max()
+        assert np.abs(G - G_ref).max() <= 1e-12 * np.abs(G_ref).max()
+
+    def test_halved_amplitude_is_half_bitwise(self):
+        rng = np.random.default_rng(7)
+        wave = random_wave(rng)
+        times = np.linspace(0.0, 1.0, 17)
+        grid = TorusGrid(32, 16)
+        w, G = wave.evaluate(times, grid, 0.3)
+        w2, G2 = wave.evaluate(times, grid, 0.15)
+        assert np.array_equal(w2, 0.5 * w)
+        assert np.array_equal(G2, 0.5 * G)
+
+
 class TestOscillatoryPair:
     def test_no_gap_degenerates_to_zero(self, grid32):
         g, W, r, e = lemma_inputs(grid32, K=8)
@@ -458,6 +570,22 @@ class TestOscillatoryPair:
         bad = SpaceTimeField(grid32, e.times, -np.ones_like(e.values))
         with pytest.raises(ConstraintError):
             oscillatory_pair(g, W, r, bad, 8, CENTERED_BOX)
+
+    def test_backtracked_pair_is_the_wave_at_its_amplitude(self, grid32, monkeypatch):
+        waves = []
+        evaluate = workbench._WavePotential.evaluate
+
+        def spy(self, *args):
+            waves.append(self)
+            return evaluate(self, *args)
+
+        monkeypatch.setattr(workbench._WavePotential, "evaluate", spy)
+        g, W, r, e = lemma_inputs(grid32, K=16)
+        pair = oscillatory_pair(g, W, r, e, 1, CENTERED_BOX, seed=0)
+        assert len(waves) == 1 and pair.amplitude == 0.125  # halved twice from 0.5
+        w, G = evaluate(waves[0], g.times, grid32, pair.amplitude)
+        assert np.array_equal(pair.w.values, w)
+        assert np.array_equal(pair.G.values, G)
 
     def test_centered_box_invariants(self, grid64):
         g, W, r, e = lemma_inputs(grid64, K=32)
