@@ -6,6 +6,7 @@ Exit codes: 0 ok, 2 validation/parse, 3 numerical abort, 4 IO.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import shutil
@@ -33,7 +34,7 @@ from .errors import (
 from .fields import TorusGrid
 from .scenario import load_config
 from .snapshots import write_snapshot
-from .solver import simulate
+from .solver import EnergyLedger, simulate, stream
 from .workbench import (
     energy_gap,
     find_energy_offset,
@@ -86,25 +87,37 @@ def _cmd_simulate(args) -> int:
     if args.cfl is not None:
         cfg.values["physics.cfl"] = args.cfl
     scn = cfg.to_scenario()
-    traj = simulate(scn)
-    out = _prep_out(args)
-    outputs = []
+    out = Path(args.out)
+    created = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
+    ledger = EnergyLedger()
+    snapshots = []
+    try:
+        # each output is written as it lands, so only the current state is held
+        for j, (_, state, selection, n_steps) in enumerate(stream(scn, ledger)):
+            for name, fld in (("h", state.h), ("q", state.q), ("B", selection)):
+                p = out / f"snapshot_{j:04d}_{name}.shlab"
+                snapshots.append(p)
+                write_snapshot(fld, p)
+    except BaseException:
+        # a failed run leaves no partial output: drop what this run wrote
+        for p in snapshots:
+            p.unlink(missing_ok=True)
+        if created:
+            with contextlib.suppress(OSError):
+                out.rmdir()
+        raise
     ledger_path = out / "ledger.csv"
-    traj.ledger.to_csv(ledger_path)
-    outputs.append(ledger_path)
-    for j, st in enumerate(traj.states):
-        for name, fld in (("h", st.h), ("q", st.q), ("B", traj.selections[j])):
-            p = out / f"snapshot_{j:04d}_{name}.shlab"
-            write_snapshot(fld, p)
-            outputs.append(p)
-    residual = energy_inequality_residual(traj.ledger)
+    ledger.to_csv(ledger_path)
+    outputs = [ledger_path, *snapshots]
+    residual = energy_inequality_residual(ledger)
     summary = out / "summary.txt"
     with open(summary, "w") as fh:
         fh.write(
             "shlab simulate\n"
-            f"grid: {scn.grid.nx}x{scn.grid.ny}  T = {scn.T}  steps = {traj.n_steps}\n"
-            f"final mass: {traj.ledger.rows[-1][1]:.12g}\n"
-            f"final total energy: {traj.ledger.rows[-1][4]:.12g}\n"
+            f"grid: {scn.grid.nx}x{scn.grid.ny}  T = {scn.T}  steps = {n_steps}\n"
+            f"final mass: {ledger.rows[-1][1]:.12g}\n"
+            f"final total energy: {ledger.rows[-1][4]:.12g}\n"
             f"worst energy-balance residual: {residual:.6g}\n"
         )
     outputs.append(summary)
@@ -174,30 +187,42 @@ def _cmd_workbench(args) -> int:
     return EXIT_OK
 
 
+def _read_ledger(path: Path) -> dict[str, np.ndarray]:
+    """The columns of a ledger.csv by header name.  The file must be UTF-8
+    comma-separated numbers under one header line, every row as long as the
+    header; blank lines are skipped."""
+    try:
+        lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+        names = [name.strip() for name in lines[0].split(",")] if lines else []
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    except ValueError as exc:  # includes UnicodeDecodeError
+        raise FormatError(f"{path} is not a readable CSV ledger: {exc}") from None
+    if any(len(row) != len(names) for row in rows):
+        raise FormatError(f"{path} is not a readable CSV ledger: rows and header differ in length")
+    if not rows:
+        raise FormatError(f"{path} has no rows")
+    return dict(zip(names, np.array(rows).T))
+
+
 def _cmd_diagnose(args) -> int:
     run_dir = Path(args.run_dir)
     ledger_path = run_dir / "ledger.csv"
     if not ledger_path.exists():
         raise FormatError(f"no ledger.csv in {run_dir}")
-    try:
-        rows = np.genfromtxt(ledger_path, delimiter=",", names=True, ndmin=1)
-    except ValueError as exc:  # includes UnicodeDecodeError
-        raise FormatError(f"{ledger_path} is not a readable CSV ledger: {exc}") from None
-    if rows.size == 0:
-        raise FormatError(f"{ledger_path} has no rows")
-    missing = [c for c in ("mass", "e2_residual", "dissipation_cum") if c not in rows.dtype.names]
+    columns = _read_ledger(ledger_path)
+    missing = [c for c in ("mass", "e2_residual", "dissipation_cum") if c not in columns]
     if missing:
         raise FormatError(f"{ledger_path} lacks column(s): {', '.join(missing)}")
-    mass = rows["mass"]
+    mass = columns["mass"]
     if not np.all(np.isfinite(mass)) or mass[0] == 0.0:
         raise FormatError(f"{ledger_path}: column mass must be finite with a nonzero first row")
-    residual = float(np.max(rows["e2_residual"]))
+    residual = float(np.max(columns["e2_residual"]))
     drift = float(np.max(np.abs(mass - mass[0])) / abs(mass[0]))
-    diss = rows["dissipation_cum"]
+    diss = columns["dissipation_cum"]
     monotone = bool(np.all(np.diff(diss) >= -1e-14))
     text = (
         "shlab diagnose\n"
-        f"rows: {rows.size}\n"
+        f"rows: {mass.size}\n"
         f"relative mass drift: {drift:.6g}\n"
         f"worst energy-balance residual: {residual:.6g}\n"
         f"dissipation nondecreasing: {monotone}\n"

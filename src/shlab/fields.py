@@ -15,13 +15,18 @@ import numpy as np
 
 from .errors import InvalidValueError
 
+#: most cells a grid may have (a 4096 x 4096 field is 128 MiB); larger
+#: counts are rejected before anything is allocated
+MAX_CELLS = 2**24
+
 
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform cell-centered grid on the unit torus.
 
     Cell centers sit at ((i + 1/2) dx, (j + 1/2) dy).  Counts must be even and
-    at least 4 so discrete Fourier transforms have an unambiguous band.
+    at least 4 so discrete Fourier transforms have an unambiguous band, and
+    nx * ny must not exceed MAX_CELLS.
     """
 
     nx: int
@@ -33,6 +38,8 @@ class TorusGrid:
                 raise InvalidValueError(
                     f"grid counts must be even and >= 4, got {self.nx}x{self.ny}"
                 )
+        if self.nx * self.ny > MAX_CELLS:
+            raise InvalidValueError(f"grid {self.nx}x{self.ny} has more than {MAX_CELLS} cells")
 
     @property
     def dx(self) -> float:

@@ -80,7 +80,11 @@ class _ExprEvaluator(ast.NodeVisitor):
     def visit_Constant(self, node):
         if not isinstance(node.value, (int, float)):
             raise ParseError(f"non-numeric constant {node.value!r}")
-        return node.value
+        # as a float, so that 10**-1 is 0.1 and 2**9999 overflows to inf
+        try:
+            return float(node.value)
+        except OverflowError:  # an integer literal beyond the float range
+            return math.inf
 
     def visit_Name(self, node):
         if node.id in self.env:
@@ -122,10 +126,12 @@ def eval_expression(text: str, grid: TorusGrid) -> np.ndarray:
     """Sample a closed-form expression at the cell centers."""
     try:
         tree = ast.parse(text, mode="eval")
+        x1, x2 = grid.cell_centers()
+        out = _ExprEvaluator({"x1": x1, "x2": x2}).visit(tree)
     except SyntaxError as exc:
         raise ParseError(f"bad expression {text!r}: {exc.msg}") from exc
-    x1, x2 = grid.cell_centers()
-    out = _ExprEvaluator({"x1": x1, "x2": x2}).visit(tree)
+    except RecursionError:
+        raise ParseError(f"expression nests too deeply: {text[:40]!r}...") from None
     return np.asarray(out, dtype=float) + np.zeros(grid.shape)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvalidValueError
 from .fields import ScalarField, SymTracelessField, TorusGrid, VectorField
 
 MAGIC = "SHLAB1"
@@ -33,7 +33,8 @@ def write_snapshot(fld, path) -> None:
     header = f"{MAGIC} {kind} {grid.nx} {grid.ny} {_KINDS[kind]}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(interleaved, dtype="<f8").tobytes())
+        # written from the array's buffer: a contiguous "<f8" field is not copied
+        fh.write(memoryview(np.ascontiguousarray(interleaved, dtype="<f8")))
 
 
 def read_snapshot(path):
@@ -61,7 +62,10 @@ def read_snapshot(path):
         raise FormatError(
             f"payload has {len(payload)} bytes, header implies {expected}"
         )
-    grid = TorusGrid(nx, ny)
+    try:
+        grid = TorusGrid(nx, ny)
+    except InvalidValueError as exc:
+        raise FormatError(f"bad grid in snapshot header: {exc}") from None
     data = np.frombuffer(payload, dtype="<f8").reshape(nx, ny, ncomp)
     if kind == "scalar":
         return ScalarField(grid, data[..., 0].copy())

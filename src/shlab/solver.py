@@ -9,13 +9,19 @@ what the energy ledger checks.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidValueError, NumericalAbort, PositivityError
 from .fields import ScalarField, TorusGrid, VectorField
 from .friction import FrictionParams, coulomb_selection, friction_shrink
+
+#: a run that takes, or at its current CFL step would take, more steps than
+#: this aborts (exit code 3) instead of running without bound
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -235,19 +241,40 @@ class Trajectory:
     n_steps: int = 0
 
 
-def simulate(scenario: Scenario) -> Trajectory:
+class Output(NamedTuple):
+    """One output of a run: its time, state, effective friction selection
+    and the number of steps taken so far."""
+
+    t: float
+    state: State
+    selection: VectorField
+    n_steps: int
+
+
+def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
     """Advance the scenario with adaptive CFL steps, landing exactly on the
-    equispaced output times."""
-    out_times = np.linspace(0.0, scenario.T, scenario.n_output)
+    equispaced output times, and yield each output as it lands; the ledger
+    gets one row per output.  Only the current state is kept.
+
+    The run aborts (NumericalAbort) before it starts if it has more outputs
+    than MAX_STEPS steps can reach, and during it once it has taken
+    MAX_STEPS steps, once the steps still needed at the current CFL step
+    would pass that budget, or once a step no longer advances the clock
+    (t + dt == t).
+    """
+    if scenario.T > 0.0 and scenario.n_output - 1 > MAX_STEPS:
+        raise NumericalAbort(
+            f"{scenario.n_output} output times need more than {MAX_STEPS} steps"
+        )
     state = scenario.initial_state()
-    ledger = EnergyLedger()
     ledger.append(0.0, state, scenario.a, 0.0, 0.0)
-    states = [state]
-    selections = [coulomb_selection(scenario.u0)]
+    selection0 = coulomb_selection(scenario.u0)
+    yield Output(0.0, state, selection0, 0)
 
     if scenario.T == 0.0:
-        return Trajectory(scenario, np.array([0.0]), states, selections, ledger)
+        return
 
+    out_times = np.linspace(0.0, scenario.T, scenario.n_output)
     dx = min(scenario.grid.dx, scenario.grid.dy)
     dt_max = scenario.default_dt_max()
     diss_cum = 0.0
@@ -258,6 +285,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     for target in out_times[1:]:
         while t < target - 1e-14 * scenario.T:
             dt = cfl_dt(state, scenario.a, scenario.cfl, dx, dt_max)
+            _check_budget(n_steps, t, dt, scenario.T)
             dt = min(dt, target - t)
             state, info = step(state, scenario, dt)
             diss_cum += info.dissipation_inc
@@ -266,9 +294,30 @@ def simulate(scenario: Scenario) -> Trajectory:
             n_steps += 1
             last_info = info
         t = target
-        states.append(state)
-        selections.append(
-            VectorField(scenario.grid, last_info.B) if last_info is not None else selections[0]
-        )
+        selection = VectorField(scenario.grid, last_info.B) if last_info is not None else selection0
         ledger.append(t, state, scenario.a, diss_cum, work_cum)
-    return Trajectory(scenario, out_times, states, selections, ledger, n_steps)
+        yield Output(t, state, selection, n_steps)
+
+
+def _check_budget(n_steps: int, t: float, dt: float, T: float) -> None:
+    """Abort a run whose clock no longer moves, or that has taken, or at the
+    CFL step dt would take, more than MAX_STEPS steps."""
+    if t + dt == t:  # also a zero dt, from an overflowing wave speed
+        raise NumericalAbort(f"the CFL step {dt:.3g} no longer advances the clock at t = {t:.6g}")
+    if n_steps >= MAX_STEPS or n_steps + (T - t) / dt > MAX_STEPS:
+        raise NumericalAbort(
+            f"the run needs more than {MAX_STEPS} steps: {n_steps} taken by t = {t:.6g}, "
+            f"and at the CFL step {dt:.3g} another {T - t:.6g} of time remains"
+        )
+
+
+def simulate(scenario: Scenario) -> Trajectory:
+    """Run the scenario and collect every output into a Trajectory."""
+    ledger = EnergyLedger()
+    times, states, selections = [], [], []
+    n_steps = 0
+    for t, state, selection, n_steps in stream(scenario, ledger):
+        times.append(t)
+        states.append(state)
+        selections.append(selection)
+    return Trajectory(scenario, np.array(times), states, selections, ledger, n_steps)

@@ -129,16 +129,17 @@ def helmholtz_decompose(q: VectorField) -> HelmholtzParts:
     )
 
 
-def korn_solve_values(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve div(grad m + grad^t m - div m I) = rhs with zero-mean m.
+def korn_solve_values(rhs: np.ndarray) -> np.ndarray:
+    """Solve div(grad m + grad^t m - div m I) = rhs with zero-mean m and
+    return the tensor M = grad m + grad^t m - div m I.
 
     In 2D the operator collapses to the componentwise Laplacian
     (div grad^t m and grad div m cancel), so the solve is a vector Poisson
     problem; each component of rhs must be mean-free.  Takes (..., 2, nx, ny)
-    samples and returns (m, M) of the same shape, with M the symmetric
-    traceless tensor (p, s) = (d1 m1 - d2 m2, d1 m2 + d2 m1).  Both are one
-    Fourier symbol of rhs: m^ = -r^/|k|^2, then M^ from the odd-derivative
-    wavenumbers, so one forward and one inverse transform suffice.
+    samples and returns M of the same shape as the symmetric traceless pair
+    (p, s) = (d1 m1 - d2 m2, d1 m2 + d2 m1).  M is one Fourier symbol of rhs:
+    m^ = -r^/|k|^2, then M^ from the odd-derivative wavenumbers, so one
+    forward and one inverse transform suffice.
     """
     rh = np.fft.fft2(_demean(rhs, "stress right-hand side"))
     _, _, k1d, k2d, k2sum = _wavenumbers(*rhs.shape[-2:])
@@ -146,10 +147,11 @@ def korn_solve_values(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mh = np.where(k2sum > 0.0, -rh / k2sum, 0.0)
     m1, m2 = mh[..., 0, :, :], mh[..., 1, :, :]
     Mh = np.stack([1j * k1d * m1 - 1j * k2d * m2, 1j * k1d * m2 + 1j * k2d * m1], axis=-3)
-    out = _real_ifft2(np.concatenate([mh, Mh], axis=-3))
-    return out[..., :2, :, :], out[..., 2:, :, :]
+    return _real_ifft2(Mh)
 
 
 def korn_solve(rhs: VectorField) -> tuple[VectorField, SymTracelessField]:
-    m, M = korn_solve_values(rhs.values)
+    """The pair (m, M) of korn_solve_values; m = -(vector Poisson solve of rhs)."""
+    M = korn_solve_values(rhs.values)
+    m = -poisson_solve_values(rhs.values)
     return VectorField(rhs.grid, m), SymTracelessField(rhs.grid, M)

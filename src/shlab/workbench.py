@@ -176,8 +176,7 @@ def solve_stress(
             force = h.values[k][None] * f.values
             rhs += force - force.mean(axis=(1, 2))[:, None, None]
         if np.any(rhs != 0.0):
-            _, M = spectral.korn_solve_values(rhs)
-            out[k] = M
+            out[k] = spectral.korn_solve_values(rhs)
     return SpaceTimeField(grid, h.times, out, kind="symtraceless")
 
 

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import tempfile
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from shlab import cli, diagnostics
+from shlab import cli, diagnostics, fields, solver
 from shlab.errors import FormatError, NumericalAbort, ParseError, ValidationError
 from shlab.fields import ScalarField, SymTracelessField, TorusGrid, VectorField
 from shlab.scenario import eval_expression, load_config
@@ -281,6 +283,93 @@ class TestCliSimulate:
         assert cli.main(["simulate", str(missing), "--out", str(tmp_path / "out")]) == 4
         assert "io error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("physics.a", "1e200"), ("physics.T", "1e300")])
+    def test_step_budget_exits_3_at_once(self, tmp_path, capsys, key, value):
+        # each ran for more than 20 s on 8x8 before the step budget existed
+        scn = scenario8(tmp_path, {"physics.T": "1.0", key: value}, base=SIMULATE8)
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        assert cli.main(["simulate", scn, "--out", str(out)]) == 3
+        assert time.perf_counter() - t0 < 1.0
+        assert f"more than {solver.MAX_STEPS} steps" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def expected_snapshots(j_max: int) -> list[str]:
+    return [f"snapshot_{j:04d}_{n}.shlab" for j in range(j_max + 1) for n in ("B", "h", "q")]
+
+
+class TestCliSimulateStreaming:
+    """Snapshots are written as the outputs land; a run that fails partway
+    removes the ones it wrote and writes no ledger or summary."""
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    @pytest.mark.parametrize("fail_at", [1, 75])
+    def test_aborted_run_leaves_no_partial_output(
+        self, tmp_path, monkeypatch, capsys, fail_at, existing
+    ):
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+            (out / "notes.txt").write_text("kept")
+        real = solver.step
+        calls, on_disk = [], []
+
+        def failing(state, scenario, dt):
+            calls.append(dt)
+            if len(calls) == fail_at:
+                on_disk.extend(sorted(p.name for p in out.glob("snapshot_*")))
+                raise NumericalAbort("injected")
+            return real(state, scenario, dt)
+
+        monkeypatch.setattr(solver, "step", failing)
+        # 100 steps of T/100; the second of the three outputs lands after step 50
+        scn = write_scenario(tmp_path)
+        assert cli.main(["simulate", str(scn), "--out", str(out)]) == 3
+        assert "injected" in capsys.readouterr().err
+        assert on_disk == expected_snapshots(0 if fail_at <= 50 else 1)
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["notes.txt"]
+            assert (out / "notes.txt").read_text() == "kept"
+        else:
+            assert not out.exists()
+
+    def test_failed_write_leaves_no_partial_output(self, tmp_path, monkeypatch, capsys):
+        real = cli.write_snapshot
+        calls = []
+
+        def failing(fld, path):
+            calls.append(path)
+            if len(calls) == 5:
+                raise OSError("disk full")
+            real(fld, path)
+
+        monkeypatch.setattr(cli, "write_snapshot", failing)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(write_scenario(tmp_path)), "--out", str(out)]) == 4
+        assert "disk full" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_holds_one_state_not_the_trajectory(self, tmp_path):
+        """A 64^2 run with 101 outputs peaks below 100 fields of 64^2
+        float64; keeping every output would take 505 fields."""
+        text = (
+            "grid.nx = 64\ngrid.ny = 64\nphysics.T = 0.02\noutput.times = 101\n"
+            "initial.h0 = 1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)\ninitial.u0x = 0.3*cos(2*pi*x2)\n"
+            "friction.gamma = 0.2 + 0.1*cos(2*pi*x1)\nforce.fx = 0.1\nforce.fy = 0\n"
+        )
+        scn = write_scenario(tmp_path, text)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert cli.main(["simulate", str(scn), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(p.name for p in out.glob("snapshot_*")) == expected_snapshots(100)
+        field = 64 * 64 * 8
+        assert peak < 100 * field, f"traced peak {peak / field:.1f} fields"
+
 
 WORKBENCH = MINIMAL + """
 initial.u0x = 0
@@ -542,6 +631,12 @@ class TestCliDiagnose:
         assert named in err
         assert not (tmp_path / "run/diagnose.txt").exists()
 
+    def test_blank_lines_in_ledger_are_skipped(self, tmp_path, capsys):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run/ledger.csv").write_bytes(FUZZ_LEDGER.replace(b"\n", b"\n\n", 2))
+        assert cli.main(["diagnose", str(tmp_path / "run")]) == 0
+        assert "rows: 3\n" in capsys.readouterr().out
+
     def test_header_only_ledger_exits_4(self, tmp_path):
         (tmp_path / "run").mkdir()
         (tmp_path / "run/ledger.csv").write_text(
@@ -637,3 +732,126 @@ class TestCliExperiments:
         lines = (out / "convergence.csv").read_text().splitlines()
         assert lines[0] == "nx,l1_error"
         assert len(lines) == 3
+
+
+# ---------------------------------------------------------------------------
+# byte-level fuzzing of every file the commands read
+
+FUZZ_SCENARIO = (
+    "grid.nx = 8\ngrid.ny = 8\nphysics.T = 0.05\noutput.times = 3\n"
+    "initial.h0 = 1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)\ninitial.u0x = 0.3*cos(2*pi*x2)\n"
+    "force.fx = 0.1\nforce.fy = 0\nfriction.gamma = @gamma.shlab\n"
+).encode()
+FUZZ_GAMMA = b"SHLAB1 scalar 8 8 1\n" + (
+    0.2 + 0.1 * np.cos(2 * np.pi * (np.arange(8) + 0.5) / 8)[:, None] * np.ones((1, 8))
+).astype("<f8").tobytes()
+FUZZ_LEDGER = (
+    b"t,mass,kinetic,potential,total,dissipation_cum,work_cum,e2_residual\n"
+    b"0,1,0.0250,0.51,0.5350,0,0,0\n"
+    b"0.025,1,0.0241,0.51,0.5341,0.0009,0.0001,-1e-17\n"
+    b"0.05,1,0.0233,0.51,0.5333,0.0018,0.0002,-2e-17\n"
+)
+
+
+@st.composite
+def mutated(draw, base: bytes):
+    """base with a few byte runs replaced, inserted or deleted."""
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        chunk = draw(st.binary(min_size=1, max_size=8))
+        kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if kind == "replace":
+            data[pos : pos + len(chunk)] = chunk
+        elif kind == "insert":
+            data[pos:pos] = chunk
+        else:
+            del data[pos : pos + len(chunk)]
+    return bytes(data)
+
+
+def fuzzed(base: bytes):
+    return st.one_of(st.binary(max_size=200), mutated(base))
+
+
+def run_fuzzed(target: str, data: bytes) -> int:
+    """Write data as the fuzzed file, the others intact, and run the command
+    that reads it in-process.  The grid and step budgets are lowered so every
+    example stays small; inputs beyond them take the same rejecting path as
+    inputs beyond the real budgets."""
+    names = {"scenario": "run.scn", "gamma": "gamma.shlab", "ledger": "run/ledger.csv"}
+    files = {names[key]: base for key, base in FUZZ_BASES.items()}
+    files[names[target]] = data
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "MAX_STEPS", 200)
+        mp.setattr(fields, "MAX_CELLS", 64 * 64)
+        base = Path(tmp)
+        (base / "run").mkdir()
+        for name, content in files.items():
+            (base / name).write_bytes(content)
+        if target == "ledger":
+            argv = ["diagnose", str(base / "run")]
+        else:
+            argv = ["simulate", str(base / "run.scn"), "--out", str(base / "sim")]
+        err, out = io.StringIO(), io.StringIO()
+        with (
+            contextlib.redirect_stderr(err),
+            contextlib.redirect_stdout(out),
+            warnings.catch_warnings(),
+        ):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    return code
+
+
+FUZZ_BASES = {"scenario": FUZZ_SCENARIO, "gamma": FUZZ_GAMMA, "ledger": FUZZ_LEDGER}
+
+
+@pytest.mark.parametrize("target", sorted(FUZZ_BASES))
+def test_fuzzed_input_files_exit_with_documented_codes(target):
+    """Arbitrary bytes, and mutations of a valid file, in the scenario file
+    (simulate), a friction.gamma @snapshot (simulate) and ledger.csv
+    (diagnose): main returns 0, 2, 3 or 4 and nothing escapes it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=fuzzed(FUZZ_BASES[target]))
+    def check(data):
+        event(f"exit code {run_fuzzed(target, data)}")
+
+    check()
+
+
+class TestFuzzFindings:
+    """Inputs that escaped main with a traceback (exit 1), or exited with the
+    wrong code, pinned one by one."""
+
+    @pytest.mark.parametrize(
+        "key,value,code",
+        [
+            # ValueError: integer constants to a negative integer power
+            ("initial.u0x", "10**-1", 0),
+            # RecursionError in the expression evaluator
+            ("initial.u0x", "-" * 2000 + "1", 2),
+            # OverflowError: an integer literal beyond the float range
+            ("initial.u0x", "1" + "0" * 400, 2),
+            # MemoryError: a 60 GiB coordinate array
+            ("grid.nx", "8000000000", 2),
+        ],
+        ids=["negative-power", "deep-nesting", "huge-literal", "huge-grid"],
+    )
+    def test_scenario_value(self, tmp_path, capsys, key, value, code):
+        scn = scenario8(tmp_path, {"physics.T": "0.05", key: value}, base=SIMULATE8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert cli.main(["simulate", scn, "--out", str(tmp_path / "out")]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [b"", b"\n\n"], ids=["empty", "blank-lines"])
+    def test_empty_ledger_exits_4(self, body):
+        # IndexError inside np.genfromtxt
+        assert run_fuzzed("ledger", body) == 4
+
+    def test_snapshot_header_with_an_invalid_grid_exits_4(self):
+        # a 2 x 2 grid with a matching payload read as a validation error (2)
+        assert run_fuzzed("gamma", b"SHLAB1 scalar 2 2 1\n" + bytes(32)) == 4

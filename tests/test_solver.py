@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from shlab.errors import InvalidValueError, NumericalAbort, PositivityError
 from shlab.fields import ScalarField, TorusGrid, VectorField
 from shlab.friction import FrictionParams
+from shlab import solver
 from shlab.solver import (
     EnergyLedger,
     Scenario,
@@ -17,6 +18,7 @@ from shlab.solver import (
     rusanov_flux,
     simulate,
     step,
+    stream,
 )
 
 
@@ -371,6 +373,110 @@ class TestSimulate:
         b = simulate(smooth_scenario(grid32, n_output=6))
         assert a.ledger.rows == b.ledger.rows
         np.testing.assert_array_equal(a.states[-1].h.values, b.states[-1].h.values)
+
+
+def forced_friction_scenario(grid):
+    return Scenario(
+        grid=grid,
+        T=0.2,
+        a=0.5,
+        friction=FrictionParams(gamma=0.3),
+        h0=ScalarField.from_function(grid, lambda x1, x2: 1.0 + 0.2 * np.sin(2 * np.pi * x1)),
+        u0=VectorField.from_functions(
+            grid, lambda x1, x2: 0.4 * np.cos(2 * np.pi * x2), lambda x1, x2: 0.0 * x1
+        ),
+        f=VectorField.constant(grid, 0.1, 0.0),
+        n_output=7,
+    )
+
+
+class TestStream:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda g: smooth_scenario(g, T=0.0),
+            lambda g: smooth_scenario(g, n_output=2),
+            forced_friction_scenario,
+        ],
+        ids=["T=0", "n_output=2", "friction+force"],
+    )
+    def test_collected_run_is_bitwise_the_stream(self, make):
+        scn = make(TorusGrid(16, 16))
+        ledger = EnergyLedger()
+        streamed = list(stream(scn, ledger))
+        traj = simulate(scn)
+        assert len(streamed) == len(traj.states) == len(traj.selections) == traj.times.size
+        assert [out.t for out in streamed] == list(traj.times)
+        for out, state, selection in zip(streamed, traj.states, traj.selections):
+            assert np.array_equal(out.state.h.values, state.h.values)
+            assert np.array_equal(out.state.q.values, state.q.values)
+            assert np.array_equal(out.selection.values, selection.values)
+        assert ledger.rows == traj.ledger.rows
+        assert [out.n_steps for out in streamed] == sorted(out.n_steps for out in streamed)
+        assert streamed[-1].n_steps == traj.n_steps
+
+    def test_ledger_row_lands_with_each_output(self):
+        ledger = EnergyLedger()
+        for j, out in enumerate(stream(forced_friction_scenario(TorusGrid(8, 8)), ledger)):
+            assert len(ledger.rows) == j + 1
+            assert ledger.rows[-1][0] == out.t
+
+
+def count_steps(monkeypatch) -> list:
+    calls = []
+    real = solver.step
+
+    def counted(state, scenario, dt):
+        calls.append(dt)
+        return real(state, scenario, dt)
+
+    monkeypatch.setattr(solver, "step", counted)
+    return calls
+
+
+class TestStepBudget:
+    @pytest.mark.parametrize("kw", [{"a": 1e200}, {"T": 1e300}], ids=["a=1e200", "T=1e300"])
+    def test_projected_overrun_aborts_before_any_step(self, monkeypatch, kw):
+        calls = count_steps(monkeypatch)
+        with pytest.raises(NumericalAbort, match=f"more than {solver.MAX_STEPS} steps"):
+            simulate(uniform_scenario(TorusGrid(8, 8), **kw))
+        assert calls == []
+
+    def test_run_never_takes_more_than_the_budget(self, monkeypatch):
+        # dt = T/100 projects 100 steps, but each of the 60 output intervals
+        # takes two: the run needs 120
+        monkeypatch.setattr(solver, "MAX_STEPS", 110)
+        calls = count_steps(monkeypatch)
+        scn = uniform_scenario(TorusGrid(8, 8), T=1.0, n_output=61)
+        with pytest.raises(NumericalAbort, match="more than 110 steps"):
+            simulate(scn)
+        assert 0 < len(calls) <= 110
+        monkeypatch.setattr(solver, "MAX_STEPS", 120)
+        assert simulate(scn).n_steps == 120  # a run that fits the budget finishes
+
+    def test_more_outputs_than_the_budget_aborts_up_front(self, monkeypatch):
+        # every output after the first takes a step of its own
+        monkeypatch.setattr(solver, "MAX_STEPS", 150)
+        calls = count_steps(monkeypatch)
+        with pytest.raises(NumericalAbort, match="152 output times"):
+            next(stream(uniform_scenario(TorusGrid(8, 8), n_output=152), EnergyLedger()))
+        assert calls == []
+        assert simulate(uniform_scenario(TorusGrid(8, 8), n_output=101)).n_steps == 100
+
+    @pytest.mark.parametrize("tiny", [0.0, 1e-30])
+    def test_stopped_clock_aborts(self, monkeypatch, tiny):
+        # after one real step, a CFL step below half an ulp of t
+        real = solver.cfl_dt
+        calls = []
+
+        def shrinking(*args):
+            calls.append(1)
+            return real(*args) if len(calls) == 1 else tiny
+
+        monkeypatch.setattr(solver, "cfl_dt", shrinking)
+        with pytest.raises(NumericalAbort, match="no longer advances the clock"):
+            simulate(smooth_scenario(TorusGrid(8, 8)))
+        assert len(calls) == 2
 
 
 class TestConvergence:
