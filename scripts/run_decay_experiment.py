@@ -13,7 +13,7 @@ import numpy as np
 
 from shlab.fields import ScalarField, TorusGrid, VectorField
 from shlab.friction import FrictionParams
-from shlab.solver import Scenario, cfl_dt, step
+from shlab.solver import Scenario, Workspace, cfl_dt, step
 
 
 def main() -> None:
@@ -36,12 +36,13 @@ def main() -> None:
     )
 
     st = scn.initial_state()
+    work = Workspace(grid.shape)
     t, worst, max_dt, observed_stop = 0.0, 0.0, 0.0, None
     print(f"{'t':>8s} {'u_numeric':>12s} {'u_exact':>12s} {'error':>10s}")
     next_print = 0.0
     while t < scn.T - 1e-12:
-        dt = min(cfl_dt(st, scn.a, scn.cfl, grid.dx, scn.default_dt_max()), scn.T - t)
-        st, _ = step(st, scn, dt)
+        dt = min(cfl_dt(st, scn.a, scn.cfl, grid.dx, scn.default_dt_max(), work), scn.T - t)
+        st, _ = step(st, scn, dt, work)
         t += dt
         max_dt = max(max_dt, dt)
         u = float(np.max(st.velocity().values[0]))

@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import re
 import shutil
 import sys
 import time
@@ -79,6 +80,19 @@ def _prep_out(args) -> Path:
     return out
 
 
+_SNAPSHOT_NAME = re.compile(r"snapshot_(\d{4,})_[hqB]\.shlab")
+
+
+def _remove_stale_snapshots(out: Path, n_outputs: int) -> None:
+    """Delete the snapshots that an earlier run with more outputs left in
+    out: the files named exactly as this command names the snapshot of an
+    output index >= n_outputs.  Every other file stays."""
+    for p in out.glob("snapshot_*.shlab"):
+        m = _SNAPSHOT_NAME.fullmatch(p.name)
+        if m and f"{int(m[1]):04d}" == m[1] and int(m[1]) >= n_outputs and p.is_file():
+            p.unlink()
+
+
 def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.scenario)
@@ -125,6 +139,7 @@ def _cmd_simulate(args) -> int:
         out, Path(args.scenario), scn.seed, scn.grid, outputs,
         {"total": time.perf_counter() - t0},
     )
+    _remove_stale_snapshots(out, len(snapshots) // 3)
     return EXIT_OK
 
 

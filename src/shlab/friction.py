@@ -71,7 +71,12 @@ def coulomb_selection(u: VectorField, tol_u: float | None = None) -> VectorField
 
 
 def friction_shrink(
-    q: np.ndarray, h: np.ndarray, params: FrictionParams, dt: float
+    q: np.ndarray,
+    h: np.ndarray,
+    params: FrictionParams,
+    dt: float,
+    thresh: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact backward-Euler resolvent of the friction inclusion on momentum,
     for a (2, nx, ny) momentum stack q and (nx, ny) heights h.
@@ -79,23 +84,44 @@ def friction_shrink(
     Coulomb part: q' = 0 if |q| <= dt*gamma*h, else q scaled by
     (1 - dt*gamma*h/|q|).  Extended law follows with the closed-form solve of
     |q'| (1 + dt*gamma2*|q'|/h) = |q| (positive root of the quadratic).
+
+    `thresh`, if given, holds dt*gamma*h already; `scratch`, if given, is
+    three (nx, ny) float64 fields that may be overwritten.  The result is a
+    new array.
     """
     if dt <= 0.0:
         raise InvalidValueError("dt must be positive")
     if np.any(h <= 0.0):
         raise PositivityError("friction_shrink requires h > 0 everywhere")
-    norm = np.hypot(q[0], q[1])
-    thresh = dt * params.gamma_array * h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(norm > thresh, 1.0 - thresh / np.where(norm > 0, norm, 1.0), 0.0)
+    if thresh is None:
+        thresh = dt * params.gamma_array * h
+    if scratch is None:
+        scratch = np.empty((3, *h.shape))
+    norm, factor, _ = scratch
+    np.hypot(q[0], q[1], out=norm)
+    moving = norm > thresh  # so norm > 0 wherever it holds
+    factor.fill(0.0)
+    np.divide(thresh, norm, out=factor, where=moving)
+    np.subtract(1.0, factor, out=factor, where=moving)
     out = q * factor
     if params.law == "extended" and params.gamma2 > 0.0:
-        c = dt * params.gamma2 / h
-        mag = np.hypot(out[0], out[1])
+        denom, mag, scale = scratch
+        np.divide(dt * params.gamma2, h, out=denom)  # c
+        np.hypot(out[0], out[1], out=mag)
         # |q'| = (-1 + sqrt(1 + 4 c |q|)) / (2 c), written to avoid cancellation
-        new_mag = 2.0 * mag / (1.0 + np.sqrt(1.0 + 4.0 * c * mag))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = out * np.where(mag > 0.0, new_mag / np.where(mag > 0, mag, 1.0), 0.0)
+        # as 2 |q| / (1 + sqrt(1 + 4 c |q|))
+        denom *= 4.0
+        denom *= mag
+        denom += 1.0
+        np.sqrt(denom, out=denom)
+        denom += 1.0
+        np.multiply(2.0, mag, out=scale)
+        scale /= denom  # |q'|, turned into the factor |q'| / |q| next
+        np.greater(mag, 0.0, out=moving)
+        np.divide(scale, mag, out=scale, where=moving)
+        np.logical_not(moving, out=moving)
+        scale[moving] = 0.0
+        out *= scale
     return out
 
 

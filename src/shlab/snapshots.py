@@ -38,9 +38,12 @@ def write_snapshot(fld, path) -> None:
 
 
 def read_snapshot(path):
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        payload = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            header = fh.readline()
+            payload = fh.read()
+    except ValueError as exc:  # a NUL byte in the path, e.g. from a scenario's @file
+        raise FormatError(f"cannot open snapshot {str(path)!r}: {exc}") from None
     try:
         text = header.decode("ascii").strip()
     except UnicodeDecodeError as exc:

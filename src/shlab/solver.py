@@ -9,6 +9,7 @@ what the energy ledger checks.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -88,43 +89,126 @@ class Scenario:
         return self.T / 100.0
 
 
-def cfl_dt(state: State, a: float, cfl: float, dx: float, dt_max: float) -> float:
+class Workspace:
+    """Ten (nx, ny) float64 fields that the steps of one run reuse, so that
+    a step allocates only the arrays that outlive it: the new h and q and
+    the selection B.
+
+    `root`, `pressure` and `cross` hold terms of one state that `cfl_dt` and
+    both flux sweeps read: sqrt(2 a h), a h h and the cross flux q1 q2 / h
+    (one array for both axes, since IEEE multiplication commutes).  `q` is
+    the momentum that a step updates, and `free` five rows of scratch.
+    `load` reuses the terms while a weak reference says they were filled
+    from the very state at hand, which relies on states never being
+    changed in place.
+    """
+
+    def __init__(self, shape: tuple[int, int]):
+        self.fields = np.empty((10, *shape))
+        self.root, self.pressure, self.cross = self.fields[:3]
+        self.q = self.fields[3:5]
+        self.free = self.fields[5:]
+        self._loaded = None  # (weak reference to the state, a) that the terms belong to
+
+    def fill(self, h: np.ndarray, q1: np.ndarray, q2: np.ndarray, a: float) -> None:
+        """Compute the terms from the arrays of a state."""
+        np.multiply(2.0 * a, h, out=self.root)
+        np.sqrt(self.root, out=self.root)
+        np.multiply(a, h, out=self.pressure)
+        self.pressure *= h
+        np.multiply(q1, q2, out=self.cross)
+        self.cross /= h
+        self._loaded = None
+
+    def load(self, state: State, a: float) -> None:
+        """Fill the terms for this state, unless they hold its terms already."""
+        if self._loaded is not None and self._loaded[0]() is state and self._loaded[1] == a:
+            return
+        q1, q2 = state.q.values
+        self.fill(state.h.values, q1, q2, a)
+        self._loaded = (weakref.ref(state), a)
+
+
+# the slices x[1:], x[:-1], x[:1] and x[-1:], along axis 0 and along axis 1
+_CUTS = [
+    tuple(lead + (s,) for s in (slice(1, None), slice(None, -1), slice(None, 1), slice(-1, None)))
+    for lead in ((), (slice(None),))
+]
+
+
+def _pairwise(ufunc, x: np.ndarray, out: np.ndarray, axis: int, at_face: bool) -> None:
+    """ufunc(x[i + 1], x[i]) for each pair of neighbours along the axis, on
+    the torus, stored at the face index i (at_face) or at the cell index
+    i + 1: two ufunc calls on slices, and no shifted copy."""
+    hi, lo, first, last = _CUTS[axis]
+    ufunc(x[hi], x[lo], out=out[lo if at_face else hi])
+    ufunc(x[first], x[last], out=out[last if at_face else first])
+
+
+def cfl_dt(
+    state: State, a: float, cfl: float, dx: float, dt_max: float, work: Workspace | None = None
+) -> float:
     """cfl dx / (largest wave speed), capped at dt_max.  The wave speed is
     the largest |u_axis| + sqrt(2 a h) over cells and both axis directions.
 
     With dx the smaller cell width, dt (s_x/dx + s_y/dy) <= 2 cfl, and the
     unsplit Rusanov update keeps h > 0 while that is <= 1 (Bouchut 2004); so
-    cfl is limited to (0, 1/2].
+    cfl is limited to (0, 1/2].  The state's terms are loaded into `work`
+    (a new Workspace if None), where the step that follows finds them.
     """
     if not 0.0 < cfl <= 0.5:
         raise InvalidValueError(f"Courant number cfl must lie in (0, 1/2], got {cfl}")
-    h = state.h.values
-    speed = float(np.max(np.abs(state.q.values) / h + np.sqrt(2.0 * a * h)))
+    if work is None:
+        work = Workspace(state.grid.shape)
+    work.load(state, a)
+    speeds = work.free[:2]
+    np.abs(state.q.values, out=speeds)
+    speeds /= state.h.values
+    speeds += work.root
+    speed = float(np.max(speeds))
     if speed <= 0.0:
         return dt_max
     return min(cfl * dx / speed, dt_max)
 
 
-def rusanov_flux(h: np.ndarray, q1: np.ndarray, q2: np.ndarray, a: float, axis: int):
+def rusanov_flux(
+    h: np.ndarray, q1: np.ndarray, q2: np.ndarray, a: float, axis: int,
+    work: Workspace | None = None,
+):
     """Rusanov flux (mass, x-momentum, y-momentum) through the face between
     each cell U and its +1 neighbour U+ along the axis, on the torus:
     (F(U) + F(U+)) / 2 - s (U+ - U) / 2 with s the larger of the two cells'
     |u_axis| + sqrt(2 a h).  Each cell's F and speed are computed once.
+
+    The three face fluxes are scratch rows of `work`, whose terms must be
+    those of (h, q1, q2) (`Workspace.load`); without one, a new Workspace is
+    made and filled.
     """
+    if work is None:
+        work = Workspace(h.shape)
+        work.fill(h, q1, q2, a)
+    half_s, *faces, diff = work.free
     qa = q1 if axis == 0 else q2
-    speed = np.abs(qa / h) + np.sqrt(2.0 * a * h)
-    half_s = 0.5 * np.maximum(speed, np.roll(speed, -1, axis=axis))
-    del speed  # freed before the fluxes are built, so fewer temporaries are alive at once
-    pressure = a * h * h
-    out = []
-    for c, w in enumerate((h, q1, q2)):
-        f = qa if c == 0 else qa * w / h
-        if c == axis + 1:
-            f += pressure
-        out.append(
-            0.5 * (f + np.roll(f, -1, axis=axis)) - half_s * (np.roll(w, -1, axis=axis) - w)
-        )
-    return tuple(out)
+    np.divide(qa, h, out=diff)
+    np.abs(diff, out=diff)
+    diff += work.root
+    _pairwise(np.maximum, diff, half_s, axis, at_face=True)
+    half_s *= 0.5
+    for c, (w, face) in enumerate(zip((h, q1, q2), faces)):
+        if c == 0:
+            f = qa
+        elif c == axis + 1:
+            f = np.multiply(qa, w, out=diff)
+            f /= h
+            f += work.pressure
+        else:
+            f = work.cross
+        _pairwise(np.add, f, face, axis, at_face=True)
+        face *= 0.5
+        _pairwise(np.subtract, w, diff, axis, at_face=True)
+        diff *= half_s
+        face -= diff
+    return tuple(faces)
 
 
 @dataclass(frozen=True)
@@ -137,19 +221,41 @@ class StepInfo:
     work_inc: float
 
 
-def step(state: State, scenario: Scenario, dt: float) -> tuple[State, StepInfo]:
-    """One split step: Rusanov fluxes, friction resolvent, explicit force."""
+def _mean_power(v: np.ndarray, u: np.ndarray, weight) -> float:
+    """The grid mean of weight (v . u) for (2, nx, ny) stacks v and u,
+    computed in u."""
+    np.multiply(v[0], u[0], out=u[0])
+    np.multiply(v[1], u[1], out=u[1])
+    u[0] += u[1]
+    u[0] *= weight
+    return float(np.mean(u[0]))
+
+
+def step(
+    state: State, scenario: Scenario, dt: float, work: Workspace | None = None
+) -> tuple[State, StepInfo]:
+    """One split step: Rusanov fluxes, friction resolvent, explicit force.
+
+    Every intermediate lives in `work` (a new Workspace if None); the new h
+    and q and B are fresh arrays.
+    """
     grid = state.grid
+    if work is None:
+        work = Workspace(grid.shape)
+    work.load(state, scenario.a)
     h = state.h.values
     q1, q2 = state.q.values
 
-    hn, q_pre = h.copy(), state.q.values.copy()
-    q1n, q2n = q_pre
+    hn, q_pre = h.copy(), work.q
+    np.copyto(q_pre, state.q.values)
+    diff = work.free[-1]
     for axis, dxi in ((0, grid.dx), (1, grid.dy)):
-        flux = rusanov_flux(h, q1, q2, scenario.a, axis)
+        flux = rusanov_flux(h, q1, q2, scenario.a, axis, work)
         coef = dt / dxi
-        for w, fl in zip((hn, q1n, q2n), flux):
-            w -= coef * (fl - np.roll(fl, 1, axis=axis))
+        for w, fl in zip((hn, *q_pre), flux):
+            _pairwise(np.subtract, fl, diff, axis, at_face=False)
+            diff *= coef
+            w -= diff
 
     # unreachable for a dt from cfl_dt (see there); a larger dt must not pass
     if not (np.all(hn > 0.0) and np.all(np.isfinite(hn))):
@@ -157,28 +263,42 @@ def step(state: State, scenario: Scenario, dt: float) -> tuple[State, StepInfo]:
     if not np.all(np.isfinite(q_pre)):
         raise NumericalAbort("momentum became non-finite")
 
+    # the scratch rows are free again: the threshold dt gamma h, which is
+    # also the denominator of B, then the friction scratch, then the ledger terms
     friction = scenario.friction
-    q_post = friction_shrink(q_pre, hn, friction, dt) if friction.active else q_pre
-
     gamma = friction.gamma_array
-    denom = dt * gamma * hn
-    with np.errstate(divide="ignore", invalid="ignore"):
-        B = np.where(denom > 0.0, (q_pre - q_post) / np.where(denom > 0, denom, 1.0), 0.0)
-    Bnorm = np.hypot(B[0], B[1])
+    thresh = work.free[0]
+    np.multiply(dt, gamma, out=thresh)
+    thresh *= hn
+    # either way the new momentum is a fresh array, not the workspace's
+    if friction.active:
+        q_post = friction_shrink(q_pre, hn, friction, dt, thresh, work.free[1:4])
+    else:
+        q_post = q_pre.copy()
+
+    B = np.zeros_like(q_pre)
+    positive = thresh > 0.0
+    np.subtract(q_pre, q_post, out=B, where=positive)
+    np.divide(B, thresh, out=B, where=positive)
+    Bnorm, u, g = work.free[1], work.free[2:4], work.free[4]
+    np.hypot(B[0], B[1], out=Bnorm)
     over = Bnorm > 1.0
     if np.any(over):
-        B = B / np.where(over, Bnorm, 1.0)
+        np.divide(B, Bnorm, out=B, where=over)
 
-    u_post = q_post / hn
-    diss_inc = dt * float(np.mean(gamma * hn * (B[0] * u_post[0] + B[1] * u_post[1])))
+    np.divide(q_post, hn, out=u)
+    np.multiply(gamma, hn, out=g)
+    diss_inc = dt * _mean_power(B, u, g)
 
-    if scenario.f is not None:
+    q_final = q_post
+    if scenario.f is not None:  # q_final += dt hn f, in place
         f = scenario.f.values
-        q_final = q_post + dt * hn * f
-        u_final = q_final / hn
-        work_inc = dt * float(np.mean(hn * (f[0] * u_final[0] + f[1] * u_final[1])))
+        np.multiply(dt, hn, out=g)
+        np.multiply(g, f, out=u)
+        q_final += u
+        np.divide(q_final, hn, out=u)
+        work_inc = dt * _mean_power(f, u, hn)
     else:
-        q_final = q_post
         work_inc = 0.0
 
     return State(ScalarField(grid, hn), VectorField(grid, q_final)), StepInfo(B, diss_inc, work_inc)
@@ -254,7 +374,8 @@ class Output(NamedTuple):
 def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
     """Advance the scenario with adaptive CFL steps, landing exactly on the
     equispaced output times, and yield each output as it lands; the ledger
-    gets one row per output.  Only the current state is kept.
+    gets one row per output.  Only the current state and one Workspace are
+    kept.
 
     The run aborts (NumericalAbort) before it starts if it has more outputs
     than MAX_STEPS steps can reach, and during it once it has taken
@@ -274,6 +395,7 @@ def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
     if scenario.T == 0.0:
         return
 
+    work = Workspace(scenario.grid.shape)  # freed with the generator, when the run ends
     out_times = np.linspace(0.0, scenario.T, scenario.n_output)
     dx = min(scenario.grid.dx, scenario.grid.dy)
     dt_max = scenario.default_dt_max()
@@ -284,10 +406,10 @@ def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
     last_info = None
     for target in out_times[1:]:
         while t < target - 1e-14 * scenario.T:
-            dt = cfl_dt(state, scenario.a, scenario.cfl, dx, dt_max)
+            dt = cfl_dt(state, scenario.a, scenario.cfl, dx, dt_max, work)
             _check_budget(n_steps, t, dt, scenario.T)
             dt = min(dt, target - t)
-            state, info = step(state, scenario, dt)
+            state, info = step(state, scenario, dt, work)
             diss_cum += info.dissipation_inc
             work_cum += info.work_inc
             t += dt

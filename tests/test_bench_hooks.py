@@ -91,6 +91,9 @@ def test_simulate_job_smoke(tmp_path, mode):
             "friction.friction_shrink.calls",
         ):
             assert layers[name] > 0, name
+        # two flux sweeps and one friction resolvent per step
+        assert layers["solver.rusanov_flux.calls"] == 2 * layers["solver.step.calls"]
+        assert layers["friction.friction_shrink.calls"] == layers["solver.step.calls"]
 
 
 def test_wsu_job_smoke(tmp_path):

@@ -315,12 +315,12 @@ class TestCliSimulateStreaming:
         real = solver.step
         calls, on_disk = [], []
 
-        def failing(state, scenario, dt):
+        def failing(state, scenario, dt, *work):
             calls.append(dt)
             if len(calls) == fail_at:
                 on_disk.extend(sorted(p.name for p in out.glob("snapshot_*")))
                 raise NumericalAbort("injected")
-            return real(state, scenario, dt)
+            return real(state, scenario, dt, *work)
 
         monkeypatch.setattr(solver, "step", failing)
         # 100 steps of T/100; the second of the three outputs lands after step 50
@@ -349,6 +349,27 @@ class TestCliSimulateStreaming:
         assert cli.main(["simulate", str(write_scenario(tmp_path)), "--out", str(out)]) == 4
         assert "disk full" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rerun_with_fewer_outputs_removes_only_its_stale_snapshots(self, tmp_path):
+        out = tmp_path / "out"
+        text = "grid.nx = 8\ngrid.ny = 8\nphysics.T = 0.05\ninitial.h0 = 1 + 0.1*cos(2*pi*x1)\n"
+        first = write_scenario(tmp_path, text + "output.times = 5\n", name="five.scn")
+        assert cli.main(["simulate", str(first), "--out", str(out)]) == 0
+        others = [
+            "notes.txt",
+            "snapshot_0009_x.shlab",
+            "snapshot_00004_h.shlab",
+            "snapshot_0004_h.shlab.bak",
+            "Snapshot_0004_h.shlab",
+        ]
+        for name in others:
+            (out / name).write_text("kept")
+        second = write_scenario(tmp_path, text + "output.times = 3\n", name="three.scn")
+        assert cli.main(["simulate", str(second), "--out", str(out)]) == 0
+        snapshots = sorted(p.name for p in out.glob("snapshot_*") if p.name not in others)
+        assert snapshots == expected_snapshots(2)
+        for name in others:
+            assert (out / name).read_text() == "kept"
 
     def test_memory_holds_one_state_not_the_trajectory(self, tmp_path):
         """A 64^2 run with 101 outputs peaks below 100 fields of 64^2
@@ -577,6 +598,57 @@ def test_simulate_exit_codes_are_documented(
                 # a missing value) by exiting with its usage code, 2
                 code = exc.code
     event(f"exit code {code}")
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+EXPERIMENT8 = {
+    "grid.nx": "8",
+    "grid.ny": "8",
+    "physics.T": "0.02",
+    "initial.h0": "1 + 0.1*cos(2*pi*x1)",
+    "output.times": "3",
+}
+
+# an --eps entry: a number, or a special, empty or malformed one
+EPS_ENTRY = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "", "-1", "-0", "1e300", "1e-320", "abc"]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["wsu", "convergence"]),
+    eps=_maybe(st.lists(EPS_ENTRY, max_size=4).map(",".join)),
+    refine=_maybe(st.one_of(st.integers(-3, 8), st.sampled_from(["100000", "10**18", "2.5"]))),
+    amplitude=st.sampled_from(["0", "0.1", "0.5"]),
+    T=st.sampled_from(["0", "0.02", "1e-300"]),
+)
+def test_wsu_and_convergence_exit_codes_are_documented(command, eps, refine, amplitude, T):
+    """Whatever the --eps list and --refine factor of wsu, and whether the
+    8x8 scenario is flat or still, both experiment commands exit 0, 2, 3 or
+    4, and no traceback escapes them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        overrides = {"physics.T": T, "initial.h0": f"1 + {amplitude}*cos(2*pi*x1)"}
+        scn = scenario8(Path(tmp), overrides, base=EXPERIMENT8)
+        argv = [command, scn, "--out", str(Path(tmp) / "out")]
+        if command == "wsu":
+            argv += [] if eps is None else [f"--eps={eps}"]
+            argv += [] if refine is None else [f"--refine={refine}"]
+        err = io.StringIO()
+        with (
+            contextlib.redirect_stderr(err),
+            contextlib.redirect_stdout(io.StringIO()),
+            warnings.catch_warnings(),
+        ):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                # argparse rejects a --refine that is not an integer with its usage code, 2
+                code = exc.code
+    event(f"{command} exit code {code}")
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
 
@@ -851,6 +923,11 @@ class TestFuzzFindings:
     def test_empty_ledger_exits_4(self, body):
         # IndexError inside np.genfromtxt
         assert run_fuzzed("ledger", body) == 4
+
+    def test_nul_byte_in_a_snapshot_reference_exits_4(self):
+        # ValueError: embedded null byte, raised by open()
+        scn = FUZZ_SCENARIO.replace(b"@gamma.shlab", b"@\x00amma.shlab")
+        assert run_fuzzed("scenario", scn) == 4
 
     def test_snapshot_header_with_an_invalid_grid_exits_4(self):
         # a 2 x 2 grid with a matching payload read as a validation error (2)

@@ -1,14 +1,17 @@
 """Finite-volume solver: fluxes, stepping, energy ledger, convergence."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shlab.errors import InvalidValueError, NumericalAbort, PositivityError
 from shlab.fields import ScalarField, TorusGrid, VectorField
-from shlab.friction import FrictionParams
+from shlab.friction import FrictionParams, friction_shrink
 from shlab import solver
 from shlab.solver import (
     EnergyLedger,
@@ -209,8 +212,8 @@ class TestRusanovFlux:
     axis=st.sampled_from([0, 1]),
 )
 def test_one_sided_flux_is_bitwise_the_two_sided_oracle(data, shape, a, axis):
-    """Computing each cell's flux and speed once and rolling them to the +1
-    neighbour gives the very bits of the face-by-face formula on
+    """Computing each cell's flux and speed once and pairing each cell with
+    its +1 neighbour gives the very bits of the face-by-face formula on
     (U, roll(U, -1))."""
     h = data.draw(arrays(np.float64, shape, elements=st.floats(1e-3, 10.0)))
     q1 = data.draw(arrays(np.float64, shape, elements=st.floats(-10.0, 10.0)))
@@ -313,6 +316,259 @@ def test_positivity_and_mass_under_the_cfl_bound(shape, coeffs, h_min, speed, a,
         state, _ = step(state, scn, dt)
         assert np.all(state.h.values > 0.0)
         assert abs(float(np.mean(state.h.values)) - mass0) <= 1e-14 * mass0
+
+
+# ---------------------------------------------------------------------------
+# The step as it was before it ran in a workspace, kept as a bitwise oracle:
+# np.roll neighbours and fresh temporaries, in the evaluation order that the
+# workspace step keeps.
+
+
+def oracle_rusanov_flux(h, q1, q2, a, axis):
+    qa = q1 if axis == 0 else q2
+    speed = np.abs(qa / h) + np.sqrt(2.0 * a * h)
+    half_s = 0.5 * np.maximum(speed, np.roll(speed, -1, axis=axis))
+    pressure = a * h * h
+    out = []
+    for c, w in enumerate((h, q1, q2)):
+        f = qa if c == 0 else qa * w / h
+        if c == axis + 1:
+            f += pressure
+        out.append(
+            0.5 * (f + np.roll(f, -1, axis=axis)) - half_s * (np.roll(w, -1, axis=axis) - w)
+        )
+    return tuple(out)
+
+
+def oracle_friction_shrink(q, h, params, dt):
+    norm = np.hypot(q[0], q[1])
+    thresh = dt * params.gamma_array * h
+    # thresh / norm may overflow in a cell that stops, where it is discarded
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        factor = np.where(norm > thresh, 1.0 - thresh / np.where(norm > 0, norm, 1.0), 0.0)
+    out = q * factor
+    if params.law == "extended" and params.gamma2 > 0.0:
+        c = dt * params.gamma2 / h
+        mag = np.hypot(out[0], out[1])
+        new_mag = 2.0 * mag / (1.0 + np.sqrt(1.0 + 4.0 * c * mag))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = out * np.where(mag > 0.0, new_mag / np.where(mag > 0, mag, 1.0), 0.0)
+    return out
+
+
+def oracle_step(state, scenario, dt):
+    """(h, q, B, dissipation_inc, work_inc) of one step, and whether the
+    |B| > 1 renormalization fired."""
+    grid = state.grid
+    h = state.h.values
+    q1, q2 = state.q.values
+    hn, q_pre = h.copy(), state.q.values.copy()
+    q1n, q2n = q_pre
+    for axis, dxi in ((0, grid.dx), (1, grid.dy)):
+        flux = oracle_rusanov_flux(h, q1, q2, scenario.a, axis)
+        coef = dt / dxi
+        for w, fl in zip((hn, q1n, q2n), flux):
+            w -= coef * (fl - np.roll(fl, 1, axis=axis))
+    friction = scenario.friction
+    q_post = oracle_friction_shrink(q_pre, hn, friction, dt) if friction.active else q_pre
+    gamma = friction.gamma_array
+    denom = dt * gamma * hn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        B = np.where(denom > 0.0, (q_pre - q_post) / np.where(denom > 0, denom, 1.0), 0.0)
+    Bnorm = np.hypot(B[0], B[1])
+    over = Bnorm > 1.0
+    renormalized = bool(np.any(over))
+    if renormalized:
+        B = B / np.where(over, Bnorm, 1.0)
+    u_post = q_post / hn
+    diss_inc = dt * float(np.mean(gamma * hn * (B[0] * u_post[0] + B[1] * u_post[1])))
+    if scenario.f is not None:
+        f = scenario.f.values
+        q_final = q_post + dt * hn * f
+        u_final = q_final / hn
+        work_inc = dt * float(np.mean(hn * (f[0] * u_final[0] + f[1] * u_final[1])))
+    else:
+        q_final = q_post
+        work_inc = 0.0
+    return (hn, q_final, B, diss_inc, work_inc), renormalized
+
+
+def step_bits(new, info):
+    """The bytes of everything a step returns, so that -0.0 and 0.0 differ."""
+    return [
+        np.asarray(x, dtype=np.float64).tobytes()
+        for x in (new.h.values, new.q.values, info.B, info.dissipation_inc, info.work_inc)
+    ]
+
+
+def oracle_bits(result):
+    return [np.asarray(x, dtype=np.float64).tobytes() for x in result]
+
+
+@st.composite
+def step_cases(draw):
+    """A scenario and a state on an nx != ny grid: band-limited h > 0 and
+    momentum, zero momentum in a random set of cells, the Coulomb or the
+    extended law with gamma a scalar or a field (zero in places), force on
+    or off, and dt a fraction of the CFL step."""
+    shape = draw(st.sampled_from([(8, 12), (16, 8)]))
+    grid = TorusGrid(*shape)
+    x1, x2 = grid.cell_centers()
+    c = draw(st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16))
+    bump = band_limited(c[0:4], x1, x2)
+    h = draw(st.floats(1e-3, 1.0)) + bump - bump.min()
+    u = draw(st.floats(0.0, 3.0)) * np.stack(
+        [band_limited(c[4:8], x1, x2), band_limited(c[8:12], x1, x2)]
+    )
+    u[:, draw(arrays(np.bool_, shape))] = 0.0
+    gamma = draw(st.floats(0.0, 50.0))
+    if draw(st.booleans()):
+        gamma = ScalarField(grid, np.maximum(gamma * (0.5 + band_limited(c[12:16], x1, x2)), 0.0))
+    law = draw(st.sampled_from(["coulomb", "extended"]))
+    gamma2 = draw(st.floats(0.0, 5.0)) if law == "extended" else 0.0
+    force = None
+    if draw(st.booleans()):
+        force = VectorField(grid, np.stack([0.5 + 0.0 * x1, band_limited(c[0:4], x2, x1)]))
+    a = draw(st.floats(0.05, 2.0))
+    scn = Scenario(
+        grid=grid,
+        T=1.0,
+        a=a,
+        friction=FrictionParams(gamma=gamma, gamma2=gamma2, law=law),
+        h0=ScalarField(grid, h),
+        u0=VectorField(grid, u),
+        f=force,
+    )
+    state = scn.initial_state()
+    dt = draw(st.floats(0.05, 1.0)) * cfl_dt(state, a, 0.5, min(grid.dx, grid.dy), dt_max=1.0)
+    return scn, state, dt
+
+
+# a run with friction and force, and one with neither
+RUNS = [lambda g: forced_friction_scenario(g), lambda g: smooth_scenario(g, n_output=5)]
+RUN_IDS = ["friction+force", "frictionless"]
+
+
+class TestWorkspaceStep:
+    """The step that runs in a Workspace against the step it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=step_cases())
+    def test_step_is_bitwise_the_oracle(self, case):
+        scn, state, dt = case
+        expected, renormalized = oracle_step(state, scn, dt)
+        event(f"|B| > 1 renormalized: {renormalized}")
+        assert step_bits(*step(state, scn, dt)) == oracle_bits(expected)
+        work = solver.Workspace(scn.grid.shape)
+        cfl_dt(state, scn.a, scn.cfl, 0.1, 1.0, work)  # loads the state's terms, as stream does
+        assert step_bits(*step(state, scn, dt, work)) == oracle_bits(expected)
+        if scn.friction.active:
+            q = state.q.values
+            got = friction_shrink(q, state.h.values, scn.friction, dt)
+            assert got.tobytes() == oracle_friction_shrink(q, state.h.values, scn.friction, dt).tobytes()
+
+    def test_renormalization_and_still_cells_match_the_oracle(self):
+        # the extended drag shrinks |q| past dt gamma h, so |B| > 1 in every
+        # moving cell; the row x1 = 1/16 holds no momentum
+        grid = TorusGrid(8, 12)
+        scn = Scenario(
+            grid=grid,
+            T=1.0,
+            a=0.5,
+            friction=FrictionParams(gamma=0.4, gamma2=2.0, law="extended"),
+            h0=ScalarField.from_function(grid, lambda x1, x2: 1.0 + 0.3 * np.sin(2 * np.pi * x2)),
+            u0=VectorField.from_functions(
+                grid, lambda x1, x2: np.sin(2 * np.pi * (x1 - 1 / 16)), lambda x1, x2: 0.2 + 0 * x1
+            ),
+            f=VectorField.constant(grid, 0.1, -0.2),
+        )
+        state = scn.initial_state()
+        dt = cfl_dt(state, scn.a, scn.cfl, grid.dx, 1.0)
+        expected, renormalized = oracle_step(state, scn, dt)
+        assert renormalized
+        assert step_bits(*step(state, scn, dt)) == oracle_bits(expected)
+
+    @pytest.mark.parametrize("make", RUNS, ids=RUN_IDS)
+    def test_steps_sharing_a_workspace_equal_steps_with_fresh_ones(self, make):
+        scn = make(TorusGrid(8, 12))
+        work = solver.Workspace(scn.grid.shape)
+        shared = fresh = scn.initial_state()
+        for _ in range(6):
+            dt = cfl_dt(shared, scn.a, scn.cfl, scn.grid.dx, 1.0, work)
+            # a step of the same state again, after the workspace was used
+            again = step_bits(*step(shared, scn, dt, work))
+            shared, info = step(shared, scn, dt, work)
+            assert step_bits(shared, info) == again
+            fresh, fresh_info = step(fresh, scn, dt)
+            assert step_bits(shared, info) == step_bits(fresh, fresh_info)
+        # terms loaded for another state are not taken for this one's
+        other = scn.initial_state()
+        cfl_dt(other, scn.a, scn.cfl, scn.grid.dx, 1.0, work)
+        assert step_bits(*step(shared, scn, 1e-3, work)) == step_bits(*step(shared, scn, 1e-3))
+
+    @pytest.mark.parametrize("make", RUNS, ids=RUN_IDS)
+    def test_outputs_share_no_memory_and_the_workspace_dies_with_the_run(self, monkeypatch, make):
+        made = []
+
+        class Recorded(solver.Workspace):
+            def __init__(self, shape):
+                super().__init__(shape)
+                made.append((weakref.ref(self), self.fields))
+
+        monkeypatch.setattr(solver, "Workspace", Recorded)
+        scn = make(TorusGrid(8, 12))
+        traj = simulate(scn)
+        assert len(made) == 1
+        ref, fields = made[0]
+        assert ref() is None  # released when the run ended
+        outputs = [s.h.values for s in traj.states[1:]] + [s.q.values for s in traj.states]
+        outputs += [b.values for b in traj.selections]
+        for i, x in enumerate(outputs):
+            assert not np.shares_memory(x, fields)
+            for y in outputs[i + 1 :]:
+                assert not np.shares_memory(x, y)
+        copied = [
+            (o.t, o.state.h.values.copy(), o.state.q.values.copy(), o.selection.values.copy())
+            for o in stream(scn, EnergyLedger())
+        ]
+        assert [c[0] for c in copied] == list(traj.times)
+        for (_, h, q, b), state, selection in zip(copied, traj.states, traj.selections):
+            assert h.tobytes() == state.h.values.tobytes()
+            assert q.tobytes() == state.q.values.tobytes()
+            assert b.tobytes() == selection.values.tobytes()
+
+    @pytest.mark.parametrize("law", ["coulomb", "extended"])
+    def test_step_scratch_stays_below_12_fields(self, grid64, law):
+        """Given its run's workspace, one 64^2 step allocates its outputs
+        (h, q, B: 5 fields) and little more; with fresh temporaries it took
+        21.3 fields."""
+        x1, x2 = grid64.cell_centers()
+        scn = Scenario(
+            grid=grid64,
+            T=0.1,
+            a=0.5,
+            friction=FrictionParams(
+                gamma=ScalarField(grid64, 0.2 + 0.1 * np.cos(2 * np.pi * x1)),
+                gamma2=0.5 if law == "extended" else 0.0,
+                law=law,
+            ),
+            h0=ScalarField(grid64, 1 + 0.2 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x2)),
+            u0=VectorField(grid64, np.stack([0.3 * np.cos(2 * np.pi * x2), 0 * x1])),
+            f=VectorField.constant(grid64, 0.1, 0.0),
+        )
+        state = scn.initial_state()
+        work = solver.Workspace(grid64.shape)
+        dt = cfl_dt(state, scn.a, scn.cfl, grid64.dx, 1.0, work)
+        step(state, scn, dt, work)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            step(state, scn, dt, work)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        field = 64 * 64 * 8
+        assert peak < 12 * field, f"step allocated {peak / field:.1f} fields"
 
 
 class TestSimulate:
@@ -426,9 +682,9 @@ def count_steps(monkeypatch) -> list:
     calls = []
     real = solver.step
 
-    def counted(state, scenario, dt):
+    def counted(state, scenario, dt, *work):
         calls.append(dt)
-        return real(state, scenario, dt)
+        return real(state, scenario, dt, *work)
 
     monkeypatch.setattr(solver, "step", counted)
     return calls
