@@ -41,6 +41,7 @@ def main() -> None:
     print(f"{'t':>8s} {'u_numeric':>12s} {'u_exact':>12s} {'error':>10s}")
     next_print = 0.0
     while t < scn.T - 1e-12:
+        work.fill(st.h.values, *st.q.values, scn.a)
         dt = min(cfl_dt(st, scn.a, scn.cfl, grid.dx, scn.default_dt_max(), work), scn.T - t)
         st, _ = step(st, scn, dt, work)
         t += dt

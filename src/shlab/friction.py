@@ -86,8 +86,8 @@ def friction_shrink(
     |q'| (1 + dt*gamma2*|q'|/h) = |q| (positive root of the quadratic).
 
     `thresh`, if given, holds dt*gamma*h already; `scratch`, if given, is
-    three (nx, ny) float64 fields that may be overwritten.  The result is a
-    new array.
+    two (nx, ny) float64 fields that the Coulomb part may overwrite.  The
+    result is a new array.
     """
     if dt <= 0.0:
         raise InvalidValueError("dt must be positive")
@@ -96,8 +96,8 @@ def friction_shrink(
     if thresh is None:
         thresh = dt * params.gamma_array * h
     if scratch is None:
-        scratch = np.empty((3, *h.shape))
-    norm, factor, _ = scratch
+        scratch = np.empty((2, *h.shape))
+    norm, factor = scratch
     np.hypot(q[0], q[1], out=norm)
     moving = norm > thresh  # so norm > 0 wherever it holds
     factor.fill(0.0)
@@ -105,23 +105,12 @@ def friction_shrink(
     np.subtract(1.0, factor, out=factor, where=moving)
     out = q * factor
     if params.law == "extended" and params.gamma2 > 0.0:
-        denom, mag, scale = scratch
-        np.divide(dt * params.gamma2, h, out=denom)  # c
-        np.hypot(out[0], out[1], out=mag)
+        c = dt * params.gamma2 / h
+        mag = np.hypot(out[0], out[1])
         # |q'| = (-1 + sqrt(1 + 4 c |q|)) / (2 c), written to avoid cancellation
-        # as 2 |q| / (1 + sqrt(1 + 4 c |q|))
-        denom *= 4.0
-        denom *= mag
-        denom += 1.0
-        np.sqrt(denom, out=denom)
-        denom += 1.0
-        np.multiply(2.0, mag, out=scale)
-        scale /= denom  # |q'|, turned into the factor |q'| / |q| next
-        np.greater(mag, 0.0, out=moving)
-        np.divide(scale, mag, out=scale, where=moving)
-        np.logical_not(moving, out=moving)
-        scale[moving] = 0.0
-        out *= scale
+        new_mag = 2.0 * mag / (1.0 + np.sqrt(1.0 + 4.0 * c * mag))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = out * np.where(mag > 0.0, new_mag / np.where(mag > 0, mag, 1.0), 0.0)
     return out
 
 

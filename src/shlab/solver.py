@@ -9,7 +9,6 @@ what the energy ledger checks.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -96,11 +95,9 @@ class Workspace:
 
     `root`, `pressure` and `cross` hold terms of one state that `cfl_dt` and
     both flux sweeps read: sqrt(2 a h), a h h and the cross flux q1 q2 / h
-    (one array for both axes, since IEEE multiplication commutes).  `q` is
+    (one array for both axes, since IEEE multiplication commutes).  The
+    caller fills them once per step, before `cfl_dt` and `step`.  `q` is
     the momentum that a step updates, and `free` five rows of scratch.
-    `load` reuses the terms while a weak reference says they were filled
-    from the very state at hand, which relies on states never being
-    changed in place.
     """
 
     def __init__(self, shape: tuple[int, int]):
@@ -108,7 +105,6 @@ class Workspace:
         self.root, self.pressure, self.cross = self.fields[:3]
         self.q = self.fields[3:5]
         self.free = self.fields[5:]
-        self._loaded = None  # (weak reference to the state, a) that the terms belong to
 
     def fill(self, h: np.ndarray, q1: np.ndarray, q2: np.ndarray, a: float) -> None:
         """Compute the terms from the arrays of a state."""
@@ -118,15 +114,6 @@ class Workspace:
         self.pressure *= h
         np.multiply(q1, q2, out=self.cross)
         self.cross /= h
-        self._loaded = None
-
-    def load(self, state: State, a: float) -> None:
-        """Fill the terms for this state, unless they hold its terms already."""
-        if self._loaded is not None and self._loaded[0]() is state and self._loaded[1] == a:
-            return
-        q1, q2 = state.q.values
-        self.fill(state.h.values, q1, q2, a)
-        self._loaded = (weakref.ref(state), a)
 
 
 # the slices x[1:], x[:-1], x[:1] and x[-1:], along axis 0 and along axis 1
@@ -153,14 +140,15 @@ def cfl_dt(
 
     With dx the smaller cell width, dt (s_x/dx + s_y/dy) <= 2 cfl, and the
     unsplit Rusanov update keeps h > 0 while that is <= 1 (Bouchut 2004); so
-    cfl is limited to (0, 1/2].  The state's terms are loaded into `work`
-    (a new Workspace if None), where the step that follows finds them.
+    cfl is limited to (0, 1/2].  `work`, if given, must hold the terms of
+    this state (`Workspace.fill`); without one, a new Workspace is made and
+    filled.
     """
     if not 0.0 < cfl <= 0.5:
         raise InvalidValueError(f"Courant number cfl must lie in (0, 1/2], got {cfl}")
     if work is None:
         work = Workspace(state.grid.shape)
-    work.load(state, a)
+        work.fill(state.h.values, *state.q.values, a)
     speeds = work.free[:2]
     np.abs(state.q.values, out=speeds)
     speeds /= state.h.values
@@ -181,7 +169,7 @@ def rusanov_flux(
     |u_axis| + sqrt(2 a h).  Each cell's F and speed are computed once.
 
     The three face fluxes are scratch rows of `work`, whose terms must be
-    those of (h, q1, q2) (`Workspace.load`); without one, a new Workspace is
+    those of (h, q1, q2) (`Workspace.fill`); without one, a new Workspace is
     made and filled.
     """
     if work is None:
@@ -236,15 +224,16 @@ def step(
 ) -> tuple[State, StepInfo]:
     """One split step: Rusanov fluxes, friction resolvent, explicit force.
 
-    Every intermediate lives in `work` (a new Workspace if None); the new h
-    and q and B are fresh arrays.
+    Every intermediate lives in `work`, which, if given, must hold the
+    terms of this state (`Workspace.fill`); without one, a new Workspace is
+    made and filled.  The new h and q and B are fresh arrays.
     """
     grid = state.grid
-    if work is None:
-        work = Workspace(grid.shape)
-    work.load(state, scenario.a)
     h = state.h.values
     q1, q2 = state.q.values
+    if work is None:
+        work = Workspace(grid.shape)
+        work.fill(h, q1, q2, scenario.a)
 
     hn, q_pre = h.copy(), work.q
     np.copyto(q_pre, state.q.values)
@@ -272,7 +261,7 @@ def step(
     thresh *= hn
     # either way the new momentum is a fresh array, not the workspace's
     if friction.active:
-        q_post = friction_shrink(q_pre, hn, friction, dt, thresh, work.free[1:4])
+        q_post = friction_shrink(q_pre, hn, friction, dt, thresh, work.free[1:3])
     else:
         q_post = q_pre.copy()
 
@@ -406,6 +395,7 @@ def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
     last_info = None
     for target in out_times[1:]:
         while t < target - 1e-14 * scenario.T:
+            work.fill(state.h.values, *state.q.values, scenario.a)
             dt = cfl_dt(state, scenario.a, scenario.cfl, dx, dt_max, work)
             _check_budget(n_steps, t, dt, scenario.T)
             dt = min(dt, target - t)
