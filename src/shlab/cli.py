@@ -19,19 +19,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import energy_inequality_residual, weak_strong_experiment
-from .errors import (
-    ConstraintError,
-    DesignError,
-    EnergyPositivityError,
-    FormatError,
-    InvalidValueError,
-    NumericalAbort,
-    ParseError,
-    PositivityError,
-    SearchError,
-    SolvabilityError,
-    ValidationError,
-)
+from .errors import FormatError, NumericalAbort, ShlabError, ValidationError
 from .fields import TorusGrid
 from .scenario import load_config
 from .snapshots import write_snapshot
@@ -42,22 +30,6 @@ from .workbench import (
     improvement_step,
     subsolution_certificate,
 )
-
-EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_NUMERICAL = 3
-EXIT_IO = 4
-
-_VALIDATION_ERRORS = (ParseError, ValidationError, InvalidValueError, PositivityError)
-_NUMERICAL_ERRORS = (
-    NumericalAbort,
-    SolvabilityError,
-    EnergyPositivityError,
-    DesignError,
-    SearchError,
-    ConstraintError,
-)
-
 
 def _write_manifest(out_dir: Path, scenario_path: Path, seed: int, grid, outputs, timings):
     manifest = {
@@ -140,7 +112,7 @@ def _cmd_simulate(args) -> int:
         {"total": time.perf_counter() - t0},
     )
     _remove_stale_snapshots(out, len(snapshots) // 3)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_workbench(args) -> int:
@@ -199,7 +171,7 @@ def _cmd_workbench(args) -> int:
         out, Path(args.scenario), seed, problem.grid, outputs,
         {"total": time.perf_counter() - t0},
     )
-    return EXIT_OK
+    return 0
 
 
 def _read_ledger(path: Path) -> dict[str, np.ndarray]:
@@ -245,12 +217,13 @@ def _cmd_diagnose(args) -> int:
     sys.stdout.write(text)
     with open(run_dir / "diagnose.txt", "w") as fh:
         fh.write(text)
-    return EXIT_OK
+    return 0
 
 
 def _parse_eps(text: str) -> list[float]:
     """The --eps entries as floats.  Each names its output file by f"{eps:g}",
-    so two entries with one name are rejected before anything runs."""
+    so two entries with one name, or with one value (0 and -0), are rejected
+    before anything runs."""
     if not text:
         return [0.0]
     eps_list, seen = [], {}
@@ -262,6 +235,8 @@ def _parse_eps(text: str) -> list[float]:
         name = f"wsu_eps{eps:g}.csv"
         if name in seen:
             raise ValidationError(f"--eps entries {seen[name]!r} and {entry!r} both name {name}")
+        if eps in eps_list:
+            raise ValidationError(f"--eps entry {entry!r} equals an earlier entry")
         seen[name] = entry
         eps_list.append(eps)
     return eps_list
@@ -298,7 +273,7 @@ def _cmd_wsu(args) -> int:
         out, Path(args.scenario), cfg.values["seed"], coarse, outputs,
         {"total": time.perf_counter() - t0},
     )
-    return EXIT_OK
+    return 0
 
 
 def _cmd_convergence(args) -> int:
@@ -331,7 +306,7 @@ def _cmd_convergence(args) -> int:
         [out / "convergence.csv", summary], {"total": time.perf_counter() - t0},
     )
     sys.stdout.write(f"observed L1 order: {order:.4g}\n")
-    return EXIT_OK
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,15 +349,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _VALIDATION_ERRORS as exc:
-        sys.stderr.write(f"shlab: validation error: {exc}\n")
-        return EXIT_VALIDATION
-    except _NUMERICAL_ERRORS as exc:
-        sys.stderr.write(f"shlab: numerical abort: {exc}\n")
-        return EXIT_NUMERICAL
-    except (OSError, FormatError) as exc:
-        sys.stderr.write(f"shlab: io error: {exc}\n")
-        return EXIT_IO
+    except ShlabError as exc:  # errors.py maps each class to its code and label
+        sys.stderr.write(f"shlab: {exc.label}: {exc}\n")
+        return exc.exit_code
+    except OSError as exc:  # a file that cannot be read or written counts as a FormatError
+        sys.stderr.write(f"shlab: {FormatError.label}: {exc}\n")
+        return FormatError.exit_code
 
 
 if __name__ == "__main__":

@@ -80,9 +80,7 @@ class RelativeEnergyReport:
     times: np.ndarray
     values: np.ndarray
     rate: float
-    fit_residual: float
     truncated: bool
-    floor: float
 
 
 def weak_strong_experiment(
@@ -126,14 +124,13 @@ def weak_strong_experiment(
         )
         floor = max(values[0] * 1e-12, 1e-18)
         usable = values > 10.0 * floor
-        rate = fit_residual = 0.0
+        rate = 0.0
         if np.count_nonzero(usable) >= 3:
             ts = times[usable]
             A = np.vstack([np.ones_like(ts), ts]).T
-            coefs, res, _, _ = np.linalg.lstsq(A, np.log(values[usable]), rcond=None)
+            coefs = np.linalg.lstsq(A, np.log(values[usable]), rcond=None)[0]
             rate = float(coefs[1])
-            fit_residual = float(np.sqrt(res[0] / ts.size)) if res.size else 0.0
-        reports.append(RelativeEnergyReport(times, values, rate, fit_residual, truncated, floor))
+        reports.append(RelativeEnergyReport(times, values, rate, truncated))
     return reports
 
 

@@ -52,20 +52,12 @@ class FrictionParams:
         return bool(np.any(np.asarray(self.gamma_array) > 0.0)) or self.gamma2 > 0.0
 
 
-def default_velocity_floor(u: VectorField) -> float:
-    """Scale-aware threshold below which the selection snaps to zero."""
-    return 1e-12 * (float(np.max(u.norm())) + 1.0)
-
-
-def coulomb_selection(u: VectorField, tol_u: float | None = None) -> VectorField:
-    """Single-valued selection from the friction graph: u/|u| above tol_u,
-    zero below.  Always |B| <= 1 and B . u >= 0."""
-    if tol_u is None:
-        tol_u = default_velocity_floor(u)
-    if tol_u <= 0.0:
-        raise InvalidValueError("tol_u must be positive")
+def coulomb_selection(u: VectorField) -> VectorField:
+    """Single-valued selection from the friction graph: u/|u| above the
+    scale-aware floor 1e-12 (max |u| + 1), zero below.  Always |B| <= 1 and
+    B . u >= 0."""
     norm = u.norm()
-    active = norm > tol_u
+    active = norm > 1e-12 * (float(np.max(norm)) + 1.0)
     scale = np.where(active, 1.0 / np.where(active, norm, 1.0), 0.0)
     return VectorField(u.grid, u.values * scale)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidValueError, ParseError, PositivityError, ValidationError
+from .errors import ParseError, ValidationError
 from .fields import ScalarField, TorusGrid, VectorField
 from .friction import FrictionParams
 from .snapshots import read_snapshot
@@ -33,8 +33,6 @@ _ALLOWED_FUNCS = {
     "log": np.log,
 }
 _ALLOWED_NAMES = {"pi": math.pi, "e": math.e}
-# what the field and parameter constructors raise on bad scenario values
-_FIELD_ERRORS = (InvalidValueError, PositivityError)
 
 _SCHEMA: dict[str, tuple[type, object]] = {
     # key: (type, default); REQUIRED marks mandatory keys
@@ -155,12 +153,9 @@ class ScenarioConfig:
         raw = self.values["friction.gamma"]
         sampled = _scalar_from_source(raw, grid, self.base_dir, "friction.gamma")
         gamma = float(sampled.flat[0]) if np.ptp(sampled) == 0.0 else ScalarField(grid, sampled)
-        try:
-            return FrictionParams(
-                gamma=gamma, gamma2=self.values["friction.gamma2"], law=self.values["friction.law"]
-            )
-        except _FIELD_ERRORS as exc:
-            raise ValidationError(str(exc)) from exc
+        return FrictionParams(
+            gamma=gamma, gamma2=self.values["friction.gamma2"], law=self.values["friction.law"]
+        )
 
     def to_scenario(self, grid: TorusGrid | None = None) -> Scenario:
         v = self.values
@@ -188,21 +183,18 @@ class ScenarioConfig:
                     ]
                 ),
             )
-        try:
-            return Scenario(
-                grid=grid,
-                T=v["physics.T"],
-                a=v["physics.a"],
-                friction=self.friction_params(grid),
-                h0=ScalarField(grid, h0),
-                u0=VectorField(grid, u0),
-                f=force,
-                cfl=v["physics.cfl"],
-                n_output=v["output.times"],
-                seed=v["seed"],
-            )
-        except _FIELD_ERRORS as exc:
-            raise ValidationError(str(exc)) from exc
+        return Scenario(
+            grid=grid,
+            T=v["physics.T"],
+            a=v["physics.a"],
+            friction=self.friction_params(grid),
+            h0=ScalarField(grid, h0),
+            u0=VectorField(grid, u0),
+            f=force,
+            cfl=v["physics.cfl"],
+            n_output=v["output.times"],
+            seed=v["seed"],
+        )
 
     def to_workbench_problem(self, grid: TorusGrid | None = None) -> WorkbenchProblem:
         scn = self.to_scenario(grid)

@@ -65,6 +65,8 @@ def read_snapshot(path):
         raise FormatError(
             f"payload has {len(payload)} bytes, header implies {expected}"
         )
+    # a header is file data, so its bad grid is a FormatError (exit 4), not
+    # the InvalidValueError (exit 2) of a bad grid in a scenario
     try:
         grid = TorusGrid(nx, ny)
     except InvalidValueError as exc:

@@ -132,23 +132,17 @@ def _pairwise(ufunc, x: np.ndarray, out: np.ndarray, axis: int, at_face: bool) -
     ufunc(x[first], x[last], out=out[last if at_face else first])
 
 
-def cfl_dt(
-    state: State, a: float, cfl: float, dx: float, dt_max: float, work: Workspace | None = None
-) -> float:
+def cfl_dt(state: State, cfl: float, dx: float, dt_max: float, work: Workspace) -> float:
     """cfl dx / (largest wave speed), capped at dt_max.  The wave speed is
     the largest |u_axis| + sqrt(2 a h) over cells and both axis directions.
 
     With dx the smaller cell width, dt (s_x/dx + s_y/dy) <= 2 cfl, and the
     unsplit Rusanov update keeps h > 0 while that is <= 1 (Bouchut 2004); so
-    cfl is limited to (0, 1/2].  `work`, if given, must hold the terms of
-    this state (`Workspace.fill`); without one, a new Workspace is made and
-    filled.
+    cfl is limited to (0, 1/2].  `work` must hold the terms of this state
+    (`Workspace.fill`).
     """
     if not 0.0 < cfl <= 0.5:
         raise InvalidValueError(f"Courant number cfl must lie in (0, 1/2], got {cfl}")
-    if work is None:
-        work = Workspace(state.grid.shape)
-        work.fill(state.h.values, *state.q.values, a)
     speeds = work.free[:2]
     np.abs(state.q.values, out=speeds)
     speeds /= state.h.values
@@ -159,22 +153,15 @@ def cfl_dt(
     return min(cfl * dx / speed, dt_max)
 
 
-def rusanov_flux(
-    h: np.ndarray, q1: np.ndarray, q2: np.ndarray, a: float, axis: int,
-    work: Workspace | None = None,
-):
+def rusanov_flux(h: np.ndarray, q1: np.ndarray, q2: np.ndarray, axis: int, work: Workspace):
     """Rusanov flux (mass, x-momentum, y-momentum) through the face between
     each cell U and its +1 neighbour U+ along the axis, on the torus:
     (F(U) + F(U+)) / 2 - s (U+ - U) / 2 with s the larger of the two cells'
     |u_axis| + sqrt(2 a h).  Each cell's F and speed are computed once.
 
     The three face fluxes are scratch rows of `work`, whose terms must be
-    those of (h, q1, q2) (`Workspace.fill`); without one, a new Workspace is
-    made and filled.
+    those of (h, q1, q2) (`Workspace.fill`).
     """
-    if work is None:
-        work = Workspace(h.shape)
-        work.fill(h, q1, q2, a)
     half_s, *faces, diff = work.free
     qa = q1 if axis == 0 else q2
     np.divide(qa, h, out=diff)
@@ -219,27 +206,20 @@ def _mean_power(v: np.ndarray, u: np.ndarray, weight) -> float:
     return float(np.mean(u[0]))
 
 
-def step(
-    state: State, scenario: Scenario, dt: float, work: Workspace | None = None
-) -> tuple[State, StepInfo]:
+def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[State, StepInfo]:
     """One split step: Rusanov fluxes, friction resolvent, explicit force.
 
-    Every intermediate lives in `work`, which, if given, must hold the
-    terms of this state (`Workspace.fill`); without one, a new Workspace is
-    made and filled.  The new h and q and B are fresh arrays.
+    Every intermediate lives in `work`, which must hold the terms of this
+    state (`Workspace.fill`).  The new h and q and B are fresh arrays.
     """
     grid = state.grid
     h = state.h.values
     q1, q2 = state.q.values
-    if work is None:
-        work = Workspace(grid.shape)
-        work.fill(h, q1, q2, scenario.a)
-
     hn, q_pre = h.copy(), work.q
     np.copyto(q_pre, state.q.values)
     diff = work.free[-1]
     for axis, dxi in ((0, grid.dx), (1, grid.dy)):
-        flux = rusanov_flux(h, q1, q2, scenario.a, axis, work)
+        flux = rusanov_flux(h, q1, q2, axis, work)
         coef = dt / dxi
         for w, fl in zip((hn, *q_pre), flux):
             _pairwise(np.subtract, fl, diff, axis, at_face=False)
@@ -396,7 +376,7 @@ def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
     for target in out_times[1:]:
         while t < target - 1e-14 * scenario.T:
             work.fill(state.h.values, *state.q.values, scenario.a)
-            dt = cfl_dt(state, scenario.a, scenario.cfl, dx, dt_max, work)
+            dt = cfl_dt(state, scenario.cfl, dx, dt_max, work)
             _check_budget(n_steps, t, dt, scenario.T)
             dt = min(dt, target - t)
             state, info = step(state, scenario, dt, work)

@@ -16,13 +16,13 @@ from functools import cached_property
 
 import numpy as np
 
-from . import spectral
+from . import fields, spectral
 from .errors import (
     ConstraintError,
     DesignError,
     EnergyPositivityError,
     InvalidValueError,
-    SearchError,
+    NumericalAbort,
     SolvabilityError,
 )
 from .fields import (
@@ -294,6 +294,13 @@ class WorkbenchProblem:
             raise InvalidValueError(
                 f"workbench needs at least 2 time steps, got {self.num_steps}"
             )
+        # checked before the (num_steps + 1, nx, ny) stacks are allocated
+        cells = (self.num_steps + 1) * self.grid.nx * self.grid.ny
+        if cells > fields.MAX_CELLS:
+            raise InvalidValueError(
+                f"workbench {self.num_steps} time steps on a {self.grid.nx}x{self.grid.ny} grid "
+                f"need {cells} space-time cells, more than {fields.MAX_CELLS}"
+            )
         # written so that NaN fails both range checks
         if not 0.0 < self.delta < np.inf:
             raise InvalidValueError(f"margin delta must be finite and positive, got {self.delta}")
@@ -370,7 +377,7 @@ def find_energy_offset(problem: WorkbenchProblem) -> float:
         lo = hi
         hi *= 2.0
     else:
-        raise SearchError("energy offset search hit its cap without certifying")
+        raise NumericalAbort("energy offset search hit its cap without certifying")
     while hi - lo > 1e-3 * hi:
         mid = 0.5 * (lo + hi)
         if passes(mid):

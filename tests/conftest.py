@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from shlab.fields import TorusGrid
+
+# `pytest --hypothesis-profile=fuzz-random` runs the byte-level fuzz test of
+# tests/test_io_cli.py from a fresh random seed instead of its fixed one
+settings.register_profile("fuzz-random")
 
 
 @pytest.fixture

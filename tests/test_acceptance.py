@@ -20,7 +20,7 @@ from shlab.fields import (
     lambda_max_traceless,
 )
 from shlab.friction import FrictionParams
-from shlab.solver import Scenario, cfl_dt, simulate, step
+from shlab.solver import Scenario, Workspace, cfl_dt, simulate, step
 from shlab.spectral import (
     div_traceless_values,
     div_values,
@@ -164,9 +164,11 @@ def test_criterion_3_solver_conservation_and_decay():
     st = scn.initial_state()
     mass0 = float(st.h.values.mean())
     prev_total = None
+    work = Workspace(grid.shape)
     for _ in range(1000):
-        dt = cfl_dt(st, scn.a, scn.cfl, grid.dx, scn.default_dt_max())
-        st, _ = step(st, scn, dt)
+        work.fill(st.h.values, *st.q.values, scn.a)
+        dt = cfl_dt(st, scn.cfl, grid.dx, scn.default_dt_max(), work)
+        st, _ = step(st, scn, dt, work)
         h, q = st.h.values, st.q.values
         total = float(np.mean(0.5 * (q[0] ** 2 + q[1] ** 2) / h + scn.a * h * h))
         if prev_total is not None:
@@ -187,8 +189,9 @@ def test_criterion_3_solver_conservation_and_decay():
     st = decay.initial_state()
     t, max_dt, worst, stop_time = 0.0, 0.0, 0.0, None
     while t < decay.T - 1e-12:
-        dt = min(cfl_dt(st, decay.a, decay.cfl, grid.dx, decay.default_dt_max()), decay.T - t)
-        st, _ = step(st, decay, dt)
+        work.fill(st.h.values, *st.q.values, decay.a)
+        dt = min(cfl_dt(st, decay.cfl, grid.dx, decay.default_dt_max(), work), decay.T - t)
+        st, _ = step(st, decay, dt, work)
         t += dt
         max_dt = max(max_dt, dt)
         u1 = float(np.max(st.velocity().values[0]))

@@ -10,7 +10,6 @@ from shlab.fields import ScalarField, TorusGrid, VectorField
 from shlab.friction import (
     FrictionParams,
     coulomb_selection,
-    default_velocity_floor,
     friction_coefficient_values,
     friction_shrink,
 )
@@ -72,7 +71,7 @@ class TestParams:
 class TestSelection:
     def test_normalization(self, grid32):
         u = VectorField.constant(grid32, 3.0, 4.0)
-        B = coulomb_selection(u, tol_u=1e-12)
+        B = coulomb_selection(u)
         np.testing.assert_allclose(B.values[0], 0.6, atol=1e-15)
         np.testing.assert_allclose(B.values[1], 0.8, atol=1e-15)
 
@@ -81,12 +80,15 @@ class TestSelection:
         assert not np.any(B.values)
 
     def test_below_threshold_snaps_to_zero(self, grid32):
-        B = coulomb_selection(VectorField.constant(grid32, 1e-13, 0.0), tol_u=1e-12)
+        B = coulomb_selection(VectorField.constant(grid32, 1e-13, 0.0))
         assert not np.any(B.values)
 
     def test_default_floor_scales_with_velocity(self, grid32):
+        # beside a cell at |u| = 1e6 the floor exceeds 1e-7: that cell selects zero
         u = VectorField.constant(grid32, 1e6, 0.0)
-        assert default_velocity_floor(u) > 1e-7
+        u.values[0, 0, 0] = 1e-7
+        B = coulomb_selection(u)
+        assert B.values[0, 0, 0] == 0.0 and B.values[0, 1, 1] == 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(

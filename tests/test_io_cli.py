@@ -10,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
 
-from shlab import cli, diagnostics, fields, solver
+from shlab import cli, diagnostics, errors, fields, solver
 from shlab.errors import FormatError, NumericalAbort, ParseError, ValidationError
 from shlab.fields import ScalarField, SymTracelessField, TorusGrid, VectorField
 from shlab.scenario import eval_expression, load_config
@@ -773,6 +773,8 @@ class TestCliExperiments:
                 "--eps entries '1e-3' and '0.001' both name wsu_eps0.001.csv",
                 id="1e-3,0.001-duplicate",
             ),
+            # two names, but the same run twice
+            pytest.param("0,-0", "--eps entry '-0' equals an earlier entry", id="0,-0-equal"),
         ],
     )
     def test_wsu_bad_eps_exits_2(self, tmp_path, capsys, monkeypatch, eps, message):
@@ -878,6 +880,9 @@ def run_fuzzed(target: str, data: bytes) -> int:
 
 
 FUZZ_BASES = {"scenario": FUZZ_SCENARIO, "gamma": FUZZ_GAMMA, "ledger": FUZZ_LEDGER}
+# the fuzz draws the same bytes on every run, except under the opt-in
+# Hypothesis profile fuzz-random (tests/conftest.py)
+FUZZ_SEED = 20260611
 
 
 @pytest.mark.parametrize("target", sorted(FUZZ_BASES))
@@ -891,6 +896,8 @@ def test_fuzzed_input_files_exit_with_documented_codes(target):
     def check(data):
         event(f"exit code {run_fuzzed(target, data)}")
 
+    if settings.get_current_profile_name() != "fuzz-random":
+        check = seed(FUZZ_SEED)(check)
     check()
 
 
@@ -932,3 +939,51 @@ class TestFuzzFindings:
     def test_snapshot_header_with_an_invalid_grid_exits_4(self):
         # a 2 x 2 grid with a matching payload read as a validation error (2)
         assert run_fuzzed("gamma", b"SHLAB1 scalar 2 2 1\n" + bytes(32)) == 4
+
+    def test_huge_workbench_time_nodes_exits_2(self, tmp_path, capsys):
+        # MemoryError: a (10**15 + 1, 8, 8) height stack from np.linspace
+        scn = scenario8(tmp_path, {"workbench.time_nodes": str(10**15)})
+        out = tmp_path / "wb"
+        assert cli.main(["workbench", scn, "--steps", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("shlab: validation error: ") and "space-time cells" in err
+        assert not out.exists()
+
+
+# the documented contract: each shlab error derives from one of these bases
+EXIT_POLICY = {
+    ValidationError: (2, "validation error"),
+    NumericalAbort: (3, "numerical abort"),
+    FormatError: (4, "io error"),
+}
+ERROR_CLASSES = sorted(
+    (
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.ShlabError) and c is not errors.ShlabError
+    ),
+    key=lambda c: c.__name__,
+)
+
+
+class TestExitCodePolicy:
+    """Every error class that escapes a command maps to its documented exit
+    code and stderr label; a new class in shlab.errors joins this test."""
+
+    def raise_from_a_command(self, monkeypatch, exc) -> int:
+        def stub(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_diagnose", stub)
+        return cli.main(["diagnose", "run"])
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_error_class_exits_with_the_code_of_its_base(self, monkeypatch, capsys, cls):
+        bases = [base for base in EXIT_POLICY if issubclass(cls, base)]
+        assert len(bases) == 1, f"{cls.__name__} derives from {bases}"
+        code, label = EXIT_POLICY[bases[0]]
+        assert self.raise_from_a_command(monkeypatch, cls("injected")) == code
+        assert capsys.readouterr().err == f"shlab: {label}: injected\n"
+
+    def test_os_error_exits_4(self, monkeypatch, capsys):
+        assert self.raise_from_a_command(monkeypatch, OSError("disk full")) == 4
+        assert capsys.readouterr().err == "shlab: io error: disk full\n"

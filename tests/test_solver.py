@@ -51,6 +51,18 @@ def smooth_scenario(grid, T=0.2, **kw):
     )
 
 
+def filled(h, q1, q2, a):
+    """A Workspace holding the terms of (h, q1, q2), as stream fills it
+    before each step."""
+    work = solver.Workspace(h.shape)
+    work.fill(h, q1, q2, a)
+    return work
+
+
+def state_work(state, a):
+    return filled(state.h.values, *state.q.values, a)
+
+
 class TestStateAndScenario:
     def test_state_requires_positive_height(self, grid32):
         with pytest.raises(PositivityError):
@@ -91,35 +103,35 @@ class TestWaveSpeedAndCfl:
     # with cfl = 0.5, dx = 1 and no cap, cfl_dt is 0.5 / (largest wave speed)
     def test_still_state(self, grid32):
         st = uniform_scenario(grid32).initial_state()
-        assert cfl_dt(st, 0.5, 0.5, 1.0, dt_max=np.inf) == pytest.approx(0.5 / 1.0)
+        assert cfl_dt(st, 0.5, 1.0, np.inf, state_work(st, 0.5)) == pytest.approx(0.5 / 1.0)
 
     def test_moving_state(self, grid32):
         st = uniform_scenario(grid32, u=(2.0, 0.0)).initial_state()
-        assert cfl_dt(st, 0.5, 0.5, 1.0, dt_max=np.inf) == pytest.approx(0.5 / 3.0)
+        assert cfl_dt(st, 0.5, 1.0, np.inf, state_work(st, 0.5)) == pytest.approx(0.5 / 3.0)
 
     def test_vacuum_limit(self, grid32):
         st = State(
             ScalarField.constant(grid32, 1e-14), VectorField.constant(grid32, 0.0, 0.0)
         )
-        assert cfl_dt(st, 0.5, 0.5, 1.0, dt_max=np.inf) > 0.5 / 1e-6
+        assert cfl_dt(st, 0.5, 1.0, np.inf, state_work(st, 0.5)) > 0.5 / 1e-6
 
     def test_cfl_values(self, grid32):
         st = uniform_scenario(grid32, u=(1.0, 0.0)).initial_state()  # speed 2
-        assert cfl_dt(st, 0.5, 0.4, 0.01, dt_max=10.0) == pytest.approx(0.002)
+        assert cfl_dt(st, 0.4, 0.01, 10.0, state_work(st, 0.5)) == pytest.approx(0.002)
         still = uniform_scenario(grid32).initial_state()  # speed 1
-        assert cfl_dt(still, 0.5, 0.5, 0.02, dt_max=10.0) == pytest.approx(0.01)
+        assert cfl_dt(still, 0.5, 0.02, 10.0, state_work(still, 0.5)) == pytest.approx(0.01)
 
     def test_cfl_above_half_rejected(self, grid32):
         still = uniform_scenario(grid32).initial_state()
         with pytest.raises(InvalidValueError, match="cfl"):
-            cfl_dt(still, 0.5, 0.51, 0.02, dt_max=10.0)
+            cfl_dt(still, 0.51, 0.02, 10.0, state_work(still, 0.5))
 
     def test_zero_speed_returns_cap(self, grid32):
         st = State(
             ScalarField.constant(grid32, 1e-30), VectorField.constant(grid32, 0.0, 0.0)
         )
         # speed ~ 1e-15; the dt cap takes over
-        assert cfl_dt(st, 0.5, 0.4, 0.01, dt_max=0.25) == pytest.approx(0.25)
+        assert cfl_dt(st, 0.4, 0.01, 0.25, state_work(st, 0.5)) == pytest.approx(0.25)
 
 
 def physical_flux(h, q1, q2, a, axis):
@@ -160,14 +172,14 @@ class TestRusanovFlux:
     def test_identical_cells_give_exact_flux(self):
         cells = constant_cells((4, 6), 1.3, 0.4, -0.2)
         for axis in (0, 1):
-            flux = rusanov_flux(*cells, a=0.5, axis=axis)
+            flux = rusanov_flux(*cells, axis, filled(*cells, 0.5))
             for got, exact in zip(flux, physical_flux(1.3, 0.4, -0.2, 0.5, axis)):
                 np.testing.assert_allclose(got, exact, rtol=1e-15)
 
     def test_pure_pressure(self):
         cells = constant_cells((4, 6), 1.0, 0.0, 0.0)
         for axis, expected in ((0, (0.0, 0.5, 0.0)), (1, (0.0, 0.0, 0.5))):
-            flux = rusanov_flux(*cells, a=0.5, axis=axis)
+            flux = rusanov_flux(*cells, axis, filled(*cells, 0.5))
             for got, value in zip(flux, expected):
                 np.testing.assert_allclose(got, value, atol=1e-16)
 
@@ -178,7 +190,8 @@ class TestRusanovFlux:
         a = 0.5
         hl, hr = 2.0, 1.0
         h = np.where(np.arange(4)[:, None] < 2, hl, hr) + np.zeros((4, 6))
-        flux = rusanov_flux(h, np.zeros_like(h), np.zeros_like(h), a, axis=0)
+        cells = (h, np.zeros_like(h), np.zeros_like(h))
+        flux = rusanov_flux(*cells, 0, filled(*cells, a))
         s = max(np.sqrt(2 * a * hl), np.sqrt(2 * a * hr))
         expect_mom = 0.5 * (a * hl**2 + a * hr**2)
         for i, jump in ((1, hr - hl), (3, hl - hr)):
@@ -193,7 +206,7 @@ class TestRusanovFlux:
         h = rng.uniform(0.5, 2.0, size=(4, 6))
         q1 = rng.normal(size=(4, 6))
         q2 = rng.normal(size=(4, 6))
-        arr = rusanov_flux(h, q1, q2, 0.5, axis=1)
+        arr = rusanov_flux(h, q1, q2, 1, filled(h, q1, q2, 0.5))
         for i in range(4):
             for j in range(6):
                 k = (j + 1) % 6
@@ -220,7 +233,7 @@ def test_one_sided_flux_is_bitwise_the_two_sided_oracle(data, shape, a, axis):
     q2 = data.draw(arrays(np.float64, shape, elements=st.floats(-10.0, 10.0)))
     cells = (h, q1, q2)
     expected = two_sided_flux(cells, tuple(np.roll(w, -1, axis=axis) for w in cells), a, axis)
-    got = rusanov_flux(h, q1, q2, a, axis)
+    got = rusanov_flux(h, q1, q2, axis, filled(h, q1, q2, a))
     for c in range(3):
         assert got[c].tobytes() == expected[c].tobytes(), c
 
@@ -229,7 +242,7 @@ class TestStep:
     def test_uniform_still_state_is_steady(self, grid32):
         scn = uniform_scenario(grid32, gamma=0.7)
         st = scn.initial_state()
-        new, info = step(st, scn, dt=1e-3)
+        new, info = step(st, scn, 1e-3, state_work(st, scn.a))
         np.testing.assert_array_equal(new.h.values, st.h.values)
         np.testing.assert_allclose(new.q.values, 0.0, atol=1e-16)
         assert info.dissipation_inc == 0.0
@@ -242,8 +255,8 @@ class TestStep:
             ScalarField(grid32, np.roll(st.h.values, 1, axis=0)),
             VectorField(grid32, np.roll(st.q.values, 1, axis=1)),
         )
-        a, _ = step(st, scn, dt=1e-3)
-        b, _ = step(shifted, scn, dt=1e-3)
+        a, _ = step(st, scn, 1e-3, state_work(st, scn.a))
+        b, _ = step(shifted, scn, 1e-3, state_work(shifted, scn.a))
         np.testing.assert_allclose(np.roll(a.h.values, 1, axis=0), b.h.values, atol=1e-14)
 
     def test_mass_is_conserved_exactly(self, grid32):
@@ -251,7 +264,7 @@ class TestStep:
         st = scn.initial_state()
         m0 = float(np.mean(st.h.values))
         for _ in range(50):
-            st, _ = step(st, scn, dt=2e-3)
+            st, _ = step(st, scn, 2e-3, state_work(st, scn.a))
         assert float(np.mean(st.h.values)) == pytest.approx(m0, rel=1e-13)
 
     def test_dt_beyond_the_cfl_bound_aborts(self, grid32):
@@ -265,9 +278,10 @@ class TestStep:
             u0=VectorField.constant(grid32, 2.0, 0.0),
         )
         st0 = scn.initial_state()
-        dt = 16.0 * cfl_dt(st0, scn.a, 0.5, grid32.dx, dt_max=1.0)
+        work = state_work(st0, scn.a)
+        dt = 16.0 * cfl_dt(st0, 0.5, grid32.dx, 1.0, work)
         with pytest.raises(NumericalAbort, match="positivity"):
-            step(st0, scn, dt)
+            step(st0, scn, dt, work)
 
 
 def band_limited(coeffs, x1, x2):
@@ -312,8 +326,9 @@ def test_positivity_and_mass_under_the_cfl_bound(shape, coeffs, h_min, speed, a,
     state = scn.initial_state()
     mass0 = float(np.mean(h0))
     for _ in range(4):
-        dt = cfl_dt(state, a, cfl, min(grid.dx, grid.dy), dt_max=1.0)
-        state, _ = step(state, scn, dt)
+        work = state_work(state, a)
+        dt = cfl_dt(state, cfl, min(grid.dx, grid.dy), 1.0, work)
+        state, _ = step(state, scn, dt, work)
         assert np.all(state.h.values > 0.0)
         assert abs(float(np.mean(state.h.values)) - mass0) <= 1e-14 * mass0
 
@@ -440,7 +455,8 @@ def step_cases(draw):
         f=force,
     )
     state = scn.initial_state()
-    dt = draw(st.floats(0.05, 1.0)) * cfl_dt(state, a, 0.5, min(grid.dx, grid.dy), dt_max=1.0)
+    cfl_step = cfl_dt(state, 0.5, min(grid.dx, grid.dy), 1.0, state_work(state, a))
+    dt = draw(st.floats(0.05, 1.0)) * cfl_step
     return scn, state, dt
 
 
@@ -458,9 +474,7 @@ class TestWorkspaceStep:
         scn, state, dt = case
         expected, renormalized = oracle_step(state, scn, dt)
         event(f"|B| > 1 renormalized: {renormalized}")
-        assert step_bits(*step(state, scn, dt)) == oracle_bits(expected)
-        work = solver.Workspace(scn.grid.shape)
-        work.fill(state.h.values, *state.q.values, scn.a)  # as stream does before each step
+        work = state_work(state, scn.a)
         assert step_bits(*step(state, scn, dt, work)) == oracle_bits(expected)
         if scn.friction.active:
             q = state.q.values
@@ -483,10 +497,11 @@ class TestWorkspaceStep:
             f=VectorField.constant(grid, 0.1, -0.2),
         )
         state = scn.initial_state()
-        dt = cfl_dt(state, scn.a, scn.cfl, grid.dx, 1.0)
+        work = state_work(state, scn.a)
+        dt = cfl_dt(state, scn.cfl, grid.dx, 1.0, work)
         expected, renormalized = oracle_step(state, scn, dt)
         assert renormalized
-        assert step_bits(*step(state, scn, dt)) == oracle_bits(expected)
+        assert step_bits(*step(state, scn, dt, work)) == oracle_bits(expected)
 
     @pytest.mark.parametrize("make", RUNS, ids=RUN_IDS)
     def test_steps_sharing_a_workspace_equal_steps_with_fresh_ones(self, make):
@@ -495,12 +510,12 @@ class TestWorkspaceStep:
         shared = fresh = scn.initial_state()
         for _ in range(6):
             work.fill(shared.h.values, *shared.q.values, scn.a)
-            dt = cfl_dt(shared, scn.a, scn.cfl, scn.grid.dx, 1.0, work)
+            dt = cfl_dt(shared, scn.cfl, scn.grid.dx, 1.0, work)
             # a step of the same state again, after the workspace was used
             again = step_bits(*step(shared, scn, dt, work))
             shared, info = step(shared, scn, dt, work)
             assert step_bits(shared, info) == again
-            fresh, fresh_info = step(fresh, scn, dt)
+            fresh, fresh_info = step(fresh, scn, dt, state_work(fresh, scn.a))
             assert step_bits(shared, info) == step_bits(fresh, fresh_info)
 
     @pytest.mark.parametrize("make", RUNS, ids=RUN_IDS)
@@ -549,9 +564,8 @@ class TestWorkspaceStep:
             f=VectorField.constant(grid64, 0.1, 0.0),
         )
         state = scn.initial_state()
-        work = solver.Workspace(grid64.shape)
-        work.fill(state.h.values, *state.q.values, scn.a)
-        dt = cfl_dt(state, scn.a, scn.cfl, grid64.dx, 1.0, work)
+        work = state_work(state, scn.a)
+        dt = cfl_dt(state, scn.cfl, grid64.dx, 1.0, work)
         step(state, scn, dt, work)
         tracemalloc.start()
         try:
@@ -675,9 +689,9 @@ def count_steps(monkeypatch) -> list:
     calls = []
     real = solver.step
 
-    def counted(state, scenario, dt, *work):
+    def counted(state, scenario, dt, work):
         calls.append(dt)
-        return real(state, scenario, dt, *work)
+        return real(state, scenario, dt, work)
 
     monkeypatch.setattr(solver, "step", counted)
     return calls
