@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import re
 import shutil
 import sys
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import energy_inequality_residual, weak_strong_experiment
-from .errors import FormatError, NumericalAbort, ShlabError, ValidationError
-from .fields import TorusGrid
+from .errors import FormatError, InvalidValueError, NumericalAbort, ShlabError, ValidationError
+from .fields import ScalarField, SymTracelessField, TorusGrid, VectorField
 from .scenario import load_config
 from .snapshots import write_snapshot
 from .solver import EnergyLedger, simulate, stream
@@ -124,6 +125,8 @@ def _cmd_workbench(args) -> int:
         cfg.values["seed"] = args.seed
     problem = cfg.to_workbench_problem()
     fixed = cfg.values["workbench.lambda"]
+    if fixed is not None and not math.isfinite(fixed):
+        raise InvalidValueError(f"workbench.lambda must be finite, got {fixed}")
     offset = fixed if fixed is not None else find_energy_offset(problem)
     sub = problem.build(offset)
     out = _prep_out(args)
@@ -141,7 +144,7 @@ def _cmd_workbench(args) -> int:
     cert = subsolution_certificate(sub)
     with open(out / "certificate.csv", "w") as fh:
         fh.write("t,min_margin\n")
-        per_t = cert.margin.values.min(axis=(1, 2))
+        per_t = cert.margin.min(axis=(1, 2))
         for t, m in zip(sub.times, per_t):
             fh.write(f"{t:.17g},{m:.17g}\n")
     outputs.append(out / "certificate.csv")
@@ -152,9 +155,13 @@ def _cmd_workbench(args) -> int:
     outputs.append(out / "gap.csv")
 
     for label, k in (("t0", 0), ("tmid", sub.times.size // 2), ("tend", sub.times.size - 1)):
-        for name, stf in (("v", sub.velocity), ("E", sub.kinetic_energy), ("M", sub.stress)):
+        for name, kind, stack in (
+            ("v", VectorField, sub.velocity),
+            ("E", ScalarField, sub.kinetic_energy),
+            ("M", SymTracelessField, sub.stress),
+        ):
             p = out / f"{name}_{label}.shlab"
-            write_snapshot(stf.slice(k), p)
+            write_snapshot(kind(sub.grid, stack[k]), p)
             outputs.append(p)
 
     summary = out / "summary.txt"

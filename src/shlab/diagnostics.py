@@ -35,7 +35,7 @@ def energy_jump(sub: SubsolutionState, h0: ScalarField, u0: VectorField, a: floa
     so the total energy just after t = 0 is the integral of E + a h^2 at the
     first interior node; the jump is its excess over the data energy.
     """
-    e_after = float(np.mean(sub.kinetic_energy.values[1] + a * sub.height.values[1] ** 2))
+    e_after = float(np.mean(sub.kinetic_energy[1] + a * sub.height[1] ** 2))
     u2 = u0.values[0] ** 2 + u0.values[1] ** 2
     e_data = float(np.mean(0.5 * h0.values * u2 + a * h0.values**2))
     return e_after - e_data

@@ -65,19 +65,22 @@ def _check_finite(values: np.ndarray, what: str) -> None:
         raise InvalidValueError(f"{what} contains non-finite values")
 
 
+def _validate(fld, shape: tuple[int, ...], what: str) -> None:
+    """Store fld.values as a finite float array of the given shape."""
+    v = np.asarray(fld.values, dtype=float)
+    if v.shape != shape:
+        raise InvalidValueError(f"{what} shape {v.shape} does not match grid {fld.grid.shape}")
+    _check_finite(v, what)
+    object.__setattr__(fld, "values", v)
+
+
 @dataclass(frozen=True)
 class ScalarField:
     grid: TorusGrid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.shape:
-            raise InvalidValueError(
-                f"scalar field shape {v.shape} does not match grid {self.grid.shape}"
-            )
-        _check_finite(v, "scalar field")
-        object.__setattr__(self, "values", v)
+        _validate(self, self.grid.shape, "scalar field")
 
     @classmethod
     def constant(cls, grid: TorusGrid, value: float) -> "ScalarField":
@@ -95,13 +98,7 @@ class VectorField:
     values: np.ndarray  # shape (2, nx, ny)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (2, *self.grid.shape):
-            raise InvalidValueError(
-                f"vector field shape {v.shape} does not match grid {self.grid.shape}"
-            )
-        _check_finite(v, "vector field")
-        object.__setattr__(self, "values", v)
+        _validate(self, (2, *self.grid.shape), "vector field")
 
     @classmethod
     def constant(cls, grid: TorusGrid, vx: float, vy: float) -> "VectorField":
@@ -131,13 +128,7 @@ class SymTracelessField:
     values: np.ndarray  # shape (2, nx, ny): component 0 is p, component 1 is s
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (2, *self.grid.shape):
-            raise InvalidValueError(
-                f"tensor field shape {v.shape} does not match grid {self.grid.shape}"
-            )
-        _check_finite(v, "tensor field")
-        object.__setattr__(self, "values", v)
+        _validate(self, (2, *self.grid.shape), "tensor field")
 
     @property
     def p(self) -> np.ndarray:
@@ -233,12 +224,11 @@ class SpaceTimeField:
         return SymTracelessField(self.grid, self.values[k])
 
 
-def time_derivative(f: SpaceTimeField) -> SpaceTimeField:
-    """2nd-order time derivative: centered interior, one-sided at endpoints."""
-    v = f.values
-    dt = f.dt
+def time_derivative(v: np.ndarray, dt: float) -> np.ndarray:
+    """2nd-order time derivative of a (K+1, ...) stack v on uniform nodes dt
+    apart: centered interior, one-sided at endpoints."""
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
-    return SpaceTimeField(f.grid, f.times, out, kind=f.kind)
+    return out

@@ -67,8 +67,8 @@ def friction_shrink(
     h: np.ndarray,
     params: FrictionParams,
     dt: float,
-    thresh: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    thresh: np.ndarray,
+    scratch: np.ndarray,
 ) -> np.ndarray:
     """Exact backward-Euler resolvent of the friction inclusion on momentum,
     for a (2, nx, ny) momentum stack q and (nx, ny) heights h.
@@ -77,18 +77,13 @@ def friction_shrink(
     (1 - dt*gamma*h/|q|).  Extended law follows with the closed-form solve of
     |q'| (1 + dt*gamma2*|q'|/h) = |q| (positive root of the quadratic).
 
-    `thresh`, if given, holds dt*gamma*h already; `scratch`, if given, is
-    two (nx, ny) float64 fields that the Coulomb part may overwrite.  The
-    result is a new array.
+    `thresh` holds dt*gamma*h already; `scratch` is two (nx, ny) float64
+    fields that the Coulomb part may overwrite.  The result is a new array.
     """
     if dt <= 0.0:
         raise InvalidValueError("dt must be positive")
     if np.any(h <= 0.0):
         raise PositivityError("friction_shrink requires h > 0 everywhere")
-    if thresh is None:
-        thresh = dt * params.gamma_array * h
-    if scratch is None:
-        scratch = np.empty((2, *h.shape))
     norm, factor = scratch
     np.hypot(q[0], q[1], out=norm)
     moving = norm > thresh  # so norm > 0 wherever it holds

@@ -6,6 +6,9 @@ energy budget, close the mean-momentum ODE and the deviatoric stress solve,
 certify membership in the subsolution set (pointwise eigenvalue constraint
 with margin delta), and push the energy-gap functional towards zero with
 compactly supported oscillatory perturbations.
+
+Every space-time quantity is a bare (K+1, ...) numpy stack whose axis 0 runs
+over the uniform time nodes t_0 = 0, ..., t_K = T of the problem's `times`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .errors import (
 )
 from .fields import (
     ScalarField,
-    SpaceTimeField,
     TorusGrid,
     VectorField,
     deviatoric_outer,
@@ -47,11 +49,10 @@ MASS_DRIFT_TOL = 1e-10
 def design_height(
     h0: ScalarField,
     psi0: ScalarField,
-    T: float,
-    num_steps: int,
+    times: np.ndarray,
     amplitude_cap: float = 0.25,
-) -> SpaceTimeField:
-    """Choose a positive height history h(t) = h0 + s(t) g.
+) -> np.ndarray:
+    """Choose a positive height history h(t) = h0 + s(t) g on the nodes.
 
     g = -Lap(psi0) is mean-zero, so total mass is constant; s(0) = 0 and
     s'(0) = 1 match the initial data and its first time derivative.  The
@@ -62,12 +63,10 @@ def design_height(
         raise DesignError("amplitude_cap must lie in (0, 1)")
     if np.any(h0.values <= 0.0):
         raise DesignError("height design requires h0 > 0")
-    times = np.linspace(0.0, T, num_steps + 1)
     g = -spectral.laplacian_values(psi0.values)
     gmax = float(np.max(np.abs(g)))
     if gmax == 0.0:
-        values = np.broadcast_to(h0.values, (times.size, *h0.grid.shape)).copy()
-        return SpaceTimeField(h0.grid, times, values, kind="scalar")
+        return np.broadcast_to(h0.values, (times.size, *h0.grid.shape)).copy()
     tau = amplitude_cap * float(np.min(h0.values)) / gmax
     if tau < 1e-8:
         raise DesignError(
@@ -78,29 +77,27 @@ def design_height(
     values = h0.values[None] + s[:, None, None] * g[None]
     if np.any(values <= 0.0):
         raise DesignError("designed height lost positivity")
-    return SpaceTimeField(h0.grid, times, values, kind="scalar")
+    return values
 
 
-def stream_potential(h: SpaceTimeField) -> SpaceTimeField:
+def stream_potential(h: np.ndarray, dt: float) -> np.ndarray:
     """Mean-zero potential with -Lap(psi(t)) = dh/dt per time slice."""
-    mass = h.values.mean(axis=(1, 2))
+    mass = h.mean(axis=(1, 2))
     if float(np.max(np.abs(mass - mass[0]))) > MASS_DRIFT_TOL:
         raise SolvabilityError("height mass drifts in time; potential undefined")
-    dh = time_derivative(h).values
-    out = spectral.poisson_solve_values(dh - dh.mean(axis=(1, 2), keepdims=True))
-    return SpaceTimeField(h.grid, h.times, out, kind="scalar")
+    dh = time_derivative(h, dt)
+    return spectral.poisson_solve_values(dh - dh.mean(axis=(1, 2), keepdims=True))
 
 
 def kinetic_energy_field(
-    offset: float, a: float, h: SpaceTimeField, psi: SpaceTimeField
-) -> SpaceTimeField:
+    offset: float, a: float, h: np.ndarray, psi: np.ndarray, dt: float
+) -> np.ndarray:
     """Kinetic-energy budget E(t, x) = offset - a h^2 - d(psi)/dt."""
-    values = offset - a * h.values**2 - time_derivative(psi).values
-    return SpaceTimeField(h.grid, h.times, values, kind="scalar")
+    return offset - a * h**2 - time_derivative(psi, dt)
 
 
 def drag_coefficient(
-    E: SpaceTimeField, h: SpaceTimeField, friction: FrictionParams, offset: float
+    E: np.ndarray, h: np.ndarray, friction: FrictionParams, offset: float
 ) -> np.ndarray | None:
     """(K+1, nx, ny) stack of the linear friction coefficient gamma sqrt(h/2E)
     (+ extended term), or None without friction.  Raises if E, the budget
@@ -108,44 +105,44 @@ def drag_coefficient(
     if not friction.active:
         return None
     e_min = E_MIN_FACTOR * abs(offset)
-    e_low = float(np.min(E.values))
+    e_low = float(np.min(E))
     if e_low < e_min:
         raise EnergyPositivityError(
             f"kinetic energy floor violated: min E = {e_low:.3e} < {e_min:.3e}"
         )
-    return friction_coefficient_values(h.values, E.values, friction)
+    return friction_coefficient_values(h, E, friction)
 
 
 def solve_mean_momentum(
     v: np.ndarray,
     drag: np.ndarray | None,
     grad_psi: np.ndarray,
-    h: SpaceTimeField,
+    h: np.ndarray,
     f: VectorField | None,
     V0,
+    dt: float,
 ) -> np.ndarray:
     """Spatial-mean momentum component V(t) from its linear ODE.
 
     dV/dt = mean(drag) V + mean(drag (v + grad psi) + h f), V(0) = V0, with
-    v and grad psi (K+1, 2, nx, ny) stacks on the nodes of h and drag the
-    linear friction coefficient stack (None without friction).  Classical
-    4th-order one-step integration on the uniform nodes; the half steps read
-    the linear interpolant of the node data, the mean of the two neighbours.
+    v and grad psi (K+1, 2, nx, ny) stacks on the nodes of h, dt apart, and
+    drag the linear friction coefficient stack (None without friction).
+    Classical 4th-order one-step integration on the uniform nodes; the half
+    steps read the linear interpolant of the node data, the mean of the two
+    neighbours.
     """
-    times = h.times
-    coef = np.zeros_like(h.values) if drag is None else drag
+    coef = np.zeros_like(h) if drag is None else drag
     cbar = coef.mean(axis=(1, 2))
     rhs = coef[:, None] * (v + grad_psi)
     if f is not None:
-        rhs = rhs + h.values[:, None] * f.values[None]
+        rhs = rhs + h[:, None] * f.values[None]
     bbar = rhs.mean(axis=(2, 3))  # (K+1, 2)
     cmid = 0.5 * (cbar[:-1] + cbar[1:])
     bmid = 0.5 * (bbar[:-1] + bbar[1:])
 
-    V = np.empty((times.size, 2))
+    V = np.empty((h.shape[0], 2))
     V[0] = np.asarray(V0, dtype=float)
-    dt = float(times[1] - times[0])
-    for k in range(times.size - 1):
+    for k in range(h.shape[0] - 1):
         k1 = cbar[k] * V[k] + bbar[k]
         k2 = cmid[k] * (V[k] + dt / 2 * k1) + bmid[k]
         k3 = cmid[k] * (V[k] + dt / 2 * k2) + bmid[k]
@@ -159,25 +156,24 @@ def solve_stress(
     V: np.ndarray,
     drag: np.ndarray | None,
     grad_psi: np.ndarray,
-    h: SpaceTimeField,
+    h: np.ndarray,
     f: VectorField | None,
-) -> SpaceTimeField:
+) -> np.ndarray:
     """Deviatoric stress corrector M(t) with div M equal to the mean-free part
     of the friction-plus-force right-hand side, mean-zero per slice.  The
     arguments are those of solve_mean_momentum plus its solution V."""
-    grid = h.grid
-    out = np.zeros((h.num_nodes, 2, *grid.shape))
-    for k in range(h.num_nodes):
-        rhs = np.zeros((2, *grid.shape))
+    out = np.zeros((h.shape[0], 2, *h.shape[1:]))
+    for k in range(h.shape[0]):
+        rhs = np.zeros((2, *h.shape[1:]))
         if drag is not None:
             term = drag[k][None] * (v[k] + V[k][:, None, None] + grad_psi[k])
             rhs -= term - term.mean(axis=(1, 2))[:, None, None]
         if f is not None:
-            force = h.values[k][None] * f.values
+            force = h[k][None] * f.values
             rhs += force - force.mean(axis=(1, 2))[:, None, None]
         if np.any(rhs != 0.0):
             out[k] = spectral.korn_solve_values(rhs)
-    return SpaceTimeField(grid, h.times, out, kind="symtraceless")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +184,11 @@ def solve_stress(
 class SubsolutionState:
     """Full record of one candidate subsolution.
 
-    grad_potential is grad(psi) at every node, velocity the
-    divergence-free mean-zero part, flux its space-time companion,
-    mean_momentum the V(t) series, stress the corrector M(t), and delta the
+    Each stack samples the uniform nodes `times`: height h and
+    kinetic_energy E are (K+1, nx, ny); grad_potential grad(psi), velocity
+    the divergence-free mean-zero part, flux its space-time companion and
+    stress the corrector M are (K+1, 2, nx, ny), the last two as traceless
+    (p, s) pairs.  mean_momentum is the (K+1, 2) V(t) series and delta the
     certified margin.
     """
 
@@ -199,29 +197,29 @@ class SubsolutionState:
     a: float
     friction: FrictionParams
     force: VectorField | None
-    height: SpaceTimeField
-    grad_potential: np.ndarray  # (K+1, 2, nx, ny)
+    height: np.ndarray
+    grad_potential: np.ndarray
     energy_offset: float
-    kinetic_energy: SpaceTimeField
-    velocity: SpaceTimeField
-    flux: SpaceTimeField
-    mean_momentum: np.ndarray  # (K+1, 2)
-    stress: SpaceTimeField
+    kinetic_energy: np.ndarray
+    velocity: np.ndarray
+    flux: np.ndarray
+    mean_momentum: np.ndarray
+    stress: np.ndarray
     delta: float
+
+    @property
+    def dt(self) -> float:
+        return float(self.times[1] - self.times[0])
 
     def total_momentum_stack(self) -> np.ndarray:
         """v + V + grad(psi) sampled at every node, shape (K+1, 2, nx, ny)."""
-        return (
-            self.velocity.values
-            + self.mean_momentum[:, :, None, None]
-            + self.grad_potential
-        )
+        return self.velocity + self.mean_momentum[:, :, None, None] + self.grad_potential
 
 
 @dataclass(frozen=True)
 class CertificateReport:
     passed: bool
-    margin: SpaceTimeField
+    margin: np.ndarray  # (K+1, nx, ny)
     min_margin: float
     pointwise_bound_holds: bool
 
@@ -231,17 +229,20 @@ def subsolution_certificate(sub: SubsolutionState) -> CertificateReport:
 
     Passes iff the margin is strictly positive everywhere.  Also re-checks the
     eigenvalue lower bound: half |g|^2 / h never exceeds the lambda_max term.
+    A margin that is not finite everywhere aborts rather than certify.
     """
     g = sub.total_momentum_stack()
-    h = sub.height.values
-    dev = deviatoric_outer(g, h) - sub.flux.values - sub.stress.values
+    h = sub.height
+    dev = deviatoric_outer(g, h) - sub.flux - sub.stress
     half_speed = 0.5 * (g[:, 0] ** 2 + g[:, 1] ** 2) / h
     lam = half_speed + lambda_max_traceless(dev[:, 0], dev[:, 1])
-    margin = sub.kinetic_energy.values - sub.delta - lam
+    margin = sub.kinetic_energy - sub.delta - lam
+    if not np.all(np.isfinite(margin)):
+        raise NumericalAbort("certificate margin is not finite everywhere")
     bound_ok = bool(np.all(half_speed <= lam + 1e-12 * (1.0 + np.abs(lam))))
     return CertificateReport(
         passed=bool(np.all(margin > 0.0)),
-        margin=SpaceTimeField(sub.grid, sub.times, margin, kind="scalar"),
+        margin=margin,
         min_margin=float(np.min(margin)),
         pointwise_bound_holds=bound_ok,
     )
@@ -251,18 +252,22 @@ def energy_gap(sub: SubsolutionState) -> float:
     """Space-time integral of half |g|^2 / h - E (trapezoid in time).
 
     Nonpositive for every certified subsolution; zero exactly on solutions.
+    A gap that overflows (an energy offset near the float range) aborts.
     """
     g = sub.total_momentum_stack()
-    integrand = 0.5 * (g[:, 0] ** 2 + g[:, 1] ** 2) / sub.height.values - sub.kinetic_energy.values
+    integrand = 0.5 * (g[:, 0] ** 2 + g[:, 1] ** 2) / sub.height - sub.kinetic_energy
     per_slice = integrand.mean(axis=(1, 2))
-    return float(np.trapezoid(per_slice, sub.times))
+    gap = float(np.trapezoid(per_slice, sub.times))
+    if not math.isfinite(gap):
+        raise NumericalAbort(f"energy gap I is not finite (I = {gap})")
+    return gap
 
 
 def transport_residual(sub: SubsolutionState) -> float:
     """Max residual of the linear constraint d(velocity)/dt + div(flux) = 0,
     with the discrete time stencil; interior nodes only."""
-    dv = time_derivative(sub.velocity).values[1:-1]
-    return float(np.max(np.abs(dv + spectral.div_traceless_values(sub.flux.values[1:-1]))))
+    dv = time_derivative(sub.velocity, sub.dt)[1:-1]
+    return float(np.max(np.abs(dv + spectral.div_traceless_values(sub.flux[1:-1]))))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +278,9 @@ def transport_residual(sub: SubsolutionState) -> float:
 class WorkbenchProblem:
     """Scenario-level inputs for the subsolution pipeline.
 
-    The height design, the potential psi and grad(psi) do not depend on the
-    energy offset, so they are derived once per problem (cached properties)
-    and shared, unmodified, by every candidate that build returns.
+    The time nodes, the height design, the potential psi and grad(psi) do not
+    depend on the energy offset, so they are derived once per problem (cached
+    properties) and shared, unmodified, by every candidate that build returns.
     """
 
     grid: TorusGrid
@@ -316,17 +321,25 @@ class WorkbenchProblem:
         return spectral.helmholtz_decompose(q0)
 
     @cached_property
-    def height(self) -> SpaceTimeField:
-        psi0 = self.initial_split.psi
-        return design_height(self.h0, psi0, self.T, self.num_steps, self.amplitude_cap)
+    def times(self) -> np.ndarray:
+        return np.linspace(0.0, self.T, self.num_steps + 1)
+
+    @property
+    def dt(self) -> float:
+        return float(self.times[1] - self.times[0])
 
     @cached_property
-    def potential(self) -> SpaceTimeField:
-        return stream_potential(self.height)
+    def height(self) -> np.ndarray:
+        psi0 = self.initial_split.psi
+        return design_height(self.h0, psi0, self.times, self.amplitude_cap)
+
+    @cached_property
+    def potential(self) -> np.ndarray:
+        return stream_potential(self.height, self.dt)
 
     @cached_property
     def grad_potential(self) -> np.ndarray:
-        return spectral.grad_values(self.potential.values)
+        return spectral.grad_values(self.potential)
 
     def build(self, offset: float) -> SubsolutionState:
         """Assemble the candidate with velocity frozen at v0 and zero flux.
@@ -335,15 +348,17 @@ class WorkbenchProblem:
         """
         offset = float(offset)
         parts, height = self.initial_split, self.height
-        E = kinetic_energy_field(offset, self.a, height, self.potential)
+        E = kinetic_energy_field(offset, self.a, height, self.potential, self.dt)
         drag = drag_coefficient(E, height, self.friction, offset)
         # read-only view of the one v0 slice at every node
-        v = np.broadcast_to(parts.v.values, (height.num_nodes, 2, *self.grid.shape))
-        V = solve_mean_momentum(v, drag, self.grad_potential, height, self.force, parts.Vmean)
+        v = np.broadcast_to(parts.v.values, (self.times.size, 2, *self.grid.shape))
+        V = solve_mean_momentum(
+            v, drag, self.grad_potential, height, self.force, parts.Vmean, self.dt
+        )
         M = solve_stress(v, V, drag, self.grad_potential, height, self.force)
         return SubsolutionState(
             grid=self.grid,
-            times=height.times,
+            times=self.times,
             a=self.a,
             friction=self.friction,
             force=self.force,
@@ -351,8 +366,8 @@ class WorkbenchProblem:
             grad_potential=self.grad_potential,
             energy_offset=offset,
             kinetic_energy=E,
-            velocity=SpaceTimeField(self.grid, height.times, v, kind="vector"),
-            flux=SpaceTimeField(self.grid, height.times, np.zeros(v.shape), kind="symtraceless"),
+            velocity=v,
+            flux=np.zeros(v.shape),
             mean_momentum=V,
             stress=M,
             delta=self.delta,
@@ -422,8 +437,8 @@ class SpaceTimeBox:
 class OscillatoryPair:
     """Compactly supported perturbation (w, G) of a subsolution."""
 
-    w: SpaceTimeField
-    G: SpaceTimeField
+    w: np.ndarray
+    G: np.ndarray
     n: int
     box: SpaceTimeBox
     amplitude: float
@@ -507,17 +522,21 @@ def _constraint_lambda(g: np.ndarray, r: np.ndarray, W: np.ndarray) -> np.ndarra
 
 
 def oscillatory_pair(
-    g: SpaceTimeField,
-    W: SpaceTimeField,
-    r: SpaceTimeField,
-    e: SpaceTimeField,
+    times: np.ndarray,
+    grid: TorusGrid,
+    g: np.ndarray,
+    W: np.ndarray,
+    r: np.ndarray,
+    e: np.ndarray,
     n: int,
     box: SpaceTimeBox,
     seed: int = 0,
 ) -> OscillatoryPair:
     """Compactly supported oscillation preserving the pointwise constraint.
 
-    The pair comes from a single plane-wave potential with a smooth cutoff:
+    g (momentum) and W (traceless) are (K+1, 2, nx, ny) stacks and r (height)
+    and e (energy level) (K+1, nx, ny) stacks on the nodes `times`.  The pair
+    comes from a single plane-wave potential with a smooth cutoff:
     the wave direction lies in the cone b . eta_x = 0, the amplitude is
     halved, at most 60 times, until lambda_max[(g+w)(x)(g+w)/r - (W+G)] < e
     survives on the whole box.  A vanishing constraint gap yields the zero
@@ -525,25 +544,18 @@ def oscillatory_pair(
     """
     if n < 1:
         raise InvalidValueError(f"oscillation frequency n must be a positive integer, got {n}")
-    times = g.times
-    grid = g.grid
-    if np.any(r.values <= 0.0):
+    if np.any(r <= 0.0):
         raise ConstraintError("oscillatory pair requires r > 0")
-    lam0 = _constraint_lambda(g.values, r.values, W.values)
+    lam0 = _constraint_lambda(g, r, W)
     mask = _box_mask(times, grid, box)
-    if np.any((lam0 >= e.values) & mask):
+    if np.any((lam0 >= e) & mask):
         raise ConstraintError("constraint lambda_max[...] < e fails on the support box")
 
-    gap = float(np.min(np.where(mask, e.values - lam0, np.inf)))
+    gap = float(np.min(np.where(mask, e - lam0, np.inf)))
     zero = lambda: OscillatoryPair(  # noqa: E731
-        w=SpaceTimeField(grid, times, np.zeros((times.size, 2, *grid.shape)), kind="vector"),
-        G=SpaceTimeField(grid, times, np.zeros((times.size, 2, *grid.shape)), kind="symtraceless"),
-        n=n,
-        box=box,
-        amplitude=0.0,
-        degenerate=True,
+        w=np.zeros(g.shape), G=np.zeros(g.shape), n=n, box=box, amplitude=0.0, degenerate=True
     )
-    if not np.isfinite(gap) or gap <= 1e-12 * float(np.max(np.abs(e.values)) + 1.0):
+    if not np.isfinite(gap) or gap <= 1e-12 * float(np.max(np.abs(e)) + 1.0):
         return zero()
 
     rng = np.random.default_rng(seed)
@@ -553,21 +565,15 @@ def oscillatory_pair(
     omega = float(rng.uniform(2.0, 6.0))
     wave = _WavePotential(box, (e1, e2), n, omega)
 
-    amp = 0.5 * math.sqrt(gap * float(np.min(r.values)))
-    e_pad = np.where(mask, e.values, lam0 + 0.5 * gap)
+    amp = 0.5 * math.sqrt(gap * float(np.min(r)))
+    e_pad = np.where(mask, e, lam0 + 0.5 * gap)
     w, G = wave.evaluate(times, grid, amp)
     for _ in range(60):
-        lam = _constraint_lambda(g.values + w, r.values, W.values + G)
+        lam = _constraint_lambda(g + w, r, W + G)
         # outside the box only the spectral tail of the cutoff remains, so the
         # padded level (half the box gap above lambda0) is a strict check there
         if np.all(lam < e_pad):
-            return OscillatoryPair(
-                w=SpaceTimeField(grid, times, w, kind="vector"),
-                G=SpaceTimeField(grid, times, G, kind="symtraceless"),
-                n=n,
-                box=box,
-                amplitude=amp,
-            )
+            return OscillatoryPair(w=w, G=G, n=n, box=box, amplitude=amp)
         # halving by a power of two is exact, so this is evaluate(amp / 2) bitwise
         amp *= 0.5
         w *= 0.5
@@ -602,14 +608,10 @@ def improvement_step(
     T = float(sub.times[-1])
     box = SpaceTimeBox(0.15 * T, 0.85 * T, 0.1, 0.9, 0.1, 0.9)
 
-    g_stack = SpaceTimeField(sub.grid, sub.times, sub.total_momentum_stack(), kind="vector")
-    W = SpaceTimeField(
-        sub.grid, sub.times, sub.flux.values + sub.stress.values, kind="symtraceless"
-    )
-    e_level = SpaceTimeField(
-        sub.grid, sub.times, sub.kinetic_energy.values - 0.5 * sub.delta, kind="scalar"
-    )
-    pair = oscillatory_pair(g_stack, W, sub.height, e_level, n, box, seed=seed)
+    g_stack = sub.total_momentum_stack()
+    W = sub.flux + sub.stress
+    e_level = sub.kinetic_energy - 0.5 * sub.delta
+    pair = oscillatory_pair(sub.times, sub.grid, g_stack, W, sub.height, e_level, n, box, seed)
     # freed before the solves and the re-certification, which set the peak memory
     del g_stack, W, e_level
     if pair.degenerate:
@@ -617,20 +619,16 @@ def improvement_step(
             False, gap_before, gap_before, sub.delta, "degenerate gap"
         )
 
-    v_new = SpaceTimeField(
-        sub.grid, sub.times, sub.velocity.values + pair.w.values, kind="vector"
-    )
-    flux_new = SpaceTimeField(
-        sub.grid, sub.times, sub.flux.values + pair.G.values, kind="symtraceless"
-    )
+    v_new = sub.velocity + pair.w
+    flux_new = sub.flux + pair.G
     try:
         drag = drag_coefficient(sub.kinetic_energy, sub.height, sub.friction, sub.energy_offset)
     except EnergyPositivityError as exc:
         return sub, ImprovementReport(False, gap_before, gap_before, sub.delta, str(exc))
     V_new = solve_mean_momentum(
-        v_new.values, drag, sub.grad_potential, sub.height, sub.force, sub.mean_momentum[0]
+        v_new, drag, sub.grad_potential, sub.height, sub.force, sub.mean_momentum[0], sub.dt
     )
-    M_new = solve_stress(v_new.values, V_new, drag, sub.grad_potential, sub.height, sub.force)
+    M_new = solve_stress(v_new, V_new, drag, sub.grad_potential, sub.height, sub.force)
 
     candidate = replace(
         sub,

@@ -14,7 +14,6 @@ from shlab.diagnostics import (
 )
 from shlab.fields import (
     ScalarField,
-    SpaceTimeField,
     TorusGrid,
     VectorField,
     lambda_max_traceless,
@@ -70,16 +69,12 @@ def smooth_scenario(grid, T, n_output=3, u_amp=0.1):
 
 
 def zero_field_inputs(grid, K, T=1.0):
-    """Trivial background (g = 0, W = 0, r = 1, e = 1) for the oscillation lemma."""
+    """Time nodes and the trivial background (g = 0, W = 0, r = 1, e = 1) for
+    the oscillation lemma."""
     times = np.linspace(0.0, T, K + 1)
     Z = np.zeros((K + 1, 2, *grid.shape))
     ones = np.ones((K + 1, *grid.shape))
-    return (
-        SpaceTimeField(grid, times, Z, kind="vector"),
-        SpaceTimeField(grid, times, Z.copy(), kind="symtraceless"),
-        SpaceTimeField(grid, times, ones),
-        SpaceTimeField(grid, times, ones.copy()),
-    )
+    return times, Z, Z.copy(), ones, ones.copy()
 
 
 def canonical_problem(grid, num_steps, gamma=0.3):
@@ -223,12 +218,12 @@ def test_criterion_4_subsolution_pipeline():
     cert = subsolution_certificate(sub)
     assert cert.passed and cert.pointwise_bound_holds
     # flat data: the margin is the constant offset - a h0^2 - delta
-    margin = cert.margin.values
+    margin = cert.margin
     assert float(np.ptp(margin)) <= 1e-12
     assert float(margin.min()) == pytest.approx(offset - 0.5 - 0.1, abs=1e-12)
 
     # the gap functional equals minus the space-time integral of E
-    e_integral = float(np.trapezoid(sub.kinetic_energy.values.mean(axis=(1, 2)), sub.times))
+    e_integral = float(np.trapezoid(sub.kinetic_energy.mean(axis=(1, 2)), sub.times))
     assert energy_gap(sub) == pytest.approx(-e_integral, abs=1e-8)
 
     new, report = improvement_step(sub, seed=0)
@@ -239,9 +234,9 @@ def test_criterion_4_subsolution_pipeline():
     # the linear transport constraint tightens at first order under dt refinement
     resids = []
     for K in (64, 128):
-        g, W, r, e = zero_field_inputs(grid, K)
-        pair = oscillatory_pair(g, W, r, e, 8, BOX, seed=0)
-        w, G = pair.w.values, pair.G.values
+        times, g, W, r, e = zero_field_inputs(grid, K)
+        pair = oscillatory_pair(times, grid, g, W, r, e, 8, BOX, seed=0)
+        w, G = pair.w, pair.G
         dt = 1.0 / K
         dw = (w[2:] - w[:-2]) / (2.0 * dt)
         dG = np.array([div_traceless_values(G[k]) for k in range(K + 1)])
@@ -251,30 +246,30 @@ def test_criterion_4_subsolution_pipeline():
 
 def test_criterion_5_oscillatory_pair_invariants():
     grid = TorusGrid(128, 128)
-    g, W, r, e = zero_field_inputs(grid, K=32)
+    times, g, W, r, e = zero_field_inputs(grid, K=32)
     x = (np.arange(128) + 0.5) / 128.0
     phi = np.sin(TWO_PI * x)[:, None] * np.cos(TWO_PI * x)[None, :]
 
     prev_pairing = None
     for n in (8, 16, 32):
-        pair = oscillatory_pair(g, W, r, e, n, BOX, seed=0)
+        pair = oscillatory_pair(times, grid, g, W, r, e, n, BOX, seed=0)
         assert not pair.degenerate
-        w, G = pair.w.values, pair.G.values
+        w, G = pair.w, pair.G
 
         # exactly divergence-free in the discrete calculus
         for k in range(0, 33, 4):
             assert np.abs(div_values(w[k])).max() <= 1e-9
 
         # constraint preserved pointwise after the perturbation
-        lam = 0.5 * (w[:, 0] ** 2 + w[:, 1] ** 2) / r.values + lambda_max_traceless(
-            (w[:, 0] ** 2 - w[:, 1] ** 2) / (2.0 * r.values) - G[:, 0],
-            w[:, 0] * w[:, 1] / r.values - G[:, 1],
+        lam = 0.5 * (w[:, 0] ** 2 + w[:, 1] ** 2) / r + lambda_max_traceless(
+            (w[:, 0] ** 2 - w[:, 1] ** 2) / (2.0 * r) - G[:, 0],
+            w[:, 0] * w[:, 1] / r - G[:, 1],
         )
-        assert np.all(lam < e.values)
+        assert np.all(lam < e)
 
         # weak decay: pairing with a fixed test function halves per doubling
         series = (w[:, 0] * phi).mean(axis=(1, 2))
-        pairing = abs(np.trapezoid(series, pair.w.times))
+        pairing = abs(np.trapezoid(series, times))
         if prev_pairing is not None:
             assert pairing <= prev_pairing / 2.0
         prev_pairing = pairing
@@ -282,9 +277,9 @@ def test_criterion_5_oscillatory_pair_invariants():
     # space-time conservation holds to the time-stencil truncation error
     resids = []
     for K in (64, 128):
-        gK, WK, rK, eK = zero_field_inputs(grid, K)
-        pair = oscillatory_pair(gK, WK, rK, eK, 8, BOX, seed=0)
-        w, G = pair.w.values, pair.G.values
+        tK, gK, WK, rK, eK = zero_field_inputs(grid, K)
+        pair = oscillatory_pair(tK, grid, gK, WK, rK, eK, 8, BOX, seed=0)
+        w, G = pair.w, pair.G
         dt = 1.0 / K
         dw = (w[2:] - w[:-2]) / (2.0 * dt)
         dG = np.array([div_traceless_values(G[k]) for k in range(K + 1)])

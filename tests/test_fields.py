@@ -124,6 +124,29 @@ class TestFieldValidation:
         with pytest.raises(InvalidValueError):
             ScalarField(grid32, bad)
 
+    @pytest.mark.parametrize(
+        "cls,shape,message",
+        [
+            (ScalarField, (8, 8), "scalar field shape (8, 8) does not match grid (32, 32)"),
+            (VectorField, (3, 32, 32), "vector field shape (3, 32, 32) does not match grid (32, 32)"),
+            (SymTracelessField, (32, 32), "tensor field shape (32, 32) does not match grid (32, 32)"),
+        ],
+    )
+    def test_shape_messages(self, grid32, cls, shape, message):
+        with pytest.raises(InvalidValueError) as info:
+            cls(grid32, np.zeros(shape))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "cls,kind", [(ScalarField, "scalar"), (VectorField, "vector"), (SymTracelessField, "tensor")]
+    )
+    def test_non_finite_messages(self, grid32, cls, kind):
+        bad = np.zeros(grid32.shape if cls is ScalarField else (2, *grid32.shape))
+        bad.flat[-1] = np.nan
+        with pytest.raises(InvalidValueError) as info:
+            cls(grid32, bad)
+        assert str(info.value) == f"{kind} field contains non-finite values"
+
     def test_symtraceless_components(self, grid32):
         f = SymTracelessField(grid32, np.zeros((2, 32, 32)))
         assert f.p.shape == (32, 32)
@@ -156,7 +179,7 @@ class TestSpaceTimeField:
     def test_time_derivative_exact_on_quadratics(self, grid32):
         times = np.linspace(0.0, 1.0, 9)
         vals = (2.0 + 3.0 * times - 1.5 * times**2)[:, None, None] * np.ones((1, 32, 32))
-        f = SpaceTimeField(grid32, times, vals)
         expected = (3.0 - 3.0 * times)[:, None, None]
-        np.testing.assert_allclose(time_derivative(f).values, expected * np.ones((1, 32, 32)),
+        np.testing.assert_allclose(time_derivative(vals, times[1] - times[0]),
+                                   expected * np.ones((1, 32, 32)),
                                    rtol=0, atol=1e-12)

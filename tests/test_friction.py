@@ -24,6 +24,11 @@ def const_state(grid, q1, q2, h):
     return q, np.full(grid.shape, float(h))
 
 
+def shrink(q, h, params, dt):
+    """friction_shrink with its threshold dt gamma h and scratch made here."""
+    return friction_shrink(q, h, params, dt, dt * params.gamma_array * h, np.empty((2, *h.shape)))
+
+
 class TestParams:
     def test_defaults(self):
         p = FrictionParams()
@@ -107,7 +112,7 @@ class TestShrink:
     def test_gamma_field_acts_cell_by_cell(self, grid32, rng):
         gamma = rng.uniform(0.0, 3.0, grid32.shape)
         q, h = const_state(grid32, 3.0, 4.0, 1.0)
-        out = friction_shrink(q, h, FrictionParams(gamma=ScalarField(grid32, gamma)), dt=1.0)
+        out = shrink(q, h, FrictionParams(gamma=ScalarField(grid32, gamma)), dt=1.0)
         # |q| = 5 shrinks by gamma to max(5 - gamma, 0) along (0.6, 0.8)
         expected = np.maximum(5.0 - gamma, 0.0)
         np.testing.assert_allclose(out[0], 0.6 * expected, atol=1e-14)
@@ -115,35 +120,35 @@ class TestShrink:
 
     def test_closed_form(self, grid32):
         q, h = const_state(grid32, 3.0, 4.0, 1.0)
-        out = friction_shrink(q, h, FrictionParams(gamma=2.0), dt=1.0)
+        out = shrink(q, h, FrictionParams(gamma=2.0), dt=1.0)
         np.testing.assert_allclose(out[0], 1.8, atol=1e-14)
         np.testing.assert_allclose(out[1], 2.4, atol=1e-14)
 
     def test_full_stop_inside_set_valued_regime(self, grid32):
         q, h = const_state(grid32, 0.1, 0.0, 1.0)
-        out = friction_shrink(q, h, FrictionParams(gamma=0.5), dt=1.0)
+        out = shrink(q, h, FrictionParams(gamma=0.5), dt=1.0)
         assert not np.any(out)
 
     def test_zero_friction_is_identity(self, grid32):
         q, h = const_state(grid32, 1.5, -0.5, 2.0)
-        out = friction_shrink(q, h, FrictionParams(), dt=0.1)
+        out = shrink(q, h, FrictionParams(), dt=0.1)
         np.testing.assert_array_equal(out, q)
 
     def test_requires_positive_height(self, grid32):
         q, _ = const_state(grid32, 1.0, 0.0, 1.0)
         with pytest.raises(PositivityError):
-            friction_shrink(q, np.zeros(grid32.shape), FrictionParams(gamma=1.0), 0.1)
+            shrink(q, np.zeros(grid32.shape), FrictionParams(gamma=1.0), 0.1)
 
     def test_requires_positive_dt(self, grid32):
         q, h = const_state(grid32, 1.0, 0.0, 1.0)
         with pytest.raises(InvalidValueError):
-            friction_shrink(q, h, FrictionParams(gamma=1.0), dt=0.0)
+            shrink(q, h, FrictionParams(gamma=1.0), dt=0.0)
 
     def test_consistency_with_selection(self, grid32):
         # (q - q') / dt -> gamma h B for |q|/h >> dt gamma
         gamma, dt = 0.7, 1e-6
         q, h = const_state(grid32, 3.0, 4.0, 2.0)
-        out = friction_shrink(q, h, FrictionParams(gamma=gamma), dt)
+        out = shrink(q, h, FrictionParams(gamma=gamma), dt)
         rate = (q - out) / dt
         B = coulomb_selection(VectorField(grid32, q / h))
         np.testing.assert_allclose(rate, gamma * h * B.values, rtol=1e-9)
@@ -153,7 +158,7 @@ class TestShrink:
         gamma, gamma2, dt, hval = 0.4, 1.3, 0.05, 0.8
         params = FrictionParams(gamma=gamma, gamma2=gamma2, law="extended")
         q, h = const_state(grid32, 2.0, -1.0, hval)
-        out = friction_shrink(q, h, params, dt)
+        out = shrink(q, h, params, dt)
         mag0 = np.hypot(2.0, -1.0)
         mag_c = mag0 - dt * gamma * hval  # coulomb stage, known not to stop here
         c = dt * gamma2 / hval
@@ -173,7 +178,7 @@ class TestShrink:
         grid = TorusGrid(4, 4)
         params = FrictionParams(gamma=gamma, gamma2=gamma2, law="extended")
         q, h = const_state(grid, q1, q2, 1.0)
-        out = friction_shrink(q, h, params, dt)
+        out = shrink(q, h, params, dt)
         mag_in = np.hypot(q1, q2)
         mag_out = float(np.hypot(out[0], out[1]).max())
         assert mag_out <= mag_in + 1e-12

@@ -451,6 +451,9 @@ class TestCliWorkbenchExitCodes:
             ({"workbench.amplitude_cap": "1.5"}, []),
             ({"workbench.delta": "-0.1", "workbench.lambda": "2.0"}, []),
             ({}, ["--steps", "-2"]),
+            ({"workbench.lambda": "nan"}, []),
+            ({"workbench.lambda": "inf"}, []),
+            ({"workbench.lambda": "-inf"}, []),
         ],
     )
     def test_bad_workbench_input_exits_2(self, tmp_path, capsys, overrides, args):
@@ -948,6 +951,16 @@ class TestFuzzFindings:
         err = capsys.readouterr().err
         assert err.startswith("shlab: validation error: ") and "space-time cells" in err
         assert not out.exists()
+
+    def test_huge_workbench_lambda_exits_3(self, tmp_path, capsys):
+        # exit 0 with "energy gap I: initial -inf": the mean in energy_gap overflowed
+        scn = scenario8(tmp_path, {"workbench.lambda": "1e308"})
+        out = tmp_path / "wb"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("shlab: numerical abort: energy gap I")
+        assert not (out / "gap.csv").exists()
 
 
 # the documented contract: each shlab error derives from one of these bases

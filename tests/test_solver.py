@@ -478,8 +478,10 @@ class TestWorkspaceStep:
         assert step_bits(*step(state, scn, dt, work)) == oracle_bits(expected)
         if scn.friction.active:
             q = state.q.values
-            got = friction_shrink(q, state.h.values, scn.friction, dt)
-            assert got.tobytes() == oracle_friction_shrink(q, state.h.values, scn.friction, dt).tobytes()
+            h = state.h.values
+            thresh = dt * scn.friction.gamma_array * h
+            got = friction_shrink(q, h, scn.friction, dt, thresh, np.empty((2, *h.shape)))
+            assert got.tobytes() == oracle_friction_shrink(q, h, scn.friction, dt).tobytes()
 
     def test_renormalization_and_still_cells_match_the_oracle(self):
         # the extended drag shrinks |q| past dt gamma h, so |B| > 1 in every

@@ -1,14 +1,21 @@
 """Subsolution workbench: height design, auxiliary solves, certificate,
 oscillatory perturbations, and the improvement loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from shlab import workbench
-from shlab.errors import ConstraintError, DesignError, InvalidValueError, SolvabilityError
+from shlab.errors import (
+    ConstraintError,
+    DesignError,
+    InvalidValueError,
+    NumericalAbort,
+    SolvabilityError,
+)
 from shlab.fields import (
     ScalarField,
-    SpaceTimeField,
     TorusGrid,
     VectorField,
     integrate,
@@ -48,6 +55,10 @@ def canonical_problem(grid, num_steps=32, gamma=0.3, delta=0.1):
     )
 
 
+def nodes(T, num_steps):
+    return np.linspace(0.0, T, num_steps + 1)
+
+
 def cosine_psi0(grid, eps=1e-3):
     return ScalarField.from_function(grid, lambda x1, x2: eps * np.cos(TWO_PI * x1))
 
@@ -55,15 +66,16 @@ def cosine_psi0(grid, eps=1e-3):
 class TestDesignHeight:
     def test_zero_potential_keeps_h0(self, grid32):
         h0 = ScalarField.from_function(grid32, lambda x1, x2: 1.0 + 0.1 * np.sin(TWO_PI * x2))
-        h = design_height(h0, ScalarField.constant(grid32, 0.0), T=1.0, num_steps=8)
-        for k in range(h.num_nodes):
-            np.testing.assert_array_equal(h.values[k], h0.values)
+        h = design_height(h0, ScalarField.constant(grid32, 0.0), nodes(1.0, 8))
+        for k in range(h.shape[0]):
+            np.testing.assert_array_equal(h[k], h0.values)
 
     def test_cosine_potential_closed_form(self, grid32):
         eps = 1e-3
         h0 = ScalarField.constant(grid32, 1.0)
         psi0 = cosine_psi0(grid32, eps)
-        h = design_height(h0, psi0, T=1.0, num_steps=16)
+        times = nodes(1.0, 16)
+        h = design_height(h0, psi0, times)
         # spectral oracle for g = -Lap(psi0); the excursion budget is set from
         # its sampled maximum
         from shlab.spectral import laplacian_values
@@ -74,140 +86,131 @@ class TestDesignHeight:
         )
         tau = 0.25 * 1.0 / float(np.max(np.abs(g)))
         for k in (0, 8, 16):
-            t = h.times[k]
+            t = times[k]
             s = tau * (1.0 - np.exp(-t / tau))
-            np.testing.assert_allclose(h.values[k], 1.0 + s * g, atol=1e-12)
-        assert np.all(h.values > 0.0)
+            np.testing.assert_allclose(h[k], 1.0 + s * g, atol=1e-12)
+        assert np.all(h > 0.0)
 
     def test_mass_is_constant(self, grid32):
         h0 = ScalarField.from_function(grid32, lambda x1, x2: 1.0 + 0.3 * np.cos(TWO_PI * x2))
-        h = design_height(h0, cosine_psi0(grid32, 0.01), T=2.0, num_steps=12)
-        masses = [integrate(h.slice(k)) for k in range(h.num_nodes)]
+        h = design_height(h0, cosine_psi0(grid32, 0.01), nodes(2.0, 12))
+        masses = [integrate(ScalarField(grid32, h[k])) for k in range(h.shape[0])]
         np.testing.assert_allclose(masses, masses[0], atol=1e-12)
 
     def test_rejects_nonpositive_h0(self, grid32):
         with pytest.raises(DesignError):
             design_height(
-                ScalarField.constant(grid32, -1.0), cosine_psi0(grid32), 1.0, 8
+                ScalarField.constant(grid32, -1.0), cosine_psi0(grid32), nodes(1.0, 8)
             )
 
     def test_rejects_bad_cap(self, grid32):
         with pytest.raises(DesignError):
             design_height(
-                ScalarField.constant(grid32, 1.0), cosine_psi0(grid32), 1.0, 8,
+                ScalarField.constant(grid32, 1.0), cosine_psi0(grid32), nodes(1.0, 8),
                 amplitude_cap=1.5,
             )
 
 
 class TestStreamPotential:
     def test_constant_height_gives_zero(self, grid32):
-        times = np.linspace(0.0, 1.0, 9)
-        h = SpaceTimeField(grid32, times, np.ones((9, 32, 32)))
-        psi = stream_potential(h)
-        np.testing.assert_allclose(psi.values, 0.0, atol=1e-14)
+        psi = stream_potential(np.ones((9, 32, 32)), 0.125)
+        np.testing.assert_allclose(psi, 0.0, atol=1e-14)
 
     def test_designed_height_analytic_potential(self, grid32):
         eps = 1e-3
-        h = design_height(
-            ScalarField.constant(grid32, 1.0), cosine_psi0(grid32, eps), 1.0, 64
-        )
-        psi = stream_potential(h)
+        times = nodes(1.0, 64)
+        h = design_height(ScalarField.constant(grid32, 1.0), cosine_psi0(grid32, eps), times)
+        psi = stream_potential(h, times[1])
         from shlab.spectral import laplacian_values
 
         psi0 = cosine_psi0(grid32, eps)
         tau = 0.25 / float(np.max(np.abs(laplacian_values(psi0.values))))
         for k in (0, 32, 64):
-            t = h.times[k]
+            t = times[k]
             expected = np.exp(-t / tau) * psi0.values
-            np.testing.assert_allclose(psi.values[k], expected, atol=1e-8)
+            np.testing.assert_allclose(psi[k], expected, atol=1e-8)
 
     def test_initial_slice_recovers_psi0(self, grid32):
         psi0 = cosine_psi0(grid32, 1e-3)
-        h = design_height(ScalarField.constant(grid32, 1.0), psi0, 1.0, 64)
-        psi = stream_potential(h)
-        np.testing.assert_allclose(psi.values[0], psi0.values, atol=1e-8)
+        times = nodes(1.0, 64)
+        h = design_height(ScalarField.constant(grid32, 1.0), psi0, times)
+        psi = stream_potential(h, times[1])
+        np.testing.assert_allclose(psi[0], psi0.values, atol=1e-8)
 
     def test_mass_drift_rejected(self, grid32):
         times = np.linspace(0.0, 1.0, 5)
         vals = np.ones((5, 32, 32)) + 1e-3 * times[:, None, None]
         with pytest.raises(SolvabilityError):
-            stream_potential(SpaceTimeField(grid32, times, vals))
+            stream_potential(vals, times[1])
 
 
 class TestKineticEnergyField:
-    def make_psi(self, grid, times):
-        return SpaceTimeField(grid, times, np.zeros((times.size, *grid.shape)))
-
     def test_constant_budget(self, grid32):
-        times = np.linspace(0.0, 1.0, 5)
-        h = SpaceTimeField(grid32, times, np.ones((5, 32, 32)))
-        E = kinetic_energy_field(1.0, 0.5, h, self.make_psi(grid32, times))
-        np.testing.assert_allclose(E.values, 0.5, atol=1e-14)
+        h, psi = np.ones((5, 32, 32)), np.zeros((5, 32, 32))
+        E = kinetic_energy_field(1.0, 0.5, h, psi, 0.25)
+        np.testing.assert_allclose(E, 0.5, atol=1e-14)
 
     def test_zero_budget(self, grid32):
-        times = np.linspace(0.0, 1.0, 5)
-        h = SpaceTimeField(grid32, times, np.ones((5, 32, 32)))
-        E = kinetic_energy_field(0.5, 0.5, h, self.make_psi(grid32, times))
-        np.testing.assert_allclose(E.values, 0.0, atol=1e-14)
+        h, psi = np.ones((5, 32, 32)), np.zeros((5, 32, 32))
+        E = kinetic_energy_field(0.5, 0.5, h, psi, 0.25)
+        np.testing.assert_allclose(E, 0.0, atol=1e-14)
 
     def test_time_varying_potential_enters(self, grid32):
         eps = 1e-3
-        h = design_height(
-            ScalarField.constant(grid32, 1.0), cosine_psi0(grid32, eps), 1.0, 64
-        )
-        psi = stream_potential(h)
-        E = kinetic_energy_field(1.0, 0.5, h, psi)
+        times = nodes(1.0, 64)
+        h = design_height(ScalarField.constant(grid32, 1.0), cosine_psi0(grid32, eps), times)
+        psi = stream_potential(h, times[1])
+        E = kinetic_energy_field(1.0, 0.5, h, psi, times[1])
         from shlab.spectral import laplacian_values
 
         psi0 = cosine_psi0(grid32, eps)
         g = -laplacian_values(psi0.values)
         tau = 0.25 / float(np.max(np.abs(g)))
         k = 32
-        t = h.times[k]
+        t = times[k]
         s = tau * (1.0 - np.exp(-t / tau))
         h_k = 1.0 + s * g
         dpsi_k = -np.exp(-t / tau) / tau * psi0.values
-        np.testing.assert_allclose(E.values[k], 1.0 - 0.5 * h_k**2 - dpsi_k, atol=1e-7)
+        np.testing.assert_allclose(E[k], 1.0 - 0.5 * h_k**2 - dpsi_k, atol=1e-7)
 
 
 class TestMeanMomentum:
     def setup_fields(self, grid, K=32, E0=0.5):
         times = np.linspace(0.0, 1.0, K + 1)
-        h = SpaceTimeField(grid, times, np.ones((K + 1, *grid.shape)))
+        h = np.ones((K + 1, *grid.shape))
         zero = np.zeros((K + 1, 2, *grid.shape))  # v and grad psi
         E = np.full((K + 1, *grid.shape), E0)
         return times, h, zero, E
 
     def test_frictionless_unforced_is_constant(self, grid32):
-        _, h, zero, _ = self.setup_fields(grid32)
-        V = solve_mean_momentum(zero, None, zero, h, None, (0.3, -0.1))
+        times, h, zero, _ = self.setup_fields(grid32)
+        V = solve_mean_momentum(zero, None, zero, h, None, (0.3, -0.1), times[1])
         np.testing.assert_allclose(V, np.tile([0.3, -0.1], (V.shape[0], 1)), atol=1e-14)
 
     def test_pure_quadrature_of_force(self, grid32):
         times, h, zero, _ = self.setup_fields(grid32)
         f = VectorField.constant(grid32, 1.0, 0.0)
-        V = solve_mean_momentum(zero, None, zero, h, f, (0.0, 0.0))
+        V = solve_mean_momentum(zero, None, zero, h, f, (0.0, 0.0), times[1])
         np.testing.assert_allclose(V[:, 0], times, atol=1e-12)
         np.testing.assert_allclose(V[:, 1], 0.0, atol=1e-14)
 
     def test_exponential_growth_oracle(self, grid32):
         # gamma sqrt(h/2E) = 1 => dV/dt = V, so V(t) = V0 e^t
         times, h, zero, E = self.setup_fields(grid32, K=64)
-        drag = friction_coefficient_values(h.values, E, FrictionParams(gamma=1.0))
-        V = solve_mean_momentum(zero, drag, zero, h, None, (1.0, 2.0))
+        drag = friction_coefficient_values(h, E, FrictionParams(gamma=1.0))
+        V = solve_mean_momentum(zero, drag, zero, h, None, (1.0, 2.0), times[1])
         np.testing.assert_allclose(V[:, 0], np.exp(times), rtol=1e-8)
         np.testing.assert_allclose(V[:, 1], 2.0 * np.exp(times), rtol=1e-8)
 
 
-def rk4_with_interp(v, drag, grad_psi, h, f, V0):
+def rk4_with_interp(v, drag, grad_psi, h, f, V0, times):
     """Reference mean-momentum RK4 that reads the node data at every stage time
     through np.interp."""
-    times = h.times
-    coef = np.zeros_like(h.values) if drag is None else drag
+    coef = np.zeros_like(h) if drag is None else drag
     cbar = coef.mean(axis=(1, 2))
     rhs = coef[:, None] * (v + grad_psi)
     if f is not None:
-        rhs = rhs + h.values[:, None] * f.values[None]
+        rhs = rhs + h[:, None] * f.values[None]
     bbar = rhs.mean(axis=(2, 3))
 
     def rate(t, V):
@@ -234,39 +237,39 @@ def test_mean_momentum_matches_interp_rk4(seed):
     K = int(rng.integers(2, 40))
     times = np.linspace(0.0, float(rng.uniform(0.1, 3.0)), K + 1)
     shape = (K + 1, *grid.shape)
-    h = SpaceTimeField(grid, times, rng.uniform(0.5, 1.5, shape))
+    h = rng.uniform(0.5, 1.5, shape)
     drag = None if seed == 0 else rng.uniform(0.0, 2.0, shape)
     v, grad_psi = rng.standard_normal((2, K + 1, 2, *grid.shape))
     f = None if seed == 1 else VectorField(grid, rng.standard_normal((2, *grid.shape)))
     V0 = rng.standard_normal(2)
-    V = solve_mean_momentum(v, drag, grad_psi, h, f, V0)
-    V_ref = rk4_with_interp(v, drag, grad_psi, h, f, V0)
+    V = solve_mean_momentum(v, drag, grad_psi, h, f, V0, float(times[1] - times[0]))
+    V_ref = rk4_with_interp(v, drag, grad_psi, h, f, V0, times)
     assert np.abs(V - V_ref).max() <= 1e-14 * np.abs(V_ref).max()
 
 
 class TestStress:
     def setup_fields(self, grid, K=8):
         times = np.linspace(0.0, 1.0, K + 1)
-        h = SpaceTimeField(grid, times, np.ones((K + 1, *grid.shape)))
+        h = np.ones((K + 1, *grid.shape))
         zero = np.zeros((K + 1, 2, *grid.shape))  # v and grad psi
         E = np.full((K + 1, *grid.shape), 0.5)
         return times, h, zero, E
 
     def test_constant_force_gives_zero(self, grid32):
         _, h, zero, _ = self.setup_fields(grid32)
-        V = np.zeros((h.num_nodes, 2))
+        V = np.zeros((h.shape[0], 2))
         M = solve_stress(zero, V, None, zero, h, VectorField.constant(grid32, 2.0, -1.0))
-        assert not np.any(M.values)
+        assert not np.any(M)
 
     def test_sine_force_forward_divergence(self, grid32):
         _, h, zero, _ = self.setup_fields(grid32)
-        V = np.zeros((h.num_nodes, 2))
+        V = np.zeros((h.shape[0], 2))
         f = VectorField.from_functions(
             grid32, lambda x1, x2: np.sin(TWO_PI * x2), lambda x1, x2: 0.0 * x1
         )
         M = solve_stress(zero, V, None, zero, h, f)
         for k in (0, 4, 8):
-            div_M = div_traceless_values(M.values[k])
+            div_M = div_traceless_values(M[k])
             np.testing.assert_allclose(div_M, f.values, atol=1e-9)
 
     def test_full_rhs_forward_oracle(self, grid32, rng):
@@ -276,7 +279,7 @@ class TestStress:
         w = np.stack([np.sin(TWO_PI * x2), np.cos(TWO_PI * x1)]) * 0.1
         v = np.broadcast_to(w, (times.size, 2, 32, 32))
         V = np.tile([0.05, -0.02], (times.size, 1))
-        drag = friction_coefficient_values(h.values, E, FrictionParams(gamma=0.4))
+        drag = friction_coefficient_values(h, E, FrictionParams(gamma=0.4))
         f = VectorField.from_functions(
             grid32, lambda x1, x2: 0.2 * np.cos(TWO_PI * x1), lambda x1, x2: 0.0 * x1
         )
@@ -287,18 +290,18 @@ class TestStress:
             rhs = -(term - term.mean(axis=(1, 2))[:, None, None])
             force = f.values
             rhs = rhs + force - force.mean(axis=(1, 2))[:, None, None]
-            np.testing.assert_allclose(div_traceless_values(M.values[k]), rhs, atol=1e-9)
+            np.testing.assert_allclose(div_traceless_values(M[k]), rhs, atol=1e-9)
 
     def test_grad_potential_enters_the_drag(self, grid32):
         times, h, zero, E = self.setup_fields(grid32)
         x1, _ = grid32.cell_centers()
         gpsi = np.zeros_like(zero)
         gpsi[:, 0] = 0.1 * np.sin(TWO_PI * x1)
-        drag = friction_coefficient_values(h.values, E, FrictionParams(gamma=0.4))
+        drag = friction_coefficient_values(h, E, FrictionParams(gamma=0.4))
         M = solve_stress(zero, np.zeros((times.size, 2)), drag, gpsi, h, None)
         # drag = 0.4, so div M = -0.4 grad psi
         for k in (0, 8):
-            np.testing.assert_allclose(div_traceless_values(M.values[k]), -0.4 * gpsi[k], atol=1e-9)
+            np.testing.assert_allclose(div_traceless_values(M[k]), -0.4 * gpsi[k], atol=1e-9)
 
 
 def nonflat_problem(grid, num_steps=8):
@@ -330,7 +333,7 @@ class TestBuildReuse:
         again = prob.build(lam)
         fresh = nonflat_problem(grid32).build(lam)
         for name in self.STATE_ARRAYS:
-            assert getattr(again, name).values.tobytes() == getattr(fresh, name).values.tobytes()
+            assert getattr(again, name).tobytes() == getattr(fresh, name).tobytes()
         assert again.grad_potential.tobytes() == fresh.grad_potential.tobytes()
         assert again.mean_momentum.tobytes() == fresh.mean_momentum.tobytes()
         assert again.energy_offset == fresh.energy_offset == lam
@@ -339,7 +342,7 @@ class TestBuildReuse:
         calls = []
         real = workbench.stream_potential
         monkeypatch.setattr(
-            workbench, "stream_potential", lambda h: calls.append(h) or real(h)
+            workbench, "stream_potential", lambda h, dt: calls.append(h) or real(h, dt)
         )
         prob = nonflat_problem(grid32)
         prob.build(1.2)
@@ -351,7 +354,7 @@ class TestBuildReuse:
         sub = prob.build(1.2)
         for k in (0, 4, 8):
             np.testing.assert_array_equal(
-                sub.grad_potential[k], grad_values(prob.potential.values[k])
+                sub.grad_potential[k], grad_values(prob.potential[k])
             )
 
     def test_too_few_time_steps_rejected(self, grid32):
@@ -366,7 +369,7 @@ class TestCertificateAndGap:
         rep = subsolution_certificate(sub)
         assert rep.passed
         assert rep.pointwise_bound_holds
-        np.testing.assert_allclose(rep.margin.values, 0.7 - 0.5 - 0.1, atol=1e-12)
+        np.testing.assert_allclose(rep.margin, 0.7 - 0.5 - 0.1, atol=1e-12)
 
     def test_offset_at_pressure_level_fails(self, grid32):
         # frictionless variant: the build succeeds (no friction coefficient to
@@ -404,25 +407,38 @@ class TestCertificateAndGap:
             for i in range(0, 32, 4):
                 for j in range(0, 32, 4):
                     gv = g[k, :, i, j]
-                    h = sub.height.values[k, i, j]
+                    h = sub.height[k, i, j]
                     outer = np.outer(gv, gv) / h
                     dev = outer - 0.5 * np.trace(outer) * np.eye(2)
                     W = np.array(
                         [
-                            [sub.flux.values[k, 0, i, j], sub.flux.values[k, 1, i, j]],
-                            [sub.flux.values[k, 1, i, j], -sub.flux.values[k, 0, i, j]],
+                            [sub.flux[k, 0, i, j], sub.flux[k, 1, i, j]],
+                            [sub.flux[k, 1, i, j], -sub.flux[k, 0, i, j]],
                         ]
                     ) + np.array(
                         [
-                            [sub.stress.values[k, 0, i, j], sub.stress.values[k, 1, i, j]],
-                            [sub.stress.values[k, 1, i, j], -sub.stress.values[k, 0, i, j]],
+                            [sub.stress[k, 0, i, j], sub.stress[k, 1, i, j]],
+                            [sub.stress[k, 1, i, j], -sub.stress[k, 0, i, j]],
                         ]
                     )
                     lam = 0.5 * (gv @ gv) / h + np.linalg.eigvalsh(dev - W)[-1]
-                    m = sub.kinetic_energy.values[k, i, j] - sub.delta - lam
+                    m = sub.kinetic_energy[k, i, j] - sub.delta - lam
                     worst = min(worst, m)
-        sampled = rep.margin.values[::2, ::4, ::4]
+        sampled = rep.margin[::2, ::4, ::4]
         assert abs(float(sampled.min()) - worst) < 1e-10
+
+    def test_non_finite_margin_aborts(self, grid32):
+        sub = canonical_problem(grid32).build(0.7)
+        E = sub.kinetic_energy.copy()
+        E[1, 2, 3] = np.inf
+        with pytest.raises(NumericalAbort, match="margin is not finite"):
+            subsolution_certificate(replace(sub, kinetic_energy=E))
+
+    def test_overflowing_gap_aborts(self, grid32):
+        sub = canonical_problem(grid32).build(0.7)
+        huge = np.full_like(sub.kinetic_energy, 1e308)
+        with np.errstate(over="ignore"), pytest.raises(NumericalAbort, match="energy gap I"):
+            energy_gap(replace(sub, kinetic_energy=huge))
 
     def test_gap_for_flat_data(self, grid32):
         sub = canonical_problem(grid32).build(0.7)
@@ -471,13 +487,10 @@ class TestFindEnergyOffset:
 
 
 def lemma_inputs(grid, K=32, T=1.0):
+    """Time nodes and the background g = 0, W = 0, r = 1, e = 1."""
     times = np.linspace(0.0, T, K + 1)
     Z = np.zeros((K + 1, 2, *grid.shape))
-    g = SpaceTimeField(grid, times, Z, kind="vector")
-    W = SpaceTimeField(grid, times, Z.copy(), kind="symtraceless")
-    r = SpaceTimeField(grid, times, np.ones((K + 1, *grid.shape)))
-    e = SpaceTimeField(grid, times, np.ones((K + 1, *grid.shape)))
-    return g, W, r, e
+    return times, Z, Z.copy(), np.ones((K + 1, *grid.shape)), np.ones((K + 1, *grid.shape))
 
 
 CENTERED_BOX = SpaceTimeBox(0.15, 0.85, 0.1, 0.9, 0.1, 0.9)
@@ -552,24 +565,23 @@ class TestWavePotential:
 
 class TestOscillatoryPair:
     def test_no_gap_degenerates_to_zero(self, grid32):
-        g, W, r, e = lemma_inputs(grid32, K=8)
-        tight = SpaceTimeField(grid32, e.times, np.full_like(e.values, 1e-15))
-        pair = oscillatory_pair(g, W, r, tight, 8, CENTERED_BOX)
+        times, g, W, r, e = lemma_inputs(grid32, K=8)
+        tight = np.full_like(e, 1e-15)
+        pair = oscillatory_pair(times, grid32, g, W, r, tight, 8, CENTERED_BOX)
         assert pair.degenerate
-        assert not np.any(pair.w.values)
-        assert not np.any(pair.G.values)
+        assert not np.any(pair.w)
+        assert not np.any(pair.G)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_nonpositive_frequency_rejected(self, grid32, n):
-        g, W, r, e = lemma_inputs(grid32, K=8)
+        times, g, W, r, e = lemma_inputs(grid32, K=8)
         with pytest.raises(InvalidValueError, match="frequency"):
-            oscillatory_pair(g, W, r, e, n, CENTERED_BOX)
+            oscillatory_pair(times, grid32, g, W, r, e, n, CENTERED_BOX)
 
     def test_violated_constraint_rejected(self, grid32):
-        g, W, r, e = lemma_inputs(grid32, K=8)
-        bad = SpaceTimeField(grid32, e.times, -np.ones_like(e.values))
+        times, g, W, r, e = lemma_inputs(grid32, K=8)
         with pytest.raises(ConstraintError):
-            oscillatory_pair(g, W, r, bad, 8, CENTERED_BOX)
+            oscillatory_pair(times, grid32, g, W, r, -np.ones_like(e), 8, CENTERED_BOX)
 
     def test_backtracked_pair_is_the_wave_at_its_amplitude(self, grid32, monkeypatch):
         waves = []
@@ -580,31 +592,31 @@ class TestOscillatoryPair:
             return evaluate(self, *args)
 
         monkeypatch.setattr(workbench._WavePotential, "evaluate", spy)
-        g, W, r, e = lemma_inputs(grid32, K=16)
-        pair = oscillatory_pair(g, W, r, e, 1, CENTERED_BOX, seed=0)
+        times, g, W, r, e = lemma_inputs(grid32, K=16)
+        pair = oscillatory_pair(times, grid32, g, W, r, e, 1, CENTERED_BOX, seed=0)
         assert len(waves) == 1 and pair.amplitude == 0.125  # halved twice from 0.5
-        w, G = evaluate(waves[0], g.times, grid32, pair.amplitude)
-        assert np.array_equal(pair.w.values, w)
-        assert np.array_equal(pair.G.values, G)
+        w, G = evaluate(waves[0], times, grid32, pair.amplitude)
+        assert np.array_equal(pair.w, w)
+        assert np.array_equal(pair.G, G)
 
     def test_centered_box_invariants(self, grid64):
-        g, W, r, e = lemma_inputs(grid64, K=32)
-        pair = oscillatory_pair(g, W, r, e, 8, CENTERED_BOX, seed=0)
-        w, G = pair.w.values, pair.G.values
+        times, g, W, r, e = lemma_inputs(grid64, K=32)
+        pair = oscillatory_pair(times, grid64, g, W, r, e, 8, CENTERED_BOX, seed=0)
+        w, G = pair.w, pair.G
         assert not pair.degenerate
         assert float(np.mean(w[:, 0] ** 2 + w[:, 1] ** 2)) > 0.0
         # discrete divergence vanishes to roundoff
         for k in range(0, 33, 4):
             assert np.abs(div_values(w[k])).max() < 1e-9
         # the perturbed constraint survives everywhere
-        lam = 0.5 * (w[:, 0] ** 2 + w[:, 1] ** 2) / r.values + np.hypot(
-            (w[:, 0] ** 2 - w[:, 1] ** 2) / (2 * r.values) - G[:, 0],
-            w[:, 0] * w[:, 1] / r.values - G[:, 1],
+        lam = 0.5 * (w[:, 0] ** 2 + w[:, 1] ** 2) / r + np.hypot(
+            (w[:, 0] ** 2 - w[:, 1] ** 2) / (2 * r) - G[:, 0],
+            w[:, 0] * w[:, 1] / r - G[:, 1],
         )
-        assert np.all(lam < e.values)
+        assert np.all(lam < e)
         # slices are mean-zero and time support is exactly compact
         assert np.abs(w.mean(axis=(2, 3))).max() < 1e-12
-        outside_t = (pair.w.times <= 0.15) | (pair.w.times >= 0.85)
+        outside_t = (times <= 0.15) | (times >= 0.85)
         assert not np.any(w[outside_t])
         # spatial leakage outside the box sits at the spectral-tail level
         x = (np.arange(64) + 0.5) / 64
@@ -615,9 +627,9 @@ class TestOscillatoryPair:
     def test_transport_residual_is_second_order_in_dt(self, grid64):
         resids = []
         for K in (64, 128):
-            g, W, r, e = lemma_inputs(grid64, K=K)
-            pair = oscillatory_pair(g, W, r, e, 8, CENTERED_BOX, seed=0)
-            w, G = pair.w.values, pair.G.values
+            times, g, W, r, e = lemma_inputs(grid64, K=K)
+            pair = oscillatory_pair(times, grid64, g, W, r, e, 8, CENTERED_BOX, seed=0)
+            w, G = pair.w, pair.G
             dt = 1.0 / K
             dw = (w[2:] - w[:-2]) / (2 * dt)
             dG = np.array([div_traceless_values(G[k]) for k in range(K + 1)])
@@ -625,14 +637,14 @@ class TestOscillatoryPair:
         assert np.log2(resids[0] / resids[1]) > 1.5
 
     def test_weak_decay_doubling(self, grid64):
-        g, W, r, e = lemma_inputs(grid64, K=32)
+        times, g, W, r, e = lemma_inputs(grid64, K=32)
         x = (np.arange(64) + 0.5) / 64
         phi = np.sin(TWO_PI * x)[:, None] * np.cos(TWO_PI * x)[None, :]
         prev = None
         for n in (8, 16):
-            pair = oscillatory_pair(g, W, r, e, n, CENTERED_BOX, seed=0)
-            series = (pair.w.values[:, 0] * phi).mean(axis=(1, 2))
-            pairing = abs(np.trapezoid(series, pair.w.times))
+            pair = oscillatory_pair(times, grid64, g, W, r, e, n, CENTERED_BOX, seed=0)
+            series = (pair.w[:, 0] * phi).mean(axis=(1, 2))
+            pairing = abs(np.trapezoid(series, times))
             if prev is not None:
                 assert pairing <= prev / 2.0
             prev = pairing
@@ -643,14 +655,7 @@ class TestImprovementStep:
         prob = canonical_problem(grid32, num_steps=8)
         sub = prob.build(0.7)
         # force E identically equal to the realized kinetic energy (both zero)
-        from dataclasses import replace
-
-        flat = replace(
-            sub,
-            kinetic_energy=SpaceTimeField(
-                grid32, sub.times, np.zeros_like(sub.kinetic_energy.values)
-            ),
-        )
+        flat = replace(sub, kinetic_energy=np.zeros_like(sub.kinetic_energy))
         out, report = improvement_step(flat, seed=0)
         assert not report.accepted
         assert report.note == "zero gap"
@@ -684,4 +689,4 @@ class TestImprovementStep:
         new, report = improvement_step(sub, seed=0)
         assert report.accepted
         # perturbed state carries the O(dt^2) stencil truncation, nothing worse
-        assert transport_residual(new) < 10.0 * np.abs(new.velocity.values).max()
+        assert transport_residual(new) < 10.0 * np.abs(new.velocity).max()
