@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import energy_inequality_residual, weak_strong_experiment
+from .diagnostics import energy_inequality_residual, restrict_state, weak_strong_experiment
 from .errors import FormatError, InvalidValueError, NumericalAbort, ShlabError, ValidationError
 from .fields import ScalarField, SymTracelessField, TorusGrid, VectorField
 from .scenario import load_config
 from .snapshots import write_snapshot
-from .solver import EnergyLedger, simulate, stream
+from .solver import EnergyLedger, simulate, stream  # noqa: F401 (bench/ wraps simulate)
 from .workbench import (
     energy_gap,
     find_energy_offset,
@@ -129,8 +129,6 @@ def _cmd_workbench(args) -> int:
         raise InvalidValueError(f"workbench.lambda must be finite, got {fixed}")
     offset = fixed if fixed is not None else find_energy_offset(problem)
     sub = problem.build(offset)
-    out = _prep_out(args)
-    outputs = []
 
     gap_rows = [(0, energy_gap(sub), sub.delta, 1)]
     seed = cfg.values["seed"]
@@ -142,6 +140,8 @@ def _cmd_workbench(args) -> int:
         )
 
     cert = subsolution_certificate(sub)
+    out = _prep_out(args)
+    outputs = []
     with open(out / "certificate.csv", "w") as fh:
         fh.write("t,min_margin\n")
         per_t = cert.margin.min(axis=(1, 2))
@@ -284,19 +284,19 @@ def _cmd_wsu(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    from .diagnostics import restrict_state
-
     t0 = time.perf_counter()
     cfg = load_config(args.scenario)
     base = TorusGrid(cfg.values["grid.nx"], cfg.values["grid.ny"])
     grids = [base, TorusGrid(2 * base.nx, 2 * base.ny)]
-    ref_grid = TorusGrid(4 * base.nx, 4 * base.ny)
-    ref = simulate(cfg.to_scenario(ref_grid))
-    errors = []
-    for g in grids:
-        traj = simulate(cfg.to_scenario(g))
-        ref_h = restrict_state(ref.states[-1], g).h.values
-        errors.append(float(np.mean(np.abs(traj.states[-1].h.values - ref_h))))
+    finals = []
+    for g in (TorusGrid(4 * base.nx, 4 * base.ny), *grids):
+        for last in stream(cfg.to_scenario(g), EnergyLedger()):
+            pass  # only the last output of each run is kept
+        finals.append(last.state)
+    ref, *runs = finals
+    errors = [
+        float(np.mean(np.abs(r.h.values - restrict_state(ref, r.grid).h.values))) for r in runs
+    ]
     if min(errors) == 0.0:
         raise NumericalAbort(f"observed L1 order is undefined: an L1 error is zero {errors}")
     order = float(np.log2(errors[0] / errors[1]))

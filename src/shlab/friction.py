@@ -114,7 +114,7 @@ def friction_coefficient_values(
         raise PositivityError("friction coefficient requires h > 0 everywhere")
     if np.any(E <= 0.0):
         raise EnergyPositivityError("friction coefficient requires E > 0 everywhere")
-    out = params.gamma_array * np.sqrt(h / (2.0 * E))
+    out = params.gamma_array * np.sqrt(0.5 * h / E)  # 2 E overflows near the float range
     if params.law == "extended":
         out = out + params.gamma2 * np.sqrt(2.0 * E / h)
     return out

@@ -404,12 +404,7 @@ def _check_budget(n_steps: int, t: float, dt: float, T: float) -> None:
 
 
 def simulate(scenario: Scenario) -> Trajectory:
-    """Run the scenario and collect every output into a Trajectory."""
+    """Collect every output of ``stream`` into a Trajectory; no command calls it."""
     ledger = EnergyLedger()
-    times, states, selections = [], [], []
-    n_steps = 0
-    for t, state, selection, n_steps in stream(scenario, ledger):
-        times.append(t)
-        states.append(state)
-        selections.append(selection)
-    return Trajectory(scenario, np.array(times), states, selections, ledger, n_steps)
+    times, states, selections, steps = zip(*stream(scenario, ledger))
+    return Trajectory(scenario, np.array(times), list(states), list(selections), ledger, steps[-1])

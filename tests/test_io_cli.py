@@ -726,19 +726,31 @@ WSU_SMALL = (
 )
 
 
-def count_simulate_calls(monkeypatch, fail_at=None) -> list:
-    """Wrap diagnostics.simulate; raise NumericalAbort on call number fail_at."""
-    calls = []
-    real = diagnostics.simulate
+# a 16^2 run whose 4x reference steepens into a shock by t = 0.06 (output 3 of 26)
+WSU_SHOCK = (
+    "grid.nx = 16\ngrid.ny = 16\nphysics.T = 0.5\ninitial.h0 = 1 + 0.01*sin(2*pi*x1)\n"
+    "initial.u0x = 2*sin(2*pi*x1)\noutput.times = {n}\n"
+)
 
-    def counted(scenario):
+
+def count_stream_runs(monkeypatch, fail_at=None) -> tuple[list, list]:
+    """Wrap diagnostics.stream.  Record the nx of each run in calls and the
+    number of outputs it yielded in yields; raise NumericalAbort when run
+    number fail_at starts."""
+    calls, yields = [], []
+    real = diagnostics.stream
+
+    def counted(scenario, ledger):
         calls.append(scenario.grid.nx)
+        yields.append(0)
         if len(calls) == fail_at:
             raise NumericalAbort("injected")
-        return real(scenario)
+        for out in real(scenario, ledger):
+            yields[-1] += 1
+            yield out
 
-    monkeypatch.setattr(diagnostics, "simulate", counted)
-    return calls
+    monkeypatch.setattr(diagnostics, "stream", counted)
+    return calls, yields
 
 
 class TestCliExperiments:
@@ -751,19 +763,67 @@ class TestCliExperiments:
         assert len(lines) > 1
 
     def test_wsu_simulates_the_reference_once(self, tmp_path, monkeypatch):
-        calls = count_simulate_calls(monkeypatch)
+        calls, yields = count_stream_runs(monkeypatch)
         scn = write_scenario(tmp_path, WSU_SMALL)
         argv = ["wsu", str(scn), "--eps", "1e-3,1e-2,1e-1", "--out", str(tmp_path / "wsu")]
         assert cli.main(argv) == 0
         assert calls == [32, 8, 8, 8]  # one 4x reference, then one coarse run per eps
+        assert yields == [3, 3, 3, 3]  # no shock: every run reaches T
+
+    @pytest.mark.parametrize(
+        "n_output,rows,yields,truncated",
+        [
+            # the reference shocks at output 3: it stops there, and the eps
+            # runs stop at output 2, the last one they are compared at
+            (26, 3, [4, 3, 3], True),
+            # a shock at output 1 still leaves a window of two outputs
+            (3, 2, [2, 2, 2], True),
+            (2, 2, [2, 2, 2], False),
+        ],
+    )
+    def test_wsu_runs_stop_at_the_shock_cutoff(
+        self, tmp_path, monkeypatch, n_output, rows, yields, truncated
+    ):
+        calls, counted = count_stream_runs(monkeypatch)
+        scn = write_scenario(tmp_path, WSU_SHOCK.format(n=n_output))
+        out = tmp_path / "wsu"
+        assert cli.main(["wsu", str(scn), "--eps", "1e-3,1e-1", "--out", str(out)]) == 0
+        assert calls == [64, 16, 16]
+        assert counted == yields
+        for eps in ("0.001", "0.1"):
+            assert len((out / f"wsu_eps{eps}.csv").read_text().splitlines()) == 1 + rows
+        summary = (out / "summary.txt").read_text()
+        assert summary.count("[truncated at shock]") == (2 if truncated else 0)
 
     def test_wsu_abort_leaves_no_partial_csv(self, tmp_path, monkeypatch, capsys):
-        count_simulate_calls(monkeypatch, fail_at=3)
+        count_stream_runs(monkeypatch, fail_at=3)
         scn = write_scenario(tmp_path, WSU_SMALL)
         out = tmp_path / "wsu"
         assert cli.main(["wsu", str(scn), "--eps", "1e-3,1e-2,1e-1", "--out", str(out)]) == 3
         assert "injected" in capsys.readouterr().err
         assert not out.exists()  # the outputs are written only after every run succeeded
+
+    @pytest.mark.parametrize("command", ["wsu", "convergence"])
+    def test_memory_holds_no_fine_trajectory(self, tmp_path, command):
+        """A 16^2 base with a 64^2 reference and 101 outputs.  One 64^2 run
+        with its workspace and step temporaries takes about 35 fields of
+        64^2 float64, and wsu's 101 restricted references of three 16^2
+        fields about 19 more.  Keeping the reference's outputs (h, q and B)
+        would take 5 * 101 = 505 fields."""
+        text = (
+            "grid.nx = 16\ngrid.ny = 16\nphysics.T = 0.02\noutput.times = 101\n"
+            "initial.h0 = 1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)\ninitial.u0x = 0.3*cos(2*pi*x2)\n"
+            "friction.gamma = 0.2 + 0.1*cos(2*pi*x1)\nforce.fx = 0.1\nforce.fy = 0\n"
+        )
+        argv = [command, str(write_scenario(tmp_path, text)), "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv + (["--eps", "1e-3"] if command == "wsu" else [])) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        field = 64 * 64 * 8
+        assert peak < 100 * field, f"traced peak {peak / field:.1f} fields"
 
     @pytest.mark.parametrize(
         "eps,message",
@@ -781,7 +841,7 @@ class TestCliExperiments:
         ],
     )
     def test_wsu_bad_eps_exits_2(self, tmp_path, capsys, monkeypatch, eps, message):
-        calls = count_simulate_calls(monkeypatch)
+        calls, _ = count_stream_runs(monkeypatch)
         scn = write_scenario(tmp_path)
         argv = ["wsu", str(scn), "--eps", eps, "--out", str(tmp_path / "wsu")]
         assert cli.main(argv) == 2
@@ -822,6 +882,13 @@ FUZZ_SCENARIO = (
 FUZZ_GAMMA = b"SHLAB1 scalar 8 8 1\n" + (
     0.2 + 0.1 * np.cos(2 * np.pi * (np.arange(8) + 0.5) / 8)[:, None] * np.ones((1, 8))
 ).astype("<f8").tobytes()
+FUZZ_H0_SCENARIO = (
+    b"grid.nx = 8\ngrid.ny = 8\nphysics.T = 0.05\noutput.times = 3\n"
+    b"initial.h0 = @h0.shlab\ninitial.u0x = 0.3*cos(2*pi*x2)\n"
+)
+FUZZ_H0 = b"SHLAB1 scalar 8 8 1\n" + (
+    1 + 0.2 * np.sin(2 * np.pi * (np.arange(8) + 0.5) / 8)[:, None] * np.ones((1, 8))
+).astype("<f8").tobytes()
 FUZZ_LEDGER = (
     b"t,mass,kinetic,potential,total,dissipation_cum,work_cum,e2_residual\n"
     b"0,1,0.0250,0.51,0.5350,0,0,0\n"
@@ -856,8 +923,11 @@ def run_fuzzed(target: str, data: bytes) -> int:
     that reads it in-process.  The grid and step budgets are lowered so every
     example stays small; inputs beyond them take the same rejecting path as
     inputs beyond the real budgets."""
-    names = {"scenario": "run.scn", "gamma": "gamma.shlab", "ledger": "run/ledger.csv"}
+    names = {
+        "scenario": "run.scn", "gamma": "gamma.shlab", "h0": "h0.shlab", "ledger": "run/ledger.csv"
+    }
     files = {names[key]: base for key, base in FUZZ_BASES.items()}
+    files["h0.scn"] = FUZZ_H0_SCENARIO  # the h0 target's own scenario
     files[names[target]] = data
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "MAX_STEPS", 200)
@@ -869,7 +939,8 @@ def run_fuzzed(target: str, data: bytes) -> int:
         if target == "ledger":
             argv = ["diagnose", str(base / "run")]
         else:
-            argv = ["simulate", str(base / "run.scn"), "--out", str(base / "sim")]
+            scn = "h0.scn" if target == "h0" else "run.scn"
+            argv = ["simulate", str(base / scn), "--out", str(base / "sim")]
         err, out = io.StringIO(), io.StringIO()
         with (
             contextlib.redirect_stderr(err),
@@ -882,7 +953,9 @@ def run_fuzzed(target: str, data: bytes) -> int:
     return code
 
 
-FUZZ_BASES = {"scenario": FUZZ_SCENARIO, "gamma": FUZZ_GAMMA, "ledger": FUZZ_LEDGER}
+FUZZ_BASES = {
+    "scenario": FUZZ_SCENARIO, "gamma": FUZZ_GAMMA, "h0": FUZZ_H0, "ledger": FUZZ_LEDGER
+}
 # the fuzz draws the same bytes on every run, except under the opt-in
 # Hypothesis profile fuzz-random (tests/conftest.py)
 FUZZ_SEED = 20260611
@@ -891,8 +964,9 @@ FUZZ_SEED = 20260611
 @pytest.mark.parametrize("target", sorted(FUZZ_BASES))
 def test_fuzzed_input_files_exit_with_documented_codes(target):
     """Arbitrary bytes, and mutations of a valid file, in the scenario file
-    (simulate), a friction.gamma @snapshot (simulate) and ledger.csv
-    (diagnose): main returns 0, 2, 3 or 4 and nothing escapes it."""
+    (simulate), a friction.gamma @snapshot (simulate), an initial.h0
+    @snapshot (simulate, from its own scenario) and ledger.csv (diagnose):
+    main returns 0, 2, 3 or 4 and nothing escapes it."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=fuzzed(FUZZ_BASES[target]))
@@ -953,14 +1027,15 @@ class TestFuzzFindings:
         assert not out.exists()
 
     def test_huge_workbench_lambda_exits_3(self, tmp_path, capsys):
-        # exit 0 with "energy gap I: initial -inf": the mean in energy_gap overflowed
+        # exit 0 with "energy gap I: initial -inf": the mean in energy_gap
+        # overflowed; later an empty --out and overflow warnings on stderr
         scn = scenario8(tmp_path, {"workbench.lambda": "1e308"})
         out = tmp_path / "wb"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("shlab: numerical abort: energy gap I")
-        assert not (out / "gap.csv").exists()
+        assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "shlab: numerical abort: energy gap I is not finite (I = -inf)\n"
+        )
+        assert not out.exists()
 
 
 # the documented contract: each shlab error derives from one of these bases
