@@ -135,9 +135,7 @@ def _cmd_workbench(args) -> int:
     n = cfg.values["workbench.osc_n"]
     for k in range(args.steps):
         sub, step_report = improvement_step(sub, seed=seed + k, n=n)
-        gap_rows.append(
-            (k + 1, energy_gap(sub), sub.delta, int(step_report.accepted))
-        )
+        gap_rows.append((k + 1, step_report.gap_after, sub.delta, int(step_report.accepted)))
 
     cert = subsolution_certificate(sub)
     out = _prep_out(args)
@@ -145,7 +143,7 @@ def _cmd_workbench(args) -> int:
     with open(out / "certificate.csv", "w") as fh:
         fh.write("t,min_margin\n")
         per_t = cert.margin.min(axis=(1, 2))
-        for t, m in zip(sub.times, per_t):
+        for t, m in zip(problem.times, per_t):
             fh.write(f"{t:.17g},{m:.17g}\n")
     outputs.append(out / "certificate.csv")
     with open(out / "gap.csv", "w") as fh:
@@ -154,14 +152,14 @@ def _cmd_workbench(args) -> int:
             fh.write(f"{row[0]},{row[1]:.17g},{row[2]:.17g},{row[3]}\n")
     outputs.append(out / "gap.csv")
 
-    for label, k in (("t0", 0), ("tmid", sub.times.size // 2), ("tend", sub.times.size - 1)):
+    for label, k in (("t0", 0), ("tmid", problem.times.size // 2), ("tend", problem.num_steps)):
         for name, kind, stack in (
             ("v", VectorField, sub.velocity),
             ("E", ScalarField, sub.kinetic_energy),
             ("M", SymTracelessField, sub.stress),
         ):
             p = out / f"{name}_{label}.shlab"
-            write_snapshot(kind(sub.grid, stack[k]), p)
+            write_snapshot(kind(problem.grid, stack[k]), p)
             outputs.append(p)
 
     summary = out / "summary.txt"

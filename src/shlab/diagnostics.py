@@ -29,16 +29,17 @@ def energy_inequality_residual(ledger: EnergyLedger) -> float:
     return float(np.max(ledger.column("e2_residual")))
 
 
-def energy_jump(sub: SubsolutionState, h0: ScalarField, u0: VectorField, a: float) -> float:
+def energy_jump(sub: SubsolutionState) -> float:
     """Initial-time energy jump of a constructed solution.
 
     The construction equates half h |u|^2 with the kinetic-energy budget E,
     so the total energy just after t = 0 is the integral of E + a h^2 at the
-    first interior node; the jump is its excess over the data energy.
+    first interior node; the jump is its excess over the problem's data energy.
     """
-    e_after = float(np.mean(sub.kinetic_energy[1] + a * sub.height[1] ** 2))
-    u2 = u0.values[0] ** 2 + u0.values[1] ** 2
-    e_data = float(np.mean(0.5 * h0.values * u2 + a * h0.values**2))
+    prob = sub.problem
+    a, h0, u0 = prob.a, prob.h0.values, prob.u0.values
+    e_after = float(np.mean(sub.kinetic_energy[1] + a * prob.height[1] ** 2))
+    e_data = float(np.mean(0.5 * h0 * (u0[0] ** 2 + u0[1] ** 2) + a * h0**2))
     return e_after - e_data
 
 

@@ -125,7 +125,8 @@ def eval_expression(text: str, grid: TorusGrid) -> np.ndarray:
     try:
         tree = ast.parse(text, mode="eval")
         x1, x2 = grid.cell_centers()
-        out = _ExprEvaluator({"x1": x1, "x2": x2}).visit(tree)
+        with np.errstate(all="ignore"):  # the field check rejects non-finite samples
+            out = _ExprEvaluator({"x1": x1, "x2": x2}).visit(tree)
     except SyntaxError as exc:
         raise ParseError(f"bad expression {text!r}: {exc.msg}") from exc
     except RecursionError:
@@ -152,7 +153,8 @@ class ScenarioConfig:
     def friction_params(self, grid: TorusGrid) -> FrictionParams:
         raw = self.values["friction.gamma"]
         sampled = _scalar_from_source(raw, grid, self.base_dir, "friction.gamma")
-        gamma = float(sampled.flat[0]) if np.ptp(sampled) == 0.0 else ScalarField(grid, sampled)
+        constant = sampled.min() == sampled.max()  # np.ptp of infinite samples warns
+        gamma = float(sampled.flat[0]) if constant else ScalarField(grid, sampled)
         return FrictionParams(
             gamma=gamma, gamma2=self.values["friction.gamma2"], law=self.values["friction.law"]
         )

@@ -347,7 +347,8 @@ def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
     kept.
 
     The run aborts (NumericalAbort) before it starts if it has more outputs
-    than MAX_STEPS steps can reach, and during it once it has taken
+    than MAX_STEPS steps can reach or if its initial energy overflows, and
+    during it once it has taken
     MAX_STEPS steps, once the steps still needed at the current CFL step
     would pass that budget, or once a step no longer advances the clock
     (t + dt == t).
@@ -356,8 +357,11 @@ def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
         raise NumericalAbort(
             f"{scenario.n_output} output times need more than {MAX_STEPS} steps"
         )
-    state = scenario.initial_state()
-    ledger.append(0.0, state, scenario.a, 0.0, 0.0)
+    with np.errstate(over="ignore"):  # an energy that overflows aborts just below
+        state = scenario.initial_state()
+        ledger.append(0.0, state, scenario.a, 0.0, 0.0)
+    if not np.isfinite(ledger.rows[-1][4]):
+        raise NumericalAbort(f"initial energy is not finite (total = {ledger.rows[-1][4]})")
     selection0 = coulomb_selection(scenario.u0)
     yield Output(0.0, state, selection0, 0)
 

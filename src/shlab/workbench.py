@@ -14,7 +14,7 @@ over the uniform time nodes t_0 = 0, ..., t_K = T of the problem's `times`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -101,7 +101,8 @@ def drag_coefficient(
 ) -> np.ndarray | None:
     """(K+1, nx, ny) stack of the linear friction coefficient gamma sqrt(h/2E)
     (+ extended term), or None without friction.  Raises if E, the budget
-    built from the energy offset, dips below the floor E_MIN_FACTOR |offset|."""
+    built from the energy offset, dips below the floor E_MIN_FACTOR |offset|,
+    and aborts if the coefficient is not finite."""
     if not friction.active:
         return None
     e_min = E_MIN_FACTOR * abs(offset)
@@ -110,7 +111,11 @@ def drag_coefficient(
         raise EnergyPositivityError(
             f"kinetic energy floor violated: min E = {e_low:.3e} < {e_min:.3e}"
         )
-    return friction_coefficient_values(h, E, friction)
+    with np.errstate(over="ignore"):  # a drag that overflows aborts just below
+        drag = friction_coefficient_values(h, E, friction)
+    if not np.all(np.isfinite(drag)):
+        raise NumericalAbort(f"friction drag is not finite (max E = {float(np.max(E)):.3e})")
+    return drag
 
 
 def solve_mean_momentum(
@@ -182,23 +187,17 @@ def solve_stress(
 
 @dataclass(frozen=True)
 class SubsolutionState:
-    """Full record of one candidate subsolution.
+    """Full record of one candidate subsolution of `problem`, whose grid,
+    time nodes, physics, height h and grad(psi) it shares.
 
-    Each stack samples the uniform nodes `times`: height h and
-    kinetic_energy E are (K+1, nx, ny); grad_potential grad(psi), velocity
-    the divergence-free mean-zero part, flux its space-time companion and
-    stress the corrector M are (K+1, 2, nx, ny), the last two as traceless
-    (p, s) pairs.  mean_momentum is the (K+1, 2) V(t) series and delta the
-    certified margin.
+    Each stack samples the problem's uniform nodes `times`: kinetic_energy E
+    is (K+1, nx, ny); velocity the divergence-free mean-zero part, flux its
+    space-time companion and stress the corrector M are (K+1, 2, nx, ny),
+    the last two as traceless (p, s) pairs.  mean_momentum is the (K+1, 2)
+    V(t) series and delta the certified margin.
     """
 
-    grid: TorusGrid
-    times: np.ndarray
-    a: float
-    friction: FrictionParams
-    force: VectorField | None
-    height: np.ndarray
-    grad_potential: np.ndarray
+    problem: WorkbenchProblem
     energy_offset: float
     kinetic_energy: np.ndarray
     velocity: np.ndarray
@@ -207,13 +206,9 @@ class SubsolutionState:
     stress: np.ndarray
     delta: float
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
     def total_momentum_stack(self) -> np.ndarray:
         """v + V + grad(psi) sampled at every node, shape (K+1, 2, nx, ny)."""
-        return self.velocity + self.mean_momentum[:, :, None, None] + self.grad_potential
+        return self.velocity + self.mean_momentum[:, :, None, None] + self.problem.grad_potential
 
 
 @dataclass(frozen=True)
@@ -232,7 +227,7 @@ def subsolution_certificate(sub: SubsolutionState) -> CertificateReport:
     A margin that is not finite everywhere aborts rather than certify.
     """
     g = sub.total_momentum_stack()
-    h = sub.height
+    h = sub.problem.height
     dev = deviatoric_outer(g, h) - sub.flux - sub.stress
     half_speed = 0.5 * (g[:, 0] ** 2 + g[:, 1] ** 2) / h
     lam = half_speed + lambda_max_traceless(dev[:, 0], dev[:, 1])
@@ -255,9 +250,9 @@ def energy_gap(sub: SubsolutionState) -> float:
     A gap that overflows (an energy offset near the float range) aborts.
     """
     g = sub.total_momentum_stack()
-    integrand = 0.5 * (g[:, 0] ** 2 + g[:, 1] ** 2) / sub.height - sub.kinetic_energy
+    integrand = 0.5 * (g[:, 0] ** 2 + g[:, 1] ** 2) / sub.problem.height - sub.kinetic_energy
     with np.errstate(over="ignore"):  # a gap that overflows aborts just below
-        gap = float(np.trapezoid(integrand.mean(axis=(1, 2)), sub.times))
+        gap = float(np.trapezoid(integrand.mean(axis=(1, 2)), sub.problem.times))
     if not math.isfinite(gap):
         raise NumericalAbort(f"energy gap I is not finite (I = {gap})")
     return gap
@@ -266,7 +261,7 @@ def energy_gap(sub: SubsolutionState) -> float:
 def transport_residual(sub: SubsolutionState) -> float:
     """Max residual of the linear constraint d(velocity)/dt + div(flux) = 0,
     with the discrete time stencil; interior nodes only."""
-    dv = time_derivative(sub.velocity, sub.dt)[1:-1]
+    dv = time_derivative(sub.velocity, sub.problem.dt)[1:-1]
     return float(np.max(np.abs(dv + spectral.div_traceless_values(sub.flux[1:-1]))))
 
 
@@ -280,7 +275,8 @@ class WorkbenchProblem:
 
     The time nodes, the height design, the potential psi and grad(psi) do not
     depend on the energy offset, so they are derived once per problem (cached
-    properties) and shared, unmodified, by every candidate that build returns.
+    properties) and shared, unmodified, by every candidate, which holds the
+    problem itself.
     """
 
     grid: TorusGrid
@@ -347,31 +343,24 @@ class WorkbenchProblem:
         Only E, the drag coefficient, V and M depend on the offset.
         """
         offset = float(offset)
-        parts, height = self.initial_split, self.height
-        E = kinetic_energy_field(offset, self.a, height, self.potential, self.dt)
-        drag = drag_coefficient(E, height, self.friction, offset)
-        # read-only view of the one v0 slice at every node
-        v = np.broadcast_to(parts.v.values, (self.times.size, 2, *self.grid.shape))
+        E = kinetic_energy_field(offset, self.a, self.height, self.potential, self.dt)
+        # read-only views of the one v0 slice at every node and of a zero flux
+        v = np.broadcast_to(self.initial_split.v.values, (self.times.size, 2, *self.grid.shape))
+        return self.candidate(offset, E, v, np.broadcast_to(0.0, v.shape), self.delta)
+
+    def candidate(
+        self, offset: float, E: np.ndarray, v: np.ndarray, flux: np.ndarray, delta: float
+    ) -> SubsolutionState:
+        """The candidate with energy level E (built from `offset`), velocity v,
+        flux and margin delta, closed by the drag of E, the mean momentum V
+        from V(0) = Vmean and the stress M for that velocity."""
+        drag = drag_coefficient(E, self.height, self.friction, offset)
         V = solve_mean_momentum(
-            v, drag, self.grad_potential, height, self.force, parts.Vmean, self.dt
+            v, drag, self.grad_potential, self.height, self.force,
+            self.initial_split.Vmean, self.dt,
         )
-        M = solve_stress(v, V, drag, self.grad_potential, height, self.force)
-        return SubsolutionState(
-            grid=self.grid,
-            times=self.times,
-            a=self.a,
-            friction=self.friction,
-            force=self.force,
-            height=height,
-            grad_potential=self.grad_potential,
-            energy_offset=offset,
-            kinetic_energy=E,
-            velocity=v,
-            flux=np.zeros(v.shape),
-            mean_momentum=V,
-            stress=M,
-            delta=self.delta,
-        )
+        M = solve_stress(v, V, drag, self.grad_potential, self.height, self.force)
+        return SubsolutionState(self, offset, E, v, flux, V, M, delta)
 
 
 def find_energy_offset(problem: WorkbenchProblem) -> float:
@@ -439,8 +428,6 @@ class OscillatoryPair:
 
     w: np.ndarray
     G: np.ndarray
-    n: int
-    box: SpaceTimeBox
     amplitude: float
     degenerate: bool = False
 
@@ -553,7 +540,7 @@ def oscillatory_pair(
 
     gap = float(np.min(np.where(mask, e - lam0, np.inf)))
     zero = lambda: OscillatoryPair(  # noqa: E731
-        w=np.zeros(g.shape), G=np.zeros(g.shape), n=n, box=box, amplitude=0.0, degenerate=True
+        w=np.zeros(g.shape), G=np.zeros(g.shape), amplitude=0.0, degenerate=True
     )
     if not np.isfinite(gap) or gap <= 1e-12 * float(np.max(np.abs(e)) + 1.0):
         return zero()
@@ -573,7 +560,7 @@ def oscillatory_pair(
         # outside the box only the spectral tail of the cutoff remains, so the
         # padded level (half the box gap above lambda0) is a strict check there
         if np.all(lam < e_pad):
-            return OscillatoryPair(w=w, G=G, n=n, box=box, amplitude=amp)
+            return OscillatoryPair(w=w, G=G, amplitude=amp)
         # halving by a power of two is exact, so this is evaluate(amp / 2) bitwise
         amp *= 0.5
         w *= 0.5
@@ -587,11 +574,11 @@ def oscillatory_pair(
 
 @dataclass(frozen=True)
 class ImprovementReport:
+    """Outcome of one improvement step and the energy gap of the state it returns."""
+
     accepted: bool
-    gap_before: float
+    note: str
     gap_after: float
-    delta_after: float
-    note: str = ""
 
 
 def improvement_step(
@@ -604,48 +591,26 @@ def improvement_step(
     Rejected steps leave the state unchanged."""
     gap_before = energy_gap(sub)
     if gap_before >= -1e-14:
-        return sub, ImprovementReport(False, gap_before, gap_before, sub.delta, "zero gap")
-    T = float(sub.times[-1])
-    box = SpaceTimeBox(0.15 * T, 0.85 * T, 0.1, 0.9, 0.1, 0.9)
+        return sub, ImprovementReport(False, "zero gap", gap_before)
+    prob = sub.problem
+    box = SpaceTimeBox(0.15 * prob.T, 0.85 * prob.T, 0.1, 0.9, 0.1, 0.9)
 
     g_stack = sub.total_momentum_stack()
     W = sub.flux + sub.stress
     e_level = sub.kinetic_energy - 0.5 * sub.delta
-    pair = oscillatory_pair(sub.times, sub.grid, g_stack, W, sub.height, e_level, n, box, seed)
+    pair = oscillatory_pair(prob.times, prob.grid, g_stack, W, prob.height, e_level, n, box, seed)
     # freed before the solves and the re-certification, which set the peak memory
     del g_stack, W, e_level
     if pair.degenerate:
-        return sub, ImprovementReport(
-            False, gap_before, gap_before, sub.delta, "degenerate gap"
-        )
+        return sub, ImprovementReport(False, "degenerate gap", gap_before)
 
-    v_new = sub.velocity + pair.w
-    flux_new = sub.flux + pair.G
-    try:
-        drag = drag_coefficient(sub.kinetic_energy, sub.height, sub.friction, sub.energy_offset)
-    except EnergyPositivityError as exc:
-        return sub, ImprovementReport(False, gap_before, gap_before, sub.delta, str(exc))
-    V_new = solve_mean_momentum(
-        v_new, drag, sub.grad_potential, sub.height, sub.force, sub.mean_momentum[0], sub.dt
+    candidate = prob.candidate(
+        sub.energy_offset, sub.kinetic_energy, sub.velocity + pair.w, sub.flux + pair.G,
+        0.5 * sub.delta,
     )
-    M_new = solve_stress(v_new, V_new, drag, sub.grad_potential, sub.height, sub.force)
-
-    candidate = replace(
-        sub,
-        velocity=v_new,
-        flux=flux_new,
-        mean_momentum=V_new,
-        stress=M_new,
-        delta=0.5 * sub.delta,
-    )
-    report = subsolution_certificate(candidate)
-    if not report.passed:
-        return sub, ImprovementReport(
-            False, gap_before, gap_before, sub.delta, "re-certification failed"
-        )
+    if not subsolution_certificate(candidate).passed:
+        return sub, ImprovementReport(False, "re-certification failed", gap_before)
     gap_after = energy_gap(candidate)
     if gap_after <= gap_before:
-        return sub, ImprovementReport(
-            False, gap_before, gap_before, sub.delta, "gap did not improve"
-        )
-    return candidate, ImprovementReport(True, gap_before, gap_after, candidate.delta)
+        return sub, ImprovementReport(False, "gap did not improve", gap_before)
+    return candidate, ImprovementReport(True, "", gap_after)

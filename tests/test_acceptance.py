@@ -223,7 +223,7 @@ def test_criterion_4_subsolution_pipeline():
     assert float(margin.min()) == pytest.approx(offset - 0.5 - 0.1, abs=1e-12)
 
     # the gap functional equals minus the space-time integral of E
-    e_integral = float(np.trapezoid(sub.kinetic_energy.mean(axis=(1, 2)), sub.times))
+    e_integral = float(np.trapezoid(sub.kinetic_energy.mean(axis=(1, 2)), prob.times))
     assert energy_gap(sub) == pytest.approx(-e_integral, abs=1e-8)
 
     new, report = improvement_step(sub, seed=0)
@@ -290,13 +290,11 @@ def test_criterion_5_oscillatory_pair_invariants():
 def test_criterion_6_initial_energy_jump():
     grid = TorusGrid(32, 32)
     prob = canonical_problem(grid, num_steps=16, gamma=0.0)
-    a = 0.5
-    threshold = float(np.mean(a * prob.h0.values**2))  # flat data, u0 = 0
+    threshold = float(np.mean(prob.a * prob.h0.values**2))  # flat data, u0 = 0
 
     jumps = {}
     for offset in (threshold, 0.55, 0.7, 1.0):
-        sub = prob.build(offset)
-        jumps[offset] = energy_jump(sub, prob.h0, prob.u0, a)
+        jumps[offset] = energy_jump(prob.build(offset))
 
     assert jumps[threshold] == pytest.approx(0.0, abs=1e-12)
     for offset, jump in jumps.items():

@@ -77,6 +77,10 @@ def test_workbench_job_smoke(tmp_path, mode):
             "spectral.korn_solve_values.calls",
         ):
             assert layers[name] > 0, name
+        # one gap for the built state, then at most two per step: the state
+        # it starts from and the candidate it certified
+        steps = layers["workbench.improvement_step.calls"]
+        assert layers["workbench.energy_gap.calls"] <= 1 + 2 * steps
 
 
 @pytest.mark.parametrize("mode", ["plain", "trace"])

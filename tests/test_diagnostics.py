@@ -92,23 +92,23 @@ class TestEnergyJump:
             u0=VectorField.constant(grid, 0.0, 0.0),
             delta=0.1,
         )
-        return prob, prob.build(offset)
+        return prob.build(offset)
 
     def test_direct_formula(self, grid32):
-        prob, sub = self.build(grid32, 0.7)
+        sub = self.build(grid32, 0.7)
         # flat data: jump = offset - (a h0^2 + half h0 |u0|^2) = offset - 0.5
-        assert energy_jump(sub, prob.h0, prob.u0, 0.5) == pytest.approx(0.2, abs=1e-12)
+        assert energy_jump(sub) == pytest.approx(0.2, abs=1e-12)
 
     def test_unit_slope_in_offset(self, grid32):
-        prob, sub_a = self.build(grid32, 0.7)
-        _, sub_b = self.build(grid32, 1.3)
-        ja = energy_jump(sub_a, prob.h0, prob.u0, 0.5)
-        jb = energy_jump(sub_b, prob.h0, prob.u0, 0.5)
+        sub_a = self.build(grid32, 0.7)
+        sub_b = self.build(grid32, 1.3)
+        ja = energy_jump(sub_a)
+        jb = energy_jump(sub_b)
         assert (jb - ja) / (1.3 - 0.7) == pytest.approx(1.0, abs=1e-6)
 
     def test_degenerate_equality_gives_zero(self, grid32):
-        prob, sub = self.build(grid32, 0.5)
-        assert energy_jump(sub, prob.h0, prob.u0, 0.5) == pytest.approx(0.0, abs=1e-12)
+        sub = self.build(grid32, 0.5)
+        assert energy_jump(sub) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRelativeEnergy:

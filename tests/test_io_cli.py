@@ -942,12 +942,8 @@ def run_fuzzed(target: str, data: bytes) -> int:
             scn = "h0.scn" if target == "h0" else "run.scn"
             argv = ["simulate", str(base / scn), "--out", str(base / "sim")]
         err, out = io.StringIO(), io.StringIO()
-        with (
-            contextlib.redirect_stderr(err),
-            contextlib.redirect_stdout(out),
-            warnings.catch_warnings(),
-        ):
-            warnings.simplefilter("ignore", RuntimeWarning)
+        # a RuntimeWarning is raised as an error (pyproject.toml) and fails the example
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
             code = cli.main(argv)
     assert code in (0, 2, 3, 4), err.getvalue()
     return code
@@ -993,15 +989,27 @@ class TestFuzzFindings:
             ("initial.u0x", "1" + "0" * 400, 2),
             # MemoryError: a 60 GiB coordinate array
             ("grid.nx", "8000000000", 2),
+            # a RuntimeWarning from the expression evaluator ahead of the exit-2 line
+            ("initial.u0x", "exp(1000)", 2),
+            ("initial.u0x", "1/0", 2),
+            ("initial.u0x", "log(0)", 2),
+            ("initial.u0x", "sqrt(-1)", 2),
+            # a RuntimeWarning from np.ptp of a constant infinite gamma
+            ("friction.gamma", "exp(1000)", 2),
         ],
-        ids=["negative-power", "deep-nesting", "huge-literal", "huge-grid"],
+        ids=[
+            "negative-power", "deep-nesting", "huge-literal", "huge-grid",
+            "exp-overflow", "divide-by-zero", "log-zero", "sqrt-negative", "infinite-gamma",
+        ],
     )
     def test_scenario_value(self, tmp_path, capsys, key, value, code):
         scn = scenario8(tmp_path, {"physics.T": "0.05", key: value}, base=SIMULATE8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert cli.main(["simulate", scn, "--out", str(tmp_path / "out")]) == code
-        assert "Traceback" not in capsys.readouterr().err
+        assert cli.main(["simulate", scn, "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:  # one "shlab: <label>: <message>" line, nothing else
+            assert err.startswith("shlab: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("body", [b"", b"\n\n"], ids=["empty", "blank-lines"])
     def test_empty_ledger_exits_4(self, body):
@@ -1027,14 +1035,48 @@ class TestFuzzFindings:
         assert not out.exists()
 
     def test_huge_workbench_lambda_exits_3(self, tmp_path, capsys):
-        # exit 0 with "energy gap I: initial -inf": the mean in energy_gap
-        # overflowed; later an empty --out and overflow warnings on stderr
-        scn = scenario8(tmp_path, {"workbench.lambda": "1e308"})
-        out = tmp_path / "wb"
-        assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            "shlab: numerical abort: energy gap I is not finite (I = -inf)\n"
-        )
+        # coulomb: exit 0 with "energy gap I: initial -inf": the mean in
+        # energy_gap overflowed; later an empty --out and overflow warnings on
+        # stderr.  extended: the term gamma2 sqrt(2E/h) overflowed, with
+        # RuntimeWarnings ahead of the exit-3 line "I = nan"
+        for law, message in (
+            ("coulomb", "energy gap I is not finite (I = -inf)"),
+            ("extended", "friction drag is not finite (max E = 1.000e+308)"),
+        ):
+            overrides = {"workbench.lambda": "1e308", "friction.law": law, "friction.gamma2": "0.1"}
+            (tmp_path / law).mkdir()
+            scn = scenario8(tmp_path / law, overrides)
+            out = tmp_path / law / "wb"
+            assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out)]) == 3
+            assert capsys.readouterr().err == f"shlab: numerical abort: {message}\n"
+            assert not out.exists()
+
+    INFINITE_ENERGY = "initial energy is not finite (total = inf)"
+
+    @pytest.mark.parametrize(
+        "overrides,code,message",
+        [
+            # overflow warnings from EnergyLedger.append and Workspace.fill, then
+            # the step budget's exit-3 line
+            ({"initial.h0": "1e200"}, 3, f"numerical abort: {INFINITE_ENERGY}"),
+            ({"initial.h0": "@h0.shlab"}, 3, f"numerical abort: {INFINITE_ENERGY}"),
+            # an overflow warning from Scenario.initial_state ahead of the exit-2 line
+            (
+                {"initial.h0": "1e200", "initial.u0x": "1e200"},
+                2,
+                "validation error: vector field contains non-finite values",
+            ),
+        ],
+        ids=["height", "height-snapshot", "momentum"],
+    )
+    def test_overflowing_initial_state(self, tmp_path, capsys, overrides, code, message):
+        h0 = np.ones((8, 8))
+        h0[3, 5] = 1e200
+        write_snapshot(ScalarField(TorusGrid(8, 8), h0), tmp_path / "h0.shlab")
+        scn = scenario8(tmp_path, {"physics.T": "0.05", **overrides}, base=SIMULATE8)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", scn, "--out", str(out)]) == code
+        assert capsys.readouterr().err == f"shlab: {message}\n"
         assert not out.exists()
 
 

@@ -323,7 +323,7 @@ def nonflat_problem(grid, num_steps=8):
 class TestBuildReuse:
     """build derives the offset-independent fields once per problem."""
 
-    STATE_ARRAYS = ("height", "kinetic_energy", "velocity", "flux", "stress")
+    STATE_ARRAYS = ("kinetic_energy", "velocity", "flux", "stress")
 
     def test_rebuild_is_bitwise_equal_to_a_fresh_build(self, grid32):
         prob = nonflat_problem(grid32)
@@ -334,7 +334,8 @@ class TestBuildReuse:
         fresh = nonflat_problem(grid32).build(lam)
         for name in self.STATE_ARRAYS:
             assert getattr(again, name).tobytes() == getattr(fresh, name).tobytes()
-        assert again.grad_potential.tobytes() == fresh.grad_potential.tobytes()
+        assert again.problem.height.tobytes() == fresh.problem.height.tobytes()
+        assert again.problem.grad_potential.tobytes() == fresh.problem.grad_potential.tobytes()
         assert again.mean_momentum.tobytes() == fresh.mean_momentum.tobytes()
         assert again.energy_offset == fresh.energy_offset == lam
 
@@ -354,7 +355,7 @@ class TestBuildReuse:
         sub = prob.build(1.2)
         for k in (0, 4, 8):
             np.testing.assert_array_equal(
-                sub.grad_potential[k], grad_values(prob.potential[k])
+                sub.problem.grad_potential[k], grad_values(prob.potential[k])
             )
 
     def test_too_few_time_steps_rejected(self, grid32):
@@ -403,11 +404,11 @@ class TestCertificateAndGap:
         # independent scan with explicit 2x2 eigenvalues
         g = sub.total_momentum_stack()
         worst = np.inf
-        for k in range(0, sub.times.size, 2):
+        for k in range(0, prob.times.size, 2):
             for i in range(0, 32, 4):
                 for j in range(0, 32, 4):
                     gv = g[k, :, i, j]
-                    h = sub.height[k, i, j]
+                    h = prob.height[k, i, j]
                     outer = np.outer(gv, gv) / h
                     dev = outer - 0.5 * np.trace(outer) * np.eye(2)
                     W = np.array(
@@ -660,6 +661,40 @@ class TestImprovementStep:
         assert not report.accepted
         assert report.note == "zero gap"
         assert out is flat
+        assert report.gap_after == energy_gap(out)
+
+    def test_degenerate_pair_state_unchanged(self, grid32):
+        sub = canonical_problem(grid32, num_steps=8).build(0.7)
+        # the level E - delta/2 sits 1e-13 above the constraint lambda = 0 of g = 0
+        thin = replace(sub, kinetic_energy=np.full_like(sub.kinetic_energy, 0.05 + 1e-13))
+        out, report = improvement_step(thin, seed=0)
+        assert (report.accepted, report.note) == (False, "degenerate gap")
+        assert out is thin
+        assert report.gap_after == energy_gap(out)
+
+    def test_failed_recertification_state_unchanged(self, grid32):
+        prob = WorkbenchProblem(
+            grid=grid32,
+            T=1.0,
+            num_steps=8,
+            a=0.5,
+            friction=FrictionParams(gamma=0.3),
+            h0=ScalarField.constant(grid32, 1.0),
+            u0=VectorField.constant(grid32, 0.3, 0.0),
+            delta=0.1,
+        )
+        sub = prob.build(0.8)
+        # the pair is sized for V = 0, but the candidate's V starts at Vmean = (0.3, 0),
+        # whose lambda 0.09 exceeds the level E - delta/2 = 0.05
+        wrong = replace(
+            sub,
+            mean_momentum=np.zeros_like(sub.mean_momentum),
+            kinetic_energy=np.full_like(sub.kinetic_energy, 0.1),
+        )
+        out, report = improvement_step(wrong, seed=0)
+        assert (report.accepted, report.note) == (False, "re-certification failed")
+        assert out is wrong
+        assert report.gap_after == energy_gap(out)
 
     def test_one_step_strictly_increases_gap(self, grid32):
         prob = canonical_problem(grid32)
@@ -668,8 +703,12 @@ class TestImprovementStep:
         new, report = improvement_step(sub, seed=0)
         assert report.accepted
         assert energy_gap(new) > before
+        assert report.gap_after == energy_gap(new)
         assert subsolution_certificate(new).passed
         assert new.delta == pytest.approx(0.5 * sub.delta)
+        # the candidate shares the problem's offset-independent arrays
+        assert new.problem.height is prob.height
+        assert new.problem.grad_potential is prob.grad_potential
 
     def test_five_steps_are_monotone(self, grid32):
         prob = canonical_problem(grid32)
