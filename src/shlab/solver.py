@@ -248,11 +248,17 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
     B = np.zeros_like(q_pre)
     positive = thresh > 0.0
     np.subtract(q_pre, q_post, out=B, where=positive)
-    np.divide(B, thresh, out=B, where=positive)
     Bnorm, u, g = work.free[1], work.free[2:4], work.free[4]
-    np.hypot(B[0], B[1], out=Bnorm)
+    with np.errstate(over="ignore"):  # from a subnormal dt gamma h; mended below
+        np.divide(B, thresh, out=B, where=positive)
+        np.hypot(B[0], B[1], out=Bnorm)
     over = Bnorm > 1.0
     if np.any(over):
+        if Bnorm.max() == np.inf:  # |B| > 1 there too: B is the direction of q_pre - q_post
+            huge = np.isinf(Bnorm)
+            d = q_pre[:, huge] - q_post[:, huge]
+            B[:, huge] = d / np.hypot(d[0], d[1])
+            Bnorm[huge] = 1.0
         np.divide(B, Bnorm, out=B, where=over)
 
     np.divide(q_post, hn, out=u)

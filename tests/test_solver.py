@@ -388,13 +388,15 @@ def oracle_step(state, scenario, dt):
     q_post = oracle_friction_shrink(q_pre, hn, friction, dt) if friction.active else q_pre
     gamma = friction.gamma_array
     denom = dt * gamma * hn
-    with np.errstate(divide="ignore", invalid="ignore"):
-        B = np.where(denom > 0.0, (q_pre - q_post) / np.where(denom > 0, denom, 1.0), 0.0)
-    Bnorm = np.hypot(B[0], B[1])
-    over = Bnorm > 1.0
-    renormalized = bool(np.any(over))
-    if renormalized:
-        B = B / np.where(over, Bnorm, 1.0)
+    d = q_pre - q_post
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        B = np.where(denom > 0.0, d / np.where(denom > 0, denom, 1.0), 0.0)
+        Bnorm = np.hypot(B[0], B[1])
+        over = Bnorm > 1.0
+        renormalized = bool(np.any(over))
+        if renormalized:
+            # where d / (dt gamma h) overflows, |B| > 1 and B is the direction of d
+            B = np.where(np.isinf(Bnorm), d / np.hypot(d[0], d[1]), B / np.where(over, Bnorm, 1.0))
     u_post = q_post / hn
     diss_inc = dt * float(np.mean(gamma * hn * (B[0] * u_post[0] + B[1] * u_post[1])))
     if scenario.f is not None:
@@ -504,6 +506,28 @@ class TestWorkspaceStep:
         expected, renormalized = oracle_step(state, scn, dt)
         assert renormalized
         assert step_bits(*step(state, scn, dt, work)) == oracle_bits(expected)
+
+    def test_subnormal_gamma_gives_a_unit_selection(self):
+        # (q_pre - q_post) / (dt gamma h) overflows for a subnormal gamma; B
+        # is then the unit direction of the extended drag, not inf / inf
+        grid = TorusGrid(8, 12)
+        scn = Scenario(
+            grid=grid,
+            T=1.0,
+            a=1.0,
+            friction=FrictionParams(gamma=2.225073858507e-311, gamma2=1.0, law="extended"),
+            h0=ScalarField.from_function(grid, lambda x1, x2: 2.0 + np.sin(2 * np.pi * x1)),
+            u0=VectorField.constant(grid, 0.6, -0.8),
+        )
+        state = scn.initial_state()
+        work = state_work(state, scn.a)
+        dt = cfl_dt(state, scn.cfl, grid.dx, 1.0, work)
+        expected, renormalized = oracle_step(state, scn, dt)
+        assert renormalized
+        new, info = step(state, scn, dt, work)
+        assert step_bits(new, info) == oracle_bits(expected)
+        np.testing.assert_allclose(np.hypot(info.B[0], info.B[1]), 1.0, rtol=1e-15)
+        assert np.isfinite(info.dissipation_inc) and info.dissipation_inc >= 0.0
 
     @pytest.mark.parametrize("make", RUNS, ids=RUN_IDS)
     def test_steps_sharing_a_workspace_equal_steps_with_fresh_ones(self, make):
