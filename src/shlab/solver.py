@@ -252,14 +252,15 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
     with np.errstate(over="ignore"):  # from a subnormal dt gamma h; mended below
         np.divide(B, thresh, out=B, where=positive)
         np.hypot(B[0], B[1], out=Bnorm)
-    over = Bnorm > 1.0
-    if np.any(over):
-        if Bnorm.max() == np.inf:  # |B| > 1 there too: B is the direction of q_pre - q_post
+    top = Bnorm.max()
+    if top > 1.0:
+        if top == np.inf:  # |B| > 1 there too: B is the direction of q_pre - q_post
             huge = np.isinf(Bnorm)
             d = q_pre[:, huge] - q_post[:, huge]
             B[:, huge] = d / np.hypot(d[0], d[1])
             Bnorm[huge] = 1.0
-        np.divide(B, Bnorm, out=B, where=over)
+        np.maximum(Bnorm, 1.0, out=Bnorm)  # B / 1.0 is exact, so no masked divide
+        B /= Bnorm
 
     np.divide(q_post, hn, out=u)
     np.multiply(gamma, hn, out=g)
@@ -272,7 +273,10 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
         np.multiply(g, f, out=u)
         q_final += u
         np.divide(q_final, hn, out=u)
-        work_inc = dt * _mean_power(f, u, hn)
+        with np.errstate(over="ignore"):  # a work that overflows aborts just below
+            work_inc = dt * _mean_power(f, u, hn)
+        if not np.isfinite(work_inc):
+            raise NumericalAbort(f"work of the force is not finite (work increment = {work_inc})")
     else:
         work_inc = 0.0
 

@@ -40,6 +40,8 @@ from .friction import FrictionParams, friction_coefficient_values
 
 E_MIN_FACTOR = 1e-6
 MASS_DRIFT_TOL = 1e-10
+#: complex spectrum per Korn solve of solve_stress: 8 nodes at 32^2, 2 at 64^2
+KORN_CHUNK_BYTES = 256 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +147,19 @@ def solve_mean_momentum(
     cmid = 0.5 * (cbar[:-1] + cbar[1:])
     bmid = 0.5 * (bbar[:-1] + bbar[1:])
 
+    # on Python floats: the IEEE operations of (2,) arrays, in their order
+    c, cm = cbar.tolist(), cmid.tolist()
     V = np.empty((h.shape[0], 2))
     V[0] = np.asarray(V0, dtype=float)
-    for k in range(h.shape[0] - 1):
-        k1 = cbar[k] * V[k] + bbar[k]
-        k2 = cmid[k] * (V[k] + dt / 2 * k1) + bmid[k]
-        k3 = cmid[k] * (V[k] + dt / 2 * k2) + bmid[k]
-        k4 = cbar[k + 1] * (V[k] + dt * k3) + bbar[k + 1]
-        V[k + 1] = V[k] + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    for j in range(2):
+        b, bm, x = bbar[:, j].tolist(), bmid[:, j].tolist(), [float(V[0, j])]
+        for k in range(h.shape[0] - 1):
+            k1 = c[k] * x[k] + b[k]
+            k2 = cm[k] * (x[k] + dt / 2 * k1) + bm[k]
+            k3 = cm[k] * (x[k] + dt / 2 * k2) + bm[k]
+            k4 = c[k + 1] * (x[k] + dt * k3) + b[k + 1]
+            x.append(x[k] + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+        V[:, j] = x
     return V
 
 
@@ -166,18 +173,22 @@ def solve_stress(
 ) -> np.ndarray:
     """Deviatoric stress corrector M(t) with div M equal to the mean-free part
     of the friction-plus-force right-hand side, mean-zero per slice.  The
-    arguments are those of solve_mean_momentum plus its solution V."""
+    arguments are those of solve_mean_momentum plus its solution V.  Node
+    chunks are solved together; nodes with a zero right-hand side keep M = +0."""
     out = np.zeros((h.shape[0], 2, *h.shape[1:]))
-    for k in range(h.shape[0]):
-        rhs = np.zeros((2, *h.shape[1:]))
+    chunk = max(1, KORN_CHUNK_BYTES // (32 * h[0].size))  # 2 complex128 per cell
+    for start in range(0, h.shape[0], chunk):
+        k = slice(start, start + chunk)
+        rhs = np.zeros(v[k].shape)
         if drag is not None:
-            term = drag[k][None] * (v[k] + V[k][:, None, None] + grad_psi[k])
-            rhs -= term - term.mean(axis=(1, 2))[:, None, None]
+            term = drag[k][:, None] * (v[k] + V[k][:, :, None, None] + grad_psi[k])
+            rhs -= term - term.mean(axis=(2, 3), keepdims=True)
         if f is not None:
-            force = h[k][None] * f.values
-            rhs += force - force.mean(axis=(1, 2))[:, None, None]
-        if np.any(rhs != 0.0):
-            out[k] = spectral.korn_solve_values(rhs)
+            force = h[k][:, None] * f.values
+            rhs += force - force.mean(axis=(2, 3), keepdims=True)
+        live = np.flatnonzero(np.any(rhs != 0.0, axis=(1, 2, 3)))
+        if live.size:
+            out[start + live] = spectral.korn_solve_values(rhs[live])
     return out
 
 

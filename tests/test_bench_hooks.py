@@ -81,6 +81,10 @@ def test_workbench_job_smoke(tmp_path, mode):
         # it starts from and the candidate it certified
         steps = layers["workbench.improvement_step.calls"]
         assert layers["workbench.energy_gap.calls"] <= 1 + 2 * steps
+        # Korn solves run on node chunks: at smoke size one chunk per candidate
+        assert layers["spectral.korn_solve_values.calls"] <= (
+            layers["workbench.build.calls"] + steps
+        )
 
 
 @pytest.mark.parametrize("mode", ["plain", "trace"])

@@ -889,6 +889,14 @@ FUZZ_H0_SCENARIO = (
 FUZZ_H0 = b"SHLAB1 scalar 8 8 1\n" + (
     1 + 0.2 * np.sin(2 * np.pi * (np.arange(8) + 0.5) / 8)[:, None] * np.ones((1, 8))
 ).astype("<f8").tobytes()
+FUZZ_FX_SCENARIO = (
+    b"grid.nx = 8\ngrid.ny = 8\nphysics.T = 0.05\noutput.times = 3\n"
+    b"initial.h0 = 1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)\ninitial.u0x = 0.3*cos(2*pi*x2)\n"
+    b"force.fx = @fx.shlab\nforce.fy = 0\n"
+)
+FUZZ_FX = b"SHLAB1 scalar 8 8 1\n" + (
+    0.1 * np.cos(2 * np.pi * (np.arange(8) + 0.5) / 8)[:, None] * np.ones((1, 8))
+).astype("<f8").tobytes()
 FUZZ_LEDGER = (
     b"t,mass,kinetic,potential,total,dissipation_cum,work_cum,e2_residual\n"
     b"0,1,0.0250,0.51,0.5350,0,0,0\n"
@@ -924,10 +932,12 @@ def run_fuzzed(target: str, data: bytes) -> int:
     example stays small; inputs beyond them take the same rejecting path as
     inputs beyond the real budgets."""
     names = {
-        "scenario": "run.scn", "gamma": "gamma.shlab", "h0": "h0.shlab", "ledger": "run/ledger.csv"
+        "scenario": "run.scn", "gamma": "gamma.shlab", "h0": "h0.shlab", "fx": "fx.shlab",
+        "ledger": "run/ledger.csv",
     }
     files = {names[key]: base for key, base in FUZZ_BASES.items()}
-    files["h0.scn"] = FUZZ_H0_SCENARIO  # the h0 target's own scenario
+    # the h0 and fx targets each have their own scenario
+    files.update({f"{key}.scn": text for key, text in FUZZ_OWN_SCENARIOS.items()})
     files[names[target]] = data
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "MAX_STEPS", 200)
@@ -939,7 +949,7 @@ def run_fuzzed(target: str, data: bytes) -> int:
         if target == "ledger":
             argv = ["diagnose", str(base / "run")]
         else:
-            scn = "h0.scn" if target == "h0" else "run.scn"
+            scn = f"{target}.scn" if target in FUZZ_OWN_SCENARIOS else "run.scn"
             argv = ["simulate", str(base / scn), "--out", str(base / "sim")]
         err, out = io.StringIO(), io.StringIO()
         # a RuntimeWarning is raised as an error (pyproject.toml) and fails the example
@@ -950,8 +960,10 @@ def run_fuzzed(target: str, data: bytes) -> int:
 
 
 FUZZ_BASES = {
-    "scenario": FUZZ_SCENARIO, "gamma": FUZZ_GAMMA, "h0": FUZZ_H0, "ledger": FUZZ_LEDGER
+    "scenario": FUZZ_SCENARIO, "gamma": FUZZ_GAMMA, "h0": FUZZ_H0, "fx": FUZZ_FX,
+    "ledger": FUZZ_LEDGER,
 }
+FUZZ_OWN_SCENARIOS = {"h0": FUZZ_H0_SCENARIO, "fx": FUZZ_FX_SCENARIO}
 # the fuzz draws the same bytes on every run, except under the opt-in
 # Hypothesis profile fuzz-random (tests/conftest.py)
 FUZZ_SEED = 20260611
@@ -960,9 +972,9 @@ FUZZ_SEED = 20260611
 @pytest.mark.parametrize("target", sorted(FUZZ_BASES))
 def test_fuzzed_input_files_exit_with_documented_codes(target):
     """Arbitrary bytes, and mutations of a valid file, in the scenario file
-    (simulate), a friction.gamma @snapshot (simulate), an initial.h0
-    @snapshot (simulate, from its own scenario) and ledger.csv (diagnose):
-    main returns 0, 2, 3 or 4 and nothing escapes it."""
+    (simulate), a friction.gamma @snapshot (simulate), an initial.h0 and a
+    force.fx @snapshot (simulate, each from its own scenario) and ledger.csv
+    (diagnose): main returns 0, 2, 3 or 4 and nothing escapes it."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=fuzzed(FUZZ_BASES[target]))
@@ -1066,8 +1078,18 @@ class TestFuzzFindings:
                 2,
                 "validation error: vector field contains non-finite values",
             ),
+            # an overflow warning from the force work in solver.step, then the
+            # exit-3 line "the CFL step 1e-198 no longer advances the clock"
+            *(
+                (
+                    {"force.fx": fx, "force.fy": "0"},
+                    3,
+                    "numerical abort: work of the force is not finite (work increment = inf)",
+                )
+                for fx in ("1e200", "1e307")
+            ),
         ],
-        ids=["height", "height-snapshot", "momentum"],
+        ids=["height", "height-snapshot", "momentum", "force-work", "force-work-1e307"],
     )
     def test_overflowing_initial_state(self, tmp_path, capsys, overrides, code, message):
         h0 = np.ones((8, 8))

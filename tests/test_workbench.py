@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shlab import workbench
+from shlab import spectral, workbench
 from shlab.errors import (
     ConstraintError,
     DesignError,
@@ -21,7 +21,7 @@ from shlab.fields import (
     integrate,
 )
 from shlab.friction import FrictionParams, friction_coefficient_values
-from shlab.spectral import div_traceless_values, div_values, grad_values
+from shlab.spectral import div_traceless_values, div_values, grad_values, korn_solve_values
 from shlab.workbench import (
     SpaceTimeBox,
     SubsolutionState,
@@ -362,6 +362,120 @@ class TestBuildReuse:
         with pytest.raises(InvalidValueError, match="time steps"):
             nonflat_problem(grid32, num_steps=1)
 
+
+
+def stress_per_node(v, V, drag, grad_psi, h, f):
+    """Reference solve_stress: one Korn solve per time node, none where the
+    right-hand side is exactly zero."""
+    out = np.zeros((h.shape[0], 2, *h.shape[1:]))
+    for k in range(h.shape[0]):
+        rhs = np.zeros((2, *h.shape[1:]))
+        if drag is not None:
+            term = drag[k][None] * (v[k] + V[k][:, None, None] + grad_psi[k])
+            rhs -= term - term.mean(axis=(1, 2))[:, None, None]
+        if f is not None:
+            force = h[k][None] * f.values
+            rhs += force - force.mean(axis=(1, 2))[:, None, None]
+        if np.any(rhs != 0.0):
+            out[k] = korn_solve_values(rhs)
+    return out
+
+
+def rk4_on_arrays(v, drag, grad_psi, h, f, V0, dt):
+    """Reference solve_mean_momentum: the RK4 recurrence on (2,) arrays."""
+    coef = np.zeros_like(h) if drag is None else drag
+    cbar = coef.mean(axis=(1, 2))
+    rhs = coef[:, None] * (v + grad_psi)
+    if f is not None:
+        rhs = rhs + h[:, None] * f.values[None]
+    bbar = rhs.mean(axis=(2, 3))
+    cmid = 0.5 * (cbar[:-1] + cbar[1:])
+    bmid = 0.5 * (bbar[:-1] + bbar[1:])
+    V = np.empty((h.shape[0], 2))
+    V[0] = np.asarray(V0, dtype=float)
+    for k in range(h.shape[0] - 1):
+        k1 = cbar[k] * V[k] + bbar[k]
+        k2 = cmid[k] * (V[k] + dt / 2 * k1) + bmid[k]
+        k3 = cmid[k] * (V[k] + dt / 2 * k2) + bmid[k]
+        k4 = cbar[k + 1] * (V[k] + dt * k3) + bbar[k + 1]
+        V[k + 1] = V[k] + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return V
+
+
+class TestChunkedSolves:
+    """solve_stress (Korn solves on node chunks) and solve_mean_momentum (RK4
+    on floats) equal their per-node and (2,)-array references bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(v, drag, grad_psi, h, f, V0, dt):
+        V = solve_mean_momentum(v, drag, grad_psi, h, f, V0, dt)
+        assert V.tobytes() == rk4_on_arrays(v, drag, grad_psi, h, f, V0, dt).tobytes()
+        M = solve_stress(v, V, drag, grad_psi, h, f)
+        assert M.tobytes() == stress_per_node(v, V, drag, grad_psi, h, f).tobytes()
+        return V, M
+
+    def assert_state_bitwise(self, sub):
+        prob = sub.problem
+        drag = workbench.drag_coefficient(
+            sub.kinetic_energy, prob.height, prob.friction, sub.energy_offset
+        )
+        V, M = self.assert_bitwise(
+            sub.velocity, drag, prob.grad_potential, prob.height, prob.force,
+            prob.initial_split.Vmean, prob.dt,
+        )
+        assert V.tobytes() == sub.mean_momentum.tobytes()
+        assert M.tobytes() == sub.stress.tobytes()
+
+    def test_workbench32_problem_built_and_improved(self, grid32):
+        # the benchmark's workbench-32 physics: 65 nodes, 8 full chunks and one of 1
+        prob = replace(nonflat_problem(grid32, num_steps=64), force=None)
+        sub = prob.build(find_energy_offset(prob))
+        self.assert_state_bitwise(sub)
+        improved, report = improvement_step(sub, seed=0)
+        assert report.accepted
+        self.assert_state_bitwise(improved)
+
+    @pytest.mark.parametrize(
+        "law,zero_nodes,forced",
+        [
+            ("coulomb", (), True),  # 13 nodes: one chunk of 8 and one of 5
+            ("coulomb", (2, 5, 6, 11), False),  # zero right-hand sides inside chunks
+            ("extended", (), True),
+            (None, (), True),  # frictionless with force
+        ],
+        ids=["ragged", "zero-nodes", "extended", "frictionless-forced"],
+    )
+    def test_random_inputs(self, grid32, law, zero_nodes, forced):
+        rng = np.random.default_rng(7)
+        shape = (13, *grid32.shape)
+        h, E = rng.uniform(0.5, 1.5, (2, *shape))
+        v, grad_psi = rng.standard_normal((2, 13, 2, *grid32.shape))
+        drag = None
+        if law is not None:
+            params = FrictionParams(gamma=0.3, gamma2=0.1, law=law)
+            drag = friction_coefficient_values(h, E, params)
+            drag[list(zero_nodes)] = 0.0
+        f = VectorField(grid32, rng.standard_normal((2, *grid32.shape))) if forced else None
+        _, M = self.assert_bitwise(v, drag, grad_psi, h, f, rng.standard_normal(2), 0.05)
+        if zero_nodes:
+            assert not np.any(M[list(zero_nodes)])
+            assert not np.any(np.signbit(M[list(zero_nodes)]))
+            assert np.all(np.any(M[[1, 3, 12]] != 0.0, axis=(1, 2, 3)))
+
+    @pytest.mark.parametrize("n,chunk", [(32, 8), (64, 2), (128, 1)])
+    def test_chunk_length_follows_the_grid(self, monkeypatch, n, chunk):
+        sizes = []
+        real = spectral.korn_solve_values
+        monkeypatch.setattr(
+            spectral, "korn_solve_values", lambda rhs: sizes.append(rhs.shape[0]) or real(rhs)
+        )
+        grid = TorusGrid(n, n)
+        rng = np.random.default_rng(n)
+        h = rng.uniform(0.5, 1.5, (2 * chunk + 1, n, n))
+        zero = np.zeros((h.shape[0], 2, n, n))
+        f = VectorField(grid, rng.standard_normal((2, n, n)))
+        solve_stress(zero, np.zeros((h.shape[0], 2)), None, zero, h, f)
+        assert sizes == [chunk, chunk, 1]
 
 class TestCertificateAndGap:
     def test_constant_margin_for_flat_data(self, grid32):
