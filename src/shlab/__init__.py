@@ -14,12 +14,10 @@ from .fields import (
     TorusGrid,
     VectorField,
     deviatoric_outer,
-    integrate,
-    lambda_max_traceless,
 )
 from .friction import FrictionParams, coulomb_selection, friction_shrink
 from .solver import Scenario, State, simulate
-from .spectral import helmholtz_decompose, korn_solve, poisson_solve
+from .spectral import helmholtz_decompose
 
 __all__ = [
     "__version__",
@@ -29,8 +27,6 @@ __all__ = [
     "SymTracelessField",
     "SpaceTimeField",
     "deviatoric_outer",
-    "integrate",
-    "lambda_max_traceless",
     "FrictionParams",
     "coulomb_selection",
     "friction_shrink",
@@ -38,6 +34,4 @@ __all__ = [
     "State",
     "simulate",
     "helmholtz_decompose",
-    "korn_solve",
-    "poisson_solve",
 ]

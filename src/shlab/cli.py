@@ -19,7 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import energy_inequality_residual, restrict_state, weak_strong_experiment
+from .diagnostics import (
+    energy_inequality_residual,
+    energy_jump,
+    restrict_state,
+    weak_strong_experiment,
+)
 from .errors import FormatError, InvalidValueError, NumericalAbort, ShlabError, ValidationError
 from .fields import ScalarField, SymTracelessField, TorusGrid, VectorField
 from .scenario import load_config
@@ -30,9 +35,12 @@ from .workbench import (
     find_energy_offset,
     improvement_step,
     subsolution_certificate,
+    transport_residual,
 )
 
-def _write_manifest(out_dir: Path, scenario_path: Path, seed: int, grid, outputs, timings):
+def _write_manifest(out_dir: Path, scenario: str, seed: int, grid, outputs, t0: float):
+    """Write run_manifest.json, timing the run from t0, and copy the scenario file."""
+    scenario_path = Path(scenario)
     manifest = {
         "scenario_sha256": hashlib.sha256(scenario_path.read_bytes()).hexdigest(),
         "scenario_file": scenario_path.name,
@@ -40,7 +48,7 @@ def _write_manifest(out_dir: Path, scenario_path: Path, seed: int, grid, outputs
         "grid": {"nx": grid.nx, "ny": grid.ny},
         "shlab_version": __version__,
         "outputs": sorted(str(p.name) for p in outputs),
-        "timings_s": timings,
+        "timings_s": {"total": time.perf_counter() - t0},
     }
     with open(out_dir / "run_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -108,10 +116,7 @@ def _cmd_simulate(args) -> int:
             f"worst energy-balance residual: {residual:.6g}\n"
         )
     outputs.append(summary)
-    _write_manifest(
-        out, Path(args.scenario), scn.seed, scn.grid, outputs,
-        {"total": time.perf_counter() - t0},
-    )
+    _write_manifest(out, args.scenario, scn.seed, scn.grid, outputs, t0)
     _remove_stale_snapshots(out, len(snapshots) // 3)
     return 0
 
@@ -170,12 +175,11 @@ def _cmd_workbench(args) -> int:
             f"certificate: {'PASS' if cert.passed else 'FAIL'}  min margin = {cert.min_margin:.6g}\n"
             f"energy gap I: initial {gap_rows[0][1]:.9g} -> final {gap_rows[-1][1]:.9g}\n"
             f"accepted steps: {sum(r[3] for r in gap_rows[1:])}/{args.steps}\n"
+            f"initial energy jump: {energy_jump(sub):.9g}\n"
+            f"transport residual: {transport_residual(sub):.6g}\n"
         )
     outputs.append(summary)
-    _write_manifest(
-        out, Path(args.scenario), seed, problem.grid, outputs,
-        {"total": time.perf_counter() - t0},
-    )
+    _write_manifest(out, args.scenario, seed, problem.grid, outputs, t0)
     return 0
 
 
@@ -274,10 +278,7 @@ def _cmd_wsu(args) -> int:
                 + "\n"
             )
     outputs.append(summary)
-    _write_manifest(
-        out, Path(args.scenario), cfg.values["seed"], coarse, outputs,
-        {"total": time.perf_counter() - t0},
-    )
+    _write_manifest(out, args.scenario, cfg.values["seed"], coarse, outputs, t0)
     return 0
 
 
@@ -306,10 +307,8 @@ def _cmd_convergence(args) -> int:
     summary = out / "summary.txt"
     with open(summary, "w") as fh:
         fh.write(f"shlab convergence\nobserved L1 order: {order:.4g}\n")
-    _write_manifest(
-        out, Path(args.scenario), cfg.values["seed"], base,
-        [out / "convergence.csv", summary], {"total": time.perf_counter() - t0},
-    )
+    outputs = [out / "convergence.csv", summary]
+    _write_manifest(out, args.scenario, cfg.values["seed"], base, outputs, t0)
     sys.stdout.write(f"observed L1 order: {order:.4g}\n")
     return 0
 

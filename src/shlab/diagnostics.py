@@ -14,13 +14,6 @@ from .solver import EnergyLedger, State, Trajectory, simulate, stream  # noqa: F
 from .workbench import SubsolutionState
 
 
-def total_energy(state: State, a: float) -> float:
-    """Integral of half |q|^2 / h + a h^2 over the torus."""
-    h = state.h.values
-    q = state.q.values
-    return float(np.mean(0.5 * (q[0] ** 2 + q[1] ** 2) / h + a * h * h))
-
-
 def energy_inequality_residual(ledger: EnergyLedger) -> float:
     """Worst-case energy-balance residual over the ledger rows; nonpositive
     for a dissipative run."""

@@ -130,39 +130,13 @@ class SymTracelessField:
     def __post_init__(self):
         _validate(self, (2, *self.grid.shape), "tensor field")
 
-    @property
-    def p(self) -> np.ndarray:
-        return self.values[0]
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.values[1]
-
-
-def lambda_max_traceless(p, s):
-    """Largest eigenvalue of the traceless symmetric matrix [[p, s], [s, -p]].
-
-    The eigenvalues are +-sqrt(p^2 + s^2).  Accepts scalars or arrays.
-    """
-    p = np.asarray(p, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(s))):
-        raise InvalidValueError("lambda_max_traceless requires finite input")
-    out = np.hypot(p, s)
-    return float(out) if out.ndim == 0 else out
-
-
-def integrate(f: ScalarField) -> float:
-    """Integral over the unit torus: cell measure times sum, i.e. the mean."""
-    return float(np.mean(f.values))
-
 
 def deviatoric_outer(q: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Traceless part (p, s) of q (x) q / h for (..., 2, nx, ny) momentum
     samples q and (..., nx, ny) heights h; shape (..., 2, nx, ny).
 
-    p = (q1^2 - q2^2) / (2h), s = q1 q2 / h.  Its top eigenvalue equals
-    half |q|^2 / h.
+    p = (q1^2 - q2^2) / (2h), s = q1 q2 / h.  The eigenvalues of
+    [[p, s], [s, -p]] are +-hypot(p, s), and the top one equals half |q|^2 / h.
     """
     q1, q2 = q[..., 0, :, :], q[..., 1, :, :]
     return np.stack([(q1 * q1 - q2 * q2) / (2.0 * h), q1 * q2 / h], axis=-3)

@@ -15,28 +15,26 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolvabilityError
-from .fields import ScalarField, SymTracelessField, VectorField
+from .fields import ScalarField, VectorField
 
-#: mean-freeness tolerance for torus solvability; inputs within it are
-#: mean-corrected, beyond it rejected
+#: mean-freeness tolerance for torus solvability, relative to max(1, max|slice|);
+#: inputs within it are mean-corrected, beyond it rejected
 MEAN_TOL = 1e-10
 
 
 @lru_cache(maxsize=32)
 def _wavenumbers(nx: int, ny: int):
-    """(k1, k2, k1d, k2d, k2sum): angular wavenumbers on the (nx, ny) grid.
+    """(k1d, k2d, k2sum): angular wavenumbers on the (nx, ny) grid.
 
-    k1/k2 include the Nyquist mode (for even derivatives and Laplacians),
-    k1d/k2d have it zeroed (for odd derivatives).  k2sum = k1^2 + k2^2.
+    k1d/k2d have the Nyquist mode zeroed (for odd derivatives); k2sum =
+    k1^2 + k2^2 includes it (for Laplacians).
     """
     k1 = 2.0 * np.pi * np.fft.fftfreq(nx, d=1.0 / nx)[:, None]
     k2 = 2.0 * np.pi * np.fft.fftfreq(ny, d=1.0 / ny)[None, :]
-    k1d = k1.copy()
-    k2d = k2.copy()
-    k1d[nx // 2, 0] = 0.0
-    k2d[0, ny // 2] = 0.0
     k2sum = k1 * k1 + k2 * k2
-    return k1, k2, np.broadcast_to(k1d, (nx, ny)), np.broadcast_to(k2d, (nx, ny)), k2sum
+    k1[nx // 2, 0] = 0.0
+    k2[0, ny // 2] = 0.0
+    return np.broadcast_to(k1, (nx, ny)), np.broadcast_to(k2, (nx, ny)), k2sum
 
 
 def _real_ifft2(spectrum: np.ndarray) -> np.ndarray:
@@ -47,20 +45,20 @@ def _real_ifft2(spectrum: np.ndarray) -> np.ndarray:
 
 def grad_values(f: np.ndarray) -> np.ndarray:
     """Spectral gradient of scalar samples (..., nx, ny), shape (..., 2, nx, ny)."""
-    _, _, k1d, k2d, _ = _wavenumbers(*f.shape[-2:])
+    k1d, k2d, _ = _wavenumbers(*f.shape[-2:])
     fh = np.fft.fft2(f)[..., None, :, :]
     return _real_ifft2(1j * np.stack([k1d, k2d]) * fh)
 
 
 def div_values(q: np.ndarray) -> np.ndarray:
     """Spectral divergence of (..., 2, nx, ny) samples, shape (..., nx, ny)."""
-    _, _, k1d, k2d, _ = _wavenumbers(*q.shape[-2:])
+    k1d, k2d, _ = _wavenumbers(*q.shape[-2:])
     qh = np.fft.fft2(q)
     return _real_ifft2(1j * k1d * qh[..., 0, :, :] + 1j * k2d * qh[..., 1, :, :])
 
 
 def laplacian_values(f: np.ndarray) -> np.ndarray:
-    _, _, _, _, k2sum = _wavenumbers(*f.shape[-2:])
+    k2sum = _wavenumbers(*f.shape[-2:])[2]
     return _real_ifft2(-k2sum * np.fft.fft2(f))
 
 
@@ -78,12 +76,16 @@ def div_traceless_values(ps: np.ndarray) -> np.ndarray:
 
 def _demean(values: np.ndarray, what: str) -> np.ndarray:
     """Subtract the mean of each trailing (nx, ny) slice; reject any slice
-    whose mean exceeds MEAN_TOL."""
-    mean = np.mean(values, axis=(-2, -1), keepdims=True)
-    worst = float(np.max(np.abs(mean)))
-    if worst > MEAN_TOL:
+    whose |mean| exceeds MEAN_TOL max(1, max|slice|) or is not finite."""
+    # a sum past the float range gives a mean that is not finite: rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.mean(values, axis=(-2, -1), keepdims=True)
+        scale = np.maximum(1.0, np.max(np.abs(values), axis=(-2, -1), keepdims=True))
+        worst = float(np.max(np.abs(mean) / scale))
+    if not worst <= MEAN_TOL:  # NaN fails
         raise SolvabilityError(
-            f"{what} must be mean-free on the torus (|mean| = {worst:.3e} > {MEAN_TOL:g})"
+            f"{what} must be mean-free on the torus "
+            f"(|mean| / max(1, max|slice|) = {worst:.3e} > {MEAN_TOL:g})"
         )
     return values - mean
 
@@ -92,15 +94,11 @@ def poisson_solve_values(rhs: np.ndarray) -> np.ndarray:
     """Solve -Lap(psi) = rhs with zero mean per (nx, ny) slice; each slice of
     rhs must be mean-free."""
     rhs = _demean(rhs, "Poisson right-hand side")
-    _, _, _, _, k2sum = _wavenumbers(*rhs.shape[-2:])
+    k2sum = _wavenumbers(*rhs.shape[-2:])[2]
     rh = np.fft.fft2(rhs)
     with np.errstate(divide="ignore", invalid="ignore"):
         ph = np.where(k2sum > 0.0, rh / k2sum, 0.0)
     return _real_ifft2(ph)
-
-
-def poisson_solve(rhs: ScalarField) -> ScalarField:
-    return ScalarField(rhs.grid, poisson_solve_values(rhs.values))
 
 
 @dataclass(frozen=True)
@@ -121,9 +119,7 @@ def helmholtz_decompose(q: VectorField) -> HelmholtzParts:
     div_q = div_values(q.values)
     psi = poisson_solve_values(-(div_q - np.mean(div_q)))
     gpsi = grad_values(psi)
-    v = q.values.copy()
-    v[0] -= Vmean[0] + gpsi[0]
-    v[1] -= Vmean[1] + gpsi[1]
+    v = q.values - (Vmean[:, None, None] + gpsi)
     return HelmholtzParts(
         v=VectorField(grid, v), Vmean=Vmean, psi=ScalarField(grid, psi)
     )
@@ -142,16 +138,10 @@ def korn_solve_values(rhs: np.ndarray) -> np.ndarray:
     forward and one inverse transform suffice.
     """
     rh = np.fft.fft2(_demean(rhs, "stress right-hand side"))
-    _, _, k1d, k2d, k2sum = _wavenumbers(*rhs.shape[-2:])
+    k1d, k2d, k2sum = _wavenumbers(*rhs.shape[-2:])
     with np.errstate(divide="ignore", invalid="ignore"):
         mh = np.where(k2sum > 0.0, -rh / k2sum, 0.0)
     m1, m2 = mh[..., 0, :, :], mh[..., 1, :, :]
     Mh = np.stack([1j * k1d * m1 - 1j * k2d * m2, 1j * k1d * m2 + 1j * k2d * m1], axis=-3)
     return _real_ifft2(Mh)
 
-
-def korn_solve(rhs: VectorField) -> tuple[VectorField, SymTracelessField]:
-    """The pair (m, M) of korn_solve_values; m = -(vector Poisson solve of rhs)."""
-    M = korn_solve_values(rhs.values)
-    m = -poisson_solve_values(rhs.values)
-    return VectorField(rhs.grid, m), SymTracelessField(rhs.grid, M)

@@ -1,11 +1,13 @@
 """Grids, field containers, and the pointwise tensor algebra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shlab.errors import InvalidValueError
+from shlab.errors import InvalidValueError, NumericalAbort
 from shlab.fields import (
     ScalarField,
     SpaceTimeField,
@@ -13,10 +15,10 @@ from shlab.fields import (
     TorusGrid,
     VectorField,
     deviatoric_outer,
-    integrate,
-    lambda_max_traceless,
     time_derivative,
 )
+from shlab.friction import FrictionParams
+from shlab.workbench import WorkbenchProblem, _constraint_lambda, subsolution_certificate
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
@@ -37,38 +39,46 @@ class TestTorusGrid:
             TorusGrid(nx, ny)
 
 
+def top_eigenvalue(p, s):
+    """The certificate's lambda_max of -[[p, s], [s, -p]] (zero momentum, unit
+    height), which equals that of [[p, s], [s, -p]]: hypot(p, s)."""
+    W = -np.array([p, s], dtype=float).reshape(1, 2, 1, 1)
+    return float(_constraint_lambda(np.zeros_like(W), np.ones((1, 1, 1)), W)[0, 0, 0])
+
+
 class TestLambdaMax:
+    """The top eigenvalue of a traceless symmetric matrix, as the certificate
+    computes it."""
+
     def test_three_four_five(self):
-        assert lambda_max_traceless(3.0, 4.0) == pytest.approx(5.0, abs=1e-15)
+        assert top_eigenvalue(3.0, 4.0) == 5.0
 
     def test_zero_matrix(self):
-        assert lambda_max_traceless(0.0, 0.0) == 0.0
+        assert top_eigenvalue(0.0, 0.0) == 0.0
 
     def test_diagonal(self):
-        assert lambda_max_traceless(1.0, 0.0) == 1.0
+        assert top_eigenvalue(1.0, 0.0) == 1.0
 
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidValueError):
-            lambda_max_traceless(np.nan, 0.0)
+        # a stress that is not finite makes the margin not finite: the
+        # certificate aborts rather than certify, and numpy does not warn
+        grid = TorusGrid(8, 8)
+        prob = WorkbenchProblem(
+            grid=grid, T=1.0, num_steps=4, a=0.5, friction=FrictionParams(),
+            h0=ScalarField.constant(grid, 1.0), u0=VectorField.constant(grid, 0.0, 0.0),
+        )
+        sub = prob.build(1.0)
+        for bad in (np.nan, np.inf, 1.5e308):  # hypot(1.5e308, 1.5e308) overflows
+            stress = sub.stress.copy()
+            stress[2, :, 3, 3] = bad
+            with pytest.raises(NumericalAbort):
+                subsolution_certificate(dataclasses.replace(sub, stress=stress))
 
     @given(p=finite, s=finite)
     def test_matches_eigendecomposition(self, p, s):
         mat = np.array([[p, s], [s, -p]])
         expected = float(np.max(np.linalg.eigvalsh(mat)))
-        assert lambda_max_traceless(p, s) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
-class TestIntegrate:
-    def test_constant(self, grid64):
-        assert integrate(ScalarField.constant(grid64, 2.5)) == pytest.approx(2.5)
-
-    def test_band_limited_mean_zero(self, grid64):
-        f = ScalarField.from_function(grid64, lambda x1, x2: np.sin(2 * np.pi * x1))
-        assert integrate(f) == pytest.approx(0.0, abs=1e-14)
-
-    def test_sin_squared(self, grid64):
-        f = ScalarField.from_function(grid64, lambda x1, x2: np.sin(2 * np.pi * x1) ** 2)
-        assert integrate(f) == pytest.approx(0.5, abs=1e-14)
+        assert top_eigenvalue(p, s) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestTensorApply:
@@ -105,8 +115,7 @@ class TestTensorApply:
         q = np.array([q1, q2])[:, None, None] * np.ones((2, 4, 4))
         p, s = deviatoric_outer(q, np.full((4, 4), h))
         kinetic = 0.5 * (q1 * q1 + q2 * q2) / h
-        lam = lambda_max_traceless(p, s)
-        np.testing.assert_allclose(lam, kinetic, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(np.hypot(p, s), kinetic, rtol=1e-12, atol=1e-12)
 
 
 class TestFieldValidation:
@@ -146,11 +155,6 @@ class TestFieldValidation:
         with pytest.raises(InvalidValueError) as info:
             cls(grid32, bad)
         assert str(info.value) == f"{kind} field contains non-finite values"
-
-    def test_symtraceless_components(self, grid32):
-        f = SymTracelessField(grid32, np.zeros((2, 32, 32)))
-        assert f.p.shape == (32, 32)
-        assert f.s.shape == (32, 32)
 
 
 class TestSpaceTimeField:

@@ -5,7 +5,6 @@ import io
 import tempfile
 import time
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
 
-from shlab import cli, diagnostics, errors, fields, solver
+from shlab import cli, diagnostics, errors, fields, solver, workbench
 from shlab.errors import FormatError, NumericalAbort, ParseError, ValidationError
 from shlab.fields import ScalarField, SymTracelessField, TorusGrid, VectorField
 from shlab.scenario import eval_expression, load_config
@@ -413,6 +412,25 @@ class TestCliWorkbench:
         for name in ("v_t0", "E_tmid", "M_tend"):
             assert (out / f"{name}.shlab").exists()
 
+    def test_summary_reports_the_final_energy_jump_and_transport_residual(
+        self, tmp_path, monkeypatch
+    ):
+        finals = []  # the command certifies the state it ends with, once
+        real = cli.subsolution_certificate
+        monkeypatch.setattr(
+            cli, "subsolution_certificate", lambda sub: finals.append(sub) or real(sub)
+        )
+        scn, out = scenario8(tmp_path, {}), tmp_path / "wb"
+        assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out)]) == 0
+        [sub] = finals
+        assert sub.delta < sub.problem.delta  # an accepted step: the residual is not 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert lines[-2:] == [
+            f"initial energy jump: {diagnostics.energy_jump(sub):.9g}",
+            f"transport residual: {workbench.transport_residual(sub):.6g}",
+        ]
+        assert workbench.transport_residual(sub) > 0.0
+
     def test_infeasible_offset_exits_3(self, tmp_path, capsys):
         text = WORKBENCH + "friction.gamma = 0.5\nworkbench.lambda = 1e-12\n"
         scn = write_scenario(tmp_path, text)
@@ -454,6 +472,7 @@ class TestCliWorkbenchExitCodes:
             ({"workbench.lambda": "nan"}, []),
             ({"workbench.lambda": "inf"}, []),
             ({"workbench.lambda": "-inf"}, []),
+            ({"physics.T": "0"}, []),
         ],
     )
     def test_bad_workbench_input_exits_2(self, tmp_path, capsys, overrides, args):
@@ -462,6 +481,23 @@ class TestCliWorkbenchExitCodes:
         assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out), *args]) == 2
         assert "validation" in capsys.readouterr().err
         assert not (out / "gap.csv").exists()
+
+    @pytest.mark.parametrize(
+        "T,message",
+        [
+            # the one-sided time stencil's roundoff over dt = 1.25e-301 overflows
+            # dpsi/dt, so E is not finite and fails the drag's energy floor
+            ("1e-300", "energy offset search hit its cap without certifying"),
+            # the RK4 over dt = 1.25e299 overflows the mean momentum
+            ("1e300", "mean momentum V is not finite (dt = 1.250e+299)"),
+        ],
+    )
+    def test_extreme_final_time_exits_3(self, tmp_path, capsys, T, message):
+        scn = scenario8(tmp_path, {"physics.T": T})
+        out = tmp_path / "wb"
+        assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"shlab: numerical abort: {message}\n"
+        assert not out.exists()
 
     def test_negative_seed_rejected_by_simulate(self, tmp_path):
         scn = write_scenario(tmp_path)
@@ -473,6 +509,7 @@ def _maybe(values):
 
 
 SPECIAL = st.sampled_from([0.0, -1.0, 1e-12, 1e6, float("nan"), float("inf"), float("-inf")])
+FORCE = _maybe(st.sampled_from([0.1, 1e7, 1e200]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -484,12 +521,16 @@ SPECIAL = st.sampled_from([0.0, -1.0, 1e-12, 1e6, float("nan"), float("inf"), fl
     amplitude_cap=_maybe(st.one_of(st.floats(-0.5, 1.5), SPECIAL)),
     seed=_maybe(st.integers(-3, 2**40)),
     steps=st.integers(-1, 3),
+    T=st.sampled_from([0.0, 1e-300, 1.0, 1e300]),
+    fx=FORCE,
+    fy=FORCE,
 )
 def test_workbench_exit_codes_are_documented(
-    time_nodes, osc_n, delta, lam, amplitude_cap, seed, steps
+    time_nodes, osc_n, delta, lam, amplitude_cap, seed, steps, T, fx, fy
 ):
     """Whatever the workbench keys and arguments, main returns 0, 2, 3 or 4,
-    and nothing escapes it."""
+    and nothing escapes it: no traceback and no RuntimeWarning, which
+    pyproject.toml raises as an error."""
     with tempfile.TemporaryDirectory() as tmp:
         overrides = {
             "workbench.time_nodes": time_nodes,
@@ -497,6 +538,9 @@ def test_workbench_exit_codes_are_documented(
             "workbench.delta": delta,
             "workbench.lambda": lam,
             "workbench.amplitude_cap": amplitude_cap,
+            "physics.T": T,
+            "force.fx": fx,
+            "force.fy": fy,
         }
         scn = scenario8(
             Path(tmp), {k: None if v is None else repr(v) for k, v in overrides.items()}
@@ -505,8 +549,7 @@ def test_workbench_exit_codes_are_documented(
         if seed is not None:
             argv += ["--seed", str(seed)]
         err = io.StringIO()
-        with contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with contextlib.redirect_stderr(err):
             code = cli.main(argv)
     event(f"exit code {code}")
     assert code in (0, 2, 3, 4), err.getvalue()
@@ -563,7 +606,8 @@ def test_simulate_exit_codes_are_documented(
     T, a, cfl, cfl_arg, u0, law, gamma, gamma2, times, seed, seed_arg, broken
 ):
     """Whatever the physics, friction, output and seed keys and arguments,
-    the command exits 0, 2, 3 or 4, and no traceback escapes it.
+    the command exits 0, 2, 3 or 4, and no traceback or RuntimeWarning
+    escapes it.
 
     T <= 0.1, a <= 10, |u0| <= 10 and cfl >= 0.02 bound the step count, which
     grows with T (|u| + sqrt(2 a h)) / (cfl dx) without limit."""
@@ -592,8 +636,7 @@ def test_simulate_exit_codes_are_documented(
             if value is not None:
                 argv += [flag, str(value)]
         err = io.StringIO()
-        with contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
@@ -631,7 +674,7 @@ EPS_ENTRY = st.one_of(
 def test_wsu_and_convergence_exit_codes_are_documented(command, eps, refine, amplitude, T):
     """Whatever the --eps list and --refine factor of wsu, and whether the
     8x8 scenario is flat or still, both experiment commands exit 0, 2, 3 or
-    4, and no traceback escapes them."""
+    4, and no traceback or RuntimeWarning escapes them."""
     with tempfile.TemporaryDirectory() as tmp:
         overrides = {"physics.T": T, "initial.h0": f"1 + {amplitude}*cos(2*pi*x1)"}
         scn = scenario8(Path(tmp), overrides, base=EXPERIMENT8)
@@ -640,12 +683,7 @@ def test_wsu_and_convergence_exit_codes_are_documented(command, eps, refine, amp
             argv += [] if eps is None else [f"--eps={eps}"]
             argv += [] if refine is None else [f"--refine={refine}"]
         err = io.StringIO()
-        with (
-            contextlib.redirect_stderr(err),
-            contextlib.redirect_stdout(io.StringIO()),
-            warnings.catch_warnings(),
-        ):
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
@@ -897,6 +935,30 @@ FUZZ_FX_SCENARIO = (
 FUZZ_FX = b"SHLAB1 scalar 8 8 1\n" + (
     0.1 * np.cos(2 * np.pi * (np.arange(8) + 0.5) / 8)[:, None] * np.ones((1, 8))
 ).astype("<f8").tobytes()
+FUZZ_CELLS = 2 * np.pi * (np.arange(8) + 0.5) / 8
+
+
+def fuzz_snapshot(values: np.ndarray) -> bytes:
+    """An 8x8 scalar SHLAB1 snapshot of the values, broadcast to the grid."""
+    return b"SHLAB1 scalar 8 8 1\n" + (values * np.ones((8, 8))).astype("<f8").tobytes()
+
+
+FUZZ_U0X_SCENARIO = (
+    b"grid.nx = 8\ngrid.ny = 8\nphysics.T = 0.05\noutput.times = 3\n"
+    b"initial.h0 = 1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)\ninitial.u0x = @u0x.shlab\n"
+)
+FUZZ_U0X = fuzz_snapshot(0.3 * np.cos(FUZZ_CELLS)[None, :])
+FUZZ_U0Y_SCENARIO = (
+    b"grid.nx = 8\ngrid.ny = 8\nphysics.T = 0.05\noutput.times = 3\n"
+    b"initial.h0 = 1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)\ninitial.u0y = @u0y.shlab\n"
+)
+FUZZ_U0Y = fuzz_snapshot(0.1 * np.sin(FUZZ_CELLS)[:, None])
+FUZZ_FY_SCENARIO = (
+    b"grid.nx = 8\ngrid.ny = 8\nphysics.T = 0.05\noutput.times = 3\n"
+    b"initial.h0 = 1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)\ninitial.u0x = 0.3*cos(2*pi*x2)\n"
+    b"force.fx = 0.1\nforce.fy = @fy.shlab\n"
+)
+FUZZ_FY = fuzz_snapshot(0.1 * np.sin(FUZZ_CELLS)[None, :])
 FUZZ_LEDGER = (
     b"t,mass,kinetic,potential,total,dissipation_cum,work_cum,e2_residual\n"
     b"0,1,0.0250,0.51,0.5350,0,0,0\n"
@@ -931,14 +993,11 @@ def run_fuzzed(target: str, data: bytes) -> int:
     that reads it in-process.  The grid and step budgets are lowered so every
     example stays small; inputs beyond them take the same rejecting path as
     inputs beyond the real budgets."""
-    names = {
-        "scenario": "run.scn", "gamma": "gamma.shlab", "h0": "h0.shlab", "fx": "fx.shlab",
-        "ledger": "run/ledger.csv",
-    }
-    files = {names[key]: base for key, base in FUZZ_BASES.items()}
-    # the h0 and fx targets each have their own scenario
+    names = {"scenario": "run.scn", "ledger": "run/ledger.csv"}  # the others: <target>.shlab
+    files = {names.get(key, f"{key}.shlab"): base for key, base in FUZZ_BASES.items()}
+    # each @snapshot target but gamma has its own scenario
     files.update({f"{key}.scn": text for key, text in FUZZ_OWN_SCENARIOS.items()})
-    files[names[target]] = data
+    files[names.get(target, f"{target}.shlab")] = data
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "MAX_STEPS", 200)
         mp.setattr(fields, "MAX_CELLS", 64 * 64)
@@ -961,9 +1020,12 @@ def run_fuzzed(target: str, data: bytes) -> int:
 
 FUZZ_BASES = {
     "scenario": FUZZ_SCENARIO, "gamma": FUZZ_GAMMA, "h0": FUZZ_H0, "fx": FUZZ_FX,
-    "ledger": FUZZ_LEDGER,
+    "fy": FUZZ_FY, "u0x": FUZZ_U0X, "u0y": FUZZ_U0Y, "ledger": FUZZ_LEDGER,
 }
-FUZZ_OWN_SCENARIOS = {"h0": FUZZ_H0_SCENARIO, "fx": FUZZ_FX_SCENARIO}
+FUZZ_OWN_SCENARIOS = {
+    "h0": FUZZ_H0_SCENARIO, "fx": FUZZ_FX_SCENARIO, "fy": FUZZ_FY_SCENARIO,
+    "u0x": FUZZ_U0X_SCENARIO, "u0y": FUZZ_U0Y_SCENARIO,
+}
 # the fuzz draws the same bytes on every run, except under the opt-in
 # Hypothesis profile fuzz-random (tests/conftest.py)
 FUZZ_SEED = 20260611
@@ -972,9 +1034,10 @@ FUZZ_SEED = 20260611
 @pytest.mark.parametrize("target", sorted(FUZZ_BASES))
 def test_fuzzed_input_files_exit_with_documented_codes(target):
     """Arbitrary bytes, and mutations of a valid file, in the scenario file
-    (simulate), a friction.gamma @snapshot (simulate), an initial.h0 and a
-    force.fx @snapshot (simulate, each from its own scenario) and ledger.csv
-    (diagnose): main returns 0, 2, 3 or 4 and nothing escapes it."""
+    (simulate), a friction.gamma @snapshot (simulate), an initial.h0,
+    initial.u0x, initial.u0y, force.fx and force.fy @snapshot (simulate, each
+    from its own scenario) and ledger.csv (diagnose): main returns 0, 2, 3 or
+    4 and nothing escapes it."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=fuzzed(FUZZ_BASES[target]))
@@ -1062,6 +1125,45 @@ class TestFuzzFindings:
             assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out)]) == 3
             assert capsys.readouterr().err == f"shlab: numerical abort: {message}\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides,code,message",
+        [
+            # exit 3 with "|mean| = 8.513e-10 > 1e-10": the absolute solvability
+            # tolerance rejected the roundoff of the demeaned stress right-hand side
+            ({"force.fx": "1e7", "force.fy": "0"}, 0, ""),
+            # exit 3 with "|mean| = 5.112e+183 > 1e-10"; the relative tolerance
+            # passes it, and the certificate's overflow aborts without a warning
+            (
+                {"force.fx": "1e200", "force.fy": "0"},
+                3,
+                "numerical abort: certificate margin is not finite everywhere",
+            ),
+            # an invalid-value warning from the stress right-hand side ahead of
+            # the exit-3 line "energy gap I is not finite (I = inf)": the RK4 of
+            # the mean momentum overflowed under a drag of about 1e149
+            (
+                {"workbench.lambda": "1e300", "friction.law": "extended", "friction.gamma2": "0.1"},
+                3,
+                "numerical abort: mean momentum V is not finite (dt = 1.250e-01)",
+            ),
+            # found by the property test once the relative tolerance let this
+            # right-hand side pass: at a fixed offset the first certificate
+            # runs after the energy gap, whose g^2 overflowed with a warning
+            (
+                {"workbench.lambda": "1.0", "force.fx": "0.1", "force.fy": "1e200"},
+                3,
+                "numerical abort: energy gap I is not finite (I = inf)",
+            ),
+        ],
+        ids=["force-1e7", "force-1e200", "extended-lambda-1e300", "fixed-lambda-force-1e200"],
+    )
+    def test_workbench_overflow(self, tmp_path, capsys, overrides, code, message):
+        scn = scenario8(tmp_path, overrides)
+        out = tmp_path / "wb"
+        assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out)]) == code
+        assert capsys.readouterr().err == (f"shlab: {message}\n" if message else "")
+        assert out.exists() == (code == 0)
 
     INFINITE_ENERGY = "initial energy is not finite (total = inf)"
 

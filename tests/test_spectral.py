@@ -1,22 +1,22 @@
 """Spectral derivative operators and elliptic solves on the torus."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shlab.errors import SolvabilityError
-from shlab.fields import ScalarField, SymTracelessField, TorusGrid, VectorField
+from shlab.fields import ScalarField, TorusGrid, VectorField
 from shlab.spectral import (
+    MEAN_TOL,
     div_traceless_values,
     div_values,
     grad_values,
     helmholtz_decompose,
-    korn_solve,
     korn_solve_values,
     laplacian_values,
-    poisson_solve,
     poisson_solve_values,
 )
 
@@ -86,17 +86,16 @@ class TestDerivatives:
 class TestPoisson:
     def test_eigenfunction(self, grid64):
         rhs = sample(grid64, lambda x1, x2: 2.0 * TWO_PI**2 * np.sin(TWO_PI * x1) * np.sin(TWO_PI * x2))
-        psi = poisson_solve(ScalarField(grid64, rhs))
+        psi = poisson_solve_values(rhs)
         expected = sample(grid64, lambda x1, x2: np.sin(TWO_PI * x1) * np.sin(TWO_PI * x2))
-        np.testing.assert_allclose(psi.values, expected, atol=1e-10)
+        np.testing.assert_allclose(psi, expected, atol=1e-10)
 
     def test_zero_rhs(self, grid64):
-        psi = poisson_solve(ScalarField.constant(grid64, 0.0))
-        assert not np.any(psi.values)
+        assert not np.any(poisson_solve_values(np.zeros(grid64.shape)))
 
     def test_constant_rhs_unsolvable(self, grid64):
         with pytest.raises(SolvabilityError):
-            poisson_solve(ScalarField.constant(grid64, 1.0))
+            poisson_solve_values(np.ones(grid64.shape))
 
     def test_small_mean_is_corrected(self, grid64):
         rhs = sample(grid64, lambda x1, x2: np.sin(TWO_PI * x1)) + 1e-13
@@ -152,9 +151,7 @@ class TestHelmholtz:
 
 class TestKorn:
     def test_zero_rhs(self, grid64):
-        m, M = korn_solve(VectorField.constant(grid64, 0.0, 0.0))
-        assert not np.any(m.values)
-        assert not np.any(M.values)
+        assert not np.any(korn_solve_values(np.zeros((2, *grid64.shape))))
 
     def test_forward_inverse_round_trip(self, grid64):
         m_star = VectorField.from_functions(
@@ -165,13 +162,16 @@ class TestKorn:
         g2 = grad_values(m_star.values[1])
         ps = np.stack([g1[0] - g2[1], g1[1] + g2[0]])
         rhs = div_traceless_values(ps)
-        m, M = korn_solve(VectorField(grid64, rhs))
-        np.testing.assert_allclose(m.values, m_star.values, atol=1e-9)
-        np.testing.assert_allclose(M.values, ps, atol=1e-9)
+        np.testing.assert_allclose(korn_solve_values(rhs), ps, atol=1e-9)
+        # m = -(vector Poisson solve of rhs), the field whose symmetric gradient M is
+        m, _ = korn_poisson_then_gradient(rhs)
+        np.testing.assert_allclose(m, m_star.values, atol=1e-9)
 
     def test_constant_rhs_unsolvable(self, grid64):
+        rhs = np.zeros((2, *grid64.shape))
+        rhs[0] = 1.0
         with pytest.raises(SolvabilityError):
-            korn_solve(VectorField.constant(grid64, 1.0, 0.0))
+            korn_solve_values(rhs)
 
     def test_divergence_consistency(self, grid64, rng):
         rhs = np.stack([band_limited(rng, 64), band_limited(rng, 64)])
@@ -263,6 +263,55 @@ class TestStacks:
             poisson_solve_values(f)
 
 
+class TestSolvabilityTolerance:
+    """Each slice's |mean| is checked against MEAN_TOL max(1, max|slice|); a
+    mean that is not finite is rejected, and numpy does not warn."""
+
+    @staticmethod
+    def slices(rng, scale, means):
+        f = rng.standard_normal((len(means), 16, 8))
+        f -= f.mean(axis=(1, 2), keepdims=True)
+        f *= scale / np.abs(f).max(axis=(1, 2), keepdims=True)
+        return f + np.asarray(means)[:, None, None]
+
+    def test_roundoff_at_scale_is_corrected(self, rng):
+        f = self.slices(rng, 1e7, [1e-9, -1e-9])  # above the old absolute 1e-10
+        psi = poisson_solve_values(f)
+        assert np.abs(psi.mean(axis=(1, 2))).max() < 1e-12
+        assert korn_solve_values(f).shape == f.shape
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e7, 1e300])
+    def test_mean_of_a_millionth_of_the_scale_rejected(self, rng, scale):
+        with pytest.raises(SolvabilityError):
+            poisson_solve_values(self.slices(rng, scale, [0.0, 1e-6 * max(scale, 1.0)]))
+
+    def test_cancelling_means_at_scale_rejected(self, rng):
+        with pytest.raises(SolvabilityError):
+            korn_solve_values(self.slices(rng, 1e7, [10.0, -10.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_slice_that_is_not_finite_rejected(self, rng, bad):
+        f = self.slices(rng, 1.0, [0.0, 0.0])
+        f[1, 3, 3] = bad
+        with pytest.raises(SolvabilityError):
+            poisson_solve_values(f)
+
+    def test_sum_past_the_float_range_rejected_without_warning(self):
+        with pytest.raises(SolvabilityError):
+            poisson_solve_values(np.full((16, 8), 1e308))
+        with pytest.raises(SolvabilityError):
+            poisson_solve_values(np.where(np.arange(8) < 4, 1.7e308, -1.7e308) * np.ones((16, 1)))
+
+    def test_tolerance_is_relative(self):
+        f = np.zeros((16, 8))
+        f[0, 0] = 1e7
+        f -= 1e7 / f.size  # mean exactly 0, max|f| = 1e7 (1 - 1/128)
+        f += 0.9 * MEAN_TOL * np.abs(f).max()
+        poisson_solve_values(f)
+        with pytest.raises(SolvabilityError):
+            poisson_solve_values(f + 0.2 * MEAN_TOL * np.abs(f).max())
+
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "shlab"
 # the one transform outside spectral.py: the real-input DFT coefficients of the
 # weak residual
@@ -324,4 +373,105 @@ def test_layer_guard_sees_each_form(tmp_path):
         (None, "numpy.fft"),
         (None, "numpy.fft"),
         (None, "spectral._wavenumbers"),
+    ]
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _referenced_names(tree, skip=None) -> set[str]:
+    """Names that a module's code refers to, outside the top-level statement
+    skip: names, attributes, imported names, and the dotted or "module:Class"
+    paths in string literals (bench/tracing.py names its hooks so).
+    Docstrings do not count."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    found = set()
+    for top in tree.body:
+        if top is skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.rpartition(".")[2])
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docstrings
+                and re.fullmatch(r"[A-Za-z_][\w.:]*", node.value)
+            ):
+                found.update(re.split("[.:]", node.value))
+    return found
+
+
+def _unreferenced(modules, readers):
+    """Top-level functions and classes of the modules that no module and no
+    reader refers to outside their own definition."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in [*modules, *readers]}
+    elsewhere = {path: _referenced_names(tree) for path, tree in trees.items()}
+    bad = []
+    for path in modules:
+        for top in trees[path].body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = _referenced_names(trees[path], skip=top)
+            others = (names for other, names in elsewhere.items() if other != path)
+            if top.name not in own and not any(top.name in names for names in others):
+                bad.append(f"{path.name}:{top.name}")
+    return sorted(bad)
+
+
+def test_every_src_function_has_a_caller_outside_the_tests():
+    """Each top-level function and class of src/shlab is used by another part
+    of the package (not counting the re-exports of __init__.py) or by the
+    benchmark under bench/, so no code is kept only for the tests."""
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert _unreferenced(modules, sorted(BENCH.glob("*.py"))) == []
+
+
+def test_caller_guard_sees_each_form(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        '"""Module docstring naming only_in_docstring."""\n'
+        "def only_in_docstring():\n"
+        "    pass\n"
+        "def recursive(n):\n"
+        '    """recursive calls itself and names by_attribute."""\n'
+        "    return recursive(n - 1)\n"
+        "class SelfReferenced:\n"
+        "    def copy(self) -> 'SelfReferenced':\n"
+        "        return SelfReferenced()\n"
+        "def by_name():\n"
+        "    pass\n"
+        "def by_attribute():\n"
+        "    pass\n"
+        "def by_import():\n"
+        "    pass\n"
+        "def by_reader_string():\n"
+        "    pass\n"
+        "def in_a_message():\n"
+        "    pass\n"
+        "def caller():\n"
+        "    by_name()\n"
+        "    raise ValueError('in_a_message is named in prose here')\n"
+    )
+    other = tmp_path / "other.py"
+    other.write_text("from .mod import by_import\nimport mod\nmod.by_attribute()\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text('POINTS = [("pkg.mod:by_reader_string", "__post_init__")]\n')
+    assert _unreferenced([mod], [other, reader]) == [
+        "mod.py:SelfReferenced",
+        "mod.py:caller",
+        "mod.py:in_a_message",
+        "mod.py:only_in_docstring",
+        "mod.py:recursive",
     ]
