@@ -202,7 +202,8 @@ def time_derivative(v: np.ndarray, dt: float) -> np.ndarray:
     """2nd-order time derivative of a (K+1, ...) stack v on uniform nodes dt
     apart: centered interior, one-sided at endpoints."""
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
+    inner = np.subtract(v[2:], v[:-2], out=out[1:-1])
+    inner /= 2.0 * dt
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
     return out

@@ -24,17 +24,26 @@ MEAN_TOL = 1e-10
 
 @lru_cache(maxsize=32)
 def _wavenumbers(nx: int, ny: int):
-    """(k1d, k2d, k2sum): angular wavenumbers on the (nx, ny) grid.
+    """(ik1, ik2, k2sum): Fourier symbols on the (nx, ny) grid.
 
-    k1d/k2d have the Nyquist mode zeroed (for odd derivatives); k2sum =
-    k1^2 + k2^2 includes it (for Laplacians).
+    ik1/ik2 = i k1, i k2 (complex (nx, ny) arrays) have the Nyquist mode
+    zeroed (for odd derivatives); k2sum = k1^2 + k2^2 includes it (for
+    Laplacians).
     """
     k1 = 2.0 * np.pi * np.fft.fftfreq(nx, d=1.0 / nx)[:, None]
     k2 = 2.0 * np.pi * np.fft.fftfreq(ny, d=1.0 / ny)[None, :]
     k2sum = k1 * k1 + k2 * k2
     k1[nx // 2, 0] = 0.0
     k2[0, ny // 2] = 0.0
-    return np.broadcast_to(k1, (nx, ny)), np.broadcast_to(k2, (nx, ny)), k2sum
+    return 1j * np.broadcast_to(k1, (nx, ny)), 1j * np.broadcast_to(k2, (nx, ny)), k2sum
+
+
+def _over_k2sum(spectrum: np.ndarray) -> np.ndarray:
+    """spectrum / |k|^2 in place, with the zero mode (|k| = 0) set to 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spectrum /= _wavenumbers(*spectrum.shape[-2:])[2]
+    spectrum[..., 0, 0] = 0.0
+    return spectrum
 
 
 def _real_ifft2(spectrum: np.ndarray) -> np.ndarray:
@@ -45,16 +54,16 @@ def _real_ifft2(spectrum: np.ndarray) -> np.ndarray:
 
 def grad_values(f: np.ndarray) -> np.ndarray:
     """Spectral gradient of scalar samples (..., nx, ny), shape (..., 2, nx, ny)."""
-    k1d, k2d, _ = _wavenumbers(*f.shape[-2:])
+    ik1, ik2, _ = _wavenumbers(*f.shape[-2:])
     fh = np.fft.fft2(f)[..., None, :, :]
-    return _real_ifft2(1j * np.stack([k1d, k2d]) * fh)
+    return _real_ifft2(np.stack([ik1, ik2]) * fh)
 
 
 def div_values(q: np.ndarray) -> np.ndarray:
     """Spectral divergence of (..., 2, nx, ny) samples, shape (..., nx, ny)."""
-    k1d, k2d, _ = _wavenumbers(*q.shape[-2:])
+    ik1, ik2, _ = _wavenumbers(*q.shape[-2:])
     qh = np.fft.fft2(q)
-    return _real_ifft2(1j * k1d * qh[..., 0, :, :] + 1j * k2d * qh[..., 1, :, :])
+    return _real_ifft2(ik1 * qh[..., 0, :, :] + ik2 * qh[..., 1, :, :])
 
 
 def laplacian_values(f: np.ndarray) -> np.ndarray:
@@ -93,12 +102,7 @@ def _demean(values: np.ndarray, what: str) -> np.ndarray:
 def poisson_solve_values(rhs: np.ndarray) -> np.ndarray:
     """Solve -Lap(psi) = rhs with zero mean per (nx, ny) slice; each slice of
     rhs must be mean-free."""
-    rhs = _demean(rhs, "Poisson right-hand side")
-    k2sum = _wavenumbers(*rhs.shape[-2:])[2]
-    rh = np.fft.fft2(rhs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ph = np.where(k2sum > 0.0, rh / k2sum, 0.0)
-    return _real_ifft2(ph)
+    return _real_ifft2(_over_k2sum(np.fft.fft2(_demean(rhs, "Poisson right-hand side"))))
 
 
 @dataclass(frozen=True)
@@ -135,13 +139,18 @@ def korn_solve_values(rhs: np.ndarray) -> np.ndarray:
     samples and returns M of the same shape as the symmetric traceless pair
     (p, s) = (d1 m1 - d2 m2, d1 m2 + d2 m1).  M is one Fourier symbol of rhs:
     m^ = -r^/|k|^2, then M^ from the odd-derivative wavenumbers, so one
-    forward and one inverse transform suffice.
+    forward and one inverse transform suffice.  The symbol is applied in
+    place: m^ overwrites r^, and M^ fills one buffer.
     """
     rh = np.fft.fft2(_demean(rhs, "stress right-hand side"))
-    k1d, k2d, k2sum = _wavenumbers(*rhs.shape[-2:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mh = np.where(k2sum > 0.0, -rh / k2sum, 0.0)
+    mh = _over_k2sum(np.negative(rh, out=rh))
+    ik1, ik2, _ = _wavenumbers(*rhs.shape[-2:])
     m1, m2 = mh[..., 0, :, :], mh[..., 1, :, :]
-    Mh = np.stack([1j * k1d * m1 - 1j * k2d * m2, 1j * k1d * m2 + 1j * k2d * m1], axis=-3)
+    Mh = np.empty_like(mh)
+    p, s = Mh[..., 0, :, :], Mh[..., 1, :, :]
+    np.multiply(ik1, m1, out=p)
+    p -= ik2 * m2
+    np.multiply(ik1, m2, out=s)
+    s += ik2 * m1
     return _real_ifft2(Mh)
 

@@ -9,6 +9,9 @@ compactly supported oscillatory perturbations.
 
 Every space-time quantity is a bare (K+1, ...) numpy stack whose axis 0 runs
 over the uniform time nodes t_0 = 0, ..., t_K = T of the problem's `times`.
+Every per-node pass runs on the node chunks of `_node_chunks`, so its
+temporaries hold one chunk, not the whole stack, and each node's values are
+bitwise those of the whole-stack arithmetic.
 """
 
 from __future__ import annotations
@@ -39,15 +42,34 @@ from .friction import FrictionParams, friction_coefficient_values
 
 E_MIN_FACTOR = 1e-6
 MASS_DRIFT_TOL = 1e-10
-#: complex spectrum per Korn solve of solve_stress: 8 nodes at 32^2, 2 at 64^2
-KORN_CHUNK_BYTES = 256 * 1024
+#: (2, nx, ny) complex spectrum per node chunk: 8 nodes at 32^2, 2 at 64^2
+NODE_CHUNK_BYTES = 256 * 1024
 
 
 def _node_chunks(start: int, stop: int, cells: int):
     """Consecutive slices of the time nodes start, ..., stop - 1, each of at
-    most KORN_CHUNK_BYTES of (2, nx, ny) complex spectrum for `cells` cells."""
-    step = max(1, KORN_CHUNK_BYTES // (32 * cells))  # 2 complex128 per cell
+    most NODE_CHUNK_BYTES of (2, nx, ny) complex spectrum for `cells` cells,
+    the largest per-node temporary of any pass (the Korn and gradient
+    transforms); the real passes then hold half of that per vector stack."""
+    step = max(1, NODE_CHUNK_BYTES // (32 * cells))  # 2 complex128 per cell
     return [slice(k, min(k + step, stop)) for k in range(start, stop, step)]
+
+
+class _NodeSum:
+    """Sum of stacks on the same nodes, formed one node chunk at a time:
+    s[k] adds the terms' slices k left to right, bitwise the slice k of the
+    whole-stack sum, and s[:] is that sum.  Terms may be broadcast views
+    (a zero flux, V[:, :, None, None], a constant) as long as the first two
+    add up to the full shape."""
+
+    def __init__(self, *terms: np.ndarray):
+        self.terms = terms
+
+    def __getitem__(self, k: slice) -> np.ndarray:
+        out = self.terms[0][k] + self.terms[1][k]
+        for term in self.terms[2:]:
+            out += term[k]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -89,21 +111,32 @@ def design_height(
 
 
 def stream_potential(h: np.ndarray, dt: float) -> np.ndarray:
-    """Mean-zero potential with -Lap(psi(t)) = dh/dt per time slice."""
+    """Mean-zero potential with -Lap(psi(t)) = dh/dt per time slice, one
+    stacked Poisson solve per node chunk."""
     mass = h.mean(axis=(1, 2))
     if float(np.max(np.abs(mass - mass[0]))) > MASS_DRIFT_TOL:
         raise SolvabilityError("height mass drifts in time; potential undefined")
-    dh = time_derivative(h, dt)
-    return spectral.poisson_solve_values(dh - dh.mean(axis=(1, 2), keepdims=True))
+    psi = time_derivative(h, dt)  # each chunk's solve overwrites its dh/dt
+    for k in _node_chunks(0, h.shape[0], h[0].size):
+        psi[k] = spectral.poisson_solve_values(psi[k] - psi[k].mean(axis=(1, 2), keepdims=True))
+    return psi
 
 
 def kinetic_energy_field(
     offset: float, a: float, h: np.ndarray, psi: np.ndarray, dt: float
 ) -> np.ndarray:
-    """Kinetic-energy budget E(t, x) = offset - a h^2 - d(psi)/dt.  An E that
-    is not finite fails the checks of the drag or of the certificate."""
+    """Kinetic-energy budget E(t, x) = offset - a h^2 - d(psi)/dt, formed per
+    node chunk.  Aborts if E is not finite: no offset can certify it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return offset - a * h**2 - time_derivative(psi, dt)
+        E = time_derivative(psi, dt)  # each chunk of E overwrites its d(psi)/dt
+        for k in _node_chunks(0, h.shape[0], h[0].size):
+            E[k] = offset - a * h[k] ** 2 - E[k]
+    if not np.all(np.isfinite(E)):
+        raise NumericalAbort(
+            "kinetic energy budget E = offset - a h^2 - d(psi)/dt is not finite "
+            f"(offset = {offset:.3e}, dt = {dt:.3e})"
+        )
+    return E
 
 
 def drag_coefficient(
@@ -121,8 +154,10 @@ def drag_coefficient(
         raise EnergyPositivityError(
             f"kinetic energy floor violated: min E = {e_low:.3e} < {e_min:.3e}"
         )
+    drag = np.empty(E.shape)
     with np.errstate(over="ignore"):  # a drag that overflows aborts just below
-        drag = friction_coefficient_values(h, E, friction)
+        for k in _node_chunks(0, E.shape[0], E[0].size):
+            drag[k] = friction_coefficient_values(h[k], E[k], friction)
     if not np.all(np.isfinite(drag)):
         raise NumericalAbort(f"friction drag is not finite (max E = {float(np.max(E)):.3e})")
     return drag
@@ -144,14 +179,16 @@ def solve_mean_momentum(
     drag the linear friction coefficient stack (None without friction).
     Classical 4th-order one-step integration on the uniform nodes; the half
     steps read the linear interpolant of the node data, the mean of the two
-    neighbours.
+    neighbours.  The node means of the right-hand side are taken per chunk.
     """
-    coef = np.zeros_like(h) if drag is None else drag
+    coef = np.broadcast_to(0.0, h.shape) if drag is None else drag
     cbar = coef.mean(axis=(1, 2))
-    rhs = coef[:, None] * (v + grad_psi)
-    if f is not None:
-        rhs = rhs + h[:, None] * f.values[None]
-    bbar = rhs.mean(axis=(2, 3))  # (K+1, 2)
+    bbar = np.empty((h.shape[0], 2))
+    for k in _node_chunks(0, h.shape[0], h[0].size):
+        rhs = coef[k][:, None] * (v[k] + grad_psi[k])
+        if f is not None:
+            rhs += h[k][:, None] * f.values
+        bbar[k] = rhs.mean(axis=(2, 3))
     cmid = 0.5 * (cbar[:-1] + cbar[1:])
     bmid = 0.5 * (bbar[:-1] + bbar[1:])
 
@@ -225,9 +262,13 @@ class SubsolutionState:
     stress: np.ndarray
     delta: float
 
-    def total_momentum_stack(self) -> np.ndarray:
-        """v + V + grad(psi) sampled at every node, shape (K+1, 2, nx, ny)."""
-        return self.velocity + self.mean_momentum[:, :, None, None] + self.problem.grad_potential
+    @property
+    def momentum(self) -> _NodeSum:
+        """g = v + V + grad(psi), formed per node chunk: momentum[k] is its
+        (2, nx, ny) samples at the nodes k, momentum[:] the whole stack."""
+        return _NodeSum(
+            self.velocity, self.mean_momentum[:, :, None, None], self.problem.grad_potential
+        )
 
 
 def _constraint_lambda(g: np.ndarray, r: np.ndarray, *W: np.ndarray) -> np.ndarray:
@@ -252,13 +293,16 @@ def subsolution_certificate(sub: SubsolutionState) -> CertificateReport:
     traceless dev = (p, s).
 
     Passes iff the margin is strictly positive everywhere.  A margin that is
-    not finite everywhere aborts rather than certify.
+    not finite everywhere aborts rather than certify.  g is formed per node
+    chunk; the margin is returned whole.
     """
+    E, g, h = sub.kinetic_energy, sub.momentum, sub.problem.height
+    margin = np.empty(E.shape)
     # an overflow or inf - inf gives a margin that is not finite: aborts below
     with np.errstate(over="ignore", invalid="ignore"):
-        g = sub.total_momentum_stack()
-        lam = _constraint_lambda(g, sub.problem.height, sub.flux, sub.stress)
-        margin = sub.kinetic_energy - sub.delta - lam
+        for k in _node_chunks(0, E.shape[0], E[0].size):
+            lam = _constraint_lambda(g[k], h[k], sub.flux[k], sub.stress[k])
+            np.subtract(E[k] - sub.delta, lam, out=margin[k])
     if not np.all(np.isfinite(margin)):
         raise NumericalAbort("certificate margin is not finite everywhere")
     return CertificateReport(
@@ -271,12 +315,15 @@ def energy_gap(sub: SubsolutionState) -> float:
 
     Nonpositive for every certified subsolution; zero exactly on solutions.
     A gap that overflows (an energy offset or a momentum near the float range)
-    aborts.
+    aborts.  The node means of the integrand are taken per node chunk.
     """
+    E, g, h = sub.kinetic_energy, sub.momentum, sub.problem.height
+    means = np.empty(E.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # such a gap aborts just below
-        g = sub.total_momentum_stack()
-        integrand = 0.5 * (g[:, 0] ** 2 + g[:, 1] ** 2) / sub.problem.height - sub.kinetic_energy
-        gap = float(np.trapezoid(integrand.mean(axis=(1, 2)), sub.problem.times))
+        for k in _node_chunks(0, E.shape[0], E[0].size):
+            gk = g[k]
+            means[k] = (0.5 * (gk[:, 0] ** 2 + gk[:, 1] ** 2) / h[k] - E[k]).mean(axis=(1, 2))
+        gap = float(np.trapezoid(means, sub.problem.times))
     if not math.isfinite(gap):
         raise NumericalAbort(f"energy gap I is not finite (I = {gap})")
     return gap
@@ -302,8 +349,8 @@ class WorkbenchProblem:
 
     The time nodes, the height design, the potential psi and grad(psi) do not
     depend on the energy offset, so they are derived once per problem (cached
-    properties) and shared, unmodified, by every candidate, which holds the
-    problem itself.
+    properties, psi and grad(psi) per node chunk) and shared, unmodified, by
+    every candidate, which holds the problem itself.
     """
 
     grid: TorusGrid
@@ -364,7 +411,11 @@ class WorkbenchProblem:
 
     @cached_property
     def grad_potential(self) -> np.ndarray:
-        return spectral.grad_values(self.potential)
+        psi = self.potential
+        out = np.empty((psi.shape[0], 2, *psi.shape[1:]))
+        for k in _node_chunks(0, psi.shape[0], psi[0].size):
+            out[k] = spectral.grad_values(psi[k])
+        return out
 
     def build(self, offset: float) -> SubsolutionState:
         """Assemble the candidate with velocity frozen at v0 and zero flux.
@@ -546,27 +597,41 @@ def oscillatory_pair(
     """Compactly supported oscillation preserving the pointwise constraint.
 
     g (momentum) and W (traceless) are (K+1, 2, nx, ny) stacks and r (height)
-    and e (energy level) (K+1, nx, ny) stacks on the nodes `times`.  The pair
+    and e (energy level) (K+1, nx, ny) stacks on the nodes `times`; g, W and
+    e may also be `_NodeSum`s, which form each node chunk on demand.  The pair
     comes from a single plane-wave potential with a smooth cutoff:
     the wave direction lies in the cone b . eta_x = 0, the amplitude is
     halved, at most 60 times, until lambda_max[(g+w)(x)(g+w)/r - (W+G)] < e
     survives on the whole box.  A vanishing constraint gap yields the zero
     perturbation with the degenerate flag set instead of an error.
+
+    Every check runs per node chunk; only the box mask, the padded level
+    e_pad and the pair itself are whole stacks.  A backtracking test stops
+    at the first chunk that fails.
     """
     if n < 1:
         raise InvalidValueError(f"oscillation frequency n must be a positive integer, got {n}")
     if np.any(r <= 0.0):
         raise ConstraintError("oscillatory pair requires r > 0")
-    lam0 = _constraint_lambda(g, r, W)
+    chunks = _node_chunks(0, times.size, grid.nx * grid.ny)
     mask = _box_mask(times, grid, box)
-    if np.any((lam0 >= e) & mask):
-        raise ConstraintError("constraint lambda_max[...] < e fails on the support box")
+    e_pad = np.empty(r.shape)  # e on the box, lambda0 (padded below) off it
+    gaps, e_max = [], []
+    for k in chunks:
+        e_k, in_box = e[k], mask[k]
+        lam0 = _constraint_lambda(g[k], r[k], W[k])
+        if np.any((lam0 >= e_k) & in_box):
+            raise ConstraintError("constraint lambda_max[...] < e fails on the support box")
+        gaps.append(np.min(np.where(in_box, e_k - lam0, np.inf)))
+        e_max.append(np.max(np.abs(e_k)))
+        e_pad[k] = np.where(in_box, e_k, lam0)
 
-    gap = float(np.min(np.where(mask, e - lam0, np.inf)))
+    gap = float(np.min(gaps))  # NaN-propagating, as the whole-stack minimum
+    shape = (times.size, 2, *grid.shape)
     zero = lambda: OscillatoryPair(  # noqa: E731
-        w=np.zeros(g.shape), G=np.zeros(g.shape), amplitude=0.0, degenerate=True
+        w=np.zeros(shape), G=np.zeros(shape), amplitude=0.0, degenerate=True
     )
-    if not np.isfinite(gap) or gap <= 1e-12 * float(np.max(np.abs(e)) + 1.0):
+    if not np.isfinite(gap) or gap <= 1e-12 * float(np.max(e_max) + 1.0):
         return zero()
 
     rng = np.random.default_rng(seed)
@@ -577,13 +642,14 @@ def oscillatory_pair(
     wave = _WavePotential(box, (e1, e2), n, omega)
 
     amp = 0.5 * math.sqrt(gap * float(np.min(r)))
-    e_pad = np.where(mask, e, lam0 + 0.5 * gap)
+    # outside the box only the spectral tail of the cutoff remains, so the
+    # padded level (half the box gap above lambda0) is a strict check there
+    np.add(e_pad, 0.5 * gap, out=e_pad, where=~mask)
     w, G = wave.evaluate(times, grid, amp)
     for _ in range(60):
-        lam = _constraint_lambda(g + w, r, W + G)
-        # outside the box only the spectral tail of the cutoff remains, so the
-        # padded level (half the box gap above lambda0) is a strict check there
-        if np.all(lam < e_pad):
+        if all(
+            np.all(_constraint_lambda(g[k] + w[k], r[k], W[k] + G[k]) < e_pad[k]) for k in chunks
+        ):
             return OscillatoryPair(w=w, G=G, amplitude=amp)
         # halving by a power of two is exact, so this is evaluate(amp / 2) bitwise
         amp *= 0.5
@@ -612,25 +678,27 @@ def improvement_step(
     oscillatory pair supported in (0.15 T, 0.85 T) x (0.1, 0.9)^2 and
     generated at energy level E - delta/2, recompute the mean momentum and
     stress for the perturbed velocity, and re-certify at the halved margin.
-    Rejected steps leave the state unchanged."""
+    Rejected steps leave the state unchanged.  g, W = flux + M and the level
+    E - delta/2 are formed per node chunk, never as stacks."""
     gap_before = energy_gap(sub)
     if gap_before >= -1e-14:
         return sub, ImprovementReport(False, "zero gap", gap_before)
     prob = sub.problem
     box = SpaceTimeBox(0.15 * prob.T, 0.85 * prob.T, 0.1, 0.9, 0.1, 0.9)
 
-    g_stack = sub.total_momentum_stack()
-    W = sub.flux + sub.stress
-    e_level = sub.kinetic_energy - 0.5 * sub.delta
-    pair = oscillatory_pair(prob.times, prob.grid, g_stack, W, prob.height, e_level, n, box, seed)
-    # freed before the solves and the re-certification, which set the peak memory
-    del g_stack, W, e_level
+    E = sub.kinetic_energy
+    level = _NodeSum(E, np.broadcast_to(-0.5 * sub.delta, E.shape))  # E - delta/2 bitwise
+    pair = oscillatory_pair(
+        prob.times, prob.grid, sub.momentum, _NodeSum(sub.flux, sub.stress), prob.height,
+        level, n, box, seed,
+    )
     if pair.degenerate:
         return sub, ImprovementReport(False, "degenerate gap", gap_before)
 
+    # v + w and flux + G are written over the pair, which is not used again
     candidate = prob.candidate(
-        sub.energy_offset, sub.kinetic_energy, sub.velocity + pair.w, sub.flux + pair.G,
-        0.5 * sub.delta,
+        sub.energy_offset, E, np.add(sub.velocity, pair.w, out=pair.w),
+        np.add(sub.flux, pair.G, out=pair.G), 0.5 * sub.delta,
     )
     if not subsolution_certificate(candidate).passed:
         return sub, ImprovementReport(False, "re-certification failed", gap_before)

@@ -431,6 +431,28 @@ class TestCliWorkbench:
         ]
         assert workbench.transport_residual(sub) > 0.0
 
+    def test_memory_holds_no_whole_stack_temporaries(self, tmp_path):
+        """The workbench-32 physics on 32^2 x 65 nodes.  At the peak (the
+        stress solve of an improvement step's candidate) 18 scalar stacks are
+        live: the problem's h, psi and grad psi (4), the state's E, v, flux
+        and M (7), the candidate's v + w, flux + G and M (6) and the drag (1).
+        One node chunk's temporaries bring the traced peak to about 23 stacks.
+        Whole-stack temporaries in the certificate, the gap or the pair's
+        backtracking took it to 32."""
+        overrides = {
+            "grid.nx": "32", "grid.ny": "32", "workbench.time_nodes": "64",
+            "workbench.delta": "0.05",
+        }
+        argv = ["workbench", scenario8(tmp_path, overrides), "--steps", "2"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv + ["--out", str(tmp_path / "wb")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = 65 * 32 * 32 * 8
+        assert peak < 26 * stack, f"traced peak {peak / stack:.1f} stacks"
+
     def test_infeasible_offset_exits_3(self, tmp_path, capsys):
         text = WORKBENCH + "friction.gamma = 0.5\nworkbench.lambda = 1e-12\n"
         scn = write_scenario(tmp_path, text)
@@ -485,10 +507,8 @@ class TestCliWorkbenchExitCodes:
     @pytest.mark.parametrize(
         "T,message",
         [
-            # the one-sided time stencil's roundoff over dt = 1.25e-301 overflows
-            # dpsi/dt, so E is not finite and fails the drag's energy floor
-            ("1e-300", "energy offset search hit its cap without certifying"),
-            # the RK4 over dt = 1.25e299 overflows the mean momentum
+            # the RK4 over dt = 1.25e299 overflows the mean momentum (T = 1e-300
+            # is TestFuzzFindings::test_non_finite_energy_budget_exits_3)
             ("1e300", "mean momentum V is not finite (dt = 1.250e+299)"),
         ],
     )
@@ -524,14 +544,18 @@ FORCE = _maybe(st.sampled_from([0.1, 1e7, 1e200]))
     T=st.sampled_from([0.0, 1e-300, 1.0, 1e300]),
     fx=FORCE,
     fy=FORCE,
+    chunk_nodes=st.integers(1, 4),
 )
 def test_workbench_exit_codes_are_documented(
-    time_nodes, osc_n, delta, lam, amplitude_cap, seed, steps, T, fx, fy
+    time_nodes, osc_n, delta, lam, amplitude_cap, seed, steps, T, fx, fy, chunk_nodes
 ):
     """Whatever the workbench keys and arguments, main returns 0, 2, 3 or 4,
     and nothing escapes it: no traceback and no RuntimeWarning, which
-    pyproject.toml raises as an error."""
-    with tempfile.TemporaryDirectory() as tmp:
+    pyproject.toml raises as an error.  At 8^2 a node chunk would hold 128
+    nodes, so the chunk size is lowered to 1 to 4 nodes, and the per-node
+    passes cross chunk boundaries."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workbench, "NODE_CHUNK_BYTES", chunk_nodes * 32 * 8 * 8)
         overrides = {
             "workbench.time_nodes": time_nodes,
             "workbench.osc_n": osc_n,
@@ -554,6 +578,50 @@ def test_workbench_exit_codes_are_documented(
     event(f"exit code {code}")
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    time_nodes=st.integers(2, 12),
+    osc_n=st.integers(1, 16),
+    delta=st.floats(0.01, 0.5),
+    gamma=st.sampled_from(["0", "0.2", "0.3 + 0.1*cos(2*pi*x2)"]),
+    law=st.sampled_from(["coulomb", "extended"]),
+    force=st.one_of(st.none(), st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))),
+    seed=st.integers(0, 2**31),
+    chunk_nodes=st.integers(1, 4),
+)
+def test_workbench_artifacts_do_not_depend_on_the_node_chunks(
+    time_nodes, osc_n, delta, gamma, law, force, seed, chunk_nodes
+):
+    """Every artifact but run_manifest.json is byte-identical whether each
+    per-node pass runs on chunks of 1 to 4 nodes or on one chunk (at 8^2 a
+    chunk holds 128 nodes), and so are the exit code and stderr."""
+    overrides = {
+        "workbench.time_nodes": str(time_nodes),
+        "workbench.osc_n": str(osc_n),
+        "workbench.delta": repr(delta),
+        "friction.gamma": gamma,
+        "friction.law": law,
+        "friction.gamma2": "0.1",
+        "force.fx": None if force is None else repr(force[0]),
+        "force.fy": None if force is None else repr(force[1]),
+    }
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        scn = scenario8(Path(tmp), overrides)
+        for chunk_bytes in (chunk_nodes * 32 * 8 * 8, workbench.NODE_CHUNK_BYTES):
+            mp.setattr(workbench, "NODE_CHUNK_BYTES", chunk_bytes)
+            out = Path(tmp) / f"wb{chunk_bytes}"
+            argv = ["workbench", scn, "--steps", "3", "--seed", str(seed), "--out", str(out)]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            files = sorted(out.glob("*")) if out.exists() else []
+            artifacts = {f.name: f.read_bytes() for f in files if f.name != "run_manifest.json"}
+            runs.append((code, err.getvalue(), artifacts))
+    event(f"exit code {runs[0][0]}")
+    assert runs[0] == runs[1]
 
 
 SIMULATE8 = {
@@ -1107,6 +1175,24 @@ class TestFuzzFindings:
         assert cli.main(["workbench", scn, "--steps", "0", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("shlab: validation error: ") and "space-time cells" in err
+        assert not out.exists()
+
+    def test_non_finite_energy_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        # exit 3 after 60 doublings with "energy offset search hit its cap
+        # without certifying": over dt = 1.25e-301 the one-sided time stencil's
+        # roundoff overflows d(psi)/dt, so no offset gives a finite E
+        builds = []
+        real = workbench.WorkbenchProblem.build
+        spy = lambda self, lam: builds.append(lam) or real(self, lam)  # noqa: E731
+        monkeypatch.setattr(workbench.WorkbenchProblem, "build", spy)
+        scn = scenario8(tmp_path, {"physics.T": "1e-300"})
+        out = tmp_path / "wb"
+        assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "shlab: numerical abort: kinetic energy budget E = offset - a h^2 - d(psi)/dt "
+            "is not finite (offset = 6.473e-01, dt = 1.250e-301)\n"
+        )
+        assert len(builds) == 1  # the first probe aborts the search
         assert not out.exists()
 
     def test_huge_workbench_lambda_exits_3(self, tmp_path, capsys):

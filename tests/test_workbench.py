@@ -18,6 +18,7 @@ from shlab.fields import (
     ScalarField,
     TorusGrid,
     VectorField,
+    deviatoric_outer,
     time_derivative,
 )
 from shlab.friction import FrictionParams, friction_coefficient_values
@@ -414,12 +415,13 @@ class TestChunkedSolves:
         assert M.tobytes() == stress_per_node(v, V, drag, grad_psi, h, f).tobytes()
         return V, M
 
-    def assert_state_bitwise(self, sub):
+    @staticmethod
+    def assert_state_bitwise(sub):
         prob = sub.problem
         drag = workbench.drag_coefficient(
             sub.kinetic_energy, prob.height, prob.friction, sub.energy_offset
         )
-        V, M = self.assert_bitwise(
+        V, M = TestChunkedSolves.assert_bitwise(
             sub.velocity, drag, prob.grad_potential, prob.height, prob.force,
             prob.initial_split.Vmean, prob.dt,
         )
@@ -537,7 +539,7 @@ class TestCertificateAndGap:
         sub = prob.build(1.2)
         rep = subsolution_certificate(sub)
         # independent scan with explicit 2x2 eigenvalues
-        g = sub.total_momentum_stack()
+        g = sub.momentum[:]
         worst = np.inf
         for k in range(0, prob.times.size, 2):
             for i in range(0, 32, 4):
@@ -864,3 +866,166 @@ class TestImprovementStep:
         assert report.accepted
         # perturbed state carries the O(dt^2) stencil truncation, nothing worse
         assert transport_residual(new) < 10.0 * np.abs(new.velocity).max()
+
+
+def time_derivative_stacked(v, dt):
+    """Reference time_derivative, whole-stack temporaries."""
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
+    return out
+
+
+def momentum_stacked(sub):
+    return sub.velocity + sub.mean_momentum[:, :, None, None] + sub.problem.grad_potential
+
+
+def margin_stacked(sub):
+    """Reference certificate margin: one pass over the whole stacks."""
+    g = momentum_stacked(sub)
+    lam = workbench._constraint_lambda(g, sub.problem.height, sub.flux, sub.stress)
+    return sub.kinetic_energy - sub.delta - lam
+
+
+def gap_stacked(sub):
+    """Reference energy gap: one pass over the whole stacks."""
+    g = momentum_stacked(sub)
+    integrand = 0.5 * (g[:, 0] ** 2 + g[:, 1] ** 2) / sub.problem.height - sub.kinetic_energy
+    return float(np.trapezoid(integrand.mean(axis=(1, 2)), sub.problem.times))
+
+
+def pair_stacked(times, grid, g, W, r, e, n, box, seed=0):
+    """Reference oscillatory_pair on whole stacks: (w, G, amplitude), or None
+    for the degenerate pair."""
+    lam0 = workbench._constraint_lambda(g, r, W)
+    mask = workbench._box_mask(times, grid, box)
+    assert not np.any((lam0 >= e) & mask)
+    gap = float(np.min(np.where(mask, e - lam0, np.inf)))
+    if not np.isfinite(gap) or gap <= 1e-12 * float(np.max(np.abs(e)) + 1.0):
+        return None
+    rng = np.random.default_rng(seed)
+    eta = workbench._DIRECTIONS[rng.integers(len(workbench._DIRECTIONS))]
+    wave = workbench._WavePotential(box, eta, n, float(rng.uniform(2.0, 6.0)))
+    amp = 0.5 * float(np.sqrt(gap * float(np.min(r))))
+    e_pad = np.where(mask, e, lam0 + 0.5 * gap)
+    w, G = wave.evaluate(times, grid, amp)
+    for _ in range(60):
+        if np.all(workbench._constraint_lambda(g + w, r, W + G) < e_pad):
+            return w, G, amp
+        amp *= 0.5
+        w *= 0.5
+        G *= 0.5
+    return None
+
+
+def improvement_box(prob):
+    return SpaceTimeBox(0.15 * prob.T, 0.85 * prob.T, 0.1, 0.9, 0.1, 0.9)
+
+
+def chunk_case_problem(grid, case):
+    prob = nonflat_problem(grid, num_steps=12)  # 13 nodes: one chunk of 8 and one of 5
+    if case == "workbench32":  # 65 nodes, 8 full chunks and one of 1
+        return replace(nonflat_problem(grid, num_steps=64), force=None)
+    if case == "extended":
+        return replace(prob, friction=FrictionParams(gamma=0.2, gamma2=0.1, law="extended"))
+    if case == "frictionless-forced":
+        return replace(prob, friction=FrictionParams(gamma=0.0))
+    return prob
+
+
+class TestChunkedPasses:
+    """Every per-node pass of the workbench runs on node chunks and equals
+    its whole-stack reference bit for bit: the potential and its gradient,
+    E, the drag, the mean momentum (whose sums rk4_on_arrays forms whole),
+    the stress, the certificate margin, the energy gap and the pair."""
+
+    def assert_passes_bitwise(self, sub):
+        prob = sub.problem
+        TestChunkedSolves.assert_state_bitwise(sub)
+        margin = margin_stacked(sub)
+        report = subsolution_certificate(sub)
+        assert report.margin.tobytes() == margin.tobytes()
+        assert report.min_margin == float(np.min(margin))
+        assert report.passed == bool(np.all(margin > 0.0))
+        assert energy_gap(sub) == gap_stacked(sub)
+        if prob.friction.active:
+            drag = workbench.drag_coefficient(
+                sub.kinetic_energy, prob.height, prob.friction, sub.energy_offset
+            )
+            ref = friction_coefficient_values(prob.height, sub.kinetic_energy, prob.friction)
+            assert drag.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "case", ["workbench32", "ragged", "extended", "frictionless-forced"]
+    )
+    def test_built_and_improved_state(self, grid32, case):
+        prob = chunk_case_problem(grid32, case)
+        lam = find_energy_offset(prob)
+        sub = prob.build(lam)
+        # the derived stacks of the problem and the built budget E
+        dh = time_derivative_stacked(prob.height, prob.dt)
+        psi = spectral.poisson_solve_values(dh - dh.mean(axis=(1, 2), keepdims=True))
+        assert prob.potential.tobytes() == psi.tobytes()
+        assert prob.grad_potential.tobytes() == grad_values(psi).tobytes()
+        E = lam - prob.a * prob.height**2 - time_derivative_stacked(psi, prob.dt)
+        assert sub.kinetic_energy.tobytes() == E.tobytes()
+        # the built velocity (v0 at every node) and zero flux are broadcast views
+        assert sub.velocity.strides[0] == 0 and not any(sub.flux.strides)
+        self.assert_passes_bitwise(sub)
+
+        g, W = momentum_stacked(sub), sub.flux + sub.stress
+        e = sub.kinetic_energy - 0.5 * sub.delta
+        args = (prob.times, prob.grid, g, W, prob.height, e, 8, improvement_box(prob), 0)
+        w, G, amp = pair_stacked(*args)
+        pair = oscillatory_pair(*args)
+        assert pair.amplitude == amp
+        assert (pair.w.tobytes(), pair.G.tobytes()) == (w.tobytes(), G.tobytes())
+
+        improved, report = improvement_step(sub, seed=0)
+        assert report.accepted
+        assert improved.velocity.tobytes() == (sub.velocity + w).tobytes()
+        assert improved.flux.tobytes() == (sub.flux + G).tobytes()
+        assert report.gap_after == gap_stacked(improved)
+        self.assert_passes_bitwise(improved)
+
+    @staticmethod
+    def halving_inputs(grid, case):
+        """17 nodes (8 + 8 + 1) on which the pair's first amplitude fails:
+        at rest with n = 1 off the box, where the wave's spectral tail meets
+        the padded level (a late box leaves the first chunk out), or moving
+        at g = (1, 0) with n = 8 in the box, through the cross term g . w."""
+        times, g, W, r, e = lemma_inputs(grid, K=16)
+        if case == "moving":
+            g[:, 0] = 1.0
+            return times, g, deviatoric_outer(g, r), r, e + 0.5, 8, CENTERED_BOX
+        box = CENTERED_BOX if case == "rest" else SpaceTimeBox(0.55, 0.95, 0.1, 0.9, 0.1, 0.9)
+        return times, g, W, r, e, 1, box
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["stacks", "node-sums"])
+    @pytest.mark.parametrize("case", ["rest", "rest-late-box", "moving"])
+    def test_halved_pair(self, grid32, case, lazy):
+        times, g, W, r, e, n, box = self.halving_inputs(grid32, case)
+        w, G, amp = pair_stacked(times, grid32, g, W, r, e, n, box)
+        assert amp < 0.5  # halved from 0.5 sqrt(gap min r), gap = 1
+        if lazy:  # as improvement_step passes g = v + V + grad psi, W = F + M and E - delta/2
+            V = np.zeros((times.size, 2, 1, 1))
+            g = workbench._NodeSum(g, V, np.zeros_like(g))
+            W = workbench._NodeSum(W, np.broadcast_to(0.0, W.shape))
+            e = workbench._NodeSum(e + 0.5, np.broadcast_to(-0.5, e.shape))
+        pair = oscillatory_pair(times, grid32, g, W, r, e, n, box)
+        assert pair.amplitude == amp
+        assert (pair.w.tobytes(), pair.G.tobytes()) == (w.tobytes(), G.tobytes())
+
+    def test_korn_symbol_built_in_place(self, grid32):
+        rng = np.random.default_rng(3)
+        for shape in ((2, 32, 32), (5, 2, 32, 32), (3, 2, 16, 24)):
+            rhs = rng.standard_normal(shape)
+            rhs -= rhs.mean(axis=(-2, -1), keepdims=True)  # within the solvability tolerance
+            ik1, ik2, k2sum = spectral._wavenumbers(*shape[-2:])
+            rh = np.fft.fft2(spectral._demean(rhs, "stress right-hand side"))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mh = np.where(k2sum > 0.0, -rh / k2sum, 0.0)
+            m1, m2 = mh[..., 0, :, :], mh[..., 1, :, :]
+            Mh = np.stack([ik1 * m1 - ik2 * m2, ik1 * m2 + ik2 * m1], axis=-3)
+            assert korn_solve_values(rhs).tobytes() == np.fft.ifft2(Mh).real.tobytes()
