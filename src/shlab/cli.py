@@ -19,18 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import (
-    energy_inequality_residual,
-    energy_jump,
-    restrict_state,
-    weak_strong_experiment,
-)
+from .diagnostics import energy_jump, restrict_state, weak_strong_experiment
 from .errors import FormatError, InvalidValueError, NumericalAbort, ShlabError, ValidationError
 from .fields import ScalarField, SymTracelessField, TorusGrid, VectorField
 from .scenario import load_config
 from .snapshots import write_snapshot
 from .solver import EnergyLedger, simulate, stream  # noqa: F401 (bench/ wraps simulate)
-from .workbench import (
+from .workbench import (  # noqa: F401 (bench/ wraps energy_gap)
     energy_gap,
     find_energy_offset,
     improvement_step,
@@ -38,27 +33,63 @@ from .workbench import (
     transport_residual,
 )
 
-def _write_manifest(out_dir: Path, scenario: str, seed: int, grid, outputs, t0: float):
-    """Write run_manifest.json, timing the run from t0, and copy the scenario file."""
-    scenario_path = Path(scenario)
-    manifest = {
-        "scenario_sha256": hashlib.sha256(scenario_path.read_bytes()).hexdigest(),
-        "scenario_file": scenario_path.name,
-        "seed": seed,
-        "grid": {"nx": grid.nx, "ny": grid.ny},
-        "shlab_version": __version__,
-        "outputs": sorted(str(p.name) for p in outputs),
-        "timings_s": {"total": time.perf_counter() - t0},
-    }
-    with open(out_dir / "run_manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    shutil.copyfile(scenario_path, out_dir / scenario_path.name)
 
+class _RunDir:
+    """The --out directory of one command, made when the object is.
 
-def _prep_out(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    Every file goes through it, so it knows what the run wrote.  A table is
+    one header line of comma-separated column names, then one line per row
+    with every number as .17g.  finish() lists the written files in
+    run_manifest.json and copies the scenario file; discard() deletes them,
+    and the directory too if this run made it.
+    """
+
+    def __init__(self, out):
+        self.path = Path(out)
+        self.created = not self.path.exists()
+        self.path.mkdir(parents=True, exist_ok=True)
+        self.written: list[Path] = []
+
+    def _new(self, name: str) -> Path:
+        p = self.path / name
+        self.written.append(p)  # before the write, so discard() removes a partial file
+        return p
+
+    def table(self, name: str, columns, rows) -> None:
+        with open(self._new(name), "w") as fh:
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+    def text(self, name: str, text: str) -> None:
+        with open(self._new(name), "w") as fh:
+            fh.write(text)
+
+    def snapshot(self, name: str, fld) -> None:
+        write_snapshot(fld, self._new(name))
+
+    def discard(self) -> None:
+        for p in self.written:
+            p.unlink(missing_ok=True)
+        if self.created:
+            with contextlib.suppress(OSError):
+                self.path.rmdir()
+
+    def finish(self, scenario: str, seed: int, grid, t0: float) -> None:
+        """Write run_manifest.json, timing the run from t0, and copy the scenario file."""
+        scenario_path = Path(scenario)
+        manifest = {
+            "scenario_sha256": hashlib.sha256(scenario_path.read_bytes()).hexdigest(),
+            "scenario_file": scenario_path.name,
+            "seed": seed,
+            "grid": {"nx": grid.nx, "ny": grid.ny},
+            "shlab_version": __version__,
+            "outputs": sorted(p.name for p in self.written),
+            "timings_s": {"total": time.perf_counter() - t0},
+        }
+        with open(self.path / "run_manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+        shutil.copyfile(scenario_path, self.path / scenario_path.name)
 
 
 _SNAPSHOT_NAME = re.compile(r"snapshot_(\d{4,})_[hqB]\.shlab")
@@ -77,47 +108,30 @@ def _remove_stale_snapshots(out: Path, n_outputs: int) -> None:
 def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.scenario)
-    if args.seed is not None:
-        cfg.values["seed"] = args.seed
     if args.cfl is not None:
         cfg.values["physics.cfl"] = args.cfl
     scn = cfg.to_scenario()
-    out = Path(args.out)
-    created = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
+    run = _RunDir(args.out)
     ledger = EnergyLedger()
-    snapshots = []
     try:
         # each output is written as it lands, so only the current state is held
         for j, (_, state, selection, n_steps) in enumerate(stream(scn, ledger)):
             for name, fld in (("h", state.h), ("q", state.q), ("B", selection)):
-                p = out / f"snapshot_{j:04d}_{name}.shlab"
-                snapshots.append(p)
-                write_snapshot(fld, p)
+                run.snapshot(f"snapshot_{j:04d}_{name}.shlab", fld)
     except BaseException:
-        # a failed run leaves no partial output: drop what this run wrote
-        for p in snapshots:
-            p.unlink(missing_ok=True)
-        if created:
-            with contextlib.suppress(OSError):
-                out.rmdir()
+        run.discard()  # a failed run leaves no partial output
         raise
-    ledger_path = out / "ledger.csv"
-    ledger.to_csv(ledger_path)
-    outputs = [ledger_path, *snapshots]
-    residual = energy_inequality_residual(ledger)
-    summary = out / "summary.txt"
-    with open(summary, "w") as fh:
-        fh.write(
-            "shlab simulate\n"
-            f"grid: {scn.grid.nx}x{scn.grid.ny}  T = {scn.T}  steps = {n_steps}\n"
-            f"final mass: {ledger.rows[-1][1]:.12g}\n"
-            f"final total energy: {ledger.rows[-1][4]:.12g}\n"
-            f"worst energy-balance residual: {residual:.6g}\n"
-        )
-    outputs.append(summary)
-    _write_manifest(out, args.scenario, scn.seed, scn.grid, outputs, t0)
-    _remove_stale_snapshots(out, len(snapshots) // 3)
+    run.table("ledger.csv", ledger.columns, ledger.rows)
+    run.text(
+        "summary.txt",
+        "shlab simulate\n"
+        f"grid: {scn.grid.nx}x{scn.grid.ny}  T = {scn.T}  steps = {n_steps}\n"
+        f"final mass: {ledger.rows[-1][1]:.12g}\n"
+        f"final total energy: {ledger.rows[-1][4]:.12g}\n"
+        f"worst energy-balance residual: {np.max(ledger.column('e2_residual')):.6g}\n",
+    )
+    run.finish(args.scenario, scn.seed, scn.grid, t0)
+    _remove_stale_snapshots(run.path, j + 1)
     return 0
 
 
@@ -135,51 +149,36 @@ def _cmd_workbench(args) -> int:
     offset = fixed if fixed is not None else find_energy_offset(problem)
     sub = problem.build(offset)
 
-    gap_rows = [(0, energy_gap(sub), sub.delta, 1)]
+    gap_rows = [(0, sub.gap, sub.delta, 1)]
     seed = cfg.values["seed"]
     n = cfg.values["workbench.osc_n"]
     for k in range(args.steps):
         sub, step_report = improvement_step(sub, seed=seed + k, n=n)
-        gap_rows.append((k + 1, step_report.gap_after, sub.delta, int(step_report.accepted)))
+        gap_rows.append((k + 1, sub.gap, sub.delta, int(step_report.accepted)))
 
     cert = subsolution_certificate(sub)
-    out = _prep_out(args)
-    outputs = []
-    with open(out / "certificate.csv", "w") as fh:
-        fh.write("t,min_margin\n")
-        per_t = cert.margin.min(axis=(1, 2))
-        for t, m in zip(problem.times, per_t):
-            fh.write(f"{t:.17g},{m:.17g}\n")
-    outputs.append(out / "certificate.csv")
-    with open(out / "gap.csv", "w") as fh:
-        fh.write("step,I,delta,accepted\n")
-        for row in gap_rows:
-            fh.write(f"{row[0]},{row[1]:.17g},{row[2]:.17g},{row[3]}\n")
-    outputs.append(out / "gap.csv")
-
+    run = _RunDir(args.out)
+    per_t = cert.margin.min(axis=(1, 2))
+    run.table("certificate.csv", ("t", "min_margin"), zip(problem.times, per_t))
+    run.table("gap.csv", ("step", "I", "delta", "accepted"), gap_rows)
     for label, k in (("t0", 0), ("tmid", problem.times.size // 2), ("tend", problem.num_steps)):
         for name, kind, stack in (
             ("v", VectorField, sub.velocity),
             ("E", ScalarField, sub.kinetic_energy),
             ("M", SymTracelessField, sub.stress),
         ):
-            p = out / f"{name}_{label}.shlab"
-            write_snapshot(kind(problem.grid, stack[k]), p)
-            outputs.append(p)
-
-    summary = out / "summary.txt"
-    with open(summary, "w") as fh:
-        fh.write(
-            "shlab workbench\n"
-            f"energy offset: {offset:.9g} ({'fixed' if fixed is not None else 'searched'})\n"
-            f"certificate: {'PASS' if cert.passed else 'FAIL'}  min margin = {cert.min_margin:.6g}\n"
-            f"energy gap I: initial {gap_rows[0][1]:.9g} -> final {gap_rows[-1][1]:.9g}\n"
-            f"accepted steps: {sum(r[3] for r in gap_rows[1:])}/{args.steps}\n"
-            f"initial energy jump: {energy_jump(sub):.9g}\n"
-            f"transport residual: {transport_residual(sub):.6g}\n"
-        )
-    outputs.append(summary)
-    _write_manifest(out, args.scenario, seed, problem.grid, outputs, t0)
+            run.snapshot(f"{name}_{label}.shlab", kind(problem.grid, stack[k]))
+    run.text(
+        "summary.txt",
+        "shlab workbench\n"
+        f"energy offset: {offset:.9g} ({'fixed' if fixed is not None else 'searched'})\n"
+        f"certificate: {'PASS' if cert.passed else 'FAIL'}  min margin = {cert.min_margin:.6g}\n"
+        f"energy gap I: initial {gap_rows[0][1]:.9g} -> final {gap_rows[-1][1]:.9g}\n"
+        f"accepted steps: {sum(r[3] for r in gap_rows[1:])}/{args.steps}\n"
+        f"initial energy jump: {energy_jump(sub):.9g}\n"
+        f"transport residual: {transport_residual(sub):.6g}\n",
+    )
+    run.finish(args.scenario, seed, problem.grid, t0)
     return 0
 
 
@@ -224,8 +223,7 @@ def _cmd_diagnose(args) -> int:
         f"dissipation nondecreasing: {monotone}\n"
     )
     sys.stdout.write(text)
-    with open(run_dir / "diagnose.txt", "w") as fh:
-        fh.write(text)
+    _RunDir(run_dir).text("diagnose.txt", text)
     return 0
 
 
@@ -258,27 +256,19 @@ def _cmd_wsu(args) -> int:
     fine = TorusGrid(args.refine * coarse.nx, args.refine * coarse.ny)
     eps_list = _parse_eps(args.eps)
     reports = weak_strong_experiment(cfg.to_scenario, eps_list, coarse, fine)
-    out = _prep_out(args)
-    outputs = []
+    run = _RunDir(args.out)
+    summary = "shlab wsu\n"
     for eps, report in zip(eps_list, reports):
-        p = out / f"wsu_eps{eps:g}.csv"
-        with open(p, "w") as fh:
-            fh.write("t,E_rel,fitted_c\n")
-            for t, v in zip(report.times, report.values):
-                fh.write(f"{t:.17g},{v:.17g},{report.rate:.17g}\n")
-        outputs.append(p)
-    summary = out / "summary.txt"
-    with open(summary, "w") as fh:
-        fh.write("shlab wsu\n")
-        for eps, report in zip(eps_list, reports):
-            e0, eT = report.values[0], report.values[-1]
-            fh.write(
-                f"eps = {eps:g}: E(0) = {e0:.6g}, E(T) = {eT:.6g}, fitted c = {report.rate:.6g}"
-                + ("  [truncated at shock]" if report.truncated else "")
-                + "\n"
-            )
-    outputs.append(summary)
-    _write_manifest(out, args.scenario, cfg.values["seed"], coarse, outputs, t0)
+        rows = ((t, v, report.rate) for t, v in zip(report.times, report.values))
+        run.table(f"wsu_eps{eps:g}.csv", ("t", "E_rel", "fitted_c"), rows)
+        e0, eT = report.values[0], report.values[-1]
+        summary += (
+            f"eps = {eps:g}: E(0) = {e0:.6g}, E(T) = {eT:.6g}, fitted c = {report.rate:.6g}"
+            + ("  [truncated at shock]" if report.truncated else "")
+            + "\n"
+        )
+    run.text("summary.txt", summary)
+    run.finish(args.scenario, cfg.values["seed"], coarse, t0)
     return 0
 
 
@@ -299,16 +289,10 @@ def _cmd_convergence(args) -> int:
     if min(errors) == 0.0:
         raise NumericalAbort(f"observed L1 order is undefined: an L1 error is zero {errors}")
     order = float(np.log2(errors[0] / errors[1]))
-    out = _prep_out(args)
-    with open(out / "convergence.csv", "w") as fh:
-        fh.write("nx,l1_error\n")
-        for g, err in zip(grids, errors):
-            fh.write(f"{g.nx},{err:.17g}\n")
-    summary = out / "summary.txt"
-    with open(summary, "w") as fh:
-        fh.write(f"shlab convergence\nobserved L1 order: {order:.4g}\n")
-    outputs = [out / "convergence.csv", summary]
-    _write_manifest(out, args.scenario, cfg.values["seed"], base, outputs, t0)
+    run = _RunDir(args.out)
+    run.table("convergence.csv", ("nx", "l1_error"), zip((g.nx for g in grids), errors))
+    run.text("summary.txt", f"shlab convergence\nobserved L1 order: {order:.4g}\n")
+    run.finish(args.scenario, cfg.values["seed"], base, t0)
     sys.stdout.write(f"observed L1 order: {order:.4g}\n")
     return 0
 
@@ -320,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the finite-volume solver")
     p.add_argument("scenario")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cfl", type=float, default=None)
     p.set_defaults(fn=_cmd_simulate)
 

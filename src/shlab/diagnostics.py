@@ -14,14 +14,6 @@ from .solver import EnergyLedger, State, Trajectory, simulate, stream  # noqa: F
 from .workbench import SubsolutionState
 
 
-def energy_inequality_residual(ledger: EnergyLedger) -> float:
-    """Worst-case energy-balance residual over the ledger rows; nonpositive
-    for a dissipative run."""
-    if not ledger.rows:
-        raise InvalidValueError("empty ledger")
-    return float(np.max(ledger.column("e2_residual")))
-
-
 def energy_jump(sub: SubsolutionState) -> float:
     """Initial-time energy jump of a constructed solution.
 

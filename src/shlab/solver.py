@@ -321,12 +321,6 @@ class EnergyLedger:
         idx = self.columns.index(name)
         return np.array([row[idx] for row in self.rows])
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
 
 @dataclass
 class Trajectory:

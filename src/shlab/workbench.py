@@ -270,6 +270,11 @@ class SubsolutionState:
             self.velocity, self.mean_momentum[:, :, None, None], self.problem.grad_potential
         )
 
+    @cached_property
+    def gap(self) -> float:
+        """The energy gap I of this state (energy_gap), computed once, on first use."""
+        return energy_gap(self)
+
 
 def _constraint_lambda(g: np.ndarray, r: np.ndarray, *W: np.ndarray) -> np.ndarray:
     """Top eigenvalue of g (x) g / r - W for traceless W given as (p, s) terms,
@@ -664,11 +669,10 @@ def oscillatory_pair(
 
 @dataclass(frozen=True)
 class ImprovementReport:
-    """Outcome of one improvement step and the energy gap of the state it returns."""
+    """Outcome of one improvement step."""
 
     accepted: bool
     note: str
-    gap_after: float
 
 
 def improvement_step(
@@ -680,9 +684,8 @@ def improvement_step(
     stress for the perturbed velocity, and re-certify at the halved margin.
     Rejected steps leave the state unchanged.  g, W = flux + M and the level
     E - delta/2 are formed per node chunk, never as stacks."""
-    gap_before = energy_gap(sub)
-    if gap_before >= -1e-14:
-        return sub, ImprovementReport(False, "zero gap", gap_before)
+    if sub.gap >= -1e-14:
+        return sub, ImprovementReport(False, "zero gap")
     prob = sub.problem
     box = SpaceTimeBox(0.15 * prob.T, 0.85 * prob.T, 0.1, 0.9, 0.1, 0.9)
 
@@ -693,7 +696,7 @@ def improvement_step(
         level, n, box, seed,
     )
     if pair.degenerate:
-        return sub, ImprovementReport(False, "degenerate gap", gap_before)
+        return sub, ImprovementReport(False, "degenerate gap")
 
     # v + w and flux + G are written over the pair, which is not used again
     candidate = prob.candidate(
@@ -701,8 +704,7 @@ def improvement_step(
         np.add(sub.flux, pair.G, out=pair.G), 0.5 * sub.delta,
     )
     if not subsolution_certificate(candidate).passed:
-        return sub, ImprovementReport(False, "re-certification failed", gap_before)
-    gap_after = energy_gap(candidate)
-    if gap_after <= gap_before:
-        return sub, ImprovementReport(False, "gap did not improve", gap_before)
-    return candidate, ImprovementReport(True, "", gap_after)
+        return sub, ImprovementReport(False, "re-certification failed")
+    if candidate.gap <= sub.gap:
+        return sub, ImprovementReport(False, "gap did not improve")
+    return candidate, ImprovementReport(True, "")

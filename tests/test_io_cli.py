@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import tempfile
 import time
 import tracemalloc
@@ -520,8 +521,8 @@ class TestCliWorkbenchExitCodes:
         assert not out.exists()
 
     def test_negative_seed_rejected_by_simulate(self, tmp_path):
-        scn = write_scenario(tmp_path)
-        assert cli.main(["simulate", str(scn), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+        scn = write_scenario(tmp_path, MINIMAL + "seed = -1\n")
+        assert cli.main(["simulate", str(scn), "--out", str(tmp_path / "o")]) == 2
 
 
 def _maybe(values):
@@ -529,49 +530,72 @@ def _maybe(values):
 
 
 SPECIAL = st.sampled_from([0.0, -1.0, 1e-12, 1e6, float("nan"), float("inf"), float("-inf")])
-FORCE = _maybe(st.sampled_from([0.1, 1e7, 1e200]))
+
+
+# one workbench key or argument set to an invalid or degenerate value
+WORKBENCH_BROKEN = st.one_of(
+    st.tuples(
+        st.sampled_from(["workbench.time_nodes", "workbench.osc_n"]),
+        st.sampled_from(["-3", "0", "1", "2.5", "nan"]),
+    ),
+    st.tuples(
+        st.sampled_from(
+            [
+                "workbench.delta",
+                "workbench.lambda",
+                "workbench.amplitude_cap",
+                "physics.T",
+                "force.fx",
+                "seed",
+            ]
+        ),
+        st.one_of(SPECIAL.map(repr), st.sampled_from(["1e-300", "1e300", "1e200", "1.5", "-3"])),
+    ),
+    st.tuples(st.sampled_from(["--steps", "--seed"]), st.sampled_from(["-1", "-2"])),
+)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    time_nodes=_maybe(st.integers(-3, 10)),
-    osc_n=_maybe(st.integers(-3, 16)),
-    delta=_maybe(st.one_of(st.floats(-0.1, 1.0), SPECIAL)),
-    lam=_maybe(st.one_of(st.floats(-1.0, 3.0), SPECIAL)),
-    amplitude_cap=_maybe(st.one_of(st.floats(-0.5, 1.5), SPECIAL)),
-    seed=_maybe(st.integers(-3, 2**40)),
-    steps=st.integers(-1, 3),
-    T=st.sampled_from([0.0, 1e-300, 1.0, 1e300]),
-    fx=FORCE,
-    fy=FORCE,
+    time_nodes=st.integers(2, 10),
+    osc_n=st.integers(1, 16),
+    delta=st.floats(0.01, 0.5),
+    amplitude_cap=_maybe(st.floats(0.05, 0.95)),
+    seed=_maybe(st.integers(0, 2**40)),
+    steps=st.integers(1, 3),
+    T=st.floats(0.25, 2.0),
+    force=_maybe(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))),
     chunk_nodes=st.integers(1, 4),
+    broken=st.one_of(st.none(), st.none(), st.none(), WORKBENCH_BROKEN),  # most run the loop
 )
 def test_workbench_exit_codes_are_documented(
-    time_nodes, osc_n, delta, lam, amplitude_cap, seed, steps, T, fx, fy, chunk_nodes
+    time_nodes, osc_n, delta, amplitude_cap, seed, steps, T, force, chunk_nodes, broken
 ):
     """Whatever the workbench keys and arguments, main returns 0, 2, 3 or 4,
     and nothing escapes it: no traceback and no RuntimeWarning, which
-    pyproject.toml raises as an error.  At 8^2 a node chunk would hold 128
-    nodes, so the chunk size is lowered to 1 to 4 nodes, and the per-node
-    passes cross chunk boundaries."""
+    pyproject.toml raises as an error.  Each example is a valid 8^2
+    workbench run with at most one key or argument broken, so valid runs,
+    which run the improvement loop, are frequent.  At 8^2 a node chunk would
+    hold 128 nodes, so the chunk size is lowered to 1 to 4 nodes, and the
+    per-node passes cross chunk boundaries."""
+    keys = {
+        "workbench.time_nodes": str(time_nodes),
+        "workbench.osc_n": str(osc_n),
+        "workbench.delta": repr(delta),
+        "workbench.amplitude_cap": None if amplitude_cap is None else repr(amplitude_cap),
+        "physics.T": repr(T),
+        "force.fx": None if force is None else repr(force[0]),
+        "force.fy": None if force is None else repr(force[1]),
+    }
+    args = {"--steps": str(steps), "--seed": None if seed is None else str(seed)}
+    if broken is not None:
+        (args if broken[0].startswith("--") else keys)[broken[0]] = broken[1]
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(workbench, "NODE_CHUNK_BYTES", chunk_nodes * 32 * 8 * 8)
-        overrides = {
-            "workbench.time_nodes": time_nodes,
-            "workbench.osc_n": osc_n,
-            "workbench.delta": delta,
-            "workbench.lambda": lam,
-            "workbench.amplitude_cap": amplitude_cap,
-            "physics.T": T,
-            "force.fx": fx,
-            "force.fy": fy,
-        }
-        scn = scenario8(
-            Path(tmp), {k: None if v is None else repr(v) for k, v in overrides.items()}
-        )
-        argv = ["workbench", scn, "--steps", str(steps), "--out", str(Path(tmp) / "wb")]
-        if seed is not None:
-            argv += ["--seed", str(seed)]
+        argv = ["workbench", scenario8(Path(tmp), keys), "--out", str(Path(tmp) / "wb")]
+        for flag, value in args.items():
+            if value is not None:
+                argv += [flag, value]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -649,7 +673,6 @@ BROKEN = st.one_of(
         st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1/0", "x1 - 0.5", "sticky"]),
     ),
     st.tuples(st.just("--cfl"), st.sampled_from(["0", "-1", "0.51", "nan", "inf", "-inf"])),
-    st.tuples(st.just("--seed"), st.sampled_from(["-1", "-2"])),
 )
 
 
@@ -667,14 +690,13 @@ BROKEN = st.one_of(
     gamma2=_maybe(st.floats(0.0, 5.0)),
     times=_maybe(st.integers(2, 6)),
     seed=_maybe(st.integers(0, 2**40)),
-    seed_arg=_maybe(st.integers(0, 10)),
     broken=_maybe(BROKEN),
 )
 def test_simulate_exit_codes_are_documented(
-    T, a, cfl, cfl_arg, u0, law, gamma, gamma2, times, seed, seed_arg, broken
+    T, a, cfl, cfl_arg, u0, law, gamma, gamma2, times, seed, broken
 ):
-    """Whatever the physics, friction, output and seed keys and arguments,
-    the command exits 0, 2, 3 or 4, and no traceback or RuntimeWarning
+    """Whatever the physics, friction, output and seed keys and the --cfl
+    argument, the command exits 0, 2, 3 or 4, and no traceback or RuntimeWarning
     escapes it.
 
     T <= 0.1, a <= 10, |u0| <= 10 and cfl >= 0.02 bound the step count, which
@@ -690,7 +712,7 @@ def test_simulate_exit_codes_are_documented(
         "output.times": times,
         "seed": seed,
     }
-    args = {"--cfl": cfl_arg, "--seed": seed_arg}
+    args = {"--cfl": cfl_arg}
     if broken is not None:
         (keys if broken[0] in keys else args)[broken[0]] = broken[1]
     with tempfile.TemporaryDirectory() as tmp:
@@ -760,6 +782,48 @@ def test_wsu_and_convergence_exit_codes_are_documented(command, eps, refine, amp
     event(f"{command} exit code {code}")
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+class TestRunDirectory:
+    """Every command writes --out through one writer: run_manifest.json lists
+    exactly the files the command wrote, and every table reads back to the
+    numbers it was given (.17g round-trips a float64)."""
+
+    @pytest.mark.parametrize(
+        "command,args,tables",
+        [
+            ("simulate", [], {"ledger.csv"}),
+            ("workbench", ["--steps", "2"], {"certificate.csv", "gap.csv"}),
+            ("wsu", ["--eps", "0,1e-2"], {"wsu_eps0.csv", "wsu_eps0.01.csv"}),
+            ("convergence", [], {"convergence.csv"}),
+        ],
+    )
+    def test_manifest_lists_the_written_files_and_tables_round_trip(
+        self, tmp_path, monkeypatch, capsys, command, args, tables
+    ):
+        written = {}
+        real = cli._RunDir.table
+
+        def recording(run, name, columns, rows):
+            rows = [tuple(row) for row in rows]
+            written[name] = (",".join(columns), rows)
+            real(run, name, columns, rows)
+
+        monkeypatch.setattr(cli._RunDir, "table", recording)
+        base = WORKBENCH8 if command == "workbench" else EXPERIMENT8
+        scn, out = scenario8(tmp_path, {"friction.gamma": "0.2"}, base=base), tmp_path / "out"
+        assert cli.main([command, scn, "--out", str(out), *args]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        files = {p.name for p in out.iterdir()} - {"run_manifest.json", Path(scn).name}
+        assert manifest["outputs"] == sorted(files)
+        assert "summary.txt" in files
+        assert set(written) == tables
+        for name, (header, rows) in written.items():
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == header
+            read = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+            assert read == [tuple(float(x) for x in row) for row in rows]
+            assert rows and all(np.isfinite(row).all() for row in read)
 
 
 class TestCliDiagnose:

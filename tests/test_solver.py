@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from shlab.errors import InvalidValueError, NumericalAbort, PositivityError
 from shlab.fields import ScalarField, TorusGrid, VectorField
 from shlab.friction import FrictionParams, friction_shrink
-from shlab import solver
+from shlab import cli, solver
 from shlab.solver import (
     EnergyLedger,
     Scenario,
@@ -786,7 +786,7 @@ class TestLedger:
     def test_csv_round_trip(self, grid32, tmp_path):
         traj = simulate(uniform_scenario(grid32, u=(1.0, 0.0), gamma=0.5, T=0.5, n_output=6))
         path = tmp_path / "ledger.csv"
-        traj.ledger.to_csv(path)
+        cli._RunDir(tmp_path).table("ledger.csv", EnergyLedger.columns, traj.ledger.rows)
         rows = np.genfromtxt(path, delimiter=",", names=True)
         assert tuple(rows.dtype.names) == EnergyLedger.columns
         np.testing.assert_allclose(rows["mass"], traj.ledger.column("mass"), rtol=1e-15)

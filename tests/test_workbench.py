@@ -798,7 +798,7 @@ class TestImprovementStep:
         assert not report.accepted
         assert report.note == "zero gap"
         assert out is flat
-        assert report.gap_after == energy_gap(out)
+        assert out.gap == energy_gap(out)
 
     def test_degenerate_pair_state_unchanged(self, grid32):
         sub = canonical_problem(grid32, num_steps=8).build(0.7)
@@ -807,7 +807,7 @@ class TestImprovementStep:
         out, report = improvement_step(thin, seed=0)
         assert (report.accepted, report.note) == (False, "degenerate gap")
         assert out is thin
-        assert report.gap_after == energy_gap(out)
+        assert out.gap == energy_gap(out)
 
     def test_failed_recertification_state_unchanged(self, grid32):
         prob = WorkbenchProblem(
@@ -831,7 +831,7 @@ class TestImprovementStep:
         out, report = improvement_step(wrong, seed=0)
         assert (report.accepted, report.note) == (False, "re-certification failed")
         assert out is wrong
-        assert report.gap_after == energy_gap(out)
+        assert out.gap == energy_gap(out)
 
     def test_one_step_strictly_increases_gap(self, grid32):
         prob = canonical_problem(grid32)
@@ -840,7 +840,7 @@ class TestImprovementStep:
         new, report = improvement_step(sub, seed=0)
         assert report.accepted
         assert energy_gap(new) > before
-        assert report.gap_after == energy_gap(new)
+        assert new.gap == energy_gap(new)
         assert subsolution_certificate(new).passed
         assert new.delta == pytest.approx(0.5 * sub.delta)
         # the candidate shares the problem's offset-independent arrays
@@ -857,6 +857,31 @@ class TestImprovementStep:
         diffs = np.diff(gaps)
         assert np.all(diffs >= 0.0)
         assert np.any(diffs > 0.0)
+
+    def test_each_gap_is_computed_once(self, grid32, monkeypatch):
+        """Reading the gap of every state of five steps, as shlab workbench
+        does, computes the first state's gap once and then one gap per
+        candidate that passes its certificate, and nothing else."""
+        prob = canonical_problem(grid32)
+        sub = prob.build(find_energy_offset(prob))
+        computed, certified = [], []
+        real_gap, real_certificate = workbench.energy_gap, workbench.subsolution_certificate
+
+        def certificate(state):
+            report = real_certificate(state)
+            certified.append(report.passed)
+            return report
+
+        monkeypatch.setattr(workbench, "energy_gap", lambda s: computed.append(s) or real_gap(s))
+        monkeypatch.setattr(workbench, "subsolution_certificate", certificate)
+        states = [sub]
+        for k in range(5):
+            sub, _ = improvement_step(sub, seed=k)
+            states.append(sub)
+        gaps = [state.gap for state in states]
+        assert len(certified) == 5
+        assert len(computed) == 1 + sum(certified)
+        assert gaps == [real_gap(state) for state in states]
 
     def test_transport_residual_after_perturbation(self, grid32):
         prob = canonical_problem(grid32)
@@ -986,7 +1011,7 @@ class TestChunkedPasses:
         assert report.accepted
         assert improved.velocity.tobytes() == (sub.velocity + w).tobytes()
         assert improved.flux.tobytes() == (sub.flux + G).tobytes()
-        assert report.gap_after == gap_stacked(improved)
+        assert improved.gap == gap_stacked(improved)
         self.assert_passes_bitwise(improved)
 
     @staticmethod
