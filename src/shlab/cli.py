@@ -107,10 +107,7 @@ def _remove_stale_snapshots(out: Path, n_outputs: int) -> None:
 
 def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
-    cfg = load_config(args.scenario)
-    if args.cfl is not None:
-        cfg.values["physics.cfl"] = args.cfl
-    scn = cfg.to_scenario()
+    scn = load_config(args.scenario).to_scenario()
     run = _RunDir(args.out)
     ledger = EnergyLedger()
     try:
@@ -150,10 +147,8 @@ def _cmd_workbench(args) -> int:
     sub = problem.build(offset)
 
     gap_rows = [(0, sub.gap, sub.delta, 1)]
-    seed = cfg.values["seed"]
-    n = cfg.values["workbench.osc_n"]
     for k in range(args.steps):
-        sub, step_report = improvement_step(sub, seed=seed + k, n=n)
+        sub, step_report = improvement_step(sub, seed=problem.seed + k)
         gap_rows.append((k + 1, sub.gap, sub.delta, int(step_report.accepted)))
 
     cert = subsolution_certificate(sub)
@@ -178,7 +173,7 @@ def _cmd_workbench(args) -> int:
         f"initial energy jump: {energy_jump(sub):.9g}\n"
         f"transport residual: {transport_residual(sub):.6g}\n",
     )
-    run.finish(args.scenario, seed, problem.grid, t0)
+    run.finish(args.scenario, problem.seed, problem.grid, t0)
     return 0
 
 
@@ -304,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the finite-volume solver")
     p.add_argument("scenario")
     p.add_argument("--out", required=True)
-    p.add_argument("--cfl", type=float, default=None)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("workbench", help="build and improve a subsolution")

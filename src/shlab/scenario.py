@@ -40,7 +40,7 @@ _SCHEMA: dict[str, tuple[type, object]] = {
     "grid.ny": (int, "REQUIRED"),
     "physics.a": (float, 0.5),
     "physics.T": (float, "REQUIRED"),
-    "physics.cfl": (float, 0.4),
+    "physics.cfl": (float, Scenario.cfl),
     "friction.law": (str, "coulomb"),
     "friction.gamma": (str, "0"),
     "friction.gamma2": (float, 0.0),
@@ -49,13 +49,13 @@ _SCHEMA: dict[str, tuple[type, object]] = {
     "initial.u0y": (str, "0"),
     "force.fx": (str, None),
     "force.fy": (str, None),
-    "output.times": (int, 101),
-    "seed": (int, 0),
-    "workbench.delta": (float, 0.1),
-    "workbench.time_nodes": (int, 64),
-    "workbench.amplitude_cap": (float, 0.25),
+    "output.times": (int, Scenario.n_output),
+    "seed": (int, Scenario.seed),
+    "workbench.delta": (float, WorkbenchProblem.delta),
+    "workbench.time_nodes": (int, WorkbenchProblem.num_steps),
+    "workbench.amplitude_cap": (float, WorkbenchProblem.amplitude_cap),
     "workbench.lambda": (float, None),
-    "workbench.osc_n": (int, 8),
+    "workbench.osc_n": (int, WorkbenchProblem.osc_n),
 }
 
 
@@ -159,13 +159,12 @@ class ScenarioConfig:
             gamma=gamma, gamma2=self.values["friction.gamma2"], law=self.values["friction.law"]
         )
 
-    def to_scenario(self, grid: TorusGrid | None = None) -> Scenario:
+    def _physics(self, grid: TorusGrid | None) -> dict:
+        """The fields of `Scenario`, sampled on grid (by default the scenario's)."""
         v = self.values
         if grid is None:
             grid = TorusGrid(v["grid.nx"], v["grid.ny"])
         h0 = _scalar_from_source(v["initial.h0"], grid, self.base_dir, "initial.h0")
-        if np.any(h0 <= 0.0):
-            raise ValidationError("initial.h0 must satisfy h0 > 0 everywhere on the domain")
         u0 = np.stack(
             [
                 _scalar_from_source(v["initial.u0x"], grid, self.base_dir, "initial.u0x"),
@@ -185,7 +184,7 @@ class ScenarioConfig:
                     ]
                 ),
             )
-        return Scenario(
+        return dict(
             grid=grid,
             T=v["physics.T"],
             a=v["physics.a"],
@@ -198,20 +197,17 @@ class ScenarioConfig:
             seed=v["seed"],
         )
 
-    def to_workbench_problem(self, grid: TorusGrid | None = None) -> WorkbenchProblem:
-        scn = self.to_scenario(grid)
+    def to_scenario(self, grid: TorusGrid | None = None) -> Scenario:
+        return Scenario(**self._physics(grid))
+
+    def to_workbench_problem(self) -> WorkbenchProblem:
         v = self.values
         return WorkbenchProblem(
-            grid=scn.grid,
-            T=scn.T,
+            **self._physics(None),
             num_steps=v["workbench.time_nodes"],
-            a=scn.a,
-            friction=scn.friction,
-            h0=scn.h0,
-            u0=scn.u0,
-            force=scn.f,
             delta=v["workbench.delta"],
             amplitude_cap=v["workbench.amplitude_cap"],
+            osc_n=v["workbench.osc_n"],
         )
 
 

@@ -70,9 +70,10 @@ class Scenario:
             raise InvalidValueError(f"Courant number cfl must lie in (0, 1/2], got {self.cfl}")
         if np.any(self.h0.values <= 0.0):
             raise PositivityError("initial height must satisfy h0 > 0 everywhere")
-        gamma = self.friction.gamma
-        if isinstance(gamma, ScalarField) and gamma.grid != self.grid:
-            raise InvalidValueError("friction gamma field lives on a different grid")
+        names = ("initial height h0", "initial velocity u0", "force f", "friction gamma")
+        for name, fld in zip(names, (self.h0, self.u0, self.f, self.friction.gamma)):
+            if isinstance(fld, (ScalarField, VectorField)) and fld.grid != self.grid:
+                raise InvalidValueError(f"{name} field lives on a different grid")
         if self.n_output < 2:
             raise InvalidValueError("need at least 2 output times")
         if self.T > 0.0 and not self.default_dt_max() > 0.0:

@@ -39,6 +39,7 @@ from .fields import (
     time_derivative,
 )
 from .friction import FrictionParams, friction_coefficient_values
+from .solver import Scenario
 
 E_MIN_FACTOR = 1e-6
 MASS_DRIFT_TOL = 1e-10
@@ -77,10 +78,7 @@ class _NodeSum:
 
 
 def design_height(
-    h0: ScalarField,
-    psi0: ScalarField,
-    times: np.ndarray,
-    amplitude_cap: float = 0.25,
+    h0: ScalarField, psi0: ScalarField, times: np.ndarray, amplitude_cap: float
 ) -> np.ndarray:
     """Choose a positive height history h(t) = h0 + s(t) g on the nodes.
 
@@ -89,10 +87,6 @@ def design_height(
     profile s(t) = tau (1 - exp(-t/tau)) is bounded by tau, which is sized so
     the excursion never exceeds amplitude_cap * min h0.
     """
-    if not 0.0 < amplitude_cap < 1.0:
-        raise DesignError("amplitude_cap must lie in (0, 1)")
-    if np.any(h0.values <= 0.0):
-        raise DesignError("height design requires h0 > 0")
     g = -spectral.laplacian_values(psi0.values)
     gmax = float(np.max(np.abs(g)))
     if gmax == 0.0:
@@ -349,8 +343,11 @@ def transport_residual(sub: SubsolutionState) -> float:
 
 
 @dataclass(frozen=True)
-class WorkbenchProblem:
-    """Scenario-level inputs for the subsolution pipeline.
+class WorkbenchProblem(Scenario):
+    """A scenario plus the inputs of the subsolution pipeline: num_steps
+    time steps on [0, T], the certificate margin delta, the height-excursion
+    budget amplitude_cap and the oscillation frequency osc_n of improvement
+    steps.  The scenario's cfl and n_output are the solver's and unused here.
 
     The time nodes, the height design, the potential psi and grad(psi) do not
     depend on the energy offset, so they are derived once per problem (cached
@@ -358,20 +355,15 @@ class WorkbenchProblem:
     every candidate, which holds the problem itself.
     """
 
-    grid: TorusGrid
-    T: float
-    num_steps: int
-    a: float
-    friction: FrictionParams
-    h0: ScalarField
-    u0: VectorField
-    force: VectorField | None = None
+    num_steps: int = 64
     delta: float = 0.1
     amplitude_cap: float = 0.25
+    osc_n: int = 8
 
     def __post_init__(self):
+        super().__post_init__()
         # written so that NaN fails the range checks
-        if not 0.0 < self.T < np.inf:
+        if not self.T > 0.0:
             raise InvalidValueError(f"workbench T must be finite and positive, got {self.T}")
         if self.num_steps < 2:
             raise InvalidValueError(
@@ -390,12 +382,15 @@ class WorkbenchProblem:
             raise InvalidValueError(
                 f"amplitude_cap must lie in (0, 1), got {self.amplitude_cap}"
             )
+        if self.osc_n < 1:  # the message of oscillatory_pair, which also checks it
+            raise InvalidValueError(
+                f"oscillation frequency n must be a positive integer, got {self.osc_n}"
+            )
 
     @cached_property
     def initial_split(self) -> spectral.HelmholtzParts:
         """q0 = v0 + V0 + grad(psi0) for the initial momentum q0 = h0 u0."""
-        q0 = VectorField(self.grid, self.h0.values * self.u0.values)
-        return spectral.helmholtz_decompose(q0)
+        return spectral.helmholtz_decompose(self.initial_state().q)
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -441,10 +436,10 @@ class WorkbenchProblem:
         from V(0) = Vmean and the stress M for that velocity."""
         drag = drag_coefficient(E, self.height, self.friction, offset)
         V = solve_mean_momentum(
-            v, drag, self.grad_potential, self.height, self.force,
+            v, drag, self.grad_potential, self.height, self.f,
             self.initial_split.Vmean, self.dt,
         )
-        M = solve_stress(v, V, drag, self.grad_potential, self.height, self.force)
+        M = solve_stress(v, V, drag, self.grad_potential, self.height, self.f)
         return SubsolutionState(self, offset, E, v, flux, V, M, delta)
 
 
@@ -676,12 +671,13 @@ class ImprovementReport:
 
 
 def improvement_step(
-    sub: SubsolutionState, seed: int = 0, n: int = 8
+    sub: SubsolutionState, seed: int = 0
 ) -> tuple[SubsolutionState, ImprovementReport]:
     """One convex-integration improvement: perturb (velocity, flux) with an
-    oscillatory pair supported in (0.15 T, 0.85 T) x (0.1, 0.9)^2 and
-    generated at energy level E - delta/2, recompute the mean momentum and
-    stress for the perturbed velocity, and re-certify at the halved margin.
+    oscillatory pair of the problem's frequency osc_n, supported in
+    (0.15 T, 0.85 T) x (0.1, 0.9)^2 and generated at energy level E - delta/2,
+    recompute the mean momentum and stress for the perturbed velocity, and
+    re-certify at the halved margin.
     Rejected steps leave the state unchanged.  g, W = flux + M and the level
     E - delta/2 are formed per node chunk, never as stacks."""
     if sub.gap >= -1e-14:
@@ -693,7 +689,7 @@ def improvement_step(
     level = _NodeSum(E, np.broadcast_to(-0.5 * sub.delta, E.shape))  # E - delta/2 bitwise
     pair = oscillatory_pair(
         prob.times, prob.grid, sub.momentum, _NodeSum(sub.flux, sub.stress), prob.height,
-        level, n, box, seed,
+        level, prob.osc_n, box, seed,
     )
     if pair.degenerate:
         return sub, ImprovementReport(False, "degenerate gap")

@@ -94,6 +94,27 @@ class TestStateAndScenario:
         with pytest.raises(InvalidValueError, match=field):
             uniform_scenario(grid32, **{field: value})
 
+    @pytest.mark.parametrize("name", ["h0", "u0", "f", "gamma"])
+    def test_every_input_field_lives_on_the_scenario_grid(self, grid32, name):
+        other = TorusGrid(16, 16)
+        foreign = {
+            "h0": ScalarField.constant(other, 1.0),
+            "u0": VectorField.constant(other, 0.0, 0.0),
+            "f": VectorField.constant(other, 0.1, 0.0),
+            "friction": FrictionParams(gamma=ScalarField.constant(other, 0.2)),
+        }
+        key = "friction" if name == "gamma" else name
+        inputs = dict(
+            grid=grid32,
+            T=1.0,
+            a=0.5,
+            friction=FrictionParams(),
+            h0=ScalarField.constant(grid32, 1.0),
+            u0=VectorField.constant(grid32, 0.0, 0.0),
+        )
+        with pytest.raises(InvalidValueError, match=f"{name} field lives on a different grid"):
+            Scenario(**{**inputs, key: foreign[key]})
+
     def test_initial_state_momentum(self, grid32):
         scn = uniform_scenario(grid32, h=2.0, u=(1.5, 0.0))
         np.testing.assert_allclose(scn.initial_state().q.values[0], 3.0)

@@ -12,6 +12,7 @@ from shlab.errors import (
     DesignError,
     InvalidValueError,
     NumericalAbort,
+    PositivityError,
     SolvabilityError,
 )
 from shlab.fields import (
@@ -67,7 +68,7 @@ def cosine_psi0(grid, eps=1e-3):
 class TestDesignHeight:
     def test_zero_potential_keeps_h0(self, grid32):
         h0 = ScalarField.from_function(grid32, lambda x1, x2: 1.0 + 0.1 * np.sin(TWO_PI * x2))
-        h = design_height(h0, ScalarField.constant(grid32, 0.0), nodes(1.0, 8))
+        h = design_height(h0, ScalarField.constant(grid32, 0.0), nodes(1.0, 8), 0.25)
         for k in range(h.shape[0]):
             np.testing.assert_array_equal(h[k], h0.values)
 
@@ -76,7 +77,7 @@ class TestDesignHeight:
         h0 = ScalarField.constant(grid32, 1.0)
         psi0 = cosine_psi0(grid32, eps)
         times = nodes(1.0, 16)
-        h = design_height(h0, psi0, times)
+        h = design_height(h0, psi0, times, 0.25)
         # spectral oracle for g = -Lap(psi0); the excursion budget is set from
         # its sampled maximum
         from shlab.spectral import laplacian_values
@@ -94,22 +95,21 @@ class TestDesignHeight:
 
     def test_mass_is_constant(self, grid32):
         h0 = ScalarField.from_function(grid32, lambda x1, x2: 1.0 + 0.3 * np.cos(TWO_PI * x2))
-        h = design_height(h0, cosine_psi0(grid32, 0.01), nodes(2.0, 12))
+        h = design_height(h0, cosine_psi0(grid32, 0.01), nodes(2.0, 12), 0.25)
         masses = [float(np.mean(h[k])) for k in range(h.shape[0])]
         np.testing.assert_allclose(masses, masses[0], atol=1e-12)
 
     def test_rejects_nonpositive_h0(self, grid32):
+        # a nonpositive min h0 leaves no excursion budget
         with pytest.raises(DesignError):
             design_height(
-                ScalarField.constant(grid32, -1.0), cosine_psi0(grid32), nodes(1.0, 8)
+                ScalarField.constant(grid32, -1.0), cosine_psi0(grid32), nodes(1.0, 8), 0.25
             )
 
     def test_rejects_bad_cap(self, grid32):
-        with pytest.raises(DesignError):
-            design_height(
-                ScalarField.constant(grid32, 1.0), cosine_psi0(grid32), nodes(1.0, 8),
-                amplitude_cap=1.5,
-            )
+        # the cap is an input of the problem, checked when the problem is built
+        with pytest.raises(InvalidValueError, match="amplitude_cap"):
+            replace(canonical_problem(grid32), amplitude_cap=1.5)
 
 
 class TestStreamPotential:
@@ -120,7 +120,9 @@ class TestStreamPotential:
     def test_designed_height_analytic_potential(self, grid32):
         eps = 1e-3
         times = nodes(1.0, 64)
-        h = design_height(ScalarField.constant(grid32, 1.0), cosine_psi0(grid32, eps), times)
+        h = design_height(
+            ScalarField.constant(grid32, 1.0), cosine_psi0(grid32, eps), times, 0.25
+        )
         psi = stream_potential(h, times[1])
         from shlab.spectral import laplacian_values
 
@@ -134,7 +136,7 @@ class TestStreamPotential:
     def test_initial_slice_recovers_psi0(self, grid32):
         psi0 = cosine_psi0(grid32, 1e-3)
         times = nodes(1.0, 64)
-        h = design_height(ScalarField.constant(grid32, 1.0), psi0, times)
+        h = design_height(ScalarField.constant(grid32, 1.0), psi0, times, 0.25)
         psi = stream_potential(h, times[1])
         np.testing.assert_allclose(psi[0], psi0.values, atol=1e-8)
 
@@ -159,7 +161,9 @@ class TestKineticEnergyField:
     def test_time_varying_potential_enters(self, grid32):
         eps = 1e-3
         times = nodes(1.0, 64)
-        h = design_height(ScalarField.constant(grid32, 1.0), cosine_psi0(grid32, eps), times)
+        h = design_height(
+            ScalarField.constant(grid32, 1.0), cosine_psi0(grid32, eps), times, 0.25
+        )
         psi = stream_potential(h, times[1])
         E = kinetic_energy_field(1.0, 0.5, h, psi, times[1])
         from shlab.spectral import laplacian_values
@@ -316,7 +320,7 @@ def nonflat_problem(grid, num_steps=8):
         u0=VectorField.from_functions(
             grid, lambda x1, x2: 0.1 * np.sin(TWO_PI * x2), lambda x1, x2: 0.0 * x1
         ),
-        force=VectorField.constant(grid, 0.1, 0.0),
+        f=VectorField.constant(grid, 0.1, 0.0),
         delta=0.05,
     )
 
@@ -363,6 +367,39 @@ class TestBuildReuse:
         with pytest.raises(InvalidValueError, match="time steps"):
             nonflat_problem(grid32, num_steps=1)
 
+
+GRID32 = TorusGrid(32, 32)
+
+
+class TestProblemValidation:
+    """A problem is a Scenario: a directly built one is checked as a scenario,
+    then for the workbench's own inputs, each once."""
+
+    @pytest.mark.parametrize(
+        "changes,error,match",
+        [
+            ({"a": -1.0}, InvalidValueError, "pressure coefficient"),
+            ({"a": 0.0}, InvalidValueError, "pressure coefficient"),
+            ({"a": float("nan")}, InvalidValueError, "pressure coefficient"),
+            ({"h0": ScalarField.constant(GRID32, 0.0)}, PositivityError, "h0 > 0"),
+            (
+                {"h0": ScalarField(GRID32, np.cos(TWO_PI * GRID32.cell_centers()[0]))},
+                PositivityError,
+                "h0 > 0",
+            ),
+            (
+                {"friction": FrictionParams(gamma=ScalarField.constant(TorusGrid(16, 16), 0.2))},
+                InvalidValueError,
+                "friction gamma field lives on a different grid",
+            ),
+            ({"osc_n": 0}, InvalidValueError, "oscillation frequency"),
+            ({"osc_n": -3}, InvalidValueError, "oscillation frequency"),
+        ],
+        ids=["a=-1", "a=0", "a=nan", "h0=0", "h0<0", "gamma-grid", "osc_n=0", "osc_n<0"],
+    )
+    def test_rejected_when_built(self, grid32, changes, error, match):
+        with pytest.raises(error, match=match):
+            replace(nonflat_problem(grid32), **changes)
 
 
 def stress_per_node(v, V, drag, grad_psi, h, f):
@@ -422,7 +459,7 @@ class TestChunkedSolves:
             sub.kinetic_energy, prob.height, prob.friction, sub.energy_offset
         )
         V, M = TestChunkedSolves.assert_bitwise(
-            sub.velocity, drag, prob.grad_potential, prob.height, prob.force,
+            sub.velocity, drag, prob.grad_potential, prob.height, prob.f,
             prob.initial_split.Vmean, prob.dt,
         )
         assert V.tobytes() == sub.mean_momentum.tobytes()
@@ -430,7 +467,7 @@ class TestChunkedSolves:
 
     def test_workbench32_problem_built_and_improved(self, grid32):
         # the benchmark's workbench-32 physics: 65 nodes, 8 full chunks and one of 1
-        prob = replace(nonflat_problem(grid32, num_steps=64), force=None)
+        prob = replace(nonflat_problem(grid32, num_steps=64), f=None)
         sub = prob.build(find_energy_offset(prob))
         self.assert_state_bitwise(sub)
         improved, report = improvement_step(sub, seed=0)
@@ -789,6 +826,16 @@ class TestOscillatoryPair:
 
 
 class TestImprovementStep:
+    def test_pair_frequency_is_the_problems_osc_n(self, grid32, monkeypatch):
+        seen = []
+        real = workbench.oscillatory_pair
+        monkeypatch.setattr(
+            workbench, "oscillatory_pair", lambda *args: seen.append(args[6]) or real(*args)
+        )
+        prob = replace(nonflat_problem(grid32), osc_n=3)
+        improvement_step(prob.build(find_energy_offset(prob)), seed=0)
+        assert seen == [3]
+
     def test_zero_gap_state_unchanged(self, grid32):
         prob = canonical_problem(grid32, num_steps=8)
         sub = prob.build(0.7)
@@ -951,7 +998,7 @@ def improvement_box(prob):
 def chunk_case_problem(grid, case):
     prob = nonflat_problem(grid, num_steps=12)  # 13 nodes: one chunk of 8 and one of 5
     if case == "workbench32":  # 65 nodes, 8 full chunks and one of 1
-        return replace(nonflat_problem(grid, num_steps=64), force=None)
+        return replace(nonflat_problem(grid, num_steps=64), f=None)
     if case == "extended":
         return replace(prob, friction=FrictionParams(gamma=0.2, gamma2=0.1, law="extended"))
     if case == "frictionless-forced":
