@@ -41,12 +41,12 @@ def main() -> None:
     print(f"{'t':>8s} {'u_numeric':>12s} {'u_exact':>12s} {'error':>10s}")
     next_print = 0.0
     while t < scn.T - 1e-12:
-        work.fill(st.h.values, *st.q.values, scn.a)
+        work.fill(st.h, *st.q, scn.a)
         dt = min(cfl_dt(st, scn.cfl, grid.dx, scn.default_dt_max(), work), scn.T - t)
         st, _ = step(st, scn, dt, work)
         t += dt
         max_dt = max(max_dt, dt)
-        u = float(np.max(st.velocity().values[0]))
+        u = float(np.max(st.velocity()[0]))
         exact = max(args.u0 - args.gamma * t, 0.0)
         worst = max(worst, abs(u - exact))
         if observed_stop is None and u == 0.0:

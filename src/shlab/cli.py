@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import energy_jump, restrict_state, weak_strong_experiment
 from .errors import FormatError, InvalidValueError, NumericalAbort, ShlabError, ValidationError
-from .fields import ScalarField, SymTracelessField, TorusGrid, VectorField
+from .fields import TorusGrid
 from .scenario import load_config
 from .snapshots import write_snapshot
 from .solver import EnergyLedger, simulate, stream  # noqa: F401 (bench/ wraps simulate)
@@ -65,8 +65,8 @@ class _RunDir:
         with open(self._new(name), "w") as fh:
             fh.write(text)
 
-    def snapshot(self, name: str, fld) -> None:
-        write_snapshot(fld, self._new(name))
+    def snapshot(self, name: str, kind: str, values) -> None:
+        write_snapshot(kind, values, self._new(name))
 
     def discard(self) -> None:
         for p in self.written:
@@ -113,8 +113,10 @@ def _cmd_simulate(args) -> int:
     try:
         # each output is written as it lands, so only the current state is held
         for j, (_, state, selection, n_steps) in enumerate(stream(scn, ledger)):
-            for name, fld in (("h", state.h), ("q", state.q), ("B", selection)):
-                run.snapshot(f"snapshot_{j:04d}_{name}.shlab", fld)
+            for name, kind, values in (
+                ("h", "scalar", state.h), ("q", "vector", state.q), ("B", "vector", selection)
+            ):
+                run.snapshot(f"snapshot_{j:04d}_{name}.shlab", kind, values)
     except BaseException:
         run.discard()  # a failed run leaves no partial output
         raise
@@ -158,11 +160,11 @@ def _cmd_workbench(args) -> int:
     run.table("gap.csv", ("step", "I", "delta", "accepted"), gap_rows)
     for label, k in (("t0", 0), ("tmid", problem.times.size // 2), ("tend", problem.num_steps)):
         for name, kind, stack in (
-            ("v", VectorField, sub.velocity),
-            ("E", ScalarField, sub.kinetic_energy),
-            ("M", SymTracelessField, sub.stress),
+            ("v", "vector", sub.velocity),
+            ("E", "scalar", sub.kinetic_energy),
+            ("M", "symtraceless", sub.stress),
         ):
-            run.snapshot(f"{name}_{label}.shlab", kind(problem.grid, stack[k]))
+            run.snapshot(f"{name}_{label}.shlab", kind, stack[k])
     run.text(
         "summary.txt",
         "shlab workbench\n"
@@ -279,7 +281,7 @@ def _cmd_convergence(args) -> int:
         finals.append(last.state)
     ref, *runs = finals
     errors = [
-        float(np.mean(np.abs(r.h.values - restrict_state(ref, r.grid).h.values))) for r in runs
+        float(np.mean(np.abs(r.h - restrict_state(ref, r.grid).h))) for r in runs
     ]
     if min(errors) == 0.0:
         raise NumericalAbort(f"observed L1 order is undefined: an L1 error is zero {errors}")

@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidValueError, PositivityError
-from .fields import ScalarField, TorusGrid, VectorField
+from .errors import InvalidValueError
+from .fields import TorusGrid, VectorField
 # simulate is unused here, but bench/job.py and bench/tracing.py wrap diagnostics.simulate
 from .solver import EnergyLedger, State, Trajectory, simulate, stream  # noqa: F401
 from .workbench import SubsolutionState
@@ -30,15 +30,14 @@ def energy_jump(sub: SubsolutionState) -> float:
 
 def relative_energy(state: State, ref: State, a: float) -> float:
     """Distance-like functional: integral of half h |u - U|^2 + a (h - H)^2."""
-    if np.any(ref.h.values <= 0.0):
-        raise PositivityError("reference height must be positive")
-    du = state.velocity().values - ref.velocity().values
-    dh = state.h.values - ref.h.values
-    return float(np.mean(0.5 * state.h.values * (du[0] ** 2 + du[1] ** 2) + a * dh * dh))
+    du = state.velocity() - ref.velocity()
+    dh = state.h - ref.h
+    return float(np.mean(0.5 * state.h * (du[0] ** 2 + du[1] ** 2) + a * dh * dh))
 
 
 def restrict_state(state: State, coarse: TorusGrid) -> State:
-    """Cell-average restriction of a fine-grid state onto a coarser grid."""
+    """Cell-average restriction of a fine-grid state onto a coarser grid.
+    A cell average that overflows is rejected."""
     fx = state.grid.nx // coarse.nx
     fy = state.grid.ny // coarse.ny
     if fx * coarse.nx != state.grid.nx or fy * coarse.ny != state.grid.ny:
@@ -47,13 +46,16 @@ def restrict_state(state: State, coarse: TorusGrid) -> State:
     def block(v):
         return v.reshape(coarse.nx, fx, coarse.ny, fy).mean(axis=(1, 3))
 
-    h = block(state.h.values)
-    q = np.stack([block(state.q.values[0]), block(state.q.values[1])])
-    return State(ScalarField(coarse, h), VectorField(coarse, q))
+    with np.errstate(over="ignore"):  # an average that overflows is rejected just below
+        h = block(state.h)
+        q = np.stack([block(state.q[0]), block(state.q[1])])
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(q))):
+        raise InvalidValueError("restricted state is not finite: a cell average overflows")
+    return State(h, q)
 
 
 def _max_height_gradient(state: State) -> float:
-    h = state.h.values
+    h = state.h
     gx = (np.roll(h, -1, axis=0) - np.roll(h, 1, axis=0)) / (2.0 * state.grid.dx)
     gy = (np.roll(h, -1, axis=1) - np.roll(h, 1, axis=1)) / (2.0 * state.grid.dy)
     return float(np.max(np.hypot(gx, gy)))
@@ -236,11 +238,11 @@ def weak_residual(traj: Trajectory, basis_size: int = 4) -> WeakResidualReport:
     acc = np.zeros((8, *grid.shape))
     mass, flux, mom, mflux = acc[0], acc[1:3], acc[3:5], acc[5:8]
     for wj, dwj, st, sel in zip(w, dw, traj.states, traj.selections):
-        h, q = st.h.values, st.q.values
+        h, q = st.h, st.q
         mass += dwj * h
         flux += wj * q
         mom += dwj * q
-        mom -= wj * (h * (gamma * sel.values - f))
+        mom -= wj * (h * (gamma * sel - f))
         pres = scn.a * h * h
         mflux[0] += wj * (q[0] * q[0] / h + pres)
         mflux[1] += wj * (q[0] * q[1] / h)

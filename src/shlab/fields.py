@@ -115,10 +115,6 @@ class VectorField:
         out[1] = np.asarray(fy(x1, x2), dtype=float) + np.zeros(grid.shape)
         return cls(grid, out)
 
-    def norm(self) -> np.ndarray:
-        """Pointwise Euclidean norm, shape (nx, ny)."""
-        return np.hypot(self.values[0], self.values[1])
-
 
 @dataclass(frozen=True)
 class SymTracelessField:

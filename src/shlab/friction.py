@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnergyPositivityError, InvalidValueError, PositivityError
-from .fields import ScalarField, VectorField
+from .fields import ScalarField
 
 LAWS = ("coulomb", "extended")
 
@@ -52,14 +52,14 @@ class FrictionParams:
         return bool(np.any(np.asarray(self.gamma_array) > 0.0)) or self.gamma2 > 0.0
 
 
-def coulomb_selection(u: VectorField) -> VectorField:
-    """Single-valued selection from the friction graph: u/|u| above the
-    scale-aware floor 1e-12 (max |u| + 1), zero below.  Always |B| <= 1 and
-    B . u >= 0."""
-    norm = u.norm()
+def coulomb_selection(u: np.ndarray) -> np.ndarray:
+    """Single-valued selection from the friction graph for (2, nx, ny)
+    velocity samples u: u/|u| above the scale-aware floor
+    1e-12 (max |u| + 1), zero below.  Always |B| <= 1 and B . u >= 0."""
+    norm = np.hypot(u[0], u[1])
     active = norm > 1e-12 * (float(np.max(norm)) + 1.0)
     scale = np.where(active, 1.0 / np.where(active, norm, 1.0), 0.0)
-    return VectorField(u.grid, u.values * scale)
+    return u * scale
 
 
 def friction_shrink(

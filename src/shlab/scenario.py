@@ -136,10 +136,10 @@ def eval_expression(text: str, grid: TorusGrid) -> np.ndarray:
 
 def _scalar_from_source(text: str, grid: TorusGrid, base: Path, key: str) -> np.ndarray:
     if text.startswith("@"):
-        fld = read_snapshot(base / text[1:])
-        if not isinstance(fld, ScalarField) or fld.grid != grid:
+        values = read_snapshot(base / text[1:])
+        if values.shape != grid.shape:  # a vector or tensor snapshot is (2, nx, ny)
             raise ValidationError(f"{key}: snapshot must be a scalar field on the scenario grid")
-        return fld.values
+        return values
     return eval_expression(text, grid)
 
 

@@ -10,34 +10,28 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FormatError, InvalidValueError
-from .fields import ScalarField, SymTracelessField, TorusGrid, VectorField
+from .fields import TorusGrid, _check_finite
 
 MAGIC = "SHLAB1"
 
 _KINDS = {"scalar": 1, "vector": 2, "symtraceless": 2}
 
 
-def _kind_of(fld) -> tuple[str, np.ndarray]:
-    if isinstance(fld, ScalarField):
-        return "scalar", fld.values[..., None]
-    if isinstance(fld, VectorField):
-        return "vector", np.moveaxis(fld.values, 0, -1)
-    if isinstance(fld, SymTracelessField):
-        return "symtraceless", np.moveaxis(fld.values, 0, -1)
-    raise FormatError(f"cannot snapshot object of type {type(fld).__name__}")
-
-
-def write_snapshot(fld, path) -> None:
-    kind, interleaved = _kind_of(fld)
-    grid = fld.grid
-    header = f"{MAGIC} {kind} {grid.nx} {grid.ny} {_KINDS[kind]}\n"
+def write_snapshot(kind: str, values: np.ndarray, path) -> None:
+    """Write an (nx, ny) array of kind "scalar", or a (2, nx, ny) array of
+    kind "vector" or "symtraceless" (the (p, s) pair of a traceless tensor)."""
+    nx, ny = values.shape[-2:]
+    interleaved = np.moveaxis(values.reshape(-1, nx, ny), 0, -1)
+    header = f"{MAGIC} {kind} {nx} {ny} {_KINDS[kind]}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         # written from the array's buffer: a contiguous "<f8" field is not copied
         fh.write(memoryview(np.ascontiguousarray(interleaved, dtype="<f8")))
 
 
-def read_snapshot(path):
+def read_snapshot(path) -> np.ndarray:
+    """The values of a snapshot file: an (nx, ny) array for a scalar, a
+    (2, nx, ny) array otherwise.  They must be finite."""
     try:
         with open(path, "rb") as fh:
             header = fh.readline()
@@ -68,13 +62,10 @@ def read_snapshot(path):
     # a header is file data, so its bad grid is a FormatError (exit 4), not
     # the InvalidValueError (exit 2) of a bad grid in a scenario
     try:
-        grid = TorusGrid(nx, ny)
+        TorusGrid(nx, ny)
     except InvalidValueError as exc:
         raise FormatError(f"bad grid in snapshot header: {exc}") from None
     data = np.frombuffer(payload, dtype="<f8").reshape(nx, ny, ncomp)
-    if kind == "scalar":
-        return ScalarField(grid, data[..., 0].copy())
-    values = np.moveaxis(data, -1, 0).copy()
-    if kind == "vector":
-        return VectorField(grid, values)
-    return SymTracelessField(grid, values)
+    values = np.moveaxis(data, -1, 0).copy()  # (ncomp, nx, ny)
+    _check_finite(values, "tensor field" if kind == "symtraceless" else f"{kind} field")
+    return values[0] if kind == "scalar" else values

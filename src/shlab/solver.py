@@ -26,23 +26,26 @@ MAX_STEPS = 10**6
 
 @dataclass(frozen=True)
 class State:
-    """Conservative pair (h, q) at one time."""
+    """Conservative pair at one time: an (nx, ny) height array h and a
+    (2, nx, ny) momentum array q.  The grid is that of h's shape."""
 
-    h: ScalarField
-    q: VectorField
+    h: np.ndarray
+    q: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.h.values <= 0.0):
+        if self.q.shape != (2, *self.h.shape):
+            raise InvalidValueError(
+                f"momentum shape {self.q.shape} does not match height shape {self.h.shape}"
+            )
+        if np.any(self.h <= 0.0):
             raise PositivityError("state height must be positive everywhere")
-        if self.h.grid != self.q.grid:
-            raise InvalidValueError("h and q live on different grids")
 
     @property
     def grid(self) -> TorusGrid:
-        return self.h.grid
+        return TorusGrid(*self.h.shape)
 
-    def velocity(self) -> VectorField:
-        return VectorField(self.grid, self.q.values / self.h.values)
+    def velocity(self) -> np.ndarray:
+        return self.q / self.h
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,11 @@ class Scenario:
             raise InvalidValueError(f"seed must be nonnegative, got {self.seed}")
 
     def initial_state(self) -> State:
-        return State(self.h0, VectorField(self.grid, self.h0.values * self.u0.values))
+        with np.errstate(over="ignore"):  # a momentum that overflows is rejected just below
+            q = self.h0.values * self.u0.values
+        if not np.all(np.isfinite(q)):
+            raise InvalidValueError("initial momentum h0 u0 is not finite")
+        return State(self.h0.values, q)
 
     def default_dt_max(self) -> float:
         return self.T / 100.0
@@ -139,14 +146,12 @@ def cfl_dt(state: State, cfl: float, dx: float, dt_max: float, work: Workspace) 
 
     With dx the smaller cell width, dt (s_x/dx + s_y/dy) <= 2 cfl, and the
     unsplit Rusanov update keeps h > 0 while that is <= 1 (Bouchut 2004); so
-    cfl is limited to (0, 1/2].  `work` must hold the terms of this state
-    (`Workspace.fill`).
+    cfl is limited to (0, 1/2], which `Scenario` checks.  `work` must hold
+    the terms of this state (`Workspace.fill`).
     """
-    if not 0.0 < cfl <= 0.5:
-        raise InvalidValueError(f"Courant number cfl must lie in (0, 1/2], got {cfl}")
     speeds = work.free[:2]
-    np.abs(state.q.values, out=speeds)
-    speeds /= state.h.values
+    np.abs(state.q, out=speeds)
+    speeds /= state.h
     speeds += work.root
     speed = float(np.max(speeds))
     if speed <= 0.0:
@@ -212,12 +217,24 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
 
     Every intermediate lives in `work`, which must hold the terms of this
     state (`Workspace.fill`).  The new h and q and B are fresh arrays.
+
+    The new h is checked finite and positive, and the momentum q_pre after
+    the fluxes finite.  The new momentum needs no check of its own:
+    - The friction resolvent scales q_pre by a factor in [0, 1].  The
+      extended law's factor is finite while |q_pre| is, and at a dt from
+      cfl_dt it is: a component of q above 1.4e154 overflows its own flux,
+      and so q_pre, and the fluxes move a smaller one by at most
+      sqrt(a h^2 * h / 2) / 2 < 6.4e307.
+    - The force adds dt hn f.  If that makes a component of the new q
+      non-finite in a cell, then u = q / hn there is +-inf or NaN, and so is
+      f . u, also where f is 0 (0 * inf is NaN): the force's work is not
+      finite, and the step aborts.
     """
     grid = state.grid
-    h = state.h.values
-    q1, q2 = state.q.values
+    h = state.h
+    q1, q2 = state.q
     hn, q_pre = h.copy(), work.q
-    np.copyto(q_pre, state.q.values)
+    np.copyto(q_pre, state.q)
     diff = work.free[-1]
     for axis, dxi in ((0, grid.dx), (1, grid.dy)):
         flux = rusanov_flux(h, q1, q2, axis, work)
@@ -281,7 +298,7 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
     else:
         work_inc = 0.0
 
-    return State(ScalarField(grid, hn), VectorField(grid, q_final)), StepInfo(B, diss_inc, work_inc)
+    return State(hn, q_final), StepInfo(B, diss_inc, work_inc)
 
 
 @dataclass
@@ -305,8 +322,7 @@ class EnergyLedger:
     rows: list[tuple] = field(default_factory=list)
 
     def append(self, t, state: State, a: float, diss_cum: float, work_cum: float):
-        h = state.h.values
-        q = state.q.values
+        h, q = state.h, state.q
         kinetic = float(np.mean(0.5 * (q[0] ** 2 + q[1] ** 2) / h))
         potential = float(np.mean(a * h * h))
         total = kinetic + potential
@@ -330,18 +346,18 @@ class Trajectory:
     scenario: Scenario
     times: np.ndarray
     states: list[State]
-    selections: list[VectorField]
+    selections: list[np.ndarray]
     ledger: EnergyLedger
     n_steps: int = 0
 
 
 class Output(NamedTuple):
-    """One output of a run: its time, state, effective friction selection
-    and the number of steps taken so far."""
+    """One output of a run: its time, state, (2, nx, ny) effective friction
+    selection and the number of steps taken so far."""
 
     t: float
     state: State
-    selection: VectorField
+    selection: np.ndarray
     n_steps: int
 
 
@@ -367,7 +383,7 @@ def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
         ledger.append(0.0, state, scenario.a, 0.0, 0.0)
     if not np.isfinite(ledger.rows[-1][4]):
         raise NumericalAbort(f"initial energy is not finite (total = {ledger.rows[-1][4]})")
-    selection0 = coulomb_selection(scenario.u0)
+    selection0 = coulomb_selection(scenario.u0.values)
     yield Output(0.0, state, selection0, 0)
 
     if scenario.T == 0.0:
@@ -384,7 +400,7 @@ def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
     last_info = None
     for target in out_times[1:]:
         while t < target - 1e-14 * scenario.T:
-            work.fill(state.h.values, *state.q.values, scenario.a)
+            work.fill(state.h, *state.q, scenario.a)
             dt = cfl_dt(state, scenario.cfl, dx, dt_max, work)
             _check_budget(n_steps, t, dt, scenario.T)
             dt = min(dt, target - t)
@@ -395,7 +411,7 @@ def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
             n_steps += 1
             last_info = info
         t = target
-        selection = VectorField(scenario.grid, last_info.B) if last_info is not None else selection0
+        selection = last_info.B if last_info is not None else selection0
         ledger.append(t, state, scenario.a, diss_cum, work_cum)
         yield Output(t, state, selection, n_steps)
 

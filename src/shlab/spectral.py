@@ -15,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolvabilityError
-from .fields import ScalarField, VectorField
 
 #: mean-freeness tolerance for torus solvability, relative to max(1, max|slice|);
 #: inputs within it are mean-corrected, beyond it rejected
@@ -107,26 +106,23 @@ def poisson_solve_values(rhs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HelmholtzParts:
-    """q = v + Vmean + grad(psi): divergence-free mean-zero v, spatial mean
-    Vmean, mean-zero potential psi."""
+    """q = v + Vmean + grad(psi): divergence-free mean-zero (2, nx, ny) v,
+    spatial mean Vmean of shape (2,), mean-zero (nx, ny) potential psi."""
 
-    v: VectorField
-    Vmean: np.ndarray  # shape (2,)
-    psi: ScalarField
+    v: np.ndarray
+    Vmean: np.ndarray
+    psi: np.ndarray
 
 
-def helmholtz_decompose(q: VectorField) -> HelmholtzParts:
-    """Unique L2-orthogonal splitting of a periodic vector field."""
-    grid = q.grid
-    Vmean = np.array([float(np.mean(q.values[0])), float(np.mean(q.values[1]))])
+def helmholtz_decompose(q: np.ndarray) -> HelmholtzParts:
+    """Unique L2-orthogonal splitting of periodic (2, nx, ny) samples."""
+    Vmean = np.array([float(np.mean(q[0])), float(np.mean(q[1]))])
     # grad(psi) is the curl-free mean-zero part: -Lap(psi) = -div q
-    div_q = div_values(q.values)
+    div_q = div_values(q)
     psi = poisson_solve_values(-(div_q - np.mean(div_q)))
     gpsi = grad_values(psi)
-    v = q.values - (Vmean[:, None, None] + gpsi)
-    return HelmholtzParts(
-        v=VectorField(grid, v), Vmean=Vmean, psi=ScalarField(grid, psi)
-    )
+    v = q - (Vmean[:, None, None] + gpsi)
+    return HelmholtzParts(v=v, Vmean=Vmean, psi=psi)
 
 
 def korn_solve_values(rhs: np.ndarray) -> np.ndarray:

@@ -31,13 +31,7 @@ from .errors import (
     NumericalAbort,
     SolvabilityError,
 )
-from .fields import (
-    ScalarField,
-    TorusGrid,
-    VectorField,
-    deviatoric_outer,
-    time_derivative,
-)
+from .fields import TorusGrid, VectorField, deviatoric_outer, time_derivative
 from .friction import FrictionParams, friction_coefficient_values
 from .solver import Scenario
 
@@ -78,27 +72,28 @@ class _NodeSum:
 
 
 def design_height(
-    h0: ScalarField, psi0: ScalarField, times: np.ndarray, amplitude_cap: float
+    h0: np.ndarray, psi0: np.ndarray, times: np.ndarray, amplitude_cap: float
 ) -> np.ndarray:
-    """Choose a positive height history h(t) = h0 + s(t) g on the nodes.
+    """Choose a positive height history h(t) = h0 + s(t) g on the nodes, for
+    (nx, ny) samples of h0 and of the initial potential psi0.
 
     g = -Lap(psi0) is mean-zero, so total mass is constant; s(0) = 0 and
     s'(0) = 1 match the initial data and its first time derivative.  The
     profile s(t) = tau (1 - exp(-t/tau)) is bounded by tau, which is sized so
     the excursion never exceeds amplitude_cap * min h0.
     """
-    g = -spectral.laplacian_values(psi0.values)
+    g = -spectral.laplacian_values(psi0)
     gmax = float(np.max(np.abs(g)))
     if gmax == 0.0:
-        return np.broadcast_to(h0.values, (times.size, *h0.grid.shape)).copy()
-    tau = amplitude_cap * float(np.min(h0.values)) / gmax
+        return np.broadcast_to(h0, (times.size, *h0.shape)).copy()
+    tau = amplitude_cap * float(np.min(h0)) / gmax
     if tau < 1e-8:
         raise DesignError(
             f"height excursion budget too small (tau = {tau:.3e}); "
             "increase amplitude_cap or smooth psi0"
         )
     s = tau * (1.0 - np.exp(-times / tau))
-    values = h0.values[None] + s[:, None, None] * g[None]
+    values = h0[None] + s[:, None, None] * g[None]
     if np.any(values <= 0.0):
         raise DesignError("designed height lost positivity")
     return values
@@ -403,7 +398,7 @@ class WorkbenchProblem(Scenario):
     @cached_property
     def height(self) -> np.ndarray:
         psi0 = self.initial_split.psi
-        return design_height(self.h0, psi0, self.times, self.amplitude_cap)
+        return design_height(self.h0.values, psi0, self.times, self.amplitude_cap)
 
     @cached_property
     def potential(self) -> np.ndarray:
@@ -425,7 +420,7 @@ class WorkbenchProblem(Scenario):
         offset = float(offset)
         E = kinetic_energy_field(offset, self.a, self.height, self.potential, self.dt)
         # read-only views of the one v0 slice at every node and of a zero flux
-        v = np.broadcast_to(self.initial_split.v.values, (self.times.size, 2, *self.grid.shape))
+        v = np.broadcast_to(self.initial_split.v, (self.times.size, 2, *self.grid.shape))
         return self.candidate(offset, E, v, np.broadcast_to(0.0, v.shape), self.delta)
 
     def candidate(

@@ -122,20 +122,20 @@ def test_criterion_2_elliptic_solver_suite():
     grid = TorusGrid(n, n)
     m_star = VectorField.from_functions(
         grid, lambda x1, x2: np.sin(TWO_PI * x2), lambda x1, x2: np.cos(TWO_PI * x1)
-    )
-    g1 = grad_values(m_star.values[0])
-    g2 = grad_values(m_star.values[1])
+    ).values
+    g1 = grad_values(m_star[0])
+    g2 = grad_values(m_star[1])
     ps = np.stack([g1[0] - g2[1], g1[1] + g2[0]])
     rhs = div_traceless_values(ps)
     np.testing.assert_allclose(korn_solve_values(rhs), ps, atol=1e-9)
-    np.testing.assert_allclose(-poisson_solve_values(rhs), m_star.values, atol=1e-9)
+    np.testing.assert_allclose(-poisson_solve_values(rhs), m_star, atol=1e-9)
 
     # Helmholtz round trip
-    q = VectorField(grid, np.stack([band_limited(rng, n), band_limited(rng, n)]))
+    q = np.stack([band_limited(rng, n), band_limited(rng, n)])
     parts = helmholtz_decompose(q)
-    recon = parts.v.values + parts.Vmean[:, None, None] + grad_values(parts.psi.values)
-    np.testing.assert_allclose(recon, q.values, atol=1e-10 * np.abs(q.values).max())
-    assert np.abs(div_values(parts.v.values)).max() < 1e-10 * np.abs(q.values).max()
+    recon = parts.v + parts.Vmean[:, None, None] + grad_values(parts.psi)
+    np.testing.assert_allclose(recon, q, atol=1e-10 * np.abs(q).max())
+    assert np.abs(div_values(parts.v)).max() < 1e-10 * np.abs(q).max()
 
     # symmetric-gradient lower bound with constant 1/2, 100 random fields
     for _ in range(100):
@@ -155,19 +155,19 @@ def test_criterion_3_solver_conservation_and_decay():
     # mass to 1e-12 relative and per-step energy decrease over 10^3 steps
     scn = smooth_scenario(grid, T=10.0)
     st = scn.initial_state()
-    mass0 = float(st.h.values.mean())
+    mass0 = float(st.h.mean())
     prev_total = None
     work = Workspace(grid.shape)
     for _ in range(1000):
-        work.fill(st.h.values, *st.q.values, scn.a)
+        work.fill(st.h, *st.q, scn.a)
         dt = cfl_dt(st, scn.cfl, grid.dx, scn.default_dt_max(), work)
         st, _ = step(st, scn, dt, work)
-        h, q = st.h.values, st.q.values
+        h, q = st.h, st.q
         total = float(np.mean(0.5 * (q[0] ** 2 + q[1] ** 2) / h + scn.a * h * h))
         if prev_total is not None:
             assert total <= prev_total + 1e-10
         prev_total = total
-    assert abs(float(st.h.values.mean()) - mass0) / mass0 <= 1e-12
+    assert abs(float(st.h.mean()) - mass0) / mass0 <= 1e-12
 
     # uniform Coulomb decay reproduces u(t) = (1 - gamma t)_+ u0/|u0|
     gamma = 0.5
@@ -182,12 +182,12 @@ def test_criterion_3_solver_conservation_and_decay():
     st = decay.initial_state()
     t, max_dt, worst, stop_time = 0.0, 0.0, 0.0, None
     while t < decay.T - 1e-12:
-        work.fill(st.h.values, *st.q.values, decay.a)
+        work.fill(st.h, *st.q, decay.a)
         dt = min(cfl_dt(st, decay.cfl, grid.dx, decay.default_dt_max(), work), decay.T - t)
         st, _ = step(st, decay, dt, work)
         t += dt
         max_dt = max(max_dt, dt)
-        u1 = float(np.max(st.velocity().values[0]))
+        u1 = float(np.max(st.velocity()[0]))
         worst = max(worst, abs(u1 - max(1.0 - gamma * t, 0.0)))
         if stop_time is None and u1 == 0.0:
             stop_time = t
@@ -200,8 +200,8 @@ def test_criterion_3_solver_conservation_and_decay():
     for nx in (32, 64):
         traj = simulate(smooth_scenario(TorusGrid(nx, nx), T=0.2))
         f = 256 // nx
-        coarse_ref = ref.states[-1].h.values.reshape(nx, f, nx, f).mean(axis=(1, 3))
-        errors.append(float(np.mean(np.abs(traj.states[-1].h.values - coarse_ref))))
+        coarse_ref = ref.states[-1].h.reshape(nx, f, nx, f).mean(axis=(1, 3))
+        errors.append(float(np.mean(np.abs(traj.states[-1].h - coarse_ref))))
     assert np.log2(errors[0] / errors[1]) >= 0.8
 
 

@@ -14,8 +14,8 @@ from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
 
 from shlab import cli, diagnostics, errors, fields, solver, workbench
-from shlab.errors import FormatError, NumericalAbort, ParseError, ValidationError
-from shlab.fields import ScalarField, SymTracelessField, TorusGrid, VectorField
+from shlab.errors import FormatError, InvalidValueError, NumericalAbort, ParseError, ValidationError
+from shlab.fields import ScalarField, TorusGrid
 from shlab.scenario import eval_expression, load_config
 from shlab.snapshots import read_snapshot, write_snapshot
 
@@ -35,38 +35,50 @@ def write_scenario(tmp_path, text=MINIMAL, name="run.scn"):
 
 
 class TestSnapshotRoundTrip:
-    def test_scalar_bit_exact(self, grid32, rng, tmp_path):
-        fld = ScalarField(grid32, rng.standard_normal((32, 32)))
+    def test_scalar_bit_exact(self, rng, tmp_path):
+        values = rng.standard_normal((32, 32))
         p = tmp_path / "f.shlab"
-        write_snapshot(fld, p)
+        write_snapshot("scalar", values, p)
         out = read_snapshot(p)
-        assert isinstance(out, ScalarField)
-        np.testing.assert_array_equal(out.values, fld.values)
-        write_snapshot(out, tmp_path / "g.shlab")
+        assert out.shape == (32, 32)
+        np.testing.assert_array_equal(out, values)
+        write_snapshot("scalar", out, tmp_path / "g.shlab")
         assert p.read_bytes() == (tmp_path / "g.shlab").read_bytes()
 
-    def test_vector_bit_exact(self, grid32, rng, tmp_path):
-        fld = VectorField(grid32, rng.standard_normal((2, 32, 32)))
+    def test_vector_bit_exact(self, rng, tmp_path):
+        values = rng.standard_normal((2, 32, 32))
         p = tmp_path / "v.shlab"
-        write_snapshot(fld, p)
-        out = read_snapshot(p)
-        assert isinstance(out, VectorField)
-        np.testing.assert_array_equal(out.values, fld.values)
+        write_snapshot("vector", values, p)
+        assert p.read_bytes().startswith(b"SHLAB1 vector 32 32 2\n")
+        np.testing.assert_array_equal(read_snapshot(p), values)
 
     def test_symtraceless_bit_exact(self, rng, tmp_path):
-        grid = TorusGrid(8, 4)
-        fld = SymTracelessField(grid, rng.standard_normal((2, 8, 4)))
+        values = rng.standard_normal((2, 8, 4))
         p = tmp_path / "m.shlab"
-        write_snapshot(fld, p)
-        out = read_snapshot(p)
-        assert isinstance(out, SymTracelessField)
-        assert out.grid == grid
-        np.testing.assert_array_equal(out.values, fld.values)
+        write_snapshot("symtraceless", values, p)
+        assert p.read_bytes().startswith(b"SHLAB1 symtraceless 8 4 2\n")
+        np.testing.assert_array_equal(read_snapshot(p), values)
 
-    def test_header_records_shape(self, grid32, tmp_path):
+    def test_header_records_shape(self, tmp_path):
         p = tmp_path / "f.shlab"
-        write_snapshot(ScalarField.constant(grid32, 1.0), p)
-        assert p.read_bytes().startswith(b"SHLAB1 scalar 32 32 1\n")
+        write_snapshot("scalar", np.ones((32, 16)), p)
+        assert p.read_bytes().startswith(b"SHLAB1 scalar 32 16 1\n")
+
+    @pytest.mark.parametrize(
+        "kind,shape,what",
+        [
+            ("scalar", (8, 8), "scalar field"),
+            ("vector", (2, 8, 8), "vector field"),
+            ("symtraceless", (2, 8, 8), "tensor field"),
+        ],
+    )
+    def test_non_finite_payload_is_rejected(self, tmp_path, kind, shape, what):
+        values = np.ones(shape)
+        values[(0,) * len(shape)] = np.nan
+        p = tmp_path / "f.shlab"
+        write_snapshot(kind, values, p)
+        with pytest.raises(InvalidValueError, match=f"^{what} contains non-finite values$"):
+            read_snapshot(p)
 
 
 class TestSnapshotErrors:
@@ -88,9 +100,9 @@ class TestSnapshotErrors:
         with pytest.raises(FormatError):
             read_snapshot(p)
 
-    def test_truncated_payload(self, grid32, tmp_path):
+    def test_truncated_payload(self, tmp_path):
         p = tmp_path / "f.shlab"
-        write_snapshot(ScalarField.constant(grid32, 1.0), p)
+        write_snapshot("scalar", np.ones((32, 32)), p)
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(FormatError):
             read_snapshot(p)
@@ -180,21 +192,30 @@ class TestScenarioParsing:
 
     def test_snapshot_reference_for_initial_height(self, tmp_path):
         grid = TorusGrid(16, 16)
-        h = ScalarField.from_function(grid, lambda x1, x2: 1.0 + 0.2 * np.sin(2 * np.pi * x2))
-        write_snapshot(h, tmp_path / "h0.shlab")
+        h = 1.0 + 0.2 * np.sin(2 * np.pi * grid.cell_centers()[1])
+        write_snapshot("scalar", h, tmp_path / "h0.shlab")
         p = write_scenario(
             tmp_path, MINIMAL.replace("1 + 0.1*cos(2*pi*x1)", "@h0.shlab")
         )
         scn = load_config(p).to_scenario()
-        np.testing.assert_array_equal(scn.h0.values, h.values)
+        np.testing.assert_array_equal(scn.h0.values, h)
 
     def test_snapshot_reference_grid_mismatch(self, tmp_path):
-        h = ScalarField.constant(TorusGrid(8, 8), 1.0)
-        write_snapshot(h, tmp_path / "h0.shlab")
+        write_snapshot("scalar", np.ones((8, 8)), tmp_path / "h0.shlab")
         p = write_scenario(
             tmp_path, MINIMAL.replace("1 + 0.1*cos(2*pi*x1)", "@h0.shlab")
         )
         with pytest.raises(ValidationError):
+            load_config(p).to_scenario()
+
+    @pytest.mark.parametrize("kind", ["vector", "symtraceless"])
+    def test_snapshot_reference_of_another_kind(self, tmp_path, kind):
+        # a (2, nx, ny) snapshot on the scenario's grid is not a scalar field
+        write_snapshot(kind, np.ones((2, 16, 16)), tmp_path / "h0.shlab")
+        p = write_scenario(
+            tmp_path, MINIMAL.replace("1 + 0.1*cos(2*pi*x1)", "@h0.shlab")
+        )
+        with pytest.raises(ValidationError, match="snapshot must be a scalar field"):
             load_config(p).to_scenario()
 
     def test_spatially_varying_gamma(self, tmp_path):
@@ -260,7 +281,7 @@ class TestCliSimulate:
         # read like every other @snapshot value: an unreadable file is an IO failure
         if damage == "truncated":
             p = tmp_path / "gamma.shlab"
-            write_snapshot(ScalarField.constant(TorusGrid(16, 16), 0.2), p)
+            write_snapshot("scalar", np.full((16, 16), 0.2), p)
             p.write_bytes(p.read_bytes()[:-8])
         scn = write_scenario(tmp_path, MINIMAL + "friction.gamma = @gamma.shlab\n")
         assert cli.main(["simulate", str(scn), "--out", str(tmp_path / "out")]) == 4
@@ -338,11 +359,11 @@ class TestCliSimulateStreaming:
         real = cli.write_snapshot
         calls = []
 
-        def failing(fld, path):
+        def failing(kind, values, path):
             calls.append(path)
             if len(calls) == 5:
                 raise OSError("disk full")
-            real(fld, path)
+            real(kind, values, path)
 
         monkeypatch.setattr(cli, "write_snapshot", failing)
         out = tmp_path / "out"
@@ -1315,7 +1336,7 @@ class TestFuzzFindings:
             (
                 {"initial.h0": "1e200", "initial.u0x": "1e200"},
                 2,
-                "validation error: vector field contains non-finite values",
+                "validation error: initial momentum h0 u0 is not finite",
             ),
             # an overflow warning from the force work in solver.step, then the
             # exit-3 line "the CFL step 1e-198 no longer advances the clock"
@@ -1333,11 +1354,56 @@ class TestFuzzFindings:
     def test_overflowing_initial_state(self, tmp_path, capsys, overrides, code, message):
         h0 = np.ones((8, 8))
         h0[3, 5] = 1e200
-        write_snapshot(ScalarField(TorusGrid(8, 8), h0), tmp_path / "h0.shlab")
+        write_snapshot("scalar", h0, tmp_path / "h0.shlab")
         scn = scenario8(tmp_path, {"physics.T": "0.05", **overrides}, base=SIMULATE8)
         out = tmp_path / "out"
         assert cli.main(["simulate", scn, "--out", str(out)]) == code
         assert capsys.readouterr().err == f"shlab: {message}\n"
+        assert not out.exists()
+
+
+class TestCheckOwners:
+    """Checks that the field wrappers ran on computed values, now each made
+    by the code that owns the value."""
+
+    def test_non_finite_snapshot_payload_exits_2(self, tmp_path, capsys):
+        # read_snapshot checks the values it returns
+        h0 = np.ones((8, 8))
+        h0[2, 3] = np.nan
+        write_snapshot("scalar", h0, tmp_path / "h0.shlab")
+        scn = scenario8(tmp_path, {"physics.T": "0.05", "initial.h0": "@h0.shlab"}, base=SIMULATE8)
+        assert cli.main(["simulate", scn, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "shlab: validation error: scalar field contains non-finite values\n"
+        )
+
+    def test_overflowing_initial_momentum_exits_2_in_the_workbench(self, tmp_path, capsys):
+        # Scenario.initial_state checks h0 u0, for the solver and the workbench alike
+        # at a fixed offset: the offset search's a max(h0)^2 would overflow first, with a warning
+        overrides = {"initial.h0": "1e200", "initial.u0x": "1e200", "workbench.lambda": "1.0"}
+        scn = scenario8(tmp_path, overrides)
+        out = tmp_path / "wb"
+        assert cli.main(["workbench", scn, "--steps", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "shlab: validation error: initial momentum h0 u0 is not finite\n"
+        )
+        assert not out.exists()
+
+    # the ledger's mass of the 4x-refined run overflows first, with a warning
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+    @pytest.mark.parametrize("command", [["convergence"], ["wsu", "--eps", "0,0.01"]])
+    def test_overflowing_cell_average_exits_2(self, tmp_path, capsys, command):
+        # restrict_state checks its averages: 16 fine heights of 1.5e307 sum past the float range
+        overrides = {
+            "grid.nx": "4", "grid.ny": "4", "physics.T": "0.01", "physics.a": "1e-310",
+            "initial.h0": "1.5e307", "initial.u0y": None, "output.times": "3",
+        }
+        scn = scenario8(tmp_path, overrides, base=SIMULATE8)
+        out = tmp_path / "out"
+        assert cli.main([command[0], scn, *command[1:], "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "shlab: validation error: restricted state is not finite: a cell average overflows\n"
+        )
         assert not out.exists()
 
 

@@ -61,20 +61,26 @@ def nodes(T, num_steps):
     return np.linspace(0.0, T, num_steps + 1)
 
 
+def sampled(grid, fn):
+    """(nx, ny) samples of fn at the cell centers."""
+    x1, x2 = grid.cell_centers()
+    return fn(x1, x2) + np.zeros(grid.shape)
+
+
 def cosine_psi0(grid, eps=1e-3):
-    return ScalarField.from_function(grid, lambda x1, x2: eps * np.cos(TWO_PI * x1))
+    return sampled(grid, lambda x1, x2: eps * np.cos(TWO_PI * x1))
 
 
 class TestDesignHeight:
     def test_zero_potential_keeps_h0(self, grid32):
-        h0 = ScalarField.from_function(grid32, lambda x1, x2: 1.0 + 0.1 * np.sin(TWO_PI * x2))
-        h = design_height(h0, ScalarField.constant(grid32, 0.0), nodes(1.0, 8), 0.25)
+        h0 = sampled(grid32, lambda x1, x2: 1.0 + 0.1 * np.sin(TWO_PI * x2))
+        h = design_height(h0, np.full(grid32.shape, 0.0), nodes(1.0, 8), 0.25)
         for k in range(h.shape[0]):
-            np.testing.assert_array_equal(h[k], h0.values)
+            np.testing.assert_array_equal(h[k], h0)
 
     def test_cosine_potential_closed_form(self, grid32):
         eps = 1e-3
-        h0 = ScalarField.constant(grid32, 1.0)
+        h0 = np.full(grid32.shape, 1.0)
         psi0 = cosine_psi0(grid32, eps)
         times = nodes(1.0, 16)
         h = design_height(h0, psi0, times, 0.25)
@@ -82,7 +88,7 @@ class TestDesignHeight:
         # its sampled maximum
         from shlab.spectral import laplacian_values
 
-        g = -laplacian_values(psi0.values)
+        g = -laplacian_values(psi0)
         np.testing.assert_allclose(
             g, TWO_PI**2 * eps * np.cos(TWO_PI * grid32.cell_centers()[0]), atol=1e-12
         )
@@ -94,7 +100,7 @@ class TestDesignHeight:
         assert np.all(h > 0.0)
 
     def test_mass_is_constant(self, grid32):
-        h0 = ScalarField.from_function(grid32, lambda x1, x2: 1.0 + 0.3 * np.cos(TWO_PI * x2))
+        h0 = sampled(grid32, lambda x1, x2: 1.0 + 0.3 * np.cos(TWO_PI * x2))
         h = design_height(h0, cosine_psi0(grid32, 0.01), nodes(2.0, 12), 0.25)
         masses = [float(np.mean(h[k])) for k in range(h.shape[0])]
         np.testing.assert_allclose(masses, masses[0], atol=1e-12)
@@ -103,7 +109,7 @@ class TestDesignHeight:
         # a nonpositive min h0 leaves no excursion budget
         with pytest.raises(DesignError):
             design_height(
-                ScalarField.constant(grid32, -1.0), cosine_psi0(grid32), nodes(1.0, 8), 0.25
+                np.full(grid32.shape, -1.0), cosine_psi0(grid32), nodes(1.0, 8), 0.25
             )
 
     def test_rejects_bad_cap(self, grid32):
@@ -121,24 +127,24 @@ class TestStreamPotential:
         eps = 1e-3
         times = nodes(1.0, 64)
         h = design_height(
-            ScalarField.constant(grid32, 1.0), cosine_psi0(grid32, eps), times, 0.25
+            np.full(grid32.shape, 1.0), cosine_psi0(grid32, eps), times, 0.25
         )
         psi = stream_potential(h, times[1])
         from shlab.spectral import laplacian_values
 
         psi0 = cosine_psi0(grid32, eps)
-        tau = 0.25 / float(np.max(np.abs(laplacian_values(psi0.values))))
+        tau = 0.25 / float(np.max(np.abs(laplacian_values(psi0))))
         for k in (0, 32, 64):
             t = times[k]
-            expected = np.exp(-t / tau) * psi0.values
+            expected = np.exp(-t / tau) * psi0
             np.testing.assert_allclose(psi[k], expected, atol=1e-8)
 
     def test_initial_slice_recovers_psi0(self, grid32):
         psi0 = cosine_psi0(grid32, 1e-3)
         times = nodes(1.0, 64)
-        h = design_height(ScalarField.constant(grid32, 1.0), psi0, times, 0.25)
+        h = design_height(np.full(grid32.shape, 1.0), psi0, times, 0.25)
         psi = stream_potential(h, times[1])
-        np.testing.assert_allclose(psi[0], psi0.values, atol=1e-8)
+        np.testing.assert_allclose(psi[0], psi0, atol=1e-8)
 
     def test_mass_drift_rejected(self, grid32):
         times = np.linspace(0.0, 1.0, 5)
@@ -162,20 +168,20 @@ class TestKineticEnergyField:
         eps = 1e-3
         times = nodes(1.0, 64)
         h = design_height(
-            ScalarField.constant(grid32, 1.0), cosine_psi0(grid32, eps), times, 0.25
+            np.full(grid32.shape, 1.0), cosine_psi0(grid32, eps), times, 0.25
         )
         psi = stream_potential(h, times[1])
         E = kinetic_energy_field(1.0, 0.5, h, psi, times[1])
         from shlab.spectral import laplacian_values
 
         psi0 = cosine_psi0(grid32, eps)
-        g = -laplacian_values(psi0.values)
+        g = -laplacian_values(psi0)
         tau = 0.25 / float(np.max(np.abs(g)))
         k = 32
         t = times[k]
         s = tau * (1.0 - np.exp(-t / tau))
         h_k = 1.0 + s * g
-        dpsi_k = -np.exp(-t / tau) / tau * psi0.values
+        dpsi_k = -np.exp(-t / tau) / tau * psi0
         np.testing.assert_allclose(E[k], 1.0 - 0.5 * h_k**2 - dpsi_k, atol=1e-7)
 
 
