@@ -223,8 +223,8 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
     - The friction resolvent scales q_pre by a factor in [0, 1].  The
       extended law's factor is finite while |q_pre| is, and at a dt from
       cfl_dt it is: a component of q above 1.4e154 overflows its own flux,
-      and so q_pre, and the fluxes move a smaller one by at most
-      sqrt(a h^2 * h / 2) / 2 < 6.4e307.
+      and so q_pre, and the fluxes move a smaller one by at most about
+      sqrt(a h^2 * h / 2) / 2 < 6.4e307, as a h^2 and h are finite.
     - The force adds dt hn f.  If that makes a component of the new q
       non-finite in a cell, then u = q / hn there is +-inf or NaN, and so is
       f . u, also where f is 0 (0 * inf is NaN): the force's work is not
