@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from shlab.fields import ScalarField, TorusGrid, VectorField
+from shlab.fields import TorusGrid
 from shlab.friction import FrictionParams
 from shlab.solver import Scenario, Workspace, cfl_dt, step
 
@@ -31,8 +31,8 @@ def main() -> None:
         T=t_stop + args.slack,
         a=0.5,
         friction=FrictionParams(gamma=args.gamma),
-        h0=ScalarField.constant(grid, 1.0),
-        u0=VectorField.constant(grid, args.u0, 0.0),
+        h0=np.ones(grid.shape),
+        u0=np.stack([np.full(grid.shape, args.u0), np.zeros(grid.shape)]),
     )
 
     st = scn.initial_state()

@@ -7,14 +7,7 @@ relative-energy diagnostics, all on the unit torus.
 
 __version__ = "0.1.0"
 
-from .fields import (
-    ScalarField,
-    SpaceTimeField,
-    SymTracelessField,
-    TorusGrid,
-    VectorField,
-    deviatoric_outer,
-)
+from .fields import TorusGrid, deviatoric_outer
 from .friction import FrictionParams, coulomb_selection, friction_shrink
 from .solver import Scenario, State, simulate
 from .spectral import helmholtz_decompose
@@ -22,10 +15,6 @@ from .spectral import helmholtz_decompose
 __all__ = [
     "__version__",
     "TorusGrid",
-    "ScalarField",
-    "VectorField",
-    "SymTracelessField",
-    "SpaceTimeField",
     "deviatoric_outer",
     "FrictionParams",
     "coulomb_selection",

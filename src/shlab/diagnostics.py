@@ -7,8 +7,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import spectral
 from .errors import InvalidValueError
-from .fields import TorusGrid, VectorField
+from .fields import TorusGrid
 # simulate is unused here, but bench/job.py and bench/tracing.py wrap diagnostics.simulate
 from .solver import EnergyLedger, State, Trajectory, simulate, stream  # noqa: F401
 from .workbench import SubsolutionState
@@ -22,7 +23,7 @@ def energy_jump(sub: SubsolutionState) -> float:
     first interior node; the jump is its excess over the problem's data energy.
     """
     prob = sub.problem
-    a, h0, u0 = prob.a, prob.h0.values, prob.u0.values
+    a, h0, u0 = prob.a, prob.h0, prob.u0
     e_after = float(np.mean(sub.kinetic_energy[1] + a * prob.height[1] ** 2))
     e_data = float(np.mean(0.5 * h0 * (u0[0] ** 2 + u0[1] ** 2) + a * h0**2))
     return e_after - e_data
@@ -110,7 +111,7 @@ def weak_strong_experiment(
     for eps in eps_list:
         pert = np.zeros((2, *coarse.shape))
         pert[0] = eps * mode
-        run = stream(replace(base, u0=VectorField(coarse, base.u0.values + pert)), EnergyLedger())
+        run = stream(replace(base, u0=base.u0 + pert), EnergyLedger())
         # refs first: zip then stops the run at the last reference, not one output past it
         values = np.array([relative_energy(out.state, r, base.a) for r, out in zip(refs, run)])
         floor = max(values[0] * 1e-12, 1e-18)
@@ -156,24 +157,10 @@ def _time_weights(times: np.ndarray, weight_fn) -> np.ndarray:
     return w
 
 
-def _mode_coefficients(fields: np.ndarray, max_mode: int) -> np.ndarray:
-    """C(k) = cell-center mean of F exp(-2 pi i k.x) for -m <= k1 <= m and
-    0 <= k2 <= m (m = max_mode <= min(nx, ny) // 2), shape (..., 2m+1, m+1).
-
-    With cell centers at (i + 1/2)/nx, C(k) is rfft2(F)[k] times the
-    half-cell phase exp(-i pi (k1/nx + k2/ny)) over nx ny.
-    """
-    nx, ny = fields.shape[-2:]
-    k1 = np.arange(-max_mode, max_mode + 1)
-    k2 = np.arange(max_mode + 1)
-    phase = np.exp(-1j * np.pi * (k1[:, None] / nx + k2 / ny)) / (nx * ny)
-    return np.fft.rfft2(fields)[..., : max_mode + 1][..., k1 % nx, :] * phase
-
-
 def _cos_sin_moments(coef: np.ndarray) -> np.ndarray:
     """Means against the tensor-product cos/sin basis from the coefficients
-    of ``_mode_coefficients`` (of a real field, or a real-linear image of one
-    such as its pairing with a gradient).
+    of ``spectral.mode_coefficients`` (of a real field, or a real-linear
+    image of one such as its pairing with a gradient).
 
     The result has shape (..., 4, m+1, m+1), indexed [product, k1, k2] with
     the products cos cos, sin sin, sin cos and cos sin of the x1 and x2
@@ -230,8 +217,8 @@ def weak_residual(traj: Trajectory, basis_size: int = 4) -> WeakResidualReport:
     w = _time_weights(times, rho)
     dw = _time_weights(times, drho)
     dw[0] += rho(0.0)  # initial-data term
-    gamma = scn.friction.gamma_array
-    f = scn.f.values if scn.f is not None else 0.0
+    gamma = scn.friction.gamma
+    f = scn.f if scn.f is not None else 0.0
 
     # time-weighted fields: mass, mass flux q, momentum (with the friction and
     # force source), momentum flux q (x) q / h + a h^2 I as (11, 12, 22)
@@ -250,7 +237,7 @@ def weak_residual(traj: Trajectory, basis_size: int = 4) -> WeakResidualReport:
 
     # the mean of F times a derivative d/dx_j of exp(-2 pi i k.x) is
     # -2 pi i k_j C(k), so each identity is one combination of coefficients
-    c = _mode_coefficients(acc, basis_size)
+    c = spectral.mode_coefficients(acc, basis_size)
     d1 = -2j * np.pi * np.arange(-basis_size, basis_size + 1)[:, None]
     d2 = -2j * np.pi * np.arange(basis_size + 1)
     r_cont = _cos_sin_moments(c[0] + d1 * c[1] + d2 * c[2])

@@ -5,6 +5,11 @@ torus [0,1)^2.  Scalar fields are (nx, ny) arrays, vector fields (2, nx, ny),
 and symmetric traceless 2x2 tensor fields are stored as the two independent
 components (p, s) of [[p, s], [s, -p]], so symmetry and tracelessness hold by
 construction.  Axis 0 is x1, axis 1 is x2.
+
+Every value the package computes or reads is such a bare array.  The
+grid-carrying wrappers ScalarField, VectorField, SymTracelessField and
+SpaceTimeField are built by no code of the package; they stay only because
+the benchmark's trace points (bench/tracing.py) name their validators.
 """
 
 from __future__ import annotations
@@ -82,15 +87,6 @@ class ScalarField:
     def __post_init__(self):
         _validate(self, self.grid.shape, "scalar field")
 
-    @classmethod
-    def constant(cls, grid: TorusGrid, value: float) -> "ScalarField":
-        return cls(grid, np.full(grid.shape, float(value)))
-
-    @classmethod
-    def from_function(cls, grid: TorusGrid, fn) -> "ScalarField":
-        x1, x2 = grid.cell_centers()
-        return cls(grid, np.asarray(fn(x1, x2), dtype=float) + np.zeros(grid.shape))
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -99,21 +95,6 @@ class VectorField:
 
     def __post_init__(self):
         _validate(self, (2, *self.grid.shape), "vector field")
-
-    @classmethod
-    def constant(cls, grid: TorusGrid, vx: float, vy: float) -> "VectorField":
-        out = np.empty((2, *grid.shape))
-        out[0] = vx
-        out[1] = vy
-        return cls(grid, out)
-
-    @classmethod
-    def from_functions(cls, grid: TorusGrid, fx, fy) -> "VectorField":
-        x1, x2 = grid.cell_centers()
-        out = np.empty((2, *grid.shape))
-        out[0] = np.asarray(fx(x1, x2), dtype=float) + np.zeros(grid.shape)
-        out[1] = np.asarray(fy(x1, x2), dtype=float) + np.zeros(grid.shape)
-        return cls(grid, out)
 
 
 @dataclass(frozen=True)
@@ -184,14 +165,6 @@ class SpaceTimeField:
     @property
     def num_nodes(self) -> int:
         return self.times.size
-
-    def slice(self, k: int):
-        """Spatial field at time node k, wrapped in the matching field type."""
-        if self.kind == "scalar":
-            return ScalarField(self.grid, self.values[k])
-        if self.kind == "vector":
-            return VectorField(self.grid, self.values[k])
-        return SymTracelessField(self.grid, self.values[k])
 
 
 def time_derivative(v: np.ndarray, dt: float) -> np.ndarray:

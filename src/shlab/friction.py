@@ -3,8 +3,8 @@
 The friction term u/|u| is multi-valued at u = 0 (any point of the closed
 unit ball).  The solver never evaluates the graph directly: it applies the
 exact backward-Euler resolvent of the inclusion, which is a pointwise norm
-shrinkage.  The velocity-dependent "extended" law adds a quadratic drag
-sub-step solved in closed form.
+shrinkage.  The velocity-dependent "extended" law, selected by gamma2 > 0,
+adds a quadratic drag sub-step solved in closed form.
 """
 
 from __future__ import annotations
@@ -14,42 +14,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnergyPositivityError, InvalidValueError, PositivityError
-from .fields import ScalarField
-
-LAWS = ("coulomb", "extended")
 
 
 @dataclass(frozen=True)
 class FrictionParams:
-    """Coulomb coefficient gamma (constant or field) and the extended-law
-    velocity-dependent coefficient gamma2."""
+    """Coulomb coefficient gamma, a float or an (nx, ny) array, and the
+    coefficient gamma2 of the velocity-dependent drag: gamma2 > 0 selects the
+    extended law.  The scenario checks that an array gamma lives on its grid."""
 
-    gamma: float | ScalarField = 0.0
+    gamma: float | np.ndarray = 0.0
     gamma2: float = 0.0
-    law: str = "coulomb"
 
     def __post_init__(self):
-        if self.law not in LAWS:
-            raise InvalidValueError(f"friction law must be one of {LAWS}, got {self.law!r}")
-        g = np.asarray(self.gamma_array)
+        g = np.asarray(self.gamma, dtype=float)
         if not np.all(np.isfinite(g)):
             raise InvalidValueError("friction gamma must be finite")
         if np.any(g < 0.0):
             raise InvalidValueError("friction gamma must be nonnegative")
+        object.__setattr__(self, "gamma", float(g) if g.ndim == 0 else g)
         if not 0.0 <= self.gamma2 < np.inf:
             raise InvalidValueError(
                 f"friction gamma2 must be finite and nonnegative, got {self.gamma2}"
             )
 
     @property
-    def gamma_array(self) -> float | np.ndarray:
-        """gamma as a float or as the (nx, ny) values of its field."""
-        return self.gamma.values if isinstance(self.gamma, ScalarField) else self.gamma
-
-    @property
     def active(self) -> bool:
         """True unless gamma vanishes everywhere and gamma2 is zero."""
-        return bool(np.any(np.asarray(self.gamma_array) > 0.0)) or self.gamma2 > 0.0
+        return bool(np.any(self.gamma > 0.0)) or self.gamma2 > 0.0
 
 
 def coulomb_selection(u: np.ndarray) -> np.ndarray:
@@ -74,8 +65,9 @@ def friction_shrink(
     for a (2, nx, ny) momentum stack q and (nx, ny) heights h.
 
     Coulomb part: q' = 0 if |q| <= dt*gamma*h, else q scaled by
-    (1 - dt*gamma*h/|q|).  Extended law follows with the closed-form solve of
-    |q'| (1 + dt*gamma2*|q'|/h) = |q| (positive root of the quadratic).
+    (1 - dt*gamma*h/|q|).  The extended law (gamma2 > 0) follows with the
+    closed-form solve of |q'| (1 + dt*gamma2*|q'|/h) = |q| (positive root of
+    the quadratic).
 
     `thresh` holds dt*gamma*h already; `scratch` is two (nx, ny) float64
     fields that the Coulomb part may overwrite.  The result is a new array.
@@ -91,7 +83,7 @@ def friction_shrink(
     np.divide(thresh, norm, out=factor, where=moving)
     np.subtract(1.0, factor, out=factor, where=moving)
     out = q * factor
-    if params.law == "extended" and params.gamma2 > 0.0:
+    if params.gamma2 > 0.0:
         c = dt * params.gamma2 / h
         mag = np.hypot(out[0], out[1])
         # |q'| = (-1 + sqrt(1 + 4 c |q|)) / (2 c), written to avoid cancellation
@@ -107,14 +99,14 @@ def friction_coefficient_values(
     """Scalar multiplier that renders the friction term linear in momentum,
     on (..., nx, ny) samples of h and E, e.g. a whole (K+1, nx, ny) stack.
 
-    gamma * sqrt(h / 2E) for the Coulomb law; the extended law adds
-    gamma2 * sqrt(2E / h).  Requires h > 0 and E > 0 everywhere.
+    gamma * sqrt(h / 2E) for the Coulomb law; the extended law (gamma2 > 0)
+    adds gamma2 * sqrt(2E / h).  Requires h > 0 and E > 0 everywhere.
     """
     if np.any(h <= 0.0):
         raise PositivityError("friction coefficient requires h > 0 everywhere")
     if np.any(E <= 0.0):
         raise EnergyPositivityError("friction coefficient requires E > 0 everywhere")
-    out = params.gamma_array * np.sqrt(0.5 * h / E)  # 2 E overflows near the float range
-    if params.law == "extended":
+    out = params.gamma * np.sqrt(0.5 * h / E)  # 2 E overflows near the float range
+    if params.gamma2 > 0.0:
         out = out + params.gamma2 * np.sqrt(2.0 * E / h)
     return out

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .fields import ScalarField, TorusGrid, VectorField
+from .fields import TorusGrid
 from .friction import FrictionParams
 from .snapshots import read_snapshot
 from .solver import Scenario
@@ -41,7 +41,6 @@ _SCHEMA: dict[str, tuple[type, object]] = {
     "physics.a": (float, 0.5),
     "physics.T": (float, "REQUIRED"),
     "physics.cfl": (float, Scenario.cfl),
-    "friction.law": (str, "coulomb"),
     "friction.gamma": (str, "0"),
     "friction.gamma2": (float, 0.0),
     "initial.h0": (str, "REQUIRED"),
@@ -154,10 +153,8 @@ class ScenarioConfig:
         raw = self.values["friction.gamma"]
         sampled = _scalar_from_source(raw, grid, self.base_dir, "friction.gamma")
         constant = sampled.min() == sampled.max()  # np.ptp of infinite samples warns
-        gamma = float(sampled.flat[0]) if constant else ScalarField(grid, sampled)
-        return FrictionParams(
-            gamma=gamma, gamma2=self.values["friction.gamma2"], law=self.values["friction.law"]
-        )
+        gamma = float(sampled.flat[0]) if constant else sampled
+        return FrictionParams(gamma=gamma, gamma2=self.values["friction.gamma2"])
 
     def _physics(self, grid: TorusGrid | None) -> dict:
         """The fields of `Scenario`, sampled on grid (by default the scenario's)."""
@@ -175,22 +172,19 @@ class ScenarioConfig:
             raise ValidationError("force.fx and force.fy must be given together")
         force = None
         if v["force.fx"] is not None:
-            force = VectorField(
-                grid,
-                np.stack(
-                    [
-                        _scalar_from_source(v["force.fx"], grid, self.base_dir, "force.fx"),
-                        _scalar_from_source(v["force.fy"], grid, self.base_dir, "force.fy"),
-                    ]
-                ),
+            force = np.stack(
+                [
+                    _scalar_from_source(v["force.fx"], grid, self.base_dir, "force.fx"),
+                    _scalar_from_source(v["force.fy"], grid, self.base_dir, "force.fy"),
+                ]
             )
         return dict(
             grid=grid,
             T=v["physics.T"],
             a=v["physics.a"],
             friction=self.friction_params(grid),
-            h0=ScalarField(grid, h0),
-            u0=VectorField(grid, u0),
+            h0=h0,
+            u0=u0,
             f=force,
             cfl=v["physics.cfl"],
             n_output=v["output.times"],

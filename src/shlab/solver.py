@@ -9,6 +9,7 @@ what the energy ledger checks.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -16,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidValueError, NumericalAbort, PositivityError
-from .fields import ScalarField, TorusGrid, VectorField
+from .fields import TorusGrid
 from .friction import FrictionParams, coulomb_selection, friction_shrink
 
 #: a run that takes, or at its current CFL step would take, more steps than
@@ -50,13 +51,22 @@ class State:
 
 @dataclass(frozen=True)
 class Scenario:
+    """The Cauchy problem on `grid` up to time T, with the solver's Courant
+    number cfl and n_output equispaced output times.
+
+    The inputs are float64 arrays: h0 (nx, ny), u0 (2, nx, ny) and f
+    (2, nx, ny) or None.  This type owns their checks: each lives on the grid
+    and is finite, and h0 > 0.  It also checks that an array friction gamma
+    lives on the grid; `FrictionParams` checks its values.
+    """
+
     grid: TorusGrid
     T: float
     a: float
     friction: FrictionParams
-    h0: ScalarField
-    u0: VectorField
-    f: VectorField | None = None
+    h0: np.ndarray
+    u0: np.ndarray
+    f: np.ndarray | None = None
     cfl: float = 0.4
     n_output: int = 101
     seed: int = 0
@@ -71,12 +81,26 @@ class Scenario:
             )
         if not 0.0 < self.cfl <= 0.5:
             raise InvalidValueError(f"Courant number cfl must lie in (0, 1/2], got {self.cfl}")
-        if np.any(self.h0.values <= 0.0):
-            raise PositivityError("initial height must satisfy h0 > 0 everywhere")
-        names = ("initial height h0", "initial velocity u0", "force f", "friction gamma")
-        for name, fld in zip(names, (self.h0, self.u0, self.f, self.friction.gamma)):
-            if isinstance(fld, (ScalarField, VectorField)) and fld.grid != self.grid:
+        scalar, vector = self.grid.shape, (2, *self.grid.shape)
+        for attr, name, shape in (
+            ("h0", "initial height h0", scalar),
+            ("u0", "initial velocity u0", vector),
+            ("f", "force f", vector),
+        ):
+            values = getattr(self, attr)
+            if values is None:
+                continue
+            values = np.asarray(values, dtype=float)
+            if values.shape != shape:
                 raise InvalidValueError(f"{name} field lives on a different grid")
+            if not np.all(np.isfinite(values)):
+                raise InvalidValueError(f"{name} contains non-finite values")
+            object.__setattr__(self, attr, values)
+        if np.ndim(self.friction.gamma) and np.shape(self.friction.gamma) != scalar:
+            raise InvalidValueError("friction gamma field lives on a different grid")
+        # after the finiteness check: NaN fails no comparison
+        if np.any(self.h0 <= 0.0):
+            raise PositivityError("initial height must satisfy h0 > 0 everywhere")
         if self.n_output < 2:
             raise InvalidValueError("need at least 2 output times")
         if self.T > 0.0 and not self.default_dt_max() > 0.0:
@@ -87,10 +111,10 @@ class Scenario:
 
     def initial_state(self) -> State:
         with np.errstate(over="ignore"):  # a momentum that overflows is rejected just below
-            q = self.h0.values * self.u0.values
+            q = self.h0 * self.u0
         if not np.all(np.isfinite(q)):
             raise InvalidValueError("initial momentum h0 u0 is not finite")
-        return State(self.h0.values, q)
+        return State(self.h0, q)
 
     def default_dt_max(self) -> float:
         return self.T / 100.0
@@ -253,7 +277,7 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
     # the scratch rows are free again: the threshold dt gamma h, which is
     # also the denominator of B, then the friction scratch, then the ledger terms
     friction = scenario.friction
-    gamma = friction.gamma_array
+    gamma = friction.gamma
     thresh = work.free[0]
     np.multiply(dt, gamma, out=thresh)
     thresh *= hn
@@ -286,7 +310,7 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
 
     q_final = q_post
     if scenario.f is not None:  # q_final += dt hn f, in place
-        f = scenario.f.values
+        f = scenario.f
         np.multiply(dt, hn, out=g)
         np.multiply(g, f, out=u)
         q_final += u
@@ -306,7 +330,8 @@ class EnergyLedger:
     """Time series of the discrete energy balance.
 
     e2_residual = total + dissipation_cum - total(0) - work_cum; for a
-    dissipative run it stays <= 0 up to roundoff.
+    dissipative run it stays <= 0 up to roundoff.  A row with a column that
+    is not finite (a mean that overflows) aborts the run instead.
     """
 
     columns = (
@@ -323,16 +348,20 @@ class EnergyLedger:
 
     def append(self, t, state: State, a: float, diss_cum: float, work_cum: float):
         h, q = state.h, state.q
-        kinetic = float(np.mean(0.5 * (q[0] ** 2 + q[1] ** 2) / h))
-        potential = float(np.mean(a * h * h))
-        total = kinetic + potential
-        mass = float(np.mean(h))
-        if self.rows:
-            total0 = self.rows[0][4]
-        else:
-            total0 = total
-        residual = total + diss_cum - total0 - work_cum
-        self.rows.append((t, mass, kinetic, potential, total, diss_cum, work_cum, residual))
+        with np.errstate(over="ignore", invalid="ignore"):  # such a row aborts just below
+            kinetic = float(np.mean(0.5 * (q[0] ** 2 + q[1] ** 2) / h))
+            potential = float(np.mean(a * h * h))
+            total = kinetic + potential
+            mass = float(np.mean(h))
+            total0 = self.rows[0][4] if self.rows else total
+            residual = total + diss_cum - total0 - work_cum
+        row = (t, mass, kinetic, potential, total, diss_cum, work_cum, residual)
+        for name, value in zip(self.columns, row):
+            if not math.isfinite(value):
+                raise NumericalAbort(
+                    f"ledger {name} is not finite at t = {t:.6g} ({name} = {value})"
+                )
+        self.rows.append(row)
 
     def column(self, name: str) -> np.ndarray:
         idx = self.columns.index(name)
@@ -368,8 +397,8 @@ def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
     kept.
 
     The run aborts (NumericalAbort) before it starts if it has more outputs
-    than MAX_STEPS steps can reach or if its initial energy overflows, and
-    during it once it has taken
+    than MAX_STEPS steps can reach, at any output whose ledger row is not
+    finite (EnergyLedger.append), and during it once it has taken
     MAX_STEPS steps, once the steps still needed at the current CFL step
     would pass that budget, or once a step no longer advances the clock
     (t + dt == t).
@@ -378,12 +407,9 @@ def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
         raise NumericalAbort(
             f"{scenario.n_output} output times need more than {MAX_STEPS} steps"
         )
-    with np.errstate(over="ignore"):  # an energy that overflows aborts just below
-        state = scenario.initial_state()
-        ledger.append(0.0, state, scenario.a, 0.0, 0.0)
-    if not np.isfinite(ledger.rows[-1][4]):
-        raise NumericalAbort(f"initial energy is not finite (total = {ledger.rows[-1][4]})")
-    selection0 = coulomb_selection(scenario.u0.values)
+    state = scenario.initial_state()
+    ledger.append(0.0, state, scenario.a, 0.0, 0.0)
+    selection0 = coulomb_selection(scenario.u0)
     yield Output(0.0, state, selection0, 0)
 
     if scenario.T == 0.0:

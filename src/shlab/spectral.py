@@ -150,3 +150,16 @@ def korn_solve_values(rhs: np.ndarray) -> np.ndarray:
     s += ik2 * m1
     return _real_ifft2(Mh)
 
+
+def mode_coefficients(fields: np.ndarray, max_mode: int) -> np.ndarray:
+    """C(k) = cell-center mean of F exp(-2 pi i k.x) for -m <= k1 <= m and
+    0 <= k2 <= m (m = max_mode <= min(nx, ny) // 2), shape (..., 2m+1, m+1).
+
+    With cell centers at (i + 1/2)/nx, C(k) is rfft2(F)[k] times the
+    half-cell phase exp(-i pi (k1/nx + k2/ny)) over nx ny.
+    """
+    nx, ny = fields.shape[-2:]
+    k1 = np.arange(-max_mode, max_mode + 1)
+    k2 = np.arange(max_mode + 1)
+    phase = np.exp(-1j * np.pi * (k1[:, None] / nx + k2 / ny)) / (nx * ny)
+    return np.fft.rfft2(fields)[..., : max_mode + 1][..., k1 % nx, :] * phase

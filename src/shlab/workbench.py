@@ -31,7 +31,7 @@ from .errors import (
     NumericalAbort,
     SolvabilityError,
 )
-from .fields import TorusGrid, VectorField, deviatoric_outer, time_derivative
+from .fields import TorusGrid, deviatoric_outer, time_derivative
 from .friction import FrictionParams, friction_coefficient_values
 from .solver import Scenario
 
@@ -157,15 +157,16 @@ def solve_mean_momentum(
     drag: np.ndarray | None,
     grad_psi: np.ndarray,
     h: np.ndarray,
-    f: VectorField | None,
+    f: np.ndarray | None,
     V0,
     dt: float,
 ) -> np.ndarray:
     """Spatial-mean momentum component V(t) from its linear ODE.
 
     dV/dt = mean(drag) V + mean(drag (v + grad psi) + h f), V(0) = V0, with
-    v and grad psi (K+1, 2, nx, ny) stacks on the nodes of h, dt apart, and
-    drag the linear friction coefficient stack (None without friction).
+    v and grad psi (K+1, 2, nx, ny) stacks on the nodes of h, dt apart, the
+    (2, nx, ny) force f or None, and drag the linear friction coefficient
+    stack (None without friction).
     Classical 4th-order one-step integration on the uniform nodes; the half
     steps read the linear interpolant of the node data, the mean of the two
     neighbours.  The node means of the right-hand side are taken per chunk.
@@ -176,7 +177,7 @@ def solve_mean_momentum(
     for k in _node_chunks(0, h.shape[0], h[0].size):
         rhs = coef[k][:, None] * (v[k] + grad_psi[k])
         if f is not None:
-            rhs += h[k][:, None] * f.values
+            rhs += h[k][:, None] * f
         bbar[k] = rhs.mean(axis=(2, 3))
     cmid = 0.5 * (cbar[:-1] + cbar[1:])
     bmid = 0.5 * (bbar[:-1] + bbar[1:])
@@ -205,7 +206,7 @@ def solve_stress(
     drag: np.ndarray | None,
     grad_psi: np.ndarray,
     h: np.ndarray,
-    f: VectorField | None,
+    f: np.ndarray | None,
 ) -> np.ndarray:
     """Deviatoric stress corrector M(t) with div M equal to the mean-free part
     of the friction-plus-force right-hand side, mean-zero per slice.  The
@@ -218,7 +219,7 @@ def solve_stress(
             term = drag[k][:, None] * (v[k] + V[k][:, :, None, None] + grad_psi[k])
             rhs -= term - term.mean(axis=(2, 3), keepdims=True)
         if f is not None:
-            force = h[k][:, None] * f.values
+            force = h[k][:, None] * f
             rhs += force - force.mean(axis=(2, 3), keepdims=True)
         live = np.flatnonzero(np.any(rhs != 0.0, axis=(1, 2, 3)))
         if live.size:
@@ -398,7 +399,7 @@ class WorkbenchProblem(Scenario):
     @cached_property
     def height(self) -> np.ndarray:
         psi0 = self.initial_split.psi
-        return design_height(self.h0.values, psi0, self.times, self.amplitude_cap)
+        return design_height(self.h0, psi0, self.times, self.amplitude_cap)
 
     @cached_property
     def potential(self) -> np.ndarray:
@@ -440,7 +441,9 @@ class WorkbenchProblem(Scenario):
 
 def find_energy_offset(problem: WorkbenchProblem) -> float:
     """Smallest constant energy offset whose candidate certifies, bisected to
-    a relative width of 1e-3 and multiplied by a safety factor of 1.1."""
+    a relative width of 1e-3 and multiplied by a safety factor of 1.1.  The
+    search starts from the bracket a max(h0)^2 + delta, doubled until it
+    certifies; a bracket that is not finite aborts."""
 
     def passes(lam: float) -> bool:
         try:
@@ -449,7 +452,10 @@ def find_energy_offset(problem: WorkbenchProblem) -> float:
             return False
 
     lo = 0.0
-    hi = float(problem.a * np.max(problem.h0.values) ** 2 + problem.delta)
+    with np.errstate(over="ignore"):  # such a bracket aborts just below
+        hi = float(problem.a * np.max(problem.h0) ** 2 + problem.delta)
+    if not math.isfinite(hi):
+        raise NumericalAbort(f"energy offset bracket a max(h0)^2 + delta is not finite ({hi})")
     for _ in range(60):
         if passes(hi):
             break

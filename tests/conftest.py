@@ -9,6 +9,17 @@ from shlab.fields import TorusGrid
 settings.register_profile("fuzz-random")
 
 
+def sample(grid, *fns):
+    """Cell-center samples on grid of one function of (x1, x2), an (nx, ny)
+    array, or the (2, nx, ny) stack of two; a number stands for a constant."""
+    x1, x2 = grid.cell_centers()
+    out = np.stack(
+        [np.asarray(fn(x1, x2) if callable(fn) else fn, dtype=float) + np.zeros(grid.shape)
+         for fn in fns]
+    )
+    return out[0] if len(fns) == 1 else out
+
+
 @pytest.fixture
 def grid32():
     return TorusGrid(32, 32)

@@ -7,12 +7,13 @@ conftest) reports one PASS/FAIL line per criterion.
 import numpy as np
 import pytest
 
+from conftest import sample
 from shlab.diagnostics import (
     energy_jump,
     weak_residual,
     weak_strong_experiment,
 )
-from shlab.fields import ScalarField, TorusGrid, VectorField, deviatoric_outer
+from shlab.fields import TorusGrid, deviatoric_outer
 from shlab.friction import FrictionParams
 from shlab.solver import Scenario, Workspace, cfl_dt, simulate, step
 from shlab.spectral import (
@@ -56,8 +57,8 @@ def smooth_scenario(grid, T, n_output=3, u_amp=0.1):
         T=T,
         a=0.5,
         friction=FrictionParams(),
-        h0=ScalarField.from_function(grid, lambda x1, x2: 1.0 + 0.2 * np.sin(TWO_PI * x1)),
-        u0=VectorField.from_functions(
+        h0=sample(grid, lambda x1, x2: 1.0 + 0.2 * np.sin(TWO_PI * x1)),
+        u0=sample(
             grid, lambda x1, x2: u_amp * np.cos(TWO_PI * x2), lambda x1, x2: 0.0 * x1
         ),
         n_output=n_output,
@@ -80,8 +81,8 @@ def canonical_problem(grid, num_steps, gamma=0.3):
         num_steps=num_steps,
         a=0.5,
         friction=FrictionParams(gamma=gamma),
-        h0=ScalarField.constant(grid, 1.0),
-        u0=VectorField.constant(grid, 0.0, 0.0),
+        h0=sample(grid, 1.0),
+        u0=sample(grid, 0.0, 0.0),
         delta=0.1,
     )
 
@@ -120,9 +121,9 @@ def test_criterion_2_elliptic_solver_suite():
 
     # manufactured div-form solve: known m*, forward operator, round trip
     grid = TorusGrid(n, n)
-    m_star = VectorField.from_functions(
+    m_star = sample(
         grid, lambda x1, x2: np.sin(TWO_PI * x2), lambda x1, x2: np.cos(TWO_PI * x1)
-    ).values
+    )
     g1 = grad_values(m_star[0])
     g2 = grad_values(m_star[1])
     ps = np.stack([g1[0] - g2[1], g1[1] + g2[0]])
@@ -176,8 +177,8 @@ def test_criterion_3_solver_conservation_and_decay():
         T=2.2,
         a=0.5,
         friction=FrictionParams(gamma=gamma),
-        h0=ScalarField.constant(grid, 1.0),
-        u0=VectorField.constant(grid, 1.0, 0.0),
+        h0=sample(grid, 1.0),
+        u0=sample(grid, 1.0, 0.0),
     )
     st = decay.initial_state()
     t, max_dt, worst, stop_time = 0.0, 0.0, 0.0, None
@@ -284,7 +285,7 @@ def test_criterion_5_oscillatory_pair_invariants():
 def test_criterion_6_initial_energy_jump():
     grid = TorusGrid(32, 32)
     prob = canonical_problem(grid, num_steps=16, gamma=0.0)
-    threshold = float(np.mean(prob.a * prob.h0.values**2))  # flat data, u0 = 0
+    threshold = float(np.mean(prob.a * prob.h0**2))  # flat data, u0 = 0
 
     jumps = {}
     for offset in (threshold, 0.55, 0.7, 1.0):
@@ -304,10 +305,10 @@ def test_criterion_7_relative_energy_experiment():
             T=0.1,
             a=0.5,
             friction=FrictionParams(),
-            h0=ScalarField.from_function(
+            h0=sample(
                 grid, lambda x1, x2: 1.0 + 0.2 * np.cos(TWO_PI * x1)
             ),
-            u0=VectorField.constant(grid, 0.0, 0.0),
+            u0=sample(grid, 0.0, 0.0),
             n_output=6,
         )
 
@@ -326,8 +327,8 @@ def test_criterion_7_relative_energy_experiment():
             T=0.5,
             a=0.5,
             friction=FrictionParams(),
-            h0=ScalarField.constant(grid, 1.0),
-            u0=VectorField.constant(grid, 0.0, 0.0),
+            h0=sample(grid, 1.0),
+            u0=sample(grid, 0.0, 0.0),
             n_output=11,
         )
 
@@ -349,8 +350,8 @@ def test_criterion_8_weak_formulation_residuals():
         T=0.5,
         a=0.5,
         friction=FrictionParams(),
-        h0=ScalarField.constant(grid, 1.0),
-        u0=VectorField.constant(grid, 0.0, 0.0),
+        h0=sample(grid, 1.0),
+        u0=sample(grid, 0.0, 0.0),
         n_output=6,
     )
     rep = weak_residual(simulate(steady), basis_size=2)
@@ -366,10 +367,10 @@ def test_criterion_8_weak_formulation_residuals():
             T=0.1,
             a=0.5,
             friction=FrictionParams(),
-            h0=ScalarField.from_function(
+            h0=sample(
                 TorusGrid(nx, nx), lambda x1, x2: 1.0 + 0.2 * np.cos(TWO_PI * x1)
             ),
-            u0=VectorField.constant(TorusGrid(nx, nx), 0.0, 0.0),
+            u0=sample(TorusGrid(nx, nx), 0.0, 0.0),
             n_output=n_out,
         )
         reps.append(weak_residual(simulate(scn), basis_size=2))

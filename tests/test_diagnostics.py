@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sample
 from shlab.errors import InvalidValueError
-from shlab.fields import ScalarField, TorusGrid, VectorField
+from shlab.fields import TorusGrid
 from shlab.friction import FrictionParams
 from shlab.diagnostics import (
     _gauss3,
@@ -34,8 +35,8 @@ def uniform_scenario(grid, h=1.0, u=(0.0, 0.0), gamma=0.0, T=1.0, **kw):
         T=T,
         a=0.5,
         friction=FrictionParams(gamma=gamma),
-        h0=ScalarField.constant(grid, h),
-        u0=VectorField.constant(grid, *u),
+        h0=sample(grid, h),
+        u0=sample(grid, *u),
         **kw,
     )
 
@@ -90,8 +91,8 @@ class TestEnergyJump:
             num_steps=16,
             a=0.5,
             friction=FrictionParams(gamma=gamma),
-            h0=ScalarField.constant(grid, 1.0),
-            u0=VectorField.constant(grid, 0.0, 0.0),
+            h0=sample(grid, 1.0),
+            u0=sample(grid, 0.0, 0.0),
             delta=0.1,
         )
         return prob.build(offset)
@@ -155,6 +156,12 @@ class TestRestriction:
         with pytest.raises(InvalidValueError):
             restrict_state(st, TorusGrid(8, 8))
 
+    def test_overflowing_cell_average_is_rejected(self):
+        # 16 fine heights of 1.5e307 sum past the float range, without a warning
+        st = make_state(TorusGrid(16, 16), 1.5e307, 0.0, 0.0)
+        with pytest.raises(InvalidValueError, match="^restricted state is not finite: a cell"):
+            restrict_state(st, TorusGrid(4, 4))
+
 
 def wave_scenario(grid, T=0.1, n_output=6):
     """Smooth frictionless height wave used as weak-strong base data."""
@@ -163,8 +170,8 @@ def wave_scenario(grid, T=0.1, n_output=6):
         T=T,
         a=0.5,
         friction=FrictionParams(),
-        h0=ScalarField.from_function(grid, lambda x1, x2: 1.0 + 0.2 * np.cos(TWO_PI * x1)),
-        u0=VectorField.constant(grid, 0.0, 0.0),
+        h0=sample(grid, lambda x1, x2: 1.0 + 0.2 * np.cos(TWO_PI * x1)),
+        u0=sample(grid, 0.0, 0.0),
         n_output=n_output,
     )
 
@@ -275,8 +282,8 @@ def loop_weak_residual(traj, basis_size):
     def drho(t):
         return -3.0 / T * (1.0 - t / T) ** 2
 
-    gamma = scn.friction.gamma_array
-    fvals = scn.f.values if scn.f is not None else np.zeros((2, *scn.grid.shape))
+    gamma = scn.friction.gamma
+    fvals = scn.f if scn.f is not None else np.zeros((2, *scn.grid.shape))
     h = np.array([s.h for s in traj.states])
     q = np.array([s.q for s in traj.states])
     B = np.array(list(traj.selections))
@@ -330,10 +337,10 @@ def random_trajectory(seed, grid, n_times):
         grid=grid,
         T=1.0,
         a=float(rng.uniform(0.2, 2.0)),
-        friction=FrictionParams(gamma=ScalarField(grid, 0.3 + band_limited(rng, grid, 2, 0.25))),
-        h0=ScalarField.constant(grid, 1.0),
-        u0=VectorField.constant(grid, 0.0, 0.0),
-        f=VectorField(grid, np.stack([band_limited(rng, grid), band_limited(rng, grid)])),
+        friction=FrictionParams(gamma=0.3 + band_limited(rng, grid, 2, 0.25)),
+        h0=sample(grid, 1.0),
+        u0=sample(grid, 0.0, 0.0),
+        f=np.stack([band_limited(rng, grid), band_limited(rng, grid)]),
     )
     times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n_times - 1))])
     times[-1] = 1.0

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sample
 from shlab.errors import EnergyPositivityError, InvalidValueError, PositivityError
-from shlab.fields import ScalarField, TorusGrid, VectorField
+from shlab.fields import TorusGrid
 from shlab.friction import (
     FrictionParams,
     coulomb_selection,
@@ -26,13 +27,13 @@ def const_state(grid, q1, q2, h):
 
 def shrink(q, h, params, dt):
     """friction_shrink with its threshold dt gamma h and scratch made here."""
-    return friction_shrink(q, h, params, dt, dt * params.gamma_array * h, np.empty((2, *h.shape)))
+    return friction_shrink(q, h, params, dt, dt * params.gamma * h, np.empty((2, *h.shape)))
 
 
 class TestParams:
     def test_defaults(self):
         p = FrictionParams()
-        assert p.gamma == 0.0 and p.law == "coulomb"
+        assert p.gamma == 0.0 and p.gamma2 == 0.0
 
     def test_rejects_negative_gamma(self):
         with pytest.raises(InvalidValueError):
@@ -45,31 +46,27 @@ class TestParams:
 
     def test_rejects_nan_gamma2(self):
         with pytest.raises(InvalidValueError, match="gamma2"):
-            FrictionParams(gamma2=float("nan"), law="extended")
-
-    def test_rejects_unknown_law(self):
-        with pytest.raises(InvalidValueError):
-            FrictionParams(law="sticky")
+            FrictionParams(gamma2=float("nan"))
 
     def test_gamma_field_on_wrong_grid(self, grid32):
         # rejected once, when the scenario is built, not on every step
-        gamma = ScalarField.constant(TorusGrid(16, 16), 0.5)
+        gamma = sample(TorusGrid(16, 16), 0.5)
         with pytest.raises(InvalidValueError, match="grid"):
             Scenario(
                 grid=grid32,
                 T=1.0,
                 a=0.5,
                 friction=FrictionParams(gamma=gamma),
-                h0=ScalarField.constant(grid32, 1.0),
-                u0=VectorField.constant(grid32, 0.0, 0.0),
+                h0=sample(grid32, 1.0),
+                u0=sample(grid32, 0.0, 0.0),
             )
 
     def test_active(self, grid32):
         assert not FrictionParams().active
-        assert not FrictionParams(gamma=ScalarField.constant(grid32, 0.0)).active
+        assert not FrictionParams(gamma=sample(grid32, 0.0)).active
         assert FrictionParams(gamma=0.1).active
-        assert FrictionParams(gamma2=0.1, law="extended").active
-        field = ScalarField.from_function(grid32, lambda x1, x2: np.where(x1 < 0.5, 0.0, 0.2))
+        assert FrictionParams(gamma2=0.1).active
+        field = sample(grid32, lambda x1, x2: np.where(x1 < 0.5, 0.0, 0.2))
         assert FrictionParams(gamma=field).active
 
 
@@ -111,7 +108,7 @@ class TestShrink:
     def test_gamma_field_acts_cell_by_cell(self, grid32, rng):
         gamma = rng.uniform(0.0, 3.0, grid32.shape)
         q, h = const_state(grid32, 3.0, 4.0, 1.0)
-        out = shrink(q, h, FrictionParams(gamma=ScalarField(grid32, gamma)), dt=1.0)
+        out = shrink(q, h, FrictionParams(gamma=gamma), dt=1.0)
         # |q| = 5 shrinks by gamma to max(5 - gamma, 0) along (0.6, 0.8)
         expected = np.maximum(5.0 - gamma, 0.0)
         np.testing.assert_allclose(out[0], 0.6 * expected, atol=1e-14)
@@ -155,7 +152,7 @@ class TestShrink:
     def test_extended_law_against_quadratic_oracle(self, grid32):
         # |q'| solves c x^2 + x - |q_c| = 0 after the coulomb shrink
         gamma, gamma2, dt, hval = 0.4, 1.3, 0.05, 0.8
-        params = FrictionParams(gamma=gamma, gamma2=gamma2, law="extended")
+        params = FrictionParams(gamma=gamma, gamma2=gamma2)
         q, h = const_state(grid32, 2.0, -1.0, hval)
         out = shrink(q, h, params, dt)
         mag0 = np.hypot(2.0, -1.0)
@@ -175,7 +172,7 @@ class TestShrink:
     )
     def test_resolvent_is_a_contraction_toward_zero(self, q1, q2, gamma, gamma2, dt):
         grid = TorusGrid(4, 4)
-        params = FrictionParams(gamma=gamma, gamma2=gamma2, law="extended")
+        params = FrictionParams(gamma=gamma, gamma2=gamma2)
         q, h = const_state(grid, q1, q2, 1.0)
         out = shrink(q, h, params, dt)
         mag_in = np.hypot(q1, q2)
@@ -198,7 +195,7 @@ class TestCoefficientField:
         out = friction_coefficient_values(
             np.full(grid32.shape, 2.0),
             np.ones(grid32.shape),
-            FrictionParams(gamma=1.0, gamma2=1.0, law="extended"),
+            FrictionParams(gamma=1.0, gamma2=1.0),
         )
         np.testing.assert_allclose(out, 2.0)
 
@@ -215,12 +212,12 @@ class TestCoefficientField:
             )
 
     def test_stack_equals_slices_with_gamma_field(self, grid32, rng):
-        gamma = ScalarField(grid32, rng.uniform(0.0, 1.0, grid32.shape))
-        params = FrictionParams(gamma=gamma, gamma2=0.3, law="extended")
+        gamma = rng.uniform(0.0, 1.0, grid32.shape)
+        params = FrictionParams(gamma=gamma, gamma2=0.3)
         h = rng.uniform(0.5, 1.5, (5, *grid32.shape))
         E = rng.uniform(0.1, 1.0, (5, *grid32.shape))
         out = friction_coefficient_values(h, E, params)
         for k in range(5):
-            expected = gamma.values * np.sqrt(h[k] / (2.0 * E[k])) + 0.3 * np.sqrt(2.0 * E[k] / h[k])
+            expected = gamma * np.sqrt(h[k] / (2.0 * E[k])) + 0.3 * np.sqrt(2.0 * E[k] / h[k])
             np.testing.assert_array_equal(out[k], friction_coefficient_values(h[k], E[k], params))
             np.testing.assert_allclose(out[k], expected, rtol=1e-15)

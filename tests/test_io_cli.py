@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from shlab import cli, diagnostics, errors, fields, solver, workbench
 from shlab.errors import FormatError, InvalidValueError, NumericalAbort, ParseError, ValidationError
-from shlab.fields import ScalarField, TorusGrid
+from shlab.fields import TorusGrid
 from shlab.scenario import eval_expression, load_config
 from shlab.snapshots import read_snapshot, write_snapshot
 
@@ -153,12 +153,21 @@ class TestScenarioParsing:
         assert scn.a == 0.5
         assert scn.friction.gamma == 0.0
         assert scn.n_output == 3
-        np.testing.assert_allclose(float(scn.h0.values.mean()), 1.0, atol=1e-12)
+        np.testing.assert_allclose(float(scn.h0.mean()), 1.0, atol=1e-12)
 
     def test_unknown_key_named_in_error(self, tmp_path):
         p = write_scenario(tmp_path, MINIMAL + "phyiscs.a = 0.5\n")
         with pytest.raises(ParseError, match="phyiscs.a"):
             load_config(p)
+
+    def test_friction_law_key_is_unknown(self, tmp_path, capsys):
+        # friction.gamma2 > 0 selects the extended law; there is no law key
+        p = write_scenario(tmp_path, MINIMAL + "friction.law = extended\n")
+        assert cli.main(["simulate", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"shlab: validation error: {p}:7: unknown key 'friction.law'\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_duplicate_key(self, tmp_path):
         p = write_scenario(tmp_path, MINIMAL + "grid.nx = 32\n")
@@ -198,7 +207,7 @@ class TestScenarioParsing:
             tmp_path, MINIMAL.replace("1 + 0.1*cos(2*pi*x1)", "@h0.shlab")
         )
         scn = load_config(p).to_scenario()
-        np.testing.assert_array_equal(scn.h0.values, h)
+        np.testing.assert_array_equal(scn.h0, h)
 
     def test_snapshot_reference_grid_mismatch(self, tmp_path):
         write_snapshot("scalar", np.ones((8, 8)), tmp_path / "h0.shlab")
@@ -221,7 +230,7 @@ class TestScenarioParsing:
     def test_spatially_varying_gamma(self, tmp_path):
         p = write_scenario(tmp_path, MINIMAL + "friction.gamma = 0.2 + 0.1*cos(2*pi*x1)\n")
         scn = load_config(p).to_scenario()
-        assert isinstance(scn.friction.gamma, ScalarField)
+        assert isinstance(scn.friction.gamma, np.ndarray) and scn.friction.gamma.shape == (16, 16)
 
     def test_workbench_problem_from_config(self, tmp_path):
         cfg = load_config(write_scenario(tmp_path, MINIMAL + "workbench.time_nodes = 8\n"))
@@ -633,13 +642,13 @@ def test_workbench_exit_codes_are_documented(
     osc_n=st.integers(1, 16),
     delta=st.floats(0.01, 0.5),
     gamma=st.sampled_from(["0", "0.2", "0.3 + 0.1*cos(2*pi*x2)"]),
-    law=st.sampled_from(["coulomb", "extended"]),
+    gamma2=st.sampled_from(["0", "0.1"]),
     force=st.one_of(st.none(), st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))),
     seed=st.integers(0, 2**31),
     chunk_nodes=st.integers(1, 4),
 )
 def test_workbench_artifacts_do_not_depend_on_the_node_chunks(
-    time_nodes, osc_n, delta, gamma, law, force, seed, chunk_nodes
+    time_nodes, osc_n, delta, gamma, gamma2, force, seed, chunk_nodes
 ):
     """Every artifact but run_manifest.json is byte-identical whether each
     per-node pass runs on chunks of 1 to 4 nodes or on one chunk (at 8^2 a
@@ -649,8 +658,7 @@ def test_workbench_artifacts_do_not_depend_on_the_node_chunks(
         "workbench.osc_n": str(osc_n),
         "workbench.delta": repr(delta),
         "friction.gamma": gamma,
-        "friction.law": law,
-        "friction.gamma2": "0.1",
+        "friction.gamma2": gamma2,
         "force.fx": None if force is None else repr(force[0]),
         "force.fy": None if force is None else repr(force[1]),
     }
@@ -685,7 +693,6 @@ BROKEN = st.tuples(
             "physics.T",
             "physics.a",
             "physics.cfl",
-            "friction.law",
             "friction.gamma",
             "friction.gamma2",
             "output.times",
@@ -702,7 +709,6 @@ BROKEN = st.tuples(
     a=_maybe(st.floats(1e-3, 10.0)),
     cfl=_maybe(st.floats(0.02, 0.5)),
     u0=st.floats(-10.0, 10.0),
-    law=_maybe(st.sampled_from(["coulomb", "extended"])),
     gamma=_maybe(
         st.one_of(st.floats(0.0, 5.0).map(repr), st.just("0.2 + 0.1*cos(2*pi*x1)"))
     ),
@@ -712,7 +718,7 @@ BROKEN = st.tuples(
     broken=_maybe(BROKEN),
 )
 def test_simulate_exit_codes_are_documented(
-    T, a, cfl, u0, law, gamma, gamma2, times, seed, broken
+    T, a, cfl, u0, gamma, gamma2, times, seed, broken
 ):
     """Whatever the physics, friction, output and seed keys, the command exits
     0, 2, 3 or 4, and no traceback or RuntimeWarning escapes it.
@@ -724,7 +730,6 @@ def test_simulate_exit_codes_are_documented(
         "physics.a": a,
         "physics.cfl": cfl,
         "initial.u0x": f"{u0!r}*cos(2*pi*x2)",
-        "friction.law": law,
         "friction.gamma": gamma,
         "friction.gamma2": gamma2,
         "output.times": times,
@@ -1272,11 +1277,11 @@ class TestFuzzFindings:
         # energy_gap overflowed; later an empty --out and overflow warnings on
         # stderr.  extended: the term gamma2 sqrt(2E/h) overflowed, with
         # RuntimeWarnings ahead of the exit-3 line "I = nan"
-        for law, message in (
-            ("coulomb", "energy gap I is not finite (I = -inf)"),
-            ("extended", "friction drag is not finite (max E = 1.000e+308)"),
+        for law, gamma2, message in (
+            ("coulomb", "0", "energy gap I is not finite (I = -inf)"),
+            ("extended", "0.1", "friction drag is not finite (max E = 1.000e+308)"),
         ):
-            overrides = {"workbench.lambda": "1e308", "friction.law": law, "friction.gamma2": "0.1"}
+            overrides = {"workbench.lambda": "1e308", "friction.gamma2": gamma2}
             (tmp_path / law).mkdir()
             scn = scenario8(tmp_path / law, overrides)
             out = tmp_path / law / "wb"
@@ -1301,7 +1306,7 @@ class TestFuzzFindings:
             # the exit-3 line "energy gap I is not finite (I = inf)": the RK4 of
             # the mean momentum overflowed under a drag of about 1e149
             (
-                {"workbench.lambda": "1e300", "friction.law": "extended", "friction.gamma2": "0.1"},
+                {"workbench.lambda": "1e300", "friction.gamma2": "0.1"},
                 3,
                 "numerical abort: mean momentum V is not finite (dt = 1.250e-01)",
             ),
@@ -1323,7 +1328,7 @@ class TestFuzzFindings:
         assert capsys.readouterr().err == (f"shlab: {message}\n" if message else "")
         assert out.exists() == (code == 0)
 
-    INFINITE_ENERGY = "initial energy is not finite (total = inf)"
+    INFINITE_ENERGY = "ledger kinetic is not finite at t = 0 (kinetic = inf)"
 
     @pytest.mark.parametrize(
         "overrides,code,message",
@@ -1389,20 +1394,42 @@ class TestCheckOwners:
         )
         assert not out.exists()
 
-    # the ledger's mass of the 4x-refined run overflows first, with a warning
-    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
-    @pytest.mark.parametrize("command", [["convergence"], ["wsu", "--eps", "0,0.01"]])
-    def test_overflowing_cell_average_exits_2(self, tmp_path, capsys, command):
-        # restrict_state checks its averages: 16 fine heights of 1.5e307 sum past the float range
-        overrides = {
-            "grid.nx": "4", "grid.ny": "4", "physics.T": "0.01", "physics.a": "1e-310",
-            "initial.h0": "1.5e307", "initial.u0y": None, "output.times": "3",
-        }
-        scn = scenario8(tmp_path, overrides, base=SIMULATE8)
+    # 16 heights of 1.5e307 sum past the float range: the mean of a 4x4 grid
+    # overflows, and so does a cell average of the 4x-refined run
+    OVERFLOWING_MASS = {
+        "grid.nx": "4", "grid.ny": "4", "physics.T": "0.01", "physics.a": "1e-310",
+        "initial.h0": "1.5e307", "initial.u0y": None, "output.times": "3",
+    }
+    LEDGER_MASS = "numerical abort: ledger mass is not finite at t = 0 (mass = inf)"
+
+    def test_overflowing_ledger_exits_3(self, tmp_path, capsys):
+        # EnergyLedger.append checks each row; simulate wrote mass = inf in
+        # every row, with an overflow warning, and exited 0
+        scn = scenario8(tmp_path, self.OVERFLOWING_MASS, base=SIMULATE8)
         out = tmp_path / "out"
-        assert cli.main([command[0], scn, *command[1:], "--out", str(out)]) == 2
+        assert cli.main(["simulate", scn, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"shlab: {self.LEDGER_MASS}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["convergence"], ["wsu", "--eps", "0,0.01"]])
+    def test_overflowing_refined_ledger_exits_3(self, tmp_path, capsys, command):
+        # the refined run's ledger aborts before restrict_state sees a state;
+        # restrict_state's own check is tested in tests/test_diagnostics.py
+        scn = scenario8(tmp_path, self.OVERFLOWING_MASS, base=SIMULATE8)
+        out = tmp_path / "out"
+        assert cli.main([command[0], scn, *command[1:], "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"shlab: {self.LEDGER_MASS}\n"
+        assert not out.exists()
+
+    def test_overflowing_offset_bracket_exits_3(self, tmp_path, capsys):
+        # find_energy_offset forms its first bracket a max(h0)^2 + delta under
+        # errstate; an overflow warning preceded the exit-3 line "offset = inf"
+        scn = scenario8(tmp_path, {"initial.h0": "1e200"})
+        out = tmp_path / "wb"
+        assert cli.main(["workbench", scn, "--steps", "1", "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
-            "shlab: validation error: restricted state is not finite: a cell average overflows\n"
+            "shlab: numerical abort: energy offset bracket a max(h0)^2 + delta is not finite "
+            "(inf)\n"
         )
         assert not out.exists()
 

@@ -9,8 +9,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import sample
 from shlab.errors import InvalidValueError, NumericalAbort, PositivityError
-from shlab.fields import ScalarField, TorusGrid, VectorField
+from shlab.fields import TorusGrid
 from shlab.friction import FrictionParams, friction_shrink
 from shlab import cli, solver
 from shlab.solver import (
@@ -31,8 +32,8 @@ def uniform_scenario(grid, h=1.0, u=(0.0, 0.0), gamma=0.0, a=0.5, T=1.0, **kw):
         T=T,
         a=a,
         friction=FrictionParams(gamma=gamma),
-        h0=ScalarField.constant(grid, h),
-        u0=VectorField.constant(grid, *u),
+        h0=sample(grid, h),
+        u0=sample(grid, *u),
         **kw,
     )
 
@@ -43,8 +44,8 @@ def smooth_scenario(grid, T=0.2, **kw):
         T=T,
         a=0.5,
         friction=FrictionParams(),
-        h0=ScalarField.from_function(grid, lambda x1, x2: 1.0 + 0.2 * np.sin(2 * np.pi * x1)),
-        u0=VectorField.from_functions(
+        h0=sample(grid, lambda x1, x2: 1.0 + 0.2 * np.sin(2 * np.pi * x1)),
+        u0=sample(
             grid, lambda x1, x2: 0.1 * np.cos(2 * np.pi * x2), lambda x1, x2: 0.0 * x1
         ),
         **kw,
@@ -109,10 +110,10 @@ class TestStateAndScenario:
     def test_every_input_field_lives_on_the_scenario_grid(self, grid32, name):
         other = TorusGrid(16, 16)
         foreign = {
-            "h0": ScalarField.constant(other, 1.0),
-            "u0": VectorField.constant(other, 0.0, 0.0),
-            "f": VectorField.constant(other, 0.1, 0.0),
-            "friction": FrictionParams(gamma=ScalarField.constant(other, 0.2)),
+            "h0": sample(other, 1.0),
+            "u0": sample(other, 0.0, 0.0),
+            "f": sample(other, 0.1, 0.0),
+            "friction": FrictionParams(gamma=sample(other, 0.2)),
         }
         key = "friction" if name == "gamma" else name
         inputs = dict(
@@ -120,11 +121,33 @@ class TestStateAndScenario:
             T=1.0,
             a=0.5,
             friction=FrictionParams(),
-            h0=ScalarField.constant(grid32, 1.0),
-            u0=VectorField.constant(grid32, 0.0, 0.0),
+            h0=sample(grid32, 1.0),
+            u0=sample(grid32, 0.0, 0.0),
         )
         with pytest.raises(InvalidValueError, match=f"{name} field lives on a different grid"):
             Scenario(**{**inputs, key: foreign[key]})
+
+    @pytest.mark.parametrize(
+        "name,what", [("h0", "initial height h0"), ("u0", "initial velocity u0"), ("f", "force f")]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_every_input_is_finite(self, grid32, name, what, bad):
+        # checked before h0 > 0, which NaN would pass
+        values = {
+            "h0": sample(grid32, 1.0), "u0": sample(grid32, 0.0, 0.0), "f": sample(grid32, 0.1, 0.0)
+        }
+        values[name].flat[-1] = bad
+        with pytest.raises(InvalidValueError, match=f"^{what} contains non-finite values$"):
+            Scenario(grid=grid32, T=1.0, a=0.5, friction=FrictionParams(), **values)
+
+    def test_inputs_are_stored_as_float64_arrays(self, grid32):
+        scn = Scenario(
+            grid=grid32, T=1.0, a=0.5, friction=FrictionParams(gamma=np.ones(grid32.shape, int)),
+            h0=np.ones(grid32.shape, int).tolist(), u0=np.zeros((2, *grid32.shape), int),
+        )
+        for values in (scn.h0, scn.u0, scn.friction.gamma):
+            assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert scn.f is None
 
     def test_initial_state_momentum(self, grid32):
         scn = uniform_scenario(grid32, h=2.0, u=(1.5, 0.0))
@@ -294,8 +317,8 @@ class TestStep:
             T=1.0,
             a=0.5,
             friction=FrictionParams(),
-            h0=ScalarField.from_function(grid32, lambda x1, x2: 1.0 + 0.9 * np.sin(2 * np.pi * x1)),
-            u0=VectorField.constant(grid32, 2.0, 0.0),
+            h0=sample(grid32, lambda x1, x2: 1.0 + 0.9 * np.sin(2 * np.pi * x1)),
+            u0=sample(grid32, 2.0, 0.0),
         )
         st0 = scn.initial_state()
         work = state_work(st0, scn.a)
@@ -338,9 +361,9 @@ def test_positivity_and_mass_under_the_cfl_bound(shape, coeffs, h_min, speed, a,
         T=1.0,
         a=a,
         friction=FrictionParams(gamma=gamma),
-        h0=ScalarField(grid, h0),
-        u0=VectorField(grid, u0),
-        f=VectorField.constant(grid, 0.3, -0.1),
+        h0=h0,
+        u0=u0,
+        f=sample(grid, 0.3, -0.1),
         cfl=cfl,
     )
     state = scn.initial_state()
@@ -377,12 +400,12 @@ def oracle_rusanov_flux(h, q1, q2, a, axis):
 
 def oracle_friction_shrink(q, h, params, dt):
     norm = np.hypot(q[0], q[1])
-    thresh = dt * params.gamma_array * h
+    thresh = dt * params.gamma * h
     # thresh / norm may overflow in a cell that stops, where it is discarded
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         factor = np.where(norm > thresh, 1.0 - thresh / np.where(norm > 0, norm, 1.0), 0.0)
     out = q * factor
-    if params.law == "extended" and params.gamma2 > 0.0:
+    if params.gamma2 > 0.0:
         c = dt * params.gamma2 / h
         mag = np.hypot(out[0], out[1])
         new_mag = 2.0 * mag / (1.0 + np.sqrt(1.0 + 4.0 * c * mag))
@@ -406,7 +429,7 @@ def oracle_step(state, scenario, dt):
             w -= coef * (fl - np.roll(fl, 1, axis=axis))
     friction = scenario.friction
     q_post = oracle_friction_shrink(q_pre, hn, friction, dt) if friction.active else q_pre
-    gamma = friction.gamma_array
+    gamma = friction.gamma
     denom = dt * gamma * hn
     d = q_pre - q_post
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -420,7 +443,7 @@ def oracle_step(state, scenario, dt):
     u_post = q_post / hn
     diss_inc = dt * float(np.mean(gamma * hn * (B[0] * u_post[0] + B[1] * u_post[1])))
     if scenario.f is not None:
-        f = scenario.f.values
+        f = scenario.f
         q_final = q_post + dt * hn * f
         u_final = q_final / hn
         work_inc = dt * float(np.mean(hn * (f[0] * u_final[0] + f[1] * u_final[1])))
@@ -460,20 +483,19 @@ def step_cases(draw):
     u[:, draw(arrays(np.bool_, shape))] = 0.0
     gamma = draw(st.floats(0.0, 50.0))
     if draw(st.booleans()):
-        gamma = ScalarField(grid, np.maximum(gamma * (0.5 + band_limited(c[12:16], x1, x2)), 0.0))
-    law = draw(st.sampled_from(["coulomb", "extended"]))
-    gamma2 = draw(st.floats(0.0, 5.0)) if law == "extended" else 0.0
+        gamma = np.maximum(gamma * (0.5 + band_limited(c[12:16], x1, x2)), 0.0)
+    gamma2 = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))  # > 0: the extended law
     force = None
     if draw(st.booleans()):
-        force = VectorField(grid, np.stack([0.5 + 0.0 * x1, band_limited(c[0:4], x2, x1)]))
+        force = np.stack([0.5 + 0.0 * x1, band_limited(c[0:4], x2, x1)])
     a = draw(st.floats(0.05, 2.0))
     scn = Scenario(
         grid=grid,
         T=1.0,
         a=a,
-        friction=FrictionParams(gamma=gamma, gamma2=gamma2, law=law),
-        h0=ScalarField(grid, h),
-        u0=VectorField(grid, u),
+        friction=FrictionParams(gamma=gamma, gamma2=gamma2),
+        h0=h,
+        u0=u,
         f=force,
     )
     state = scn.initial_state()
@@ -489,10 +511,10 @@ def step_cases(draw):
     scales=st.tuples(*[st.integers(-3, 307)] * 3),
     a=st.floats(1e-3, 2.0),
     gamma=st.floats(0.0, 50.0),
-    law=st.sampled_from(["coulomb", "extended"]),
+    gamma2=st.sampled_from([0.0, 1.0]),
     fraction=st.floats(0.05, 1.0),
 )
-def test_a_step_returns_a_finite_state_or_aborts(shape, c, scales, a, gamma, law, fraction):
+def test_a_step_returns_a_finite_state_or_aborts(shape, c, scales, a, gamma, gamma2, fraction):
     """Band-limited h, q and force of magnitudes 1e-3 to 1e307, and a dt
     from cfl_dt: the new h is finite and positive and the new q finite,
     unless the step raises NumericalAbort.  The new q has no check of its
@@ -504,10 +526,10 @@ def test_a_step_returns_a_finite_state_or_aborts(shape, c, scales, a, gamma, law
     h = h_scale * (1e-3 + bump - bump.min())
     q = q_scale * np.stack([band_limited(c[4:8], x1, x2), band_limited(c[8:12], x1, x2)])
     force = f_scale * np.stack([0.5 + 0.0 * x1, band_limited(c[12:16], x2, x1)])
-    friction = FrictionParams(gamma=gamma, gamma2=1.0 if law == "extended" else 0.0, law=law)
+    friction = FrictionParams(gamma=gamma, gamma2=gamma2)
     scn = Scenario(
-        grid=grid, T=1.0, a=a, friction=friction, h0=ScalarField(grid, h),
-        u0=VectorField.constant(grid, 0.0, 0.0), f=VectorField(grid, force),
+        grid=grid, T=1.0, a=a, friction=friction, h0=h,
+        u0=sample(grid, 0.0, 0.0), f=force,
     )
     state = State(h, q)
     with np.errstate(all="ignore"):  # overflows are what this test provokes
@@ -544,7 +566,7 @@ class TestWorkspaceStep:
         if scn.friction.active:
             q = state.q
             h = state.h
-            thresh = dt * scn.friction.gamma_array * h
+            thresh = dt * scn.friction.gamma * h
             got = friction_shrink(q, h, scn.friction, dt, thresh, np.empty((2, *h.shape)))
             assert got.tobytes() == oracle_friction_shrink(q, h, scn.friction, dt).tobytes()
 
@@ -556,12 +578,12 @@ class TestWorkspaceStep:
             grid=grid,
             T=1.0,
             a=0.5,
-            friction=FrictionParams(gamma=0.4, gamma2=2.0, law="extended"),
-            h0=ScalarField.from_function(grid, lambda x1, x2: 1.0 + 0.3 * np.sin(2 * np.pi * x2)),
-            u0=VectorField.from_functions(
+            friction=FrictionParams(gamma=0.4, gamma2=2.0),
+            h0=sample(grid, lambda x1, x2: 1.0 + 0.3 * np.sin(2 * np.pi * x2)),
+            u0=sample(
                 grid, lambda x1, x2: np.sin(2 * np.pi * (x1 - 1 / 16)), lambda x1, x2: 0.2 + 0 * x1
             ),
-            f=VectorField.constant(grid, 0.1, -0.2),
+            f=sample(grid, 0.1, -0.2),
         )
         state = scn.initial_state()
         work = state_work(state, scn.a)
@@ -578,9 +600,9 @@ class TestWorkspaceStep:
             grid=grid,
             T=1.0,
             a=1.0,
-            friction=FrictionParams(gamma=2.225073858507e-311, gamma2=1.0, law="extended"),
-            h0=ScalarField.from_function(grid, lambda x1, x2: 2.0 + np.sin(2 * np.pi * x1)),
-            u0=VectorField.constant(grid, 0.6, -0.8),
+            friction=FrictionParams(gamma=2.225073858507e-311, gamma2=1.0),
+            h0=sample(grid, lambda x1, x2: 2.0 + np.sin(2 * np.pi * x1)),
+            u0=sample(grid, 0.6, -0.8),
         )
         state = scn.initial_state()
         work = state_work(state, scn.a)
@@ -647,10 +669,10 @@ class TestWorkspaceStep:
             grid=grid64,
             T=0.1,
             a=0.5,
-            friction=FrictionParams(gamma=ScalarField(grid64, 0.2 + 0.1 * np.cos(2 * np.pi * x1))),
-            h0=ScalarField(grid64, 1 + 0.2 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x2)),
-            u0=VectorField(grid64, np.stack([0.3 * np.cos(2 * np.pi * x2), 0 * x1])),
-            f=VectorField.constant(grid64, 0.1, 0.0),
+            friction=FrictionParams(gamma=0.2 + 0.1 * np.cos(2 * np.pi * x1)),
+            h0=1 + 0.2 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x2),
+            u0=np.stack([0.3 * np.cos(2 * np.pi * x2), 0 * x1]),
+            f=sample(grid64, 0.1, 0.0),
         )
         state = scn.initial_state()
         work = state_work(state, scn.a)
@@ -705,9 +727,9 @@ class TestSimulate:
             T=0.5,
             a=0.5,
             friction=FrictionParams(),
-            h0=ScalarField.constant(grid32, 1.0),
-            u0=VectorField.constant(grid32, 0.0, 0.0),
-            f=VectorField.constant(grid32, 0.2, 0.0),
+            h0=sample(grid32, 1.0),
+            u0=sample(grid32, 0.0, 0.0),
+            f=sample(grid32, 0.2, 0.0),
             n_output=6,
         )
         traj = simulate(scn)
@@ -733,11 +755,11 @@ def forced_friction_scenario(grid):
         T=0.2,
         a=0.5,
         friction=FrictionParams(gamma=0.3),
-        h0=ScalarField.from_function(grid, lambda x1, x2: 1.0 + 0.2 * np.sin(2 * np.pi * x1)),
-        u0=VectorField.from_functions(
+        h0=sample(grid, lambda x1, x2: 1.0 + 0.2 * np.sin(2 * np.pi * x1)),
+        u0=sample(
             grid, lambda x1, x2: 0.4 * np.cos(2 * np.pi * x2), lambda x1, x2: 0.0 * x1
         ),
-        f=VectorField.constant(grid, 0.1, 0.0),
+        f=sample(grid, 0.1, 0.0),
         n_output=7,
     )
 

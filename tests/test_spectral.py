@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import sample
 from shlab.errors import SolvabilityError
-from shlab.fields import ScalarField, TorusGrid, VectorField
+from shlab.fields import TorusGrid
 from shlab.spectral import (
     MEAN_TOL,
     div_traceless_values,
@@ -21,11 +22,6 @@ from shlab.spectral import (
 )
 
 TWO_PI = 2.0 * np.pi
-
-
-def sample(grid, fn):
-    x1, x2 = grid.cell_centers()
-    return fn(x1, x2)
 
 
 def band_limited(rng, n, kmax=None):
@@ -76,11 +72,12 @@ class TestDerivatives:
         )
 
     def test_wrapper_types(self, grid64):
-        f = ScalarField.from_function(grid64, lambda x1, x2: np.cos(TWO_PI * x2))
-        # the field constructors check the (2, nx, ny) and (nx, ny) shapes
-        g = VectorField(grid64, grad_values(f.values))
-        d = ScalarField(grid64, div_values(g.values))
-        np.testing.assert_allclose(d.values, laplacian_values(f.values), atol=1e-9)
+        f = sample(grid64, lambda x1, x2: np.cos(TWO_PI * x2))
+        # the arrays carry the grid in their (2, nx, ny) and (nx, ny) shapes
+        g = grad_values(f)
+        d = div_values(g)
+        assert g.shape == (2, *grid64.shape) and d.shape == grid64.shape
+        np.testing.assert_allclose(d, laplacian_values(f), atol=1e-9)
 
 
 class TestPoisson:
@@ -150,18 +147,18 @@ class TestKorn:
         assert not np.any(korn_solve_values(np.zeros((2, *grid64.shape))))
 
     def test_forward_inverse_round_trip(self, grid64):
-        m_star = VectorField.from_functions(
+        m_star = sample(
             grid64, lambda x1, x2: np.sin(TWO_PI * x2), lambda x1, x2: np.cos(TWO_PI * x1)
         )
         # forward operator div(grad m + grad^T m - div m I) via spectral ops
-        g1 = grad_values(m_star.values[0])
-        g2 = grad_values(m_star.values[1])
+        g1 = grad_values(m_star[0])
+        g2 = grad_values(m_star[1])
         ps = np.stack([g1[0] - g2[1], g1[1] + g2[0]])
         rhs = div_traceless_values(ps)
         np.testing.assert_allclose(korn_solve_values(rhs), ps, atol=1e-9)
         # m = -(vector Poisson solve of rhs), the field whose symmetric gradient M is
         m, _ = korn_poisson_then_gradient(rhs)
-        np.testing.assert_allclose(m, m_star.values, atol=1e-9)
+        np.testing.assert_allclose(m, m_star, atol=1e-9)
 
     def test_constant_rhs_unsolvable(self, grid64):
         rhs = np.zeros((2, *grid64.shape))
@@ -309,9 +306,6 @@ class TestSolvabilityTolerance:
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "shlab"
-# the one transform outside spectral.py: the real-input DFT coefficients of the
-# weak residual
-FFT_EXCEPTIONS = {("diagnostics.py", "_mode_coefficients")}
 
 
 def _layer_violations(path):
@@ -347,10 +341,7 @@ def test_one_spectral_layer():
     for path in sorted(SRC.glob("*.py")):
         if path.name == "spectral.py":
             continue
-        for owner, what in _layer_violations(path):
-            if what == "numpy.fft" and (path.name, owner) in FFT_EXCEPTIONS:
-                continue
-            bad.append(f"{path.name}:{owner}: {what}")
+        bad += [f"{path.name}:{owner}: {what}" for owner, what in _layer_violations(path)]
     assert not bad, bad
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import sample
 from shlab import spectral, workbench
 from shlab.errors import (
     ConstraintError,
@@ -15,13 +16,7 @@ from shlab.errors import (
     PositivityError,
     SolvabilityError,
 )
-from shlab.fields import (
-    ScalarField,
-    TorusGrid,
-    VectorField,
-    deviatoric_outer,
-    time_derivative,
-)
+from shlab.fields import TorusGrid, deviatoric_outer, time_derivative
 from shlab.friction import FrictionParams, friction_coefficient_values
 from shlab.spectral import div_traceless_values, div_values, grad_values, korn_solve_values
 from shlab.workbench import (
@@ -51,8 +46,8 @@ def canonical_problem(grid, num_steps=32, gamma=0.3, delta=0.1):
         num_steps=num_steps,
         a=0.5,
         friction=FrictionParams(gamma=gamma),
-        h0=ScalarField.constant(grid, 1.0),
-        u0=VectorField.constant(grid, 0.0, 0.0),
+        h0=sample(grid, 1.0),
+        u0=sample(grid, 0.0, 0.0),
         delta=delta,
     )
 
@@ -200,7 +195,7 @@ class TestMeanMomentum:
 
     def test_pure_quadrature_of_force(self, grid32):
         times, h, zero, _ = self.setup_fields(grid32)
-        f = VectorField.constant(grid32, 1.0, 0.0)
+        f = sample(grid32, 1.0, 0.0)
         V = solve_mean_momentum(zero, None, zero, h, f, (0.0, 0.0), times[1])
         np.testing.assert_allclose(V[:, 0], times, atol=1e-12)
         np.testing.assert_allclose(V[:, 1], 0.0, atol=1e-14)
@@ -221,7 +216,7 @@ def rk4_with_interp(v, drag, grad_psi, h, f, V0, times):
     cbar = coef.mean(axis=(1, 2))
     rhs = coef[:, None] * (v + grad_psi)
     if f is not None:
-        rhs = rhs + h[:, None] * f.values[None]
+        rhs = rhs + h[:, None] * f[None]
     bbar = rhs.mean(axis=(2, 3))
 
     def rate(t, V):
@@ -251,7 +246,7 @@ def test_mean_momentum_matches_interp_rk4(seed):
     h = rng.uniform(0.5, 1.5, shape)
     drag = None if seed == 0 else rng.uniform(0.0, 2.0, shape)
     v, grad_psi = rng.standard_normal((2, K + 1, 2, *grid.shape))
-    f = None if seed == 1 else VectorField(grid, rng.standard_normal((2, *grid.shape)))
+    f = None if seed == 1 else rng.standard_normal((2, *grid.shape))
     V0 = rng.standard_normal(2)
     V = solve_mean_momentum(v, drag, grad_psi, h, f, V0, float(times[1] - times[0]))
     V_ref = rk4_with_interp(v, drag, grad_psi, h, f, V0, times)
@@ -269,19 +264,19 @@ class TestStress:
     def test_constant_force_gives_zero(self, grid32):
         _, h, zero, _ = self.setup_fields(grid32)
         V = np.zeros((h.shape[0], 2))
-        M = solve_stress(zero, V, None, zero, h, VectorField.constant(grid32, 2.0, -1.0))
+        M = solve_stress(zero, V, None, zero, h, sample(grid32, 2.0, -1.0))
         assert not np.any(M)
 
     def test_sine_force_forward_divergence(self, grid32):
         _, h, zero, _ = self.setup_fields(grid32)
         V = np.zeros((h.shape[0], 2))
-        f = VectorField.from_functions(
+        f = sample(
             grid32, lambda x1, x2: np.sin(TWO_PI * x2), lambda x1, x2: 0.0 * x1
         )
         M = solve_stress(zero, V, None, zero, h, f)
         for k in (0, 4, 8):
             div_M = div_traceless_values(M[k])
-            np.testing.assert_allclose(div_M, f.values, atol=1e-9)
+            np.testing.assert_allclose(div_M, f, atol=1e-9)
 
     def test_full_rhs_forward_oracle(self, grid32, rng):
         times, h, zero, E = self.setup_fields(grid32)
@@ -291,7 +286,7 @@ class TestStress:
         v = np.broadcast_to(w, (times.size, 2, 32, 32))
         V = np.tile([0.05, -0.02], (times.size, 1))
         drag = friction_coefficient_values(h, E, FrictionParams(gamma=0.4))
-        f = VectorField.from_functions(
+        f = sample(
             grid32, lambda x1, x2: 0.2 * np.cos(TWO_PI * x1), lambda x1, x2: 0.0 * x1
         )
         M = solve_stress(v, V, drag, zero, h, f)
@@ -299,8 +294,7 @@ class TestStress:
         for k in (0, 8):
             term = coef * (v[k] + V[k][:, None, None])
             rhs = -(term - term.mean(axis=(1, 2))[:, None, None])
-            force = f.values
-            rhs = rhs + force - force.mean(axis=(1, 2))[:, None, None]
+            rhs = rhs + f - f.mean(axis=(1, 2))[:, None, None]
             np.testing.assert_allclose(div_traceless_values(M[k]), rhs, atol=1e-9)
 
     def test_grad_potential_enters_the_drag(self, grid32):
@@ -322,11 +316,11 @@ def nonflat_problem(grid, num_steps=8):
         num_steps=num_steps,
         a=0.5,
         friction=FrictionParams(gamma=0.2),
-        h0=ScalarField.from_function(grid, lambda x1, x2: 1.0 + 0.05 * np.cos(TWO_PI * x1)),
-        u0=VectorField.from_functions(
+        h0=sample(grid, lambda x1, x2: 1.0 + 0.05 * np.cos(TWO_PI * x1)),
+        u0=sample(
             grid, lambda x1, x2: 0.1 * np.sin(TWO_PI * x2), lambda x1, x2: 0.0 * x1
         ),
-        f=VectorField.constant(grid, 0.1, 0.0),
+        f=sample(grid, 0.1, 0.0),
         delta=0.05,
     )
 
@@ -387,14 +381,14 @@ class TestProblemValidation:
             ({"a": -1.0}, InvalidValueError, "pressure coefficient"),
             ({"a": 0.0}, InvalidValueError, "pressure coefficient"),
             ({"a": float("nan")}, InvalidValueError, "pressure coefficient"),
-            ({"h0": ScalarField.constant(GRID32, 0.0)}, PositivityError, "h0 > 0"),
+            ({"h0": sample(GRID32, 0.0)}, PositivityError, "h0 > 0"),
             (
-                {"h0": ScalarField(GRID32, np.cos(TWO_PI * GRID32.cell_centers()[0]))},
+                {"h0": np.cos(TWO_PI * GRID32.cell_centers()[0])},
                 PositivityError,
                 "h0 > 0",
             ),
             (
-                {"friction": FrictionParams(gamma=ScalarField.constant(TorusGrid(16, 16), 0.2))},
+                {"friction": FrictionParams(gamma=sample(TorusGrid(16, 16), 0.2))},
                 InvalidValueError,
                 "friction gamma field lives on a different grid",
             ),
@@ -418,7 +412,7 @@ def stress_per_node(v, V, drag, grad_psi, h, f):
             term = drag[k][None] * (v[k] + V[k][:, None, None] + grad_psi[k])
             rhs -= term - term.mean(axis=(1, 2))[:, None, None]
         if f is not None:
-            force = h[k][None] * f.values
+            force = h[k][None] * f
             rhs += force - force.mean(axis=(1, 2))[:, None, None]
         if np.any(rhs != 0.0):
             out[k] = korn_solve_values(rhs)
@@ -431,7 +425,7 @@ def rk4_on_arrays(v, drag, grad_psi, h, f, V0, dt):
     cbar = coef.mean(axis=(1, 2))
     rhs = coef[:, None] * (v + grad_psi)
     if f is not None:
-        rhs = rhs + h[:, None] * f.values[None]
+        rhs = rhs + h[:, None] * f[None]
     bbar = rhs.mean(axis=(2, 3))
     cmid = 0.5 * (cbar[:-1] + cbar[1:])
     bmid = 0.5 * (bbar[:-1] + bbar[1:])
@@ -481,26 +475,26 @@ class TestChunkedSolves:
         self.assert_state_bitwise(improved)
 
     @pytest.mark.parametrize(
-        "law,zero_nodes,forced",
+        "gamma2,zero_nodes,forced",
         [
-            ("coulomb", (), True),  # 13 nodes: one chunk of 8 and one of 5
-            ("coulomb", (2, 5, 6, 11), False),  # zero right-hand sides inside chunks
-            ("extended", (), True),
+            (0.0, (), True),  # 13 nodes: one chunk of 8 and one of 5
+            (0.0, (2, 5, 6, 11), False),  # zero right-hand sides inside chunks
+            (0.1, (), True),  # the extended law
             (None, (), True),  # frictionless with force
         ],
         ids=["ragged", "zero-nodes", "extended", "frictionless-forced"],
     )
-    def test_random_inputs(self, grid32, law, zero_nodes, forced):
+    def test_random_inputs(self, grid32, gamma2, zero_nodes, forced):
         rng = np.random.default_rng(7)
         shape = (13, *grid32.shape)
         h, E = rng.uniform(0.5, 1.5, (2, *shape))
         v, grad_psi = rng.standard_normal((2, 13, 2, *grid32.shape))
         drag = None
-        if law is not None:
-            params = FrictionParams(gamma=0.3, gamma2=0.1, law=law)
+        if gamma2 is not None:
+            params = FrictionParams(gamma=0.3, gamma2=gamma2)
             drag = friction_coefficient_values(h, E, params)
             drag[list(zero_nodes)] = 0.0
-        f = VectorField(grid32, rng.standard_normal((2, *grid32.shape))) if forced else None
+        f = rng.standard_normal((2, *grid32.shape)) if forced else None
         _, M = self.assert_bitwise(v, drag, grad_psi, h, f, rng.standard_normal(2), 0.05)
         if zero_nodes:
             assert not np.any(M[list(zero_nodes)])
@@ -518,7 +512,7 @@ class TestChunkedSolves:
         rng = np.random.default_rng(n)
         h = rng.uniform(0.5, 1.5, (2 * chunk + 1, n, n))
         zero = np.zeros((h.shape[0], 2, n, n))
-        f = VectorField(grid, rng.standard_normal((2, n, n)))
+        f = rng.standard_normal((2, n, n))
         solve_stress(zero, np.zeros((h.shape[0], 2)), None, zero, h, f)
         assert sizes == [chunk, chunk, 1]
 
@@ -571,10 +565,10 @@ class TestCertificateAndGap:
             num_steps=8,
             a=0.5,
             friction=FrictionParams(gamma=0.2),
-            h0=ScalarField.from_function(
+            h0=sample(
                 grid32, lambda x1, x2: 1.0 + 0.05 * np.cos(TWO_PI * x1)
             ),
-            u0=VectorField.from_functions(
+            u0=sample(
                 grid32, lambda x1, x2: 0.1 * np.sin(TWO_PI * x2), lambda x1, x2: 0.0 * x1
             ),
             delta=0.05,
@@ -656,8 +650,8 @@ class TestFindEnergyOffset:
             num_steps=16,
             a=0.5,
             friction=FrictionParams(gamma=0.2),
-            h0=ScalarField.constant(grid32, 1.0),
-            u0=VectorField.from_functions(
+            h0=sample(grid32, 1.0),
+            u0=sample(
                 grid32, lambda x1, x2: 0.2 * np.sin(TWO_PI * x2), lambda x1, x2: 0.0 * x1
             ),
             delta=0.1,
@@ -869,8 +863,8 @@ class TestImprovementStep:
             num_steps=8,
             a=0.5,
             friction=FrictionParams(gamma=0.3),
-            h0=ScalarField.constant(grid32, 1.0),
-            u0=VectorField.constant(grid32, 0.3, 0.0),
+            h0=sample(grid32, 1.0),
+            u0=sample(grid32, 0.3, 0.0),
             delta=0.1,
         )
         sub = prob.build(0.8)
@@ -1006,7 +1000,7 @@ def chunk_case_problem(grid, case):
     if case == "workbench32":  # 65 nodes, 8 full chunks and one of 1
         return replace(nonflat_problem(grid, num_steps=64), f=None)
     if case == "extended":
-        return replace(prob, friction=FrictionParams(gamma=0.2, gamma2=0.1, law="extended"))
+        return replace(prob, friction=FrictionParams(gamma=0.2, gamma2=0.1))
     if case == "frictionless-forced":
         return replace(prob, friction=FrictionParams(gamma=0.0))
     return prob
