@@ -58,11 +58,13 @@ class TorusGrid:
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)
 
+    def cell_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """1-D cell-center coordinates x1 (length nx) and x2 (length ny)."""
+        return (np.arange(self.nx) + 0.5) * self.dx, (np.arange(self.ny) + 0.5) * self.dy
+
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrid (indexing='ij') of cell-center coordinates."""
-        x1 = (np.arange(self.nx) + 0.5) * self.dx
-        x2 = (np.arange(self.ny) + 0.5) * self.dy
-        return np.meshgrid(x1, x2, indexing="ij")
+        return np.meshgrid(*self.cell_coordinates(), indexing="ij")
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:

@@ -4,7 +4,8 @@ Cell-center samples are treated as collocation values of the trigonometric
 interpolant.  All solves are diagonal per wavevector; the zero mode is fixed
 by a zero-mean gauge.  The Nyquist mode is zeroed for odd derivatives.
 Every ``*_values`` function acts on the trailing (nx, ny) axes and accepts any
-leading stack axes, e.g. a (K+1, nx, ny) time stack.
+leading stack axes, e.g. a (K+1, nx, ny) time stack.  The transforms are
+rfft2/irfft2 on the (nx, ny // 2 + 1) half plane; irfft2 restores an even ny.
 """
 
 from __future__ import annotations
@@ -23,51 +24,47 @@ MEAN_TOL = 1e-10
 
 @lru_cache(maxsize=32)
 def _wavenumbers(nx: int, ny: int):
-    """(ik1, ik2, k2sum): Fourier symbols on the (nx, ny) grid.
+    """(ik1, ik2, k2sum): Fourier symbols on the (nx, ny // 2 + 1) half plane
+    that rfft2 keeps of the (nx, ny) grid.
 
-    ik1/ik2 = i k1, i k2 (complex (nx, ny) arrays) have the Nyquist mode
-    zeroed (for odd derivatives); k2sum = k1^2 + k2^2 includes it (for
-    Laplacians).
+    ik1/ik2 = i k1, i k2 (complex arrays) have the Nyquist row nx/2 of k1 and
+    column ny/2 of k2 zeroed (for odd derivatives); k2sum = k1^2 + k2^2
+    keeps both (for Laplacians).
     """
     k1 = 2.0 * np.pi * np.fft.fftfreq(nx, d=1.0 / nx)[:, None]
-    k2 = 2.0 * np.pi * np.fft.fftfreq(ny, d=1.0 / ny)[None, :]
+    k2 = 2.0 * np.pi * np.fft.rfftfreq(ny, d=1.0 / ny)[None, :]
     k2sum = k1 * k1 + k2 * k2
     k1[nx // 2, 0] = 0.0
     k2[0, ny // 2] = 0.0
-    return 1j * np.broadcast_to(k1, (nx, ny)), 1j * np.broadcast_to(k2, (nx, ny)), k2sum
+    return 1j * np.broadcast_to(k1, k2sum.shape), 1j * np.broadcast_to(k2, k2sum.shape), k2sum
 
 
-def _over_k2sum(spectrum: np.ndarray) -> np.ndarray:
-    """spectrum / |k|^2 in place, with the zero mode (|k| = 0) set to 0."""
+def _over_k2sum(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Half-plane spectrum of a `shape` grid over |k|^2, in place, with the
+    zero mode (|k| = 0) set to 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        spectrum /= _wavenumbers(*spectrum.shape[-2:])[2]
+        spectrum /= _wavenumbers(*shape)[2]
     spectrum[..., 0, 0] = 0.0
     return spectrum
-
-
-def _real_ifft2(spectrum: np.ndarray) -> np.ndarray:
-    """Real part of the inverse transform as a compact array; the strided
-    view that np.real returns would keep the complex result alive."""
-    return np.fft.ifft2(spectrum).real.copy()
 
 
 def grad_values(f: np.ndarray) -> np.ndarray:
     """Spectral gradient of scalar samples (..., nx, ny), shape (..., 2, nx, ny)."""
     ik1, ik2, _ = _wavenumbers(*f.shape[-2:])
-    fh = np.fft.fft2(f)[..., None, :, :]
-    return _real_ifft2(np.stack([ik1, ik2]) * fh)
+    fh = np.fft.rfft2(f)[..., None, :, :]
+    return np.fft.irfft2(np.stack([ik1, ik2]) * fh)
 
 
 def div_values(q: np.ndarray) -> np.ndarray:
     """Spectral divergence of (..., 2, nx, ny) samples, shape (..., nx, ny)."""
     ik1, ik2, _ = _wavenumbers(*q.shape[-2:])
-    qh = np.fft.fft2(q)
-    return _real_ifft2(ik1 * qh[..., 0, :, :] + ik2 * qh[..., 1, :, :])
+    qh = np.fft.rfft2(q)
+    return np.fft.irfft2(ik1 * qh[..., 0, :, :] + ik2 * qh[..., 1, :, :])
 
 
 def laplacian_values(f: np.ndarray) -> np.ndarray:
     k2sum = _wavenumbers(*f.shape[-2:])[2]
-    return _real_ifft2(-k2sum * np.fft.fft2(f))
+    return np.fft.irfft2(-k2sum * np.fft.rfft2(f))
 
 
 def div_traceless_values(ps: np.ndarray) -> np.ndarray:
@@ -101,7 +98,8 @@ def _demean(values: np.ndarray, what: str) -> np.ndarray:
 def poisson_solve_values(rhs: np.ndarray) -> np.ndarray:
     """Solve -Lap(psi) = rhs with zero mean per (nx, ny) slice; each slice of
     rhs must be mean-free."""
-    return _real_ifft2(_over_k2sum(np.fft.fft2(_demean(rhs, "Poisson right-hand side"))))
+    rh = np.fft.rfft2(_demean(rhs, "Poisson right-hand side"))
+    return np.fft.irfft2(_over_k2sum(rh, rhs.shape[-2:]))
 
 
 @dataclass(frozen=True)
@@ -138,8 +136,8 @@ def korn_solve_values(rhs: np.ndarray) -> np.ndarray:
     forward and one inverse transform suffice.  The symbol is applied in
     place: m^ overwrites r^, and M^ fills one buffer.
     """
-    rh = np.fft.fft2(_demean(rhs, "stress right-hand side"))
-    mh = _over_k2sum(np.negative(rh, out=rh))
+    rh = np.fft.rfft2(_demean(rhs, "stress right-hand side"))
+    mh = _over_k2sum(np.negative(rh, out=rh), rhs.shape[-2:])
     ik1, ik2, _ = _wavenumbers(*rhs.shape[-2:])
     m1, m2 = mh[..., 0, :, :], mh[..., 1, :, :]
     Mh = np.empty_like(mh)
@@ -148,7 +146,7 @@ def korn_solve_values(rhs: np.ndarray) -> np.ndarray:
     p -= ik2 * m2
     np.multiply(ik1, m2, out=s)
     s += ik2 * m1
-    return _real_ifft2(Mh)
+    return np.fft.irfft2(Mh)
 
 
 def mode_coefficients(fields: np.ndarray, max_mode: int) -> np.ndarray:

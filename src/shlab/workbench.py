@@ -37,16 +37,16 @@ from .solver import Scenario
 
 E_MIN_FACTOR = 1e-6
 MASS_DRIFT_TOL = 1e-10
-#: (2, nx, ny) complex spectrum per node chunk: 8 nodes at 32^2, 2 at 64^2
+#: bytes per node chunk at 32 a cell: 8 nodes at 32^2, 2 at 64^2, 1 from 128^2 on
 NODE_CHUNK_BYTES = 256 * 1024
 
 
 def _node_chunks(start: int, stop: int, cells: int):
     """Consecutive slices of the time nodes start, ..., stop - 1, each of at
-    most NODE_CHUNK_BYTES of (2, nx, ny) complex spectrum for `cells` cells,
-    the largest per-node temporary of any pass (the Korn and gradient
-    transforms); the real passes then hold half of that per vector stack."""
-    step = max(1, NODE_CHUNK_BYTES // (32 * cells))  # 2 complex128 per cell
+    most NODE_CHUNK_BYTES at 32 bytes a cell for `cells` cells: the largest
+    per-node pair, a (2, nx, ny // 2 + 1) complex half-plane spectrum of the
+    Korn or gradient transforms and the (2, nx, ny) float64 array of its irfft2."""
+    step = max(1, NODE_CHUNK_BYTES // (32 * cells))
     return [slice(k, min(k + step, stop)) for k in range(start, stop, step)]
 
 
@@ -549,8 +549,7 @@ class _WavePotential:
         kmag = 2.0 * np.pi * self.n * math.hypot(e1, e2)
         A = amplitude / kmag**3
 
-        x1 = (np.arange(grid.nx) + 0.5) * grid.dx
-        x2 = (np.arange(grid.ny) + 0.5) * grid.dy
+        x1, x2 = grid.cell_coordinates()
         chi_xy = np.outer(self._bump(x1, b.x_lo, b.x_hi, 0), self._bump(x2, b.y_lo, b.y_hi, 0))
         theta = 2.0 * np.pi * self.n * (e1 * x1[:, None] + e2 * x2[None, :])
         gX = spectral.grad_values(chi_xy * np.stack([np.sin(theta), np.cos(theta)]))
@@ -576,8 +575,7 @@ _DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0))
 
 
 def _box_mask(times: np.ndarray, grid: TorusGrid, box: SpaceTimeBox) -> np.ndarray:
-    x1 = (np.arange(grid.nx) + 0.5) * grid.dx
-    x2 = (np.arange(grid.ny) + 0.5) * grid.dy
+    x1, x2 = grid.cell_coordinates()
     mt = (times > box.t_lo) & (times < box.t_hi)
     m1 = (x1 > box.x_lo) & (x1 < box.x_hi)
     m2 = (x2 > box.y_lo) & (x2 < box.y_hi)

@@ -67,17 +67,10 @@ class TestDerivatives:
         # band-limited input: odd derivatives zero the Nyquist mode by design,
         # so the identity only holds below it
         f = band_limited(rng, 64)
-        np.testing.assert_allclose(
-            div_values(grad_values(f)), laplacian_values(f), atol=1e-8 * np.abs(f).max()
-        )
-
-    def test_wrapper_types(self, grid64):
-        f = sample(grid64, lambda x1, x2: np.cos(TWO_PI * x2))
-        # the arrays carry the grid in their (2, nx, ny) and (nx, ny) shapes
         g = grad_values(f)
         d = div_values(g)
         assert g.shape == (2, *grid64.shape) and d.shape == grid64.shape
-        np.testing.assert_allclose(d, laplacian_values(f), atol=1e-9)
+        np.testing.assert_allclose(d, laplacian_values(f), atol=1e-8 * np.abs(f).max())
 
 
 class TestPoisson:
@@ -207,6 +200,87 @@ class TestKorn:
             assert op_norm >= 0.5 * grad_norm - 1e-12
 
 
+def full_plane_symbols(nx, ny):
+    """(ik1, ik2, k2sum) on the whole (nx, ny) plane of fft2: the Nyquist row
+    nx/2 of k1 and column ny/2 of k2 zeroed in the odd symbols, kept in k2sum."""
+    k1 = TWO_PI * np.fft.fftfreq(nx, d=1.0 / nx)[:, None] + np.zeros((nx, ny))
+    k2 = TWO_PI * np.fft.fftfreq(ny, d=1.0 / ny)[None, :] + np.zeros((nx, ny))
+    k2sum = k1 * k1 + k2 * k2
+    k1[nx // 2, :] = 0.0
+    k2[:, ny // 2] = 0.0
+    return 1j * k1, 1j * k2, k2sum
+
+
+def complex_reference(name, x):
+    """Each operator as the complex transform pair ifft2(symbol * fft2(x)).real
+    on the full plane; the solves take the mean-free part of x."""
+    ik1, ik2, k2sum = full_plane_symbols(*x.shape[-2:])
+    with np.errstate(divide="ignore"):
+        over_k2 = np.where(k2sum > 0.0, 1.0 / k2sum, 0.0)
+    if name in ("poisson", "korn"):
+        x = x - x.mean(axis=(-2, -1), keepdims=True)
+    xh = np.fft.fft2(x)
+    if name == "grad":
+        return np.fft.ifft2(np.stack([ik1, ik2]) * xh[..., None, :, :]).real
+    if name == "div":
+        return np.fft.ifft2(ik1 * xh[..., 0, :, :] + ik2 * xh[..., 1, :, :]).real
+    if name == "laplacian":
+        return np.fft.ifft2(-k2sum * xh).real
+    if name == "poisson":
+        return np.fft.ifft2(over_k2 * xh).real
+    if name == "korn":
+        m1, m2 = -over_k2 * xh[..., 0, :, :], -over_k2 * xh[..., 1, :, :]
+        return np.fft.ifft2(np.stack([ik1 * m1 - ik2 * m2, ik1 * m2 + ik2 * m1], axis=-3)).real
+    g = complex_reference("grad", x)  # div_traceless: (d1 p + d2 s, d1 s - d2 p)
+    return np.stack(
+        [g[..., 0, 0, :, :] + g[..., 1, 1, :, :], g[..., 1, 0, :, :] - g[..., 0, 1, :, :]],
+        axis=-3,
+    )
+
+
+class TestRealTransformOracle:
+    """Every operator on rfft2/irfft2 against the complex full-plane formula,
+    on random data that is not band-limited, so the Nyquist row and column
+    carry content.  Each output is a compact float64 array of its own."""
+
+    OPERATORS = {
+        "grad": grad_values,
+        "div": div_values,
+        "laplacian": laplacian_values,
+        "div_traceless": div_traceless_values,
+        "poisson": poisson_solve_values,
+        "korn": korn_solve_values,
+    }
+
+    @staticmethod
+    def assert_matches(out, ref):
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert out.dtype == np.float64 and out.flags.c_contiguous and out.flags.owndata
+
+    @pytest.mark.parametrize("shape", [(32, 32), (5, 2, 32, 32), (3, 2, 16, 24), (4, 4)])
+    @pytest.mark.parametrize("name", list(OPERATORS))
+    def test_matches_complex_transform(self, rng, name, shape):
+        if name in ("div", "div_traceless", "korn") and shape[-3:-2] != (2,):
+            shape = (2, *shape)
+        x = rng.standard_normal(shape)
+        if name in ("poisson", "korn"):
+            x -= x.mean(axis=(-2, -1), keepdims=True)
+        self.assert_matches(self.OPERATORS[name](x), complex_reference(name, x))
+
+    @pytest.mark.parametrize("shape", [(32, 32), (16, 24), (4, 4)])
+    def test_helmholtz_matches_complex_transform(self, rng, shape):
+        q = rng.standard_normal((2, *shape))
+        parts = helmholtz_decompose(q)
+        Vmean = q.mean(axis=(1, 2))
+        div_q = complex_reference("div", q)
+        psi = complex_reference("poisson", -div_q)
+        v = q - (Vmean[:, None, None] + complex_reference("grad", psi))
+        assert np.abs(parts.Vmean - Vmean).max() <= 1e-13 * np.abs(Vmean).max()
+        self.assert_matches(parts.psi, psi)
+        self.assert_matches(parts.v, v)
+
+
 class TestStacks:
     """Leading stack axes: each slice comes out bitwise as if solved alone."""
 
@@ -308,40 +382,67 @@ class TestSolvabilityTolerance:
 SRC = Path(__file__).resolve().parents[1] / "src" / "shlab"
 
 
-def _layer_violations(path):
-    """(function, what) for each numpy.fft use and each private spectral name
-    in one module; function is the enclosing top-level def, or None."""
+#: the numpy.fft functions spectral.py may call: the real-input transform pair
+#: and the frequencies of its symbols
+REAL_TRANSFORMS = frozenset({"rfft2", "irfft2", "fftfreq", "rfftfreq"})
+
+
+def _is_numpy_fft(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "fft"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    )
+
+
+def _layer_violations(path, transforms=frozenset()):
+    """(function, what) for each numpy.fft use other than a call of one of
+    `transforms` by name, and each private spectral name, in one module;
+    function is the enclosing top-level def, or None.  A use that names its
+    function (np.fft.<name>, from numpy.fft import <name>) reads
+    "numpy.fft.<name>", any other use of the module "numpy.fft"."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = []
     for top in tree.body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                if node.value.id in ("np", "numpy") and node.attr == "fft":
-                    found.append((owner, "numpy.fft"))
+        nodes = list(ast.walk(top))
+        # the np.fft inside each np.fft.<name>, which is reported with its name
+        named = {
+            id(n.value) for n in nodes if isinstance(n, ast.Attribute) and _is_numpy_fft(n.value)
+        }
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and _is_numpy_fft(node.value):
+                found.append((owner, f"numpy.fft.{node.attr}"))
+            elif _is_numpy_fft(node) and id(node) not in named:
+                found.append((owner, "numpy.fft"))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 if node.value.id == "spectral" and node.attr.startswith("_"):
                     found.append((owner, f"spectral.{node.attr}"))
             elif isinstance(node, ast.Import):
                 found += [(owner, a.name) for a in node.names if a.name.startswith("numpy.fft")]
             elif isinstance(node, ast.ImportFrom):
                 module = node.module or ""
-                if module.startswith("numpy.fft") or (
+                if module == "numpy.fft":
+                    found += [(owner, f"numpy.fft.{a.name}") for a in node.names]
+                elif module.startswith("numpy.fft") or (
                     module == "numpy" and any(a.name == "fft" for a in node.names)
                 ):
                     found.append((owner, "numpy.fft"))
                 if module.endswith("spectral"):
                     private = [a.name for a in node.names if a.name.startswith("_")]
                     found += [(owner, f"spectral.{name}") for name in private]
-    return found
+    allowed = {f"numpy.fft.{name}" for name in transforms}
+    return [(owner, what) for owner, what in found if what not in allowed]
 
 
 def test_one_spectral_layer():
-    """Only spectral.py transforms, and nothing imports its private names."""
+    """Only spectral.py transforms, with the real-input transforms alone, and
+    nothing imports its private names."""
     bad = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "spectral.py":
-            continue
-        bad += [f"{path.name}:{owner}: {what}" for owner, what in _layer_violations(path)]
+        allowed = REAL_TRANSFORMS if path.name == "spectral.py" else frozenset()
+        bad += [f"{path.name}:{owner}: {what}" for owner, what in _layer_violations(path, allowed)]
     assert not bad, bad
 
 
@@ -350,15 +451,34 @@ def test_layer_guard_sees_each_form(tmp_path):
     p.write_text(
         "import numpy.fft\n"
         "from numpy import fft\n"
+        "from numpy.fft import irfft2, ifft2\n"
         "from .spectral import _wavenumbers\n"
         "def f(x):\n"
-        "    return np.fft.fft2(x), spectral._wavenumbers(4, 4)\n"
+        "    return np.fft.fft2(x), np.fft.rfft2(x), spectral._wavenumbers(4, 4)\n"
+        "def g(x):\n"
+        "    transforms = numpy.fft\n"
+        "    return transforms.fftn(x)\n"
     )
     assert sorted(_layer_violations(p), key=str) == [
-        ("f", "numpy.fft"),
+        ("f", "numpy.fft.fft2"),
+        ("f", "numpy.fft.rfft2"),
         ("f", "spectral._wavenumbers"),
+        ("g", "numpy.fft"),
         (None, "numpy.fft"),
         (None, "numpy.fft"),
+        (None, "numpy.fft.ifft2"),
+        (None, "numpy.fft.irfft2"),
+        (None, "spectral._wavenumbers"),
+    ]
+    # in spectral.py the real-input transforms pass; the complex ones and any
+    # use that hides the function's name do not
+    assert sorted(_layer_violations(p, REAL_TRANSFORMS), key=str) == [
+        ("f", "numpy.fft.fft2"),
+        ("f", "spectral._wavenumbers"),
+        ("g", "numpy.fft"),
+        (None, "numpy.fft"),
+        (None, "numpy.fft"),
+        (None, "numpy.fft.ifft2"),
         (None, "spectral._wavenumbers"),
     ]
 

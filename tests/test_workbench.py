@@ -1095,9 +1095,9 @@ class TestChunkedPasses:
             rhs = rng.standard_normal(shape)
             rhs -= rhs.mean(axis=(-2, -1), keepdims=True)  # within the solvability tolerance
             ik1, ik2, k2sum = spectral._wavenumbers(*shape[-2:])
-            rh = np.fft.fft2(spectral._demean(rhs, "stress right-hand side"))
+            rh = np.fft.rfft2(spectral._demean(rhs, "stress right-hand side"))
             with np.errstate(divide="ignore", invalid="ignore"):
                 mh = np.where(k2sum > 0.0, -rh / k2sum, 0.0)
             m1, m2 = mh[..., 0, :, :], mh[..., 1, :, :]
             Mh = np.stack([ik1 * m1 - ik2 * m2, ik1 * m2 + ik2 * m1], axis=-3)
-            assert korn_solve_values(rhs).tobytes() == np.fft.ifft2(Mh).real.tobytes()
+            assert korn_solve_values(rhs).tobytes() == np.fft.irfft2(Mh).tobytes()
