@@ -2,9 +2,10 @@
 
 The friction term u/|u| is multi-valued at u = 0 (any point of the closed
 unit ball).  The solver never evaluates the graph directly: it applies the
-exact backward-Euler resolvent of the inclusion, which is a pointwise norm
-shrinkage.  The velocity-dependent "extended" law, selected by gamma2 > 0,
-adds a quadratic drag sub-step solved in closed form.
+exact backward-Euler resolvent of the inclusion, a pointwise norm shrinkage
+whose scale s = max(|q|, dt gamma h) yields the point q / s of the graph
+that it applied.  The velocity-dependent "extended" law, selected by
+gamma2 > 0, adds a quadratic drag sub-step solved in closed form.
 """
 
 from __future__ import annotations
@@ -64,24 +65,26 @@ def friction_shrink(
     """Exact backward-Euler resolvent of the friction inclusion on momentum,
     for a (2, nx, ny) momentum stack q and (nx, ny) heights h.
 
-    Coulomb part: q' = 0 if |q| <= dt*gamma*h, else q scaled by
-    (1 - dt*gamma*h/|q|).  The extended law (gamma2 > 0) follows with the
-    closed-form solve of |q'| (1 + dt*gamma2*|q'|/h) = |q| (positive root of
-    the quadratic).
+    Coulomb part: q' = q (1 - dt*gamma*h / s) for the scale s = max(|q|,
+    dt*gamma*h), which is 0 where |q| <= dt*gamma*h or dt*gamma*h = inf.
+    The extended law (gamma2 > 0) follows with the closed-form solve of
+    |q'| (1 + dt*gamma2*|q'|/h) = |q| (positive root of the quadratic).
 
     `thresh` holds dt*gamma*h already; `scratch` is two (nx, ny) float64
-    fields that the Coulomb part may overwrite.  The result is a new array.
+    fields that the Coulomb part overwrites, leaving s in scratch[0].  The
+    result is a new array.
     """
     if dt <= 0.0:
         raise InvalidValueError("dt must be positive")
-    if np.any(h <= 0.0):
+    if not h.min() > 0.0:
         raise PositivityError("friction_shrink requires h > 0 everywhere")
-    norm, factor = scratch
-    np.hypot(q[0], q[1], out=norm)
-    moving = norm > thresh  # so norm > 0 wherever it holds
-    factor.fill(0.0)
-    np.divide(thresh, norm, out=factor, where=moving)
-    np.subtract(1.0, factor, out=factor, where=moving)
+    scale, factor = scratch
+    np.hypot(q[0], q[1], out=scale)
+    np.maximum(scale, thresh, out=scale)
+    with np.errstate(invalid="ignore"):  # 0 / 0 or inf / inf; fmin makes it 1, a stop
+        np.divide(thresh, scale, out=factor)
+    np.fmin(factor, 1.0, out=factor)
+    np.subtract(1.0, factor, out=factor)
     out = q * factor
     if params.gamma2 > 0.0:
         c = dt * params.gamma2 / h

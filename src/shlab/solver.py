@@ -125,43 +125,51 @@ class Workspace:
     a step allocates only the arrays that outlive it: the new h and q and
     the selection B.
 
-    `root`, `pressure` and `cross` hold terms of one state that `cfl_dt` and
-    both flux sweeps read: sqrt(2 a h), a h h and the cross flux q1 q2 / h
-    (one array for both axes, since IEEE multiplication commutes).  The
-    caller fills them once per step, before `cfl_dt` and `step`.  `q` is
-    the momentum that a step updates, and `free` five rows of scratch.
+    `speeds`, `pressure` and `cross` hold terms of one state that `cfl_dt`
+    and both flux sweeps read: each axis's wave speed |q_axis / h| +
+    sqrt(2 a h), a h h and the cross flux q1 q2 / h (one array for both
+    axes, since IEEE multiplication commutes).  The caller fills them once
+    per step, before `cfl_dt` and `step`, which never write them.  `q` is
+    the momentum that a step updates, and `free` four rows of scratch.
     """
 
     def __init__(self, shape: tuple[int, int]):
         self.fields = np.empty((10, *shape))
-        self.root, self.pressure, self.cross = self.fields[:3]
-        self.q = self.fields[3:5]
-        self.free = self.fields[5:]
+        self.speeds = self.fields[:2]
+        self.pressure, self.cross = self.fields[2:4]
+        self.q = self.fields[4:6]
+        self.free = self.fields[6:]
 
     def fill(self, h: np.ndarray, q1: np.ndarray, q2: np.ndarray, a: float) -> None:
         """Compute the terms from the arrays of a state."""
-        np.multiply(2.0 * a, h, out=self.root)
-        np.sqrt(self.root, out=self.root)
+        root = self.free[0]
+        np.multiply(2.0 * a, h, out=root)
+        np.sqrt(root, out=root)
+        for speed, qa in zip(self.speeds, (q1, q2)):
+            np.divide(qa, h, out=speed)
+            np.abs(speed, out=speed)
+            speed += root
         np.multiply(a, h, out=self.pressure)
         self.pressure *= h
         np.multiply(q1, q2, out=self.cross)
         self.cross /= h
 
 
-# the slices x[1:], x[:-1], x[:1] and x[-1:], along axis 0 and along axis 1
-_CUTS = [
-    tuple(lead + (s,) for s in (slice(1, None), slice(None, -1), slice(None, 1), slice(-1, None)))
-    for lead in ((), (slice(None),))
-]
-
-
 def _pairwise(ufunc, x: np.ndarray, out: np.ndarray, axis: int, at_face: bool) -> None:
     """ufunc(x[i + 1], x[i]) for each pair of neighbours along the axis, on
     the torus, stored at the face index i (at_face) or at the cell index
-    i + 1: two ufunc calls on slices, and no shifted copy."""
-    hi, lo, first, last = _CUTS[axis]
-    ufunc(x[hi], x[lo], out=out[lo if at_face else hi])
-    ufunc(x[first], x[last], out=out[last if at_face else first])
+    i + 1: two ufunc calls on slices, and no shifted copy.  Along axis 1
+    the first runs on the contiguous flattened rows and the second rewrites
+    the wrap column, so `out` must be C-contiguous (a workspace row)."""
+    if axis == 0:
+        ufunc(x[1:], x[:-1], out=out[:-1] if at_face else out[1:])
+        ufunc(x[:1], x[-1:], out=out[-1:] if at_face else out[:1])
+    else:
+        if not out.flags.c_contiguous:  # its flattened copy would take the results
+            raise ValueError("pairs along axis 1 need a C-contiguous out")
+        flat, flat_out = x.reshape(-1), out.reshape(-1)
+        ufunc(flat[1:], flat[:-1], out=flat_out[:-1] if at_face else flat_out[1:])
+        ufunc(x[:, :1], x[:, -1:], out=out[:, -1:] if at_face else out[:, :1])
 
 
 def cfl_dt(state: State, cfl: float, dx: float, dt_max: float, work: Workspace) -> float:
@@ -171,13 +179,9 @@ def cfl_dt(state: State, cfl: float, dx: float, dt_max: float, work: Workspace) 
     With dx the smaller cell width, dt (s_x/dx + s_y/dy) <= 2 cfl, and the
     unsplit Rusanov update keeps h > 0 while that is <= 1 (Bouchut 2004); so
     cfl is limited to (0, 1/2], which `Scenario` checks.  `work` must hold
-    the terms of this state (`Workspace.fill`).
+    the terms of this state (`Workspace.fill`), whose wave speeds it reads.
     """
-    speeds = work.free[:2]
-    np.abs(state.q, out=speeds)
-    speeds /= state.h
-    speeds += work.root
-    speed = float(np.max(speeds))
+    speed = float(np.max(work.speeds))
     if speed <= 0.0:
         return dt_max
     return min(cfl * dx / speed, dt_max)
@@ -189,31 +193,30 @@ def rusanov_flux(h: np.ndarray, q1: np.ndarray, q2: np.ndarray, axis: int, work:
     (F(U) + F(U+)) / 2 - s (U+ - U) / 2 with s the larger of the two cells'
     |u_axis| + sqrt(2 a h).  Each cell's F and speed are computed once.
 
-    The three face fluxes are scratch rows of `work`, whose terms must be
-    those of (h, q1, q2) (`Workspace.fill`).
+    `work` must hold the terms of (h, q1, q2) (`Workspace.fill`).  The
+    three face fluxes are its first three scratch rows, and the fourth is
+    free again on return.
     """
-    half_s, *faces, diff = work.free
-    qa = q1 if axis == 0 else q2
-    np.divide(qa, h, out=diff)
-    np.abs(diff, out=diff)
-    diff += work.root
-    _pairwise(np.maximum, diff, half_s, axis, at_face=True)
+    half_s, mass, normal, spare = work.free
+    qa, qt = (q1, q2) if axis == 0 else (q2, q1)
+    _pairwise(np.maximum, work.speeds[axis], half_s, axis, at_face=True)
     half_s *= 0.5
-    for c, (w, face) in enumerate(zip((h, q1, q2), faces)):
-        if c == 0:
-            f = qa
-        elif c == axis + 1:
-            f = np.multiply(qa, w, out=diff)
-            f /= h
-            f += work.pressure
-        else:
-            f = work.cross
-        _pairwise(np.add, f, face, axis, at_face=True)
-        face *= 0.5
-        _pairwise(np.subtract, w, diff, axis, at_face=True)
-        diff *= half_s
-        face -= diff
-    return tuple(faces)
+    # the normal momentum's cell flux qa qa / h + a h h, in spare until averaged
+    np.multiply(qa, qa, out=spare)
+    spare /= h
+    spare += work.pressure
+    _pairwise(np.add, spare, normal, axis, at_face=True)
+    normal *= 0.5
+    # less each viscous term s (U+ - U) / 2; the last face reuses half_s's row
+    tangential = half_s
+    for w, f, face in ((qa, None, normal), (h, qa, mass), (qt, work.cross, tangential)):
+        _pairwise(np.subtract, w, spare, axis, at_face=True)
+        spare *= half_s
+        if f is not None:
+            _pairwise(np.add, f, face, axis, at_face=True)
+            face *= 0.5
+        face -= spare
+    return (mass, normal, tangential) if axis == 0 else (mass, tangential, normal)
 
 
 @dataclass(frozen=True)
@@ -242,6 +245,10 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
     Every intermediate lives in `work`, which must hold the terms of this
     state (`Workspace.fill`).  The new h and q and B are fresh arrays.
 
+    B is the Coulomb selection that the resolvent applied, q_pre / s for its
+    scale s = max(|q_pre|, dt gamma h), and 0 wherever dt gamma h = 0; so
+    |B| <= 1 up to roundoff and B . u >= 0 in each cell.
+
     The new h is checked finite and positive, and the momentum q_pre after
     the fluxes finite.  The new momentum needs no check of its own:
     - The friction resolvent scales q_pre by a factor in [0, 1].  The
@@ -259,7 +266,7 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
     q1, q2 = state.q
     hn, q_pre = h.copy(), work.q
     np.copyto(q_pre, state.q)
-    diff = work.free[-1]
+    diff = work.free[-1]  # the scratch row that rusanov_flux leaves free
     for axis, dxi in ((0, grid.dx), (1, grid.dy)):
         flux = rusanov_flux(h, q1, q2, axis, work)
         coef = dt / dxi
@@ -268,42 +275,31 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
             diff *= coef
             w -= diff
 
-    # unreachable for a dt from cfl_dt (see there); a larger dt must not pass
-    if not (np.all(hn > 0.0) and np.all(np.isfinite(hn))):
+    # unreachable for a dt from cfl_dt (see there); NaN fails these too
+    if not (hn.min() > 0.0 and hn.max() < np.inf):
         raise NumericalAbort("height lost positivity or finiteness: dt exceeds the CFL bound")
-    if not np.all(np.isfinite(q_pre)):
+    if not (q_pre.min() > -np.inf and q_pre.max() < np.inf):
         raise NumericalAbort("momentum became non-finite")
 
-    # the scratch rows are free again: the threshold dt gamma h, which is
-    # also the denominator of B, then the friction scratch, then the ledger terms
+    # the scratch rows are free again: the threshold dt gamma h and the
+    # friction scratch, then the ledger terms; either way the new momentum is
+    # a fresh array, not the workspace's
     friction = scenario.friction
     gamma = friction.gamma
-    thresh = work.free[0]
-    np.multiply(dt, gamma, out=thresh)
-    thresh *= hn
-    # either way the new momentum is a fresh array, not the workspace's
     if friction.active:
+        thresh, scale = work.free[:2]
+        np.multiply(dt, gamma, out=thresh)
+        thresh *= hn
         q_post = friction_shrink(q_pre, hn, friction, dt, thresh, work.free[1:3])
+        with np.errstate(invalid="ignore"):  # 0 / 0 where dt gamma h = 0 = |q_pre|
+            B = q_pre / scale
+        if not thresh.min() > 0.0:  # B = 0 where dt gamma h = 0, over any such 0 / 0
+            B[:, thresh == 0.0] = 0.0
     else:
         q_post = q_pre.copy()
+        B = np.zeros_like(q_pre)
 
-    B = np.zeros_like(q_pre)
-    positive = thresh > 0.0
-    np.subtract(q_pre, q_post, out=B, where=positive)
-    Bnorm, u, g = work.free[1], work.free[2:4], work.free[4]
-    with np.errstate(over="ignore"):  # from a subnormal dt gamma h; mended below
-        np.divide(B, thresh, out=B, where=positive)
-        np.hypot(B[0], B[1], out=Bnorm)
-    top = Bnorm.max()
-    if top > 1.0:
-        if top == np.inf:  # |B| > 1 there too: B is the direction of q_pre - q_post
-            huge = np.isinf(Bnorm)
-            d = q_pre[:, huge] - q_post[:, huge]
-            B[:, huge] = d / np.hypot(d[0], d[1])
-            Bnorm[huge] = 1.0
-        np.maximum(Bnorm, 1.0, out=Bnorm)  # B / 1.0 is exact, so no masked divide
-        B /= Bnorm
-
+    u, g = work.free[1:3], work.free[3]
     np.divide(q_post, hn, out=u)
     np.multiply(gamma, hn, out=g)
     diss_inc = dt * _mean_power(B, u, g)

@@ -1,5 +1,7 @@
 """Multi-valued friction: selection, implicit resolvent, linearized coefficient."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,34 @@ class TestShrink:
         rate = (q - out) / dt
         B = coulomb_selection(q / h)
         np.testing.assert_allclose(rate, gamma * h * B, rtol=1e-9)
+
+    def test_edge_thresholds_match_the_masked_resolvent(self):
+        """Thresholds 0, subnormal, finite and inf against momenta 0, -0,
+        subnormal, finite and 1e308: bitwise the masked formula that the
+        scale replaced, with no warning, and the scale max(|q|, thresh) left
+        in scratch[0]."""
+        q1, q2, thresh = (
+            np.stack(m).reshape(-1, 6)
+            for m in np.meshgrid(
+                [0.0, -0.0, 5e-324, 1.0, -3.0, 1e308],
+                [0.0, -0.0, 2.0, -1e-300],
+                [0.0, 5e-324, 0.5, 2.0, 1e300, np.inf],
+                indexing="ij",
+            )
+        )
+        q, h = np.stack([q1, q2]), np.ones(q1.shape)
+        norm = np.hypot(q1, q2)
+        moving = norm > thresh
+        factor = np.zeros_like(norm)
+        np.divide(thresh, norm, out=factor, where=moving)
+        np.subtract(1.0, factor, out=factor, where=moving)
+        scratch = np.empty_like(q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = friction_shrink(q, h, FrictionParams(gamma=1.0), 0.1, thresh, scratch)
+        assert out.tobytes() == (q * factor).tobytes()
+        assert scratch[0].tobytes() == np.maximum(norm, thresh).tobytes()
+        assert np.all(out[:, ~moving] == 0.0)
 
     def test_extended_law_against_quadratic_oracle(self, grid32):
         # |q'| solves c x^2 + x - |q_c| = 0 after the coulomb shrink

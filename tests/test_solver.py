@@ -1,7 +1,10 @@
 """Finite-volume solver: fluxes, stepping, energy ledger, convergence."""
 
+import ast
+import dataclasses
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,9 @@ from shlab.solver import (
     step,
     stream,
 )
+
+
+EPS = np.finfo(float).eps
 
 
 def uniform_scenario(grid, h=1.0, u=(0.0, 0.0), gamma=0.0, a=0.5, T=1.0, **kw):
@@ -326,6 +332,50 @@ class TestStep:
         with pytest.raises(NumericalAbort, match="positivity"):
             step(st0, scn, dt, work)
 
+    @pytest.mark.parametrize(
+        "component, bad, message",
+        [("h", v, "positivity or finiteness") for v in (np.nan, np.inf, -np.inf, 0.0, -0.0)]
+        + [(c, v, "momentum became non-finite") for c in (0, 1) for v in (np.nan, np.inf, -np.inf)],
+    )
+    def test_a_bad_value_after_the_fluxes_aborts(self, monkeypatch, component, bad, message):
+        # with zero face fluxes, hn and q_pre are the state's h and q, into
+        # which one bad value is written after the state's own checks
+        grid = TorusGrid(8, 12)
+        scn = uniform_scenario(grid, u=(0.3, -0.2), gamma=0.5)
+        state = scn.initial_state()
+        work = state_work(state, scn.a)
+        monkeypatch.setattr(
+            solver, "rusanov_flux", lambda h, q1, q2, axis, work: (np.zeros_like(h),) * 3
+        )
+        (state.h if component == "h" else state.q[component])[3, 5] = bad
+        with pytest.raises(NumericalAbort, match=message):
+            step(state, scn, 1e-3, work)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 6), (6, 4), (8, 12)])
+@pytest.mark.parametrize("ufunc", [np.add, np.subtract, np.maximum])
+@pytest.mark.parametrize("at_face", [True, False])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_pairwise_is_bitwise_the_roll_oracle(rng, shape, ufunc, at_face, axis):
+    x = rng.standard_normal(shape)
+    x[0, ::2] = 0.0
+    x[1, ::3] = -0.0
+    out = np.full(shape, np.nan)  # every entry must be written
+    solver._pairwise(ufunc, x, out, axis, at_face)
+    pairs = ufunc(np.roll(x, -1, axis=axis), x)  # at face i
+    expected = pairs if at_face else np.roll(pairs, 1, axis=axis)
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "out", [np.zeros((6, 4)).T, np.zeros((4, 8))[:, :6]], ids=["transposed", "padded rows"]
+)
+def test_pairwise_rejects_a_non_contiguous_out_on_axis_1(out):
+    # a flattened copy of out would take the results and drop them
+    with pytest.raises(ValueError):
+        solver._pairwise(np.add, np.arange(24.0).reshape(4, 6), out, 1, True)
+    assert not out.any()
+
 
 def band_limited(coeffs, x1, x2):
     """Sum of four low Fourier modes with the given amplitudes."""
@@ -415,8 +465,7 @@ def oracle_friction_shrink(q, h, params, dt):
 
 
 def oracle_step(state, scenario, dt):
-    """(h, q, B, dissipation_inc, work_inc) of one step, and whether the
-    |B| > 1 renormalization fired."""
+    """(h, q, B, dissipation_inc, work_inc) of one step."""
     grid = state.grid
     h = state.h
     q1, q2 = state.q
@@ -430,16 +479,10 @@ def oracle_step(state, scenario, dt):
     friction = scenario.friction
     q_post = oracle_friction_shrink(q_pre, hn, friction, dt) if friction.active else q_pre
     gamma = friction.gamma
-    denom = dt * gamma * hn
-    d = q_pre - q_post
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        B = np.where(denom > 0.0, d / np.where(denom > 0, denom, 1.0), 0.0)
-        Bnorm = np.hypot(B[0], B[1])
-        over = Bnorm > 1.0
-        renormalized = bool(np.any(over))
-        if renormalized:
-            # where d / (dt gamma h) overflows, |B| > 1 and B is the direction of d
-            B = np.where(np.isinf(Bnorm), d / np.hypot(d[0], d[1]), B / np.where(over, Bnorm, 1.0))
+    thresh = dt * gamma * hn
+    # the Coulomb selection q_pre / max(|q_pre|, dt gamma h), and 0 where dt gamma h = 0
+    with np.errstate(invalid="ignore"):
+        B = np.where(thresh > 0.0, q_pre / np.maximum(np.hypot(*q_pre), thresh), 0.0)
     u_post = q_post / hn
     diss_inc = dt * float(np.mean(gamma * hn * (B[0] * u_post[0] + B[1] * u_post[1])))
     if scenario.f is not None:
@@ -450,7 +493,7 @@ def oracle_step(state, scenario, dt):
     else:
         q_final = q_post
         work_inc = 0.0
-    return (hn, q_final, B, diss_inc, work_inc), renormalized
+    return hn, q_final, B, diss_inc, work_inc
 
 
 def step_bits(new, info):
@@ -552,6 +595,13 @@ RUNS = [lambda g: forced_friction_scenario(g), lambda g: smooth_scenario(g, n_ou
 RUN_IDS = ["friction+force", "frictionless"]
 
 
+def momentum_before_friction(state, scn, dt):
+    """q_pre, the momentum after the fluxes: a step without friction and
+    force returns a copy of it."""
+    bare = dataclasses.replace(scn, friction=FrictionParams(), f=None)
+    return step(state, bare, dt, state_work(state, scn.a))[0].q
+
+
 class TestWorkspaceStep:
     """The step that runs in a Workspace against the step it replaced."""
 
@@ -559,42 +609,50 @@ class TestWorkspaceStep:
     @given(case=step_cases())
     def test_step_is_bitwise_the_oracle(self, case):
         scn, state, dt = case
-        expected, renormalized = oracle_step(state, scn, dt)
-        event(f"|B| > 1 renormalized: {renormalized}")
+        expected = oracle_step(state, scn, dt)
         work = state_work(state, scn.a)
         assert step_bits(*step(state, scn, dt, work)) == oracle_bits(expected)
         if scn.friction.active:
             q = state.q
             h = state.h
             thresh = dt * scn.friction.gamma * h
-            got = friction_shrink(q, h, scn.friction, dt, thresh, np.empty((2, *h.shape)))
+            event(f"a cell stops: {bool(np.any(np.hypot(*q) <= thresh))}")
+            scratch = np.empty((2, *h.shape))
+            got = friction_shrink(q, h, scn.friction, dt, thresh, scratch)
             assert got.tobytes() == oracle_friction_shrink(q, h, scn.friction, dt).tobytes()
+            assert scratch[0].tobytes() == np.maximum(np.hypot(*q), thresh).tobytes()
 
-    def test_renormalization_and_still_cells_match_the_oracle(self):
-        # the extended drag shrinks |q| past dt gamma h, so |B| > 1 in every
-        # moving cell; the row x1 = 1/16 holds no momentum
+    def test_extended_law_selection_and_still_cells_match_the_oracle(self):
+        # the extended drag shrinks |q| past dt gamma h, but B stays the
+        # Coulomb selection: a unit vector in every moving cell; the row
+        # x1 = 1/16 starts with no momentum and stops
         grid = TorusGrid(8, 12)
         scn = Scenario(
             grid=grid,
             T=1.0,
             a=0.5,
-            friction=FrictionParams(gamma=0.4, gamma2=2.0),
+            friction=FrictionParams(gamma=4.0, gamma2=2.0),
             h0=sample(grid, lambda x1, x2: 1.0 + 0.3 * np.sin(2 * np.pi * x2)),
             u0=sample(
-                grid, lambda x1, x2: np.sin(2 * np.pi * (x1 - 1 / 16)), lambda x1, x2: 0.2 + 0 * x1
+                grid,
+                lambda x1, x2: np.sin(2 * np.pi * (x1 - 1 / 16)),
+                lambda x1, x2: 0.2 * np.sin(2 * np.pi * (x1 - 1 / 16)),
             ),
             f=sample(grid, 0.1, -0.2),
         )
         state = scn.initial_state()
         work = state_work(state, scn.a)
         dt = cfl_dt(state, scn.cfl, grid.dx, 1.0, work)
-        expected, renormalized = oracle_step(state, scn, dt)
-        assert renormalized
-        assert step_bits(*step(state, scn, dt, work)) == oracle_bits(expected)
+        new, info = step(state, scn, dt, work)
+        assert step_bits(new, info) == oracle_bits(oracle_step(state, scn, dt))
+        moving = np.hypot(*momentum_before_friction(state, scn, dt)) > dt * 4.0 * new.h
+        assert 0 < moving.sum() < moving.size
+        np.testing.assert_allclose(np.hypot(*info.B)[moving], 1.0, rtol=4 * EPS, atol=0)
+        assert np.all(np.hypot(*info.B)[~moving] < 1.0)
 
     def test_subnormal_gamma_gives_a_unit_selection(self):
-        # (q_pre - q_post) / (dt gamma h) overflows for a subnormal gamma; B
-        # is then the unit direction of the extended drag, not inf / inf
+        # dt gamma h is subnormal, far below |q_pre|, so B = q_pre / |q_pre|;
+        # (q_pre - q_post) / (dt gamma h) would overflow here
         grid = TorusGrid(8, 12)
         scn = Scenario(
             grid=grid,
@@ -607,12 +665,38 @@ class TestWorkspaceStep:
         state = scn.initial_state()
         work = state_work(state, scn.a)
         dt = cfl_dt(state, scn.cfl, grid.dx, 1.0, work)
-        expected, renormalized = oracle_step(state, scn, dt)
-        assert renormalized
         new, info = step(state, scn, dt, work)
-        assert step_bits(new, info) == oracle_bits(expected)
+        assert step_bits(new, info) == oracle_bits(oracle_step(state, scn, dt))
         np.testing.assert_allclose(np.hypot(info.B[0], info.B[1]), 1.0, rtol=1e-15)
         assert np.isfinite(info.dissipation_inc) and info.dissipation_inc >= 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=step_cases(), gamma_kind=st.sampled_from(["drawn", "zeros", "subnormal"]),
+           zeros=st.data())
+    def test_selection_is_in_the_friction_graph(self, case, gamma_kind, zeros):
+        """Without force, so that the step returns q_post: |B| <= 1 + 4 eps
+        and B . u_post >= 0 in each cell, B = 0 where dt gamma h = 0, and a
+        cell with |q_pre| <= dt gamma h stops at q_post = +-0."""
+        scn, state, dt = case
+        gamma, shape = scn.friction.gamma, scn.grid.shape
+        if gamma_kind == "zeros":
+            gamma = np.where(zeros.draw(arrays(np.bool_, shape)), 0.0, np.maximum(gamma, 0.5))
+        elif gamma_kind == "subnormal":
+            gamma = 2.225073858507e-311
+        scn = dataclasses.replace(
+            scn, f=None, friction=FrictionParams(gamma=gamma, gamma2=scn.friction.gamma2)
+        )
+        q_pre = momentum_before_friction(state, scn, dt)
+        new, info = step(state, scn, dt, state_work(state, scn.a))
+        B, q_post = info.B, new.q
+        thresh = dt * np.asarray(gamma) * new.h
+        assert np.all(np.hypot(*B) <= 1.0 + 4 * EPS)
+        u_post = q_post / new.h
+        assert np.all(B[0] * u_post[0] + B[1] * u_post[1] >= 0.0)
+        assert np.all(B[:, thresh == 0.0] == 0.0)
+        stopped = np.hypot(*q_pre) <= thresh
+        event(f"a cell stops: {bool(np.any(stopped & (thresh > 0)))}")
+        assert np.all(q_post[:, stopped] == 0.0)
 
     @pytest.mark.parametrize("make", RUNS, ids=RUN_IDS)
     def test_steps_sharing_a_workspace_equal_steps_with_fresh_ones(self, make):
@@ -622,8 +706,11 @@ class TestWorkspaceStep:
         for _ in range(6):
             work.fill(shared.h, *shared.q, scn.a)
             dt = cfl_dt(shared, scn.cfl, scn.grid.dx, 1.0, work)
+            terms = [x.copy() for x in (work.speeds, work.pressure, work.cross)]
             # a step of the same state again, after the workspace was used
             again = step_bits(*step(shared, scn, dt, work))
+            for x, before in zip((work.speeds, work.pressure, work.cross), terms):
+                assert x.tobytes() == before.tobytes()  # a step never writes the terms
             shared, info = step(shared, scn, dt, work)
             assert step_bits(shared, info) == again
             fresh, fresh_info = step(fresh, scn, dt, state_work(fresh, scn.a))
@@ -687,6 +774,95 @@ class TestWorkspaceStep:
             tracemalloc.stop()
         field = 64 * 64 * 8
         assert peak < 12 * field, f"step allocated {peak / field:.1f} fields"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "shlab"
+# the step's hot path, which selects with plain ufuncs and takes no second norm
+NO_MASK_OR_HYPOT = ("step", "rusanov_flux", "cfl_dt")
+
+
+def _is_hypot(call):
+    f = call.func
+    return (isinstance(f, ast.Attribute) and f.attr == "hypot") or (
+        isinstance(f, ast.Name) and f.id == "hypot"
+    )
+
+
+def _hot_path_violations(path):
+    """(function, what) for each call with a where= keyword or of hypot in
+    the NO_MASK_OR_HYPOT functions of one module, and for friction_shrink
+    if it calls hypot more than once outside its `if ... gamma2 ...:`
+    branch (the Coulomb path); and the names of those functions found."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found, seen = [], set()
+    for top in tree.body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        if top.name in NO_MASK_OR_HYPOT:
+            seen.add(top.name)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    if any(k.arg == "where" for k in node.keywords):
+                        found.append((top.name, "where="))
+                    if _is_hypot(node):
+                        found.append((top.name, "hypot"))
+        elif top.name == "friction_shrink":
+            seen.add(top.name)
+            extended = {
+                id(n)
+                for branch in ast.walk(top)
+                if isinstance(branch, ast.If) and "gamma2" in ast.unparse(branch.test)
+                for n in ast.walk(branch)
+            }
+            coulomb = [
+                n for n in ast.walk(top)
+                if isinstance(n, ast.Call) and _is_hypot(n) and id(n) not in extended
+            ]
+            if len(coulomb) > 1:
+                found.append((top.name, f"{len(coulomb)} hypot calls on the Coulomb path"))
+    return found, seen
+
+
+def test_the_step_takes_one_norm_and_no_masked_ufunc():
+    found, seen = [], set()
+    for name in ("solver.py", "friction.py"):
+        f, s = _hot_path_violations(SRC / name)
+        found += f
+        seen |= s
+    assert seen == {*NO_MASK_OR_HYPOT, "friction_shrink"}
+    assert not found, found
+
+
+def test_hot_path_guard_sees_each_form(tmp_path):
+    p = tmp_path / "mod.py"
+    p.write_text(
+        "def step(x):\n"
+        "    np.divide(x, 2.0, out=x, where=x > 0)\n"
+        "    return np.hypot(x, x)\n"
+        "def rusanov_flux(x):\n"
+        "    return hypot(x, x)\n"
+        "def cfl_dt(x):\n"
+        "    return [np.copyto(x, 0.0, where=x < 0) for _ in x]\n"
+        "def friction_shrink(q, params):\n"
+        "    n = np.hypot(q[0], q[1])\n"
+        "    if params.gamma2 > 0.0:\n"
+        "        n = np.hypot(n, n)\n"
+        "    return n, numpy.hypot(n, n)\n"
+        "def elsewhere(x):\n"
+        "    return np.hypot(x, x, where=x > 0)\n"
+    )
+    found, seen = _hot_path_violations(p)
+    assert seen == {*NO_MASK_OR_HYPOT, "friction_shrink"}
+    assert found == [
+        ("step", "where="),
+        ("step", "hypot"),
+        ("rusanov_flux", "hypot"),
+        ("cfl_dt", "where="),
+        ("friction_shrink", "2 hypot calls on the Coulomb path"),
+    ]
+    # one hypot on the Coulomb path and one in the extended branch pass
+    p.write_text(p.read_text().replace("    return n, numpy.hypot(n, n)\n", "    return n\n"))
+    assert ("friction_shrink", "2 hypot calls on the Coulomb path") not in _hot_path_violations(p)[0]
 
 
 class TestSimulate:
