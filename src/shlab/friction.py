@@ -66,7 +66,7 @@ def friction_shrink(
     for a (2, nx, ny) momentum stack q and (nx, ny) heights h.
 
     Coulomb part: q' = q (1 - dt*gamma*h / s) for the scale s = max(|q|,
-    dt*gamma*h), which is 0 where |q| <= dt*gamma*h or dt*gamma*h = inf.
+    dt*gamma*h); q' = 0 where |q| <= dt*gamma*h or dt*gamma*h = inf.
     The extended law (gamma2 > 0) follows with the closed-form solve of
     |q'| (1 + dt*gamma2*|q'|/h) = |q| (positive root of the quadratic).
 

@@ -672,15 +672,15 @@ class TestWorkspaceStep:
 
     @settings(max_examples=60, deadline=None)
     @given(case=step_cases(), gamma_kind=st.sampled_from(["drawn", "zeros", "subnormal"]),
-           zeros=st.data())
-    def test_selection_is_in_the_friction_graph(self, case, gamma_kind, zeros):
+           data=st.data())
+    def test_selection_is_in_the_friction_graph(self, case, gamma_kind, data):
         """Without force, so that the step returns q_post: |B| <= 1 + 4 eps
         and B . u_post >= 0 in each cell, B = 0 where dt gamma h = 0, and a
         cell with |q_pre| <= dt gamma h stops at q_post = +-0."""
         scn, state, dt = case
         gamma, shape = scn.friction.gamma, scn.grid.shape
         if gamma_kind == "zeros":
-            gamma = np.where(zeros.draw(arrays(np.bool_, shape)), 0.0, np.maximum(gamma, 0.5))
+            gamma = np.where(data.draw(arrays(np.bool_, shape)), 0.0, np.maximum(gamma, 0.5))
         elif gamma_kind == "subnormal":
             gamma = 2.225073858507e-311
         scn = dataclasses.replace(
