@@ -42,7 +42,7 @@ def main() -> None:
     next_print = 0.0
     while t < scn.T - 1e-12:
         work.fill(st.h, *st.q, scn.a)
-        dt = min(cfl_dt(st, scn.cfl, grid.dx, scn.default_dt_max(), work), scn.T - t)
+        dt = min(cfl_dt(scn.cfl, grid.dx, scn.default_dt_max(), work), scn.T - t)
         st, _ = step(st, scn, dt, work)
         t += dt
         max_dt = max(max_dt, dt)

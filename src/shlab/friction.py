@@ -87,12 +87,13 @@ def friction_shrink(
     np.subtract(1.0, factor, out=factor)
     out = q * factor
     if params.gamma2 > 0.0:
-        c = dt * params.gamma2 / h
         mag = np.hypot(out[0], out[1])
-        # |q'| = (-1 + sqrt(1 + 4 c |q|)) / (2 c), written to avoid cancellation
-        new_mag = 2.0 * mag / (1.0 + np.sqrt(1.0 + 4.0 * c * mag))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = out * np.where(mag > 0.0, new_mag / np.where(mag > 0, mag, 1.0), 0.0)
+        # |q'| = (-1 + sqrt(1 + 4 c |q|)) / (2 c) = |q| / half, without cancellation;
+        # an infinite drag c |q| = inf stops the cell (NaN where |q| = 0, masked)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = dt * params.gamma2 / h
+            half = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * c * mag))
+        out = out * np.where(mag > 0.0, mag / half / np.where(mag > 0, mag, 1.0), 0.0)
     return out
 
 

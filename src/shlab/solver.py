@@ -172,14 +172,14 @@ def _pairwise(ufunc, x: np.ndarray, out: np.ndarray, axis: int, at_face: bool) -
         ufunc(x[:, :1], x[:, -1:], out=out[:, -1:] if at_face else out[:, :1])
 
 
-def cfl_dt(state: State, cfl: float, dx: float, dt_max: float, work: Workspace) -> float:
+def cfl_dt(cfl: float, dx: float, dt_max: float, work: Workspace) -> float:
     """cfl dx / (largest wave speed), capped at dt_max.  The wave speed is
     the largest |u_axis| + sqrt(2 a h) over cells and both axis directions.
 
     With dx the smaller cell width, dt (s_x/dx + s_y/dy) <= 2 cfl, and the
     unsplit Rusanov update keeps h > 0 while that is <= 1 (Bouchut 2004); so
     cfl is limited to (0, 1/2], which `Scenario` checks.  `work` must hold
-    the terms of this state (`Workspace.fill`), whose wave speeds it reads.
+    the terms of the state (`Workspace.fill`), whose wave speeds it reads.
     """
     speed = float(np.max(work.speeds))
     if speed <= 0.0:
@@ -222,20 +222,18 @@ def rusanov_flux(h: np.ndarray, q1: np.ndarray, q2: np.ndarray, axis: int, work:
 @dataclass(frozen=True)
 class StepInfo:
     """Per-step bookkeeping: the (2, nx, ny) effective friction selection B
-    actually applied and the energy-ledger increments."""
+    actually applied and the energy-ledger increments (see step)."""
 
     B: np.ndarray
     dissipation_inc: float
     work_inc: float
 
 
-def _mean_power(v: np.ndarray, u: np.ndarray, weight) -> float:
-    """The grid mean of weight (v . u) for (2, nx, ny) stacks v and u,
-    computed in u."""
-    np.multiply(v[0], u[0], out=u[0])
-    np.multiply(v[1], u[1], out=u[1])
+def _mean_power(dq: np.ndarray, u: np.ndarray) -> float:
+    """The grid mean of dq . u for (2, nx, ny) stacks dq and u, computed in u."""
+    np.multiply(dq[0], u[0], out=u[0])
+    np.multiply(dq[1], u[1], out=u[1])
     u[0] += u[1]
-    u[0] *= weight
     return float(np.mean(u[0]))
 
 
@@ -247,7 +245,14 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
 
     B is the Coulomb selection that the resolvent applied, q_pre / s for its
     scale s = max(|q_pre|, dt gamma h), and 0 wherever dt gamma h = 0; so
-    |B| <= 1 up to roundoff and B . u >= 0 in each cell.
+    |B| <= 1 up to roundoff and B . u >= 0 in each cell.  Without friction
+    (gamma = gamma2 = 0) the resolvent returns q_pre bit for bit and B = +0.
+
+    The increments are the means of dq . u_new for the momentum changes dq
+    = q_pre - q_post (friction, the extended drag included) and dt hn f
+    (force), at the velocity each leaves.  With h fixed, |b|^2/2 - |a|^2/2
+    = b . (b - a) - |b - a|^2/2 makes both split steps dissipative, and a
+    cell that stops adds exactly 0, also where dt gamma h is infinite.
 
     The new h is checked finite and positive, and the momentum q_pre after
     the fluxes finite.  The new momentum needs no check of its own:
@@ -256,10 +261,10 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
       cfl_dt it is: a component of q above 1.4e154 overflows its own flux,
       and so q_pre, and the fluxes move a smaller one by at most about
       sqrt(a h^2 * h / 2) / 2 < 6.4e307, as a h^2 and h are finite.
-    - The force adds dt hn f.  If that makes a component of the new q
-      non-finite in a cell, then u = q / hn there is +-inf or NaN, and so is
-      f . u, also where f is 0 (0 * inf is NaN): the force's work is not
-      finite, and the step aborts.
+    - The force adds dq = dt hn f.  If that makes a component of the new q
+      non-finite in a cell, then that component of dq is nonzero and of
+      u = q / hn infinite there, or dq itself is not finite: the force's
+      work is not finite, and the step aborts.
     """
     grid = state.grid
     h = state.h
@@ -282,37 +287,30 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
         raise NumericalAbort("momentum became non-finite")
 
     # the scratch rows are free again: the threshold dt gamma h and the
-    # friction scratch, then the ledger terms; either way the new momentum is
-    # a fresh array, not the workspace's
-    friction = scenario.friction
-    gamma = friction.gamma
-    if friction.active:
-        thresh, scale = work.free[:2]
-        np.multiply(dt, gamma, out=thresh)
+    # friction scratch, then u and dt hn; the new momentum is a fresh array
+    thresh, scale = work.free[:2]
+    with np.errstate(over="ignore"):  # an infinite threshold stops the cell
+        np.multiply(dt, scenario.friction.gamma, out=thresh)
         thresh *= hn
-        q_post = friction_shrink(q_pre, hn, friction, dt, thresh, work.free[1:3])
-        with np.errstate(invalid="ignore"):  # 0 / 0 where dt gamma h = 0 = |q_pre|
-            B = q_pre / scale
-        if not thresh.min() > 0.0:  # B = 0 where dt gamma h = 0, over any such 0 / 0
-            B[:, thresh == 0.0] = 0.0
-    else:
-        q_post = q_pre.copy()
-        B = np.zeros_like(q_pre)
+    q_post = friction_shrink(q_pre, hn, scenario.friction, dt, thresh, work.free[1:3])
+    with np.errstate(invalid="ignore"):  # 0 / 0 where dt gamma h = 0 = |q_pre|
+        B = q_pre / scale
+    if not thresh.min() > 0.0:  # B = 0 where dt gamma h = 0, over any such 0 / 0
+        B[:, thresh == 0.0] = 0.0
 
-    u, g = work.free[1:3], work.free[3]
+    dq, u = q_pre, work.free[1:3]  # dq overwrites q_pre, which is done with
+    np.subtract(q_pre, q_post, out=dq)
     np.divide(q_post, hn, out=u)
-    np.multiply(gamma, hn, out=g)
-    diss_inc = dt * _mean_power(B, u, g)
+    diss_inc = _mean_power(dq, u)
 
     q_final = q_post
     if scenario.f is not None:  # q_final += dt hn f, in place
-        f = scenario.f
-        np.multiply(dt, hn, out=g)
-        np.multiply(g, f, out=u)
-        q_final += u
-        np.divide(q_final, hn, out=u)
-        with np.errstate(over="ignore"):  # a work that overflows aborts just below
-            work_inc = dt * _mean_power(f, u, hn)
+        with np.errstate(over="ignore", invalid="ignore"):  # such a work aborts just below
+            np.multiply(dt, hn, out=work.free[3])
+            np.multiply(work.free[3], scenario.f, out=dq)
+            q_final += dq
+            np.divide(q_final, hn, out=u)
+            work_inc = _mean_power(dq, u)
         if not np.isfinite(work_inc):
             raise NumericalAbort(f"work of the force is not finite (work increment = {work_inc})")
     else:
@@ -325,9 +323,11 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
 class EnergyLedger:
     """Time series of the discrete energy balance.
 
-    e2_residual = total + dissipation_cum - total(0) - work_cum; for a
-    dissipative run it stays <= 0 up to roundoff.  A row with a column that
-    is not finite (a mean that overflows) aborts the run instead.
+    e2_residual = total + dissipation_cum - total(0) - work_cum, the sums of
+    the step increments (see step); it stays <= 0 up to roundoff, as the
+    flux update satisfies the Rusanov scheme's discrete entropy inequality
+    under a CFL bound (Bouchut 2004).  A row with a column that is not
+    finite (a mean that overflows) aborts the run instead.
     """
 
     columns = (
@@ -423,7 +423,7 @@ def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
     for target in out_times[1:]:
         while t < target - 1e-14 * scenario.T:
             work.fill(state.h, *state.q, scenario.a)
-            dt = cfl_dt(state, scenario.cfl, dx, dt_max, work)
+            dt = cfl_dt(scenario.cfl, dx, dt_max, work)
             _check_budget(n_steps, t, dt, scenario.T)
             dt = min(dt, target - t)
             state, info = step(state, scenario, dt, work)

@@ -130,13 +130,13 @@ def kinetic_energy_field(
 
 def drag_coefficient(
     E: np.ndarray, h: np.ndarray, friction: FrictionParams, offset: float
-) -> np.ndarray | None:
+) -> np.ndarray:
     """(K+1, nx, ny) stack of the linear friction coefficient gamma sqrt(h/2E)
-    (+ extended term), or None without friction.  Raises if E, the budget
-    built from the energy offset, dips below the floor E_MIN_FACTOR |offset|,
-    and aborts if the coefficient is not finite."""
+    (+ extended term), +0 without friction.  With friction, raises if E, the
+    budget built from the energy offset, dips below the floor E_MIN_FACTOR
+    |offset|, and aborts if the coefficient is not finite."""
     if not friction.active:
-        return None
+        return np.broadcast_to(0.0, E.shape)
     e_min = E_MIN_FACTOR * abs(offset)
     e_low = float(np.min(E))
     if e_low < e_min:
@@ -154,7 +154,7 @@ def drag_coefficient(
 
 def solve_mean_momentum(
     v: np.ndarray,
-    drag: np.ndarray | None,
+    drag: np.ndarray,
     grad_psi: np.ndarray,
     h: np.ndarray,
     f: np.ndarray | None,
@@ -166,21 +166,21 @@ def solve_mean_momentum(
     dV/dt = mean(drag) V + mean(drag (v + grad psi) + h f), V(0) = V0, with
     v and grad psi (K+1, 2, nx, ny) stacks on the nodes of h, dt apart, the
     (2, nx, ny) force f or None, and drag the linear friction coefficient
-    stack (None without friction).
+    stack (zero without friction).
     Classical 4th-order one-step integration on the uniform nodes; the half
     steps read the linear interpolant of the node data, the mean of the two
     neighbours.  The node means of the right-hand side are taken per chunk.
     """
-    coef = np.broadcast_to(0.0, h.shape) if drag is None else drag
-    cbar = coef.mean(axis=(1, 2))
-    bbar = np.empty((h.shape[0], 2))
-    for k in _node_chunks(0, h.shape[0], h[0].size):
-        rhs = coef[k][:, None] * (v[k] + grad_psi[k])
-        if f is not None:
-            rhs += h[k][:, None] * f
-        bbar[k] = rhs.mean(axis=(2, 3))
-    cmid = 0.5 * (cbar[:-1] + cbar[1:])
-    bmid = 0.5 * (bbar[:-1] + bbar[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow here makes V abort below
+        cbar = drag.mean(axis=(1, 2))
+        bbar = np.empty((h.shape[0], 2))
+        for k in _node_chunks(0, h.shape[0], h[0].size):
+            rhs = drag[k][:, None] * (v[k] + grad_psi[k])
+            if f is not None:
+                rhs += h[k][:, None] * f
+            bbar[k] = rhs.mean(axis=(2, 3))
+        cmid = 0.5 * (cbar[:-1] + cbar[1:])
+        bmid = 0.5 * (bbar[:-1] + bbar[1:])
 
     # on Python floats: the IEEE operations of (2,) arrays, in their order
     c, cm = cbar.tolist(), cmid.tolist()
@@ -203,7 +203,7 @@ def solve_mean_momentum(
 def solve_stress(
     v: np.ndarray,
     V: np.ndarray,
-    drag: np.ndarray | None,
+    drag: np.ndarray,
     grad_psi: np.ndarray,
     h: np.ndarray,
     f: np.ndarray | None,
@@ -214,10 +214,8 @@ def solve_stress(
     chunks are solved together; nodes with a zero right-hand side keep M = +0."""
     out = np.zeros((h.shape[0], 2, *h.shape[1:]))
     for k in _node_chunks(0, h.shape[0], h[0].size):
-        rhs = np.zeros(v[k].shape)
-        if drag is not None:
-            term = drag[k][:, None] * (v[k] + V[k][:, :, None, None] + grad_psi[k])
-            rhs -= term - term.mean(axis=(2, 3), keepdims=True)
+        term = drag[k][:, None] * (v[k] + V[k][:, :, None, None] + grad_psi[k])
+        rhs = term.mean(axis=(2, 3), keepdims=True) - term
         if f is not None:
             force = h[k][:, None] * f
             rhs += force - force.mean(axis=(2, 3), keepdims=True)

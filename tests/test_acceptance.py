@@ -161,7 +161,7 @@ def test_criterion_3_solver_conservation_and_decay():
     work = Workspace(grid.shape)
     for _ in range(1000):
         work.fill(st.h, *st.q, scn.a)
-        dt = cfl_dt(st, scn.cfl, grid.dx, scn.default_dt_max(), work)
+        dt = cfl_dt(scn.cfl, grid.dx, scn.default_dt_max(), work)
         st, _ = step(st, scn, dt, work)
         h, q = st.h, st.q
         total = float(np.mean(0.5 * (q[0] ** 2 + q[1] ** 2) / h + scn.a * h * h))
@@ -184,7 +184,7 @@ def test_criterion_3_solver_conservation_and_decay():
     t, max_dt, worst, stop_time = 0.0, 0.0, 0.0, None
     while t < decay.T - 1e-12:
         work.fill(st.h, *st.q, decay.a)
-        dt = min(cfl_dt(st, decay.cfl, grid.dx, decay.default_dt_max(), work), decay.T - t)
+        dt = min(cfl_dt(decay.cfl, grid.dx, decay.default_dt_max(), work), decay.T - t)
         st, _ = step(st, decay, dt, work)
         t += dt
         max_dt = max(max_dt, dt)

@@ -179,6 +179,34 @@ class TestShrink:
         assert scratch[0].tobytes() == np.maximum(norm, thresh).tobytes()
         assert np.all(out[:, ~moving] == 0.0)
 
+    def test_extended_law_stops_at_an_infinite_drag(self):
+        """Where c = dt gamma2 / h or 4 c |q| overflows, the drag stops the
+        cell (|q'| = 0) with no warning; every cell is bitwise the closed form
+        2 |q| / (1 + sqrt(1 + 4 c |q|)) with the overflows let through."""
+        q1, h = (
+            np.stack(m).ravel()
+            for m in np.meshgrid(
+                [0.0, -0.0, 5e-324, 0.7, -2.0, 1e300], [5e-324, 1e-300, 1e-10, 1.0, 1e300],
+                indexing="ij",
+            )
+        )
+        q, dt = np.stack([q1, 0.5 * q1]), 0.1
+        mag = np.hypot(*q)
+        for gamma2 in (1e-300, 1.0, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = friction_shrink(
+                    q, h, FrictionParams(gamma2=gamma2), dt, np.zeros(h.shape), np.empty_like(q)
+                )
+            with np.errstate(over="ignore", invalid="ignore"):
+                c4m = 4.0 * (dt * gamma2 / h) * mag
+                new_mag = 2.0 * mag / (1.0 + np.sqrt(1.0 + c4m))
+                expected = q * np.where(mag > 0.0, new_mag / np.where(mag > 0, mag, 1.0), 0.0)
+            assert out.tobytes() == expected.tobytes()
+            infinite = ~np.isfinite(c4m)
+            assert np.all(out[:, infinite] == 0.0)
+        assert np.any(infinite & (mag > 0.0))  # gamma2 = 1e300 stops moving cells
+
     def test_extended_law_against_quadratic_oracle(self, grid32):
         # |q'| solves c x^2 + x - |q_c| = 0 after the coulomb shrink
         gamma, gamma2, dt, hval = 0.4, 1.3, 0.05, 0.8

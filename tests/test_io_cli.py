@@ -564,6 +564,11 @@ def _maybe(values):
 SPECIAL = st.sampled_from([0.0, -1.0, 1e-12, 1e6, float("nan"), float("inf"), float("-inf")])
 
 
+# log-uniform from the smallest subnormal to 1e308 (and 0.0, where 10**e underflows)
+MAGNITUDE = st.floats(np.log10(5e-324), 308.0).map(lambda e: 10.0**e)
+SIGNED_MAGNITUDE = st.tuples(st.sampled_from([1.0, -1.0]), MAGNITUDE).map(lambda t: t[0] * t[1])
+
+
 # one workbench key or argument set to an invalid or degenerate value
 WORKBENCH_BROKEN = st.one_of(
     st.tuples(
@@ -597,19 +602,23 @@ WORKBENCH_BROKEN = st.one_of(
     steps=st.integers(1, 3),
     T=st.floats(0.25, 2.0),
     force=_maybe(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))),
+    gamma=_maybe(st.one_of(st.just(0.0), MAGNITUDE)),
+    gamma2=_maybe(st.one_of(st.just(0.0), MAGNITUDE)),
     chunk_nodes=st.integers(1, 4),
     broken=st.one_of(st.none(), st.none(), st.none(), WORKBENCH_BROKEN),  # most run the loop
 )
 def test_workbench_exit_codes_are_documented(
-    time_nodes, osc_n, delta, amplitude_cap, seed, steps, T, force, chunk_nodes, broken
+    time_nodes, osc_n, delta, amplitude_cap, seed, steps, T, force, gamma, gamma2, chunk_nodes,
+    broken,
 ):
     """Whatever the workbench keys and arguments, main returns 0, 2, 3 or 4,
     and nothing escapes it: no traceback and no RuntimeWarning, which
     pyproject.toml raises as an error.  Each example is a valid 8^2
     workbench run with at most one key or argument broken, so valid runs,
-    which run the improvement loop, are frequent.  At 8^2 a node chunk would
-    hold 128 nodes, so the chunk size is lowered to 1 to 4 nodes, and the
-    per-node passes cross chunk boundaries."""
+    which run the improvement loop, are frequent.  gamma and gamma2 are 0,
+    the base's 0.2 and 0, or log-uniform up to 1e308.  At 8^2 a node chunk
+    would hold 128 nodes, so the chunk size is lowered to 1 to 4 nodes, and
+    the per-node passes cross chunk boundaries."""
     keys = {
         "workbench.time_nodes": str(time_nodes),
         "workbench.osc_n": str(osc_n),
@@ -618,7 +627,10 @@ def test_workbench_exit_codes_are_documented(
         "physics.T": repr(T),
         "force.fx": None if force is None else repr(force[0]),
         "force.fy": None if force is None else repr(force[1]),
+        "friction.gamma2": None if gamma2 is None else repr(gamma2),
     }
+    if gamma is not None:  # else the base's 0.2
+        keys["friction.gamma"] = repr(gamma)
     args = {"--steps": str(steps), "--seed": None if seed is None else str(seed)}
     if broken is not None:
         (args if broken[0].startswith("--") else keys)[broken[0]] = broken[1]
@@ -710,21 +722,32 @@ BROKEN = st.tuples(
     cfl=_maybe(st.floats(0.02, 0.5)),
     u0=st.floats(-10.0, 10.0),
     gamma=_maybe(
-        st.one_of(st.floats(0.0, 5.0).map(repr), st.just("0.2 + 0.1*cos(2*pi*x1)"))
+        st.one_of(
+            MAGNITUDE.map(repr),
+            MAGNITUDE.map(lambda g: f"{g!r}*(2 + cos(2*pi*x1))"),
+            st.just("0.2 + 0.1*cos(2*pi*x1)"),
+        )
     ),
-    gamma2=_maybe(st.floats(0.0, 5.0)),
+    gamma2=_maybe(MAGNITUDE),
+    h0=_maybe(MAGNITUDE),
+    force=_maybe(st.tuples(SIGNED_MAGNITUDE, SIGNED_MAGNITUDE)),
     times=_maybe(st.integers(2, 6)),
     seed=_maybe(st.integers(0, 2**40)),
     broken=_maybe(BROKEN),
 )
 def test_simulate_exit_codes_are_documented(
-    T, a, cfl, u0, gamma, gamma2, times, seed, broken
+    T, a, cfl, u0, gamma, gamma2, h0, force, times, seed, broken
 ):
-    """Whatever the physics, friction, output and seed keys, the command exits
-    0, 2, 3 or 4, and no traceback or RuntimeWarning escapes it.
+    """Whatever the physics, friction, force, output and seed keys, the
+    command exits 0, 2, 3 or 4, and no traceback or RuntimeWarning escapes it.
+    gamma, gamma2, the amplitude of h0 and the force are drawn log-uniformly
+    up to 1e308.
 
-    T <= 0.1, a <= 10, |u0| <= 10 and cfl >= 0.02 bound the step count, which
-    grows with T (|u| + sqrt(2 a h)) / (cfl dx) without limit."""
+    The step count grows with T (|u| + sqrt(2 a h)) / (cfl dx) without limit:
+    a large h0 or force drives it up.  So the run's budget is cut from
+    MAX_STEPS to 2,000 steps, past which the run aborts (exit 3) as it would
+    at MAX_STEPS.  Without those draws, T <= 0.1, a <= 10, |u0| <= 10 and
+    cfl >= 0.02 keep a run below about 600 steps."""
     keys = {
         "physics.T": T,
         "physics.a": a,
@@ -732,12 +755,17 @@ def test_simulate_exit_codes_are_documented(
         "initial.u0x": f"{u0!r}*cos(2*pi*x2)",
         "friction.gamma": gamma,
         "friction.gamma2": gamma2,
+        "force.fx": None if force is None else force[0],
+        "force.fy": None if force is None else force[1],
         "output.times": times,
         "seed": seed,
     }
+    if h0 is not None:  # else the base's h0, of amplitude 1
+        keys["initial.h0"] = f"{h0!r}*(1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2))"
     if broken is not None:
         keys[broken[0]] = broken[1]
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "MAX_STEPS", 2000)
         scn = scenario8(
             Path(tmp),
             {k: v if v is None or isinstance(v, str) else repr(v) for k, v in keys.items()},
@@ -1231,6 +1259,52 @@ class TestFuzzFindings:
         else:  # one "shlab: <label>: <message>" line, nothing else
             assert err.startswith("shlab: ") and err.count("\n") == 1
 
+    STOPPING = {"friction.gamma": "1e308", "initial.u0x": "0.3", "initial.u0y": None}
+
+    @pytest.mark.parametrize(
+        "overrides,e2_final",
+        [
+            # two RuntimeWarnings, then the exit-3 line "ledger dissipation_cum
+            # is not finite (dissipation_cum = nan)": gamma h overflowed in the
+            # dissipation's weight, and inf * 0 made it NaN, although every
+            # cell just stops in the first step
+            ({**STOPPING, "initial.h0": "1e3 + 0.1*sin(2*pi*x1)"}, -45.0025),
+            # here dt gamma h itself overflowed, with a third warning
+            ({**STOPPING, "initial.h0": "1e6 + 0.1*sin(2*pi*x1)"}, -45000.0026),
+            # the extended law at tiny heights exited 0, after a RuntimeWarning:
+            # c = dt gamma2 / h overflowed in friction_shrink (in the first
+            # case inf * 0 in a still cell then gave a second)
+            (
+                {
+                    "friction.gamma": "3.083", "friction.gamma2": "0.8616",
+                    "initial.h0": "5.81033966e-316*(1 + 0.1*cos(2*pi*x1))",
+                    "initial.u0x": "7.09*cos(2*pi*x2)", "force.fx": "0.1", "force.fy": "0",
+                },
+                0.0,
+            ),
+            (
+                {
+                    "friction.gamma": "0", "friction.gamma2": "1.25e224",
+                    "initial.h0": "6.13e-136*(1 + 0.1*cos(2*pi*x1))",
+                },
+                -1.5325e-138,
+            ),
+        ],
+        ids=["gamma-h", "dt-gamma-h", "extended-tiny-h", "extended-huge-gamma2"],
+    )
+    def test_an_infinite_friction_stops_every_cell(
+        self, tmp_path, capsys, overrides, e2_final
+    ):
+        # exit 0 and no warning: a stop adds exactly 0 to the dissipation
+        scn = scenario8(tmp_path, {"physics.T": "0.05", **overrides}, base=SIMULATE8)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", scn, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        ledger = np.genfromtxt(out / "ledger.csv", delimiter=",", names=True)
+        assert np.all(ledger["dissipation_cum"] == 0.0)
+        assert np.all(ledger["e2_residual"] <= 0.0)
+        assert ledger["e2_residual"][-1] == pytest.approx(e2_final, rel=1e-6)
+
     @pytest.mark.parametrize("body", [b"", b"\n\n"], ids=["empty", "blank-lines"])
     def test_empty_ledger_exits_4(self, body):
         # IndexError inside np.genfromtxt
@@ -1318,8 +1392,18 @@ class TestFuzzFindings:
                 3,
                 "numerical abort: energy gap I is not finite (I = inf)",
             ),
+            # found by the widened property test: the same exit-3 line, after a
+            # RuntimeWarning from the mean of a finite drag of about 1e307
+            (
+                {"friction.gamma2": "1e307"},
+                3,
+                "numerical abort: mean momentum V is not finite (dt = 1.250e-01)",
+            ),
         ],
-        ids=["force-1e7", "force-1e200", "extended-lambda-1e300", "fixed-lambda-force-1e200"],
+        ids=[
+            "force-1e7", "force-1e200", "extended-lambda-1e300", "fixed-lambda-force-1e200",
+            "extended-gamma2-1e307",
+        ],
     )
     def test_workbench_overflow(self, tmp_path, capsys, overrides, code, message):
         scn = scenario8(tmp_path, overrides)

@@ -11,6 +11,7 @@ from shlab import spectral, workbench
 from shlab.errors import (
     ConstraintError,
     DesignError,
+    EnergyPositivityError,
     InvalidValueError,
     NumericalAbort,
     PositivityError,
@@ -180,6 +181,20 @@ class TestKineticEnergyField:
         np.testing.assert_allclose(E[k], 1.0 - 0.5 * h_k**2 - dpsi_k, atol=1e-7)
 
 
+def no_drag(h):
+    """The drag of a frictionless problem: a read-only stack of +0 on the nodes of h."""
+    return np.broadcast_to(0.0, h.shape)
+
+
+def test_frictionless_drag_is_a_zero_stack():
+    # gamma = gamma2 = 0 has no energy floor to check: E < 0 passes
+    E = np.full((3, 4, 4), -1.0)
+    drag = workbench.drag_coefficient(E, np.ones(E.shape), FrictionParams(), offset=1.0)
+    assert drag.shape == E.shape and drag.tobytes() == bytes(drag.nbytes)
+    with pytest.raises(EnergyPositivityError, match="floor"):
+        workbench.drag_coefficient(E, np.ones(E.shape), FrictionParams(gamma=0.1), offset=1.0)
+
+
 class TestMeanMomentum:
     def setup_fields(self, grid, K=32, E0=0.5):
         times = np.linspace(0.0, 1.0, K + 1)
@@ -190,13 +205,13 @@ class TestMeanMomentum:
 
     def test_frictionless_unforced_is_constant(self, grid32):
         times, h, zero, _ = self.setup_fields(grid32)
-        V = solve_mean_momentum(zero, None, zero, h, None, (0.3, -0.1), times[1])
+        V = solve_mean_momentum(zero, no_drag(h), zero, h, None, (0.3, -0.1), times[1])
         np.testing.assert_allclose(V, np.tile([0.3, -0.1], (V.shape[0], 1)), atol=1e-14)
 
     def test_pure_quadrature_of_force(self, grid32):
         times, h, zero, _ = self.setup_fields(grid32)
         f = sample(grid32, 1.0, 0.0)
-        V = solve_mean_momentum(zero, None, zero, h, f, (0.0, 0.0), times[1])
+        V = solve_mean_momentum(zero, no_drag(h), zero, h, f, (0.0, 0.0), times[1])
         np.testing.assert_allclose(V[:, 0], times, atol=1e-12)
         np.testing.assert_allclose(V[:, 1], 0.0, atol=1e-14)
 
@@ -212,9 +227,8 @@ class TestMeanMomentum:
 def rk4_with_interp(v, drag, grad_psi, h, f, V0, times):
     """Reference mean-momentum RK4 that reads the node data at every stage time
     through np.interp."""
-    coef = np.zeros_like(h) if drag is None else drag
-    cbar = coef.mean(axis=(1, 2))
-    rhs = coef[:, None] * (v + grad_psi)
+    cbar = drag.mean(axis=(1, 2))
+    rhs = drag[:, None] * (v + grad_psi)
     if f is not None:
         rhs = rhs + h[:, None] * f[None]
     bbar = rhs.mean(axis=(2, 3))
@@ -244,7 +258,7 @@ def test_mean_momentum_matches_interp_rk4(seed):
     times = np.linspace(0.0, float(rng.uniform(0.1, 3.0)), K + 1)
     shape = (K + 1, *grid.shape)
     h = rng.uniform(0.5, 1.5, shape)
-    drag = None if seed == 0 else rng.uniform(0.0, 2.0, shape)
+    drag = no_drag(h) if seed == 0 else rng.uniform(0.0, 2.0, shape)
     v, grad_psi = rng.standard_normal((2, K + 1, 2, *grid.shape))
     f = None if seed == 1 else rng.standard_normal((2, *grid.shape))
     V0 = rng.standard_normal(2)
@@ -264,7 +278,7 @@ class TestStress:
     def test_constant_force_gives_zero(self, grid32):
         _, h, zero, _ = self.setup_fields(grid32)
         V = np.zeros((h.shape[0], 2))
-        M = solve_stress(zero, V, None, zero, h, sample(grid32, 2.0, -1.0))
+        M = solve_stress(zero, V, no_drag(h), zero, h, sample(grid32, 2.0, -1.0))
         assert not np.any(M)
 
     def test_sine_force_forward_divergence(self, grid32):
@@ -273,7 +287,7 @@ class TestStress:
         f = sample(
             grid32, lambda x1, x2: np.sin(TWO_PI * x2), lambda x1, x2: 0.0 * x1
         )
-        M = solve_stress(zero, V, None, zero, h, f)
+        M = solve_stress(zero, V, no_drag(h), zero, h, f)
         for k in (0, 4, 8):
             div_M = div_traceless_values(M[k])
             np.testing.assert_allclose(div_M, f, atol=1e-9)
@@ -408,9 +422,8 @@ def stress_per_node(v, V, drag, grad_psi, h, f):
     out = np.zeros((h.shape[0], 2, *h.shape[1:]))
     for k in range(h.shape[0]):
         rhs = np.zeros((2, *h.shape[1:]))
-        if drag is not None:
-            term = drag[k][None] * (v[k] + V[k][:, None, None] + grad_psi[k])
-            rhs -= term - term.mean(axis=(1, 2))[:, None, None]
+        term = drag[k][None] * (v[k] + V[k][:, None, None] + grad_psi[k])
+        rhs -= term - term.mean(axis=(1, 2))[:, None, None]
         if f is not None:
             force = h[k][None] * f
             rhs += force - force.mean(axis=(1, 2))[:, None, None]
@@ -421,9 +434,8 @@ def stress_per_node(v, V, drag, grad_psi, h, f):
 
 def rk4_on_arrays(v, drag, grad_psi, h, f, V0, dt):
     """Reference solve_mean_momentum: the RK4 recurrence on (2,) arrays."""
-    coef = np.zeros_like(h) if drag is None else drag
-    cbar = coef.mean(axis=(1, 2))
-    rhs = coef[:, None] * (v + grad_psi)
+    cbar = drag.mean(axis=(1, 2))
+    rhs = drag[:, None] * (v + grad_psi)
     if f is not None:
         rhs = rhs + h[:, None] * f[None]
     bbar = rhs.mean(axis=(2, 3))
@@ -489,7 +501,7 @@ class TestChunkedSolves:
         shape = (13, *grid32.shape)
         h, E = rng.uniform(0.5, 1.5, (2, *shape))
         v, grad_psi = rng.standard_normal((2, 13, 2, *grid32.shape))
-        drag = None
+        drag = no_drag(h)
         if gamma2 is not None:
             params = FrictionParams(gamma=0.3, gamma2=gamma2)
             drag = friction_coefficient_values(h, E, params)
@@ -513,7 +525,7 @@ class TestChunkedSolves:
         h = rng.uniform(0.5, 1.5, (2 * chunk + 1, n, n))
         zero = np.zeros((h.shape[0], 2, n, n))
         f = rng.standard_normal((2, n, n))
-        solve_stress(zero, np.zeros((h.shape[0], 2)), None, zero, h, f)
+        solve_stress(zero, np.zeros((h.shape[0], 2)), no_drag(h), zero, h, f)
         assert sizes == [chunk, chunk, 1]
 
     @pytest.mark.parametrize("n,num_steps", [(32, 12), (32, 64), (16, 40)])
@@ -1021,12 +1033,14 @@ class TestChunkedPasses:
         assert report.min_margin == float(np.min(margin))
         assert report.passed == bool(np.all(margin > 0.0))
         assert energy_gap(sub) == gap_stacked(sub)
+        drag = workbench.drag_coefficient(
+            sub.kinetic_energy, prob.height, prob.friction, sub.energy_offset
+        )
         if prob.friction.active:
-            drag = workbench.drag_coefficient(
-                sub.kinetic_energy, prob.height, prob.friction, sub.energy_offset
-            )
             ref = friction_coefficient_values(prob.height, sub.kinetic_energy, prob.friction)
-            assert drag.tobytes() == ref.tobytes()
+        else:  # gamma = gamma2 = 0: a stack of +0
+            ref = np.zeros(sub.kinetic_energy.shape)
+        assert drag.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize(
         "case", ["workbench32", "ragged", "extended", "frictionless-forced"]
