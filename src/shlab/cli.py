@@ -24,7 +24,7 @@ from .errors import FormatError, InvalidValueError, NumericalAbort, ShlabError, 
 from .fields import TorusGrid
 from .scenario import load_config
 from .snapshots import write_snapshot
-from .solver import EnergyLedger, simulate, stream  # noqa: F401 (bench/ wraps simulate)
+from .solver import EnergyLedger, State, simulate, stream  # noqa: F401 (bench/ wraps simulate)
 from .workbench import (  # noqa: F401 (bench/ wraps energy_gap)
     energy_gap,
     find_energy_offset,
@@ -110,13 +110,17 @@ def _cmd_simulate(args) -> int:
     scn = load_config(args.scenario).to_scenario()
     run = _RunDir(args.out)
     ledger = EnergyLedger()
+    n_outputs = 0
     try:
-        # each output is written as it lands, so only the current state is held
-        for j, (_, state, selection, n_steps) in enumerate(stream(scn, ledger)):
-            for name, kind, values in (
-                ("h", "scalar", state.h), ("q", "vector", state.q), ("B", "vector", selection)
-            ):
-                run.snapshot(f"snapshot_{j:04d}_{name}.shlab", kind, values)
+        # each output is written as it lands and dropped before the next step
+        # runs; enumerate's result tuple would hold it through that step
+        for out in stream(scn, ledger):
+            prefix = f"snapshot_{n_outputs:04d}"
+            run.snapshot(f"{prefix}_h.shlab", "scalar", out.state.h)
+            run.snapshot(f"{prefix}_q.shlab", "vector", out.state.q)
+            run.snapshot(f"{prefix}_B.shlab", "vector", out.selection)
+            n_steps, n_outputs = out.n_steps, n_outputs + 1
+            del out
     except BaseException:
         run.discard()  # a failed run leaves no partial output
         raise
@@ -130,7 +134,7 @@ def _cmd_simulate(args) -> int:
         f"worst energy-balance residual: {np.max(ledger.column('e2_residual')):.6g}\n",
     )
     run.finish(args.scenario, scn.seed, scn.grid, t0)
-    _remove_stale_snapshots(run.path, j + 1)
+    _remove_stale_snapshots(run.path, n_outputs)
     return 0
 
 
@@ -269,17 +273,23 @@ def _cmd_wsu(args) -> int:
     return 0
 
 
+def _final_state(scn) -> State:
+    """The state of a run at T; every earlier output is dropped as it lands."""
+    for out in stream(scn, EnergyLedger()):
+        if out.t == scn.T:  # the last output lands exactly on T
+            final = out.state
+        del out
+    return final
+
+
 def _cmd_convergence(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.scenario)
     base = TorusGrid(cfg.values["grid.nx"], cfg.values["grid.ny"])
     grids = [base, TorusGrid(2 * base.nx, 2 * base.ny)]
-    finals = []
-    for g in (TorusGrid(4 * base.nx, 4 * base.ny), *grids):
-        for last in stream(cfg.to_scenario(g), EnergyLedger()):
-            pass  # only the last output of each run is kept
-        finals.append(last.state)
-    ref, *runs = finals
+    ref, *runs = [
+        _final_state(cfg.to_scenario(g)) for g in (TorusGrid(4 * base.nx, 4 * base.ny), *grids)
+    ]
     errors = [
         float(np.mean(np.abs(r.h - restrict_state(ref, r.grid).h))) for r in runs
     ]

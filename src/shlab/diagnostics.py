@@ -73,6 +73,26 @@ class RelativeEnergyReport:
     truncated: bool
 
 
+def _restricted_reference(ref, coarse: TorusGrid) -> tuple[np.ndarray, list[State], bool]:
+    """The output times and restricted states of the fine run `ref` on its
+    smooth window (see weak_strong_experiment), and whether a shock cut it.
+    Each fine output is dropped once it is restricted."""
+    times, refs = [], []
+    for out in stream(ref, EnergyLedger()):
+        grad = _max_height_gradient(out.state)
+        if not refs:
+            limit = 10.0 * (grad + 1.0)
+        shocked = grad > limit
+        # output 1 stays in the window, which keeps at least two outputs
+        if not (shocked and len(refs) >= 2):
+            times.append(out.t)
+            refs.append(restrict_state(out.state, coarse))
+        del out
+        if shocked:
+            break
+    return np.array(times), refs, shocked and len(refs) < ref.n_output
+
+
 def weak_strong_experiment(
     make_scenario, eps_list, coarse: TorusGrid, fine: TorusGrid
 ) -> list[RelativeEnergyReport]:
@@ -89,21 +109,7 @@ def weak_strong_experiment(
     """
     if fine.nx < 4 * coarse.nx or fine.ny < 4 * coarse.ny:
         raise InvalidValueError("fine grid must be at least 4x the coarse grid")
-    ref = make_scenario(fine)
-    times, refs = [], []
-    for t, state, _, _ in stream(ref, EnergyLedger()):  # restrict each output as it lands
-        grad = _max_height_gradient(state)
-        if not refs:
-            limit = 10.0 * (grad + 1.0)
-        shocked = grad > limit
-        if shocked and len(refs) >= 2:
-            break
-        times.append(t)
-        refs.append(restrict_state(state, coarse))
-        if shocked:  # output 1 stays in the window, which keeps at least two outputs
-            break
-    truncated = shocked and len(refs) < ref.n_output
-    times = np.array(times)
+    times, refs, truncated = _restricted_reference(make_scenario(fine), coarse)
 
     base = make_scenario(coarse)
     mode = np.sin(2.0 * np.pi * coarse.cell_centers()[1])
@@ -112,8 +118,10 @@ def weak_strong_experiment(
         pert = np.zeros((2, *coarse.shape))
         pert[0] = eps * mode
         run = stream(replace(base, u0=base.u0 + pert), EnergyLedger())
-        # refs first: zip then stops the run at the last reference, not one output past it
-        values = np.array([relative_energy(out.state, r, base.a) for r, out in zip(refs, run)])
+        # one output per reference, each dropped once compared: a loop over
+        # zip(refs, run) would hold the last one through the next steps
+        values = np.array([relative_energy(next(run).state, r, base.a) for r in refs])
+        run.close()
         floor = max(values[0] * 1e-12, 1e-18)
         usable = values > 10.0 * floor
         rate = 0.0

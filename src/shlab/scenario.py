@@ -119,8 +119,9 @@ class _ExprEvaluator(ast.NodeVisitor):
         return _ALLOWED_FUNCS[node.func.id](self.visit(node.args[0]))
 
 
-def eval_expression(text: str, grid: TorusGrid) -> np.ndarray:
-    """Sample a closed-form expression at the cell centers."""
+def eval_expression(text: str, grid: TorusGrid, constant: bool = False) -> np.ndarray:
+    """Sample a closed-form expression at the cell centers.  With `constant`,
+    an expression that uses neither x1 nor x2 gives its one value, 0-d."""
     try:
         tree = ast.parse(text, mode="eval")
         x1, x2 = grid.cell_centers()
@@ -130,16 +131,20 @@ def eval_expression(text: str, grid: TorusGrid) -> np.ndarray:
         raise ParseError(f"bad expression {text!r}: {exc.msg}") from exc
     except RecursionError:
         raise ParseError(f"expression nests too deeply: {text[:40]!r}...") from None
-    return np.asarray(out, dtype=float) + np.zeros(grid.shape)
+    out = np.asarray(out, dtype=float)
+    # adding +0.0 turns -0.0 into +0.0 in a constant as in a field
+    return np.asarray(out + (0.0 if constant and out.ndim == 0 else np.zeros(grid.shape)))
 
 
-def _scalar_from_source(text: str, grid: TorusGrid, base: Path, key: str) -> np.ndarray:
+def _scalar_from_source(
+    text: str, grid: TorusGrid, base: Path, key: str, constant: bool = False
+) -> np.ndarray:
     if text.startswith("@"):
         values = read_snapshot(base / text[1:])
         if values.shape != grid.shape:  # a vector or tensor snapshot is (2, nx, ny)
             raise ValidationError(f"{key}: snapshot must be a scalar field on the scenario grid")
         return values
-    return eval_expression(text, grid)
+    return eval_expression(text, grid, constant)
 
 
 @dataclass
@@ -172,12 +177,13 @@ class ScenarioConfig:
             raise ValidationError("force.fx and force.fy must be given together")
         force = None
         if v["force.fx"] is not None:
-            force = np.stack(
-                [
-                    _scalar_from_source(v["force.fx"], grid, self.base_dir, "force.fx"),
-                    _scalar_from_source(v["force.fy"], grid, self.base_dir, "force.fy"),
-                ]
-            )
+            parts = [
+                _scalar_from_source(v[key], grid, self.base_dir, key, constant=True)
+                for key in ("force.fx", "force.fy")
+            ]
+            force = np.stack(np.broadcast_arrays(*parts))
+            if force.ndim == 1:  # two constants, as on a uniform slope: a view, not two fields
+                force = np.broadcast_to(force[:, None, None], (2, *grid.shape))
         return dict(
             grid=grid,
             T=v["physics.T"],

@@ -55,9 +55,12 @@ class Scenario:
     number cfl and n_output equispaced output times.
 
     The inputs are float64 arrays: h0 (nx, ny), u0 (2, nx, ny) and f
-    (2, nx, ny) or None.  This type owns their checks: each lives on the grid
-    and is finite, and h0 > 0.  It also checks that an array friction gamma
-    lives on the grid; `FrictionParams` checks its values.
+    (2, nx, ny) or None.  A constant force, such as gravity along a uniform
+    slope, may be a read-only broadcast view of its two components, which is
+    what `load_config` makes of two constant expressions.  This type owns
+    their checks: each lives on the grid and is finite, and h0 > 0.  It also
+    checks that an array friction gamma lives on the grid; `FrictionParams`
+    checks its values.
     """
 
     grid: TorusGrid
@@ -389,8 +392,10 @@ class Output(NamedTuple):
 def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
     """Advance the scenario with adaptive CFL steps, landing exactly on the
     equispaced output times, and yield each output as it lands; the ledger
-    gets one row per output.  Only the current state and one Workspace are
-    kept.
+    gets one row per output.  It keeps no output it yielded: only the
+    current state (the next step's input), the last selection until a step
+    makes the next, and one Workspace.  So a consumer that drops each output
+    before it asks for the next runs in constant memory.
 
     The run aborts (NumericalAbort) before it starts if it has more outputs
     than MAX_STEPS steps can reach, at any output whose ledger row is not
@@ -405,8 +410,8 @@ def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
         )
     state = scenario.initial_state()
     ledger.append(0.0, state, scenario.a, 0.0, 0.0)
-    selection0 = coulomb_selection(scenario.u0)
-    yield Output(0.0, state, selection0, 0)
+    selection = coulomb_selection(scenario.u0)
+    yield Output(0.0, state, selection, 0)
 
     if scenario.T == 0.0:
         return
@@ -419,21 +424,20 @@ def stream(scenario: Scenario, ledger: EnergyLedger) -> Iterator[Output]:
     work_cum = 0.0
     t = 0.0
     n_steps = 0
-    last_info = None
     for target in out_times[1:]:
         while t < target - 1e-14 * scenario.T:
             work.fill(state.h, *state.q, scenario.a)
             dt = cfl_dt(scenario.cfl, dx, dt_max, work)
             _check_budget(n_steps, t, dt, scenario.T)
             dt = min(dt, target - t)
+            selection = info = None  # the last selection is freed before the step makes one
             state, info = step(state, scenario, dt, work)
+            selection = info.B
             diss_cum += info.dissipation_inc
             work_cum += info.work_inc
             t += dt
             n_steps += 1
-            last_info = info
         t = target
-        selection = last_info.B if last_info is not None else selection0
         ledger.append(t, state, scenario.a, diss_cum, work_cum)
         yield Output(t, state, selection, n_steps)
 

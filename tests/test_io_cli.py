@@ -421,6 +421,53 @@ class TestCliSimulateStreaming:
         field = 64 * 64 * 8
         assert peak < 100 * field, f"traced peak {peak / field:.1f} fields"
 
+    def test_peak_is_one_step_and_its_inputs(self, tmp_path):
+        """A 128^2 run with a gamma field, a constant force and 11 outputs
+        holds 22 fields of 128^2 float64 at its peak: h0 and u0 (3), gamma
+        (1), the step workspace (10), the step's input state (3) and its new
+        h, q and B (5).  The bound allows 23.5, so 1.5 fields (192 KiB) for
+        everything else.  Holding the last output through the next steps
+        adds 5 fields, the last step's B through the next step 2, and the
+        force as two full fields 2.  128^2 keeps the other allocations
+        (about 0.5 field) well inside the slack."""
+        text = (
+            "grid.nx = 128\ngrid.ny = 128\nphysics.T = 0.02\noutput.times = 11\n"
+            "initial.h0 = 1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)\ninitial.u0x = 0.3*cos(2*pi*x2)\n"
+            "friction.gamma = 0.2 + 0.1*cos(2*pi*x1)\nforce.fx = 0.1\nforce.fy = 0\n"
+        )
+        scn = write_scenario(tmp_path, text)
+        tracemalloc.start()
+        try:
+            assert cli.main(["simulate", str(scn), "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        field = 128 * 128 * 8
+        assert peak < 23.5 * field, f"traced peak {peak / field:.2f} fields"
+
+    def test_a_constant_force_is_a_read_only_view(self, tmp_path):
+        """force.fx = 0.1 gives the read-only view of a constant; 0.1 + 0*x1
+        gives a full field.  Both runs write the same bytes."""
+        files = {}
+        for name, fx in (("view", "0.1"), ("field", "0.1 + 0*x1")):
+            scn = write_scenario(
+                tmp_path, MINIMAL + f"force.fx = {fx}\nforce.fy = 0\n", name=f"{name}.scn"
+            )
+            f = load_config(scn).to_scenario().f
+            assert f.shape == (2, 16, 16) and np.all(f[0] == 0.1) and np.all(f[1] == 0.0)
+            assert (f.strides[1:] == (0, 0)) == (name == "view")
+            if name == "view":
+                with pytest.raises(ValueError, match="read-only"):
+                    f[0, 0, 0] = 1.0
+            out = tmp_path / name
+            assert cli.main(["simulate", str(scn), "--out", str(out)]) == 0
+            files[name] = {
+                p.name: p.read_bytes()
+                for p in sorted(out.iterdir())
+                if p.name.startswith("snapshot_") or p.name == "ledger.csv"
+            }
+        assert len(files["view"]) == 10 and files["view"] == files["field"]
+
 
 WORKBENCH = MINIMAL + """
 initial.u0x = 0
@@ -601,29 +648,39 @@ WORKBENCH_BROKEN = st.one_of(
     seed=_maybe(st.integers(0, 2**40)),
     steps=st.integers(1, 3),
     T=st.floats(0.25, 2.0),
-    force=_maybe(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))),
+    force=_maybe(
+        st.tuples(
+            st.one_of(st.floats(-0.5, 0.5), SIGNED_MAGNITUDE),
+            st.one_of(st.floats(-0.5, 0.5), SIGNED_MAGNITUDE),
+        )
+    ),
     gamma=_maybe(st.one_of(st.just(0.0), MAGNITUDE)),
     gamma2=_maybe(st.one_of(st.just(0.0), MAGNITUDE)),
+    lam=_maybe(MAGNITUDE),
     chunk_nodes=st.integers(1, 4),
     broken=st.one_of(st.none(), st.none(), st.none(), WORKBENCH_BROKEN),  # most run the loop
 )
 def test_workbench_exit_codes_are_documented(
-    time_nodes, osc_n, delta, amplitude_cap, seed, steps, T, force, gamma, gamma2, chunk_nodes,
-    broken,
+    time_nodes, osc_n, delta, amplitude_cap, seed, steps, T, force, gamma, gamma2, lam,
+    chunk_nodes, broken,
 ):
     """Whatever the workbench keys and arguments, main returns 0, 2, 3 or 4,
     and nothing escapes it: no traceback and no RuntimeWarning, which
     pyproject.toml raises as an error.  Each example is a valid 8^2
     workbench run with at most one key or argument broken, so valid runs,
     which run the improvement loop, are frequent.  gamma and gamma2 are 0,
-    the base's 0.2 and 0, or log-uniform up to 1e308.  At 8^2 a node chunk
-    would hold 128 nodes, so the chunk size is lowered to 1 to 4 nodes, and
-    the per-node passes cross chunk boundaries."""
+    the base's 0.2 and 0, or log-uniform up to 1e308, and workbench.lambda
+    is searched or log-uniform up to 1e308.  Each force component is
+    constant, so the force is a read-only view, and small or log-uniform up
+    to 1e308.  At 8^2 a node chunk would
+    hold 128 nodes, so the chunk size is lowered to 1 to 4 nodes, and the
+    per-node passes cross chunk boundaries."""
     keys = {
         "workbench.time_nodes": str(time_nodes),
         "workbench.osc_n": str(osc_n),
         "workbench.delta": repr(delta),
         "workbench.amplitude_cap": None if amplitude_cap is None else repr(amplitude_cap),
+        "workbench.lambda": None if lam is None else repr(lam),
         "physics.T": repr(T),
         "force.fx": None if force is None else repr(force[0]),
         "force.fy": None if force is None else repr(force[1]),
@@ -717,10 +774,10 @@ BROKEN = st.tuples(
 
 @settings(max_examples=40, deadline=None)
 @given(
-    T=st.floats(0.0, 0.1),
-    a=_maybe(st.floats(1e-3, 10.0)),
+    T=st.one_of(st.floats(0.0, 0.1), MAGNITUDE),
+    a=_maybe(st.one_of(st.floats(1e-3, 10.0), MAGNITUDE)),
     cfl=_maybe(st.floats(0.02, 0.5)),
-    u0=st.floats(-10.0, 10.0),
+    u0=st.one_of(st.floats(-10.0, 10.0), SIGNED_MAGNITUDE),
     gamma=_maybe(
         st.one_of(
             MAGNITUDE.map(repr),
@@ -741,13 +798,14 @@ def test_simulate_exit_codes_are_documented(
     """Whatever the physics, friction, force, output and seed keys, the
     command exits 0, 2, 3 or 4, and no traceback or RuntimeWarning escapes it.
     gamma, gamma2, the amplitude of h0 and the force are drawn log-uniformly
-    up to 1e308.
+    from the smallest subnormal to 1e308, and T, a and the amplitude of u0
+    from their small ranges or the same way.
 
     The step count grows with T (|u| + sqrt(2 a h)) / (cfl dx) without limit:
-    a large h0 or force drives it up.  So the run's budget is cut from
-    MAX_STEPS to 2,000 steps, past which the run aborts (exit 3) as it would
-    at MAX_STEPS.  Without those draws, T <= 0.1, a <= 10, |u0| <= 10 and
-    cfl >= 0.02 keep a run below about 600 steps."""
+    a large T, a, h0, u0 or force drives it up.  So the run's budget is cut
+    from MAX_STEPS to 2,000 steps, past which the run aborts (exit 3) as it
+    would at MAX_STEPS.  Without those draws, T <= 0.1, a <= 10, |u0| <= 10
+    and cfl >= 0.02 keep a run below about 600 steps."""
     keys = {
         "physics.T": T,
         "physics.a": a,

@@ -985,6 +985,34 @@ class TestStream:
         assert [out.n_steps for out in streamed] == sorted(out.n_steps for out in streamed)
         assert streamed[-1].n_steps == traj.n_steps
 
+    def test_a_dropped_output_is_freed_once_the_run_steps_on(self, monkeypatch):
+        """stream keeps no output it yielded and no old selection: when a step
+        starts, output 0's selection and every earlier step's B are freed,
+        and at each output the momentum of the one the consumer dropped is."""
+        selections, alive_at_start = [], []
+        real = solver.step
+
+        def spied(state, scenario, dt, work):
+            alive_at_start.append(sum(ref() is not None for ref in selections))
+            new, info = real(state, scenario, dt, work)
+            selections.append(weakref.ref(info.B))
+            return new, info
+
+        monkeypatch.setattr(solver, "step", spied)
+        run = stream(forced_friction_scenario(TorusGrid(8, 8)), EnergyLedger())
+        out = next(run)
+        selections.append(weakref.ref(out.selection))
+        last_q = weakref.ref(out.state.q)
+        del out
+        n_outputs = 1
+        for out in run:
+            assert last_q() is None
+            last_q = weakref.ref(out.state.q)
+            n_outputs += 1
+            del out
+        assert n_outputs == 7 and len(alive_at_start) > n_outputs  # several steps per output
+        assert alive_at_start == [0] * len(alive_at_start)
+
     def test_ledger_row_lands_with_each_output(self):
         ledger = EnergyLedger()
         for j, out in enumerate(stream(forced_friction_scenario(TorusGrid(8, 8)), ledger)):
