@@ -158,6 +158,8 @@ def _cmd_workbench(args) -> int:
         gap_rows.append((k + 1, sub.gap, sub.delta, int(step_report.accepted)))
 
     cert = subsolution_certificate(sub)
+    # before --out is made: a jump or residual that is not finite aborts
+    jump, residual = energy_jump(sub), transport_residual(sub)
     run = _RunDir(args.out)
     per_t = cert.margin.min(axis=(1, 2))
     run.table("certificate.csv", ("t", "min_margin"), zip(problem.times, per_t))
@@ -176,8 +178,8 @@ def _cmd_workbench(args) -> int:
         f"certificate: {'PASS' if cert.passed else 'FAIL'}  min margin = {cert.min_margin:.6g}\n"
         f"energy gap I: initial {gap_rows[0][1]:.9g} -> final {gap_rows[-1][1]:.9g}\n"
         f"accepted steps: {sum(r[3] for r in gap_rows[1:])}/{args.steps}\n"
-        f"initial energy jump: {energy_jump(sub):.9g}\n"
-        f"transport residual: {transport_residual(sub):.6g}\n",
+        f"initial energy jump: {jump:.9g}\n"
+        f"transport residual: {residual:.6g}\n",
     )
     run.finish(args.scenario, problem.seed, problem.grid, t0)
     return 0

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectral
-from .errors import InvalidValueError
+from .errors import InvalidValueError, NumericalAbort
 from .fields import TorusGrid
 # simulate is unused here, but bench/job.py and bench/tracing.py wrap diagnostics.simulate
 from .solver import EnergyLedger, State, Trajectory, simulate, stream  # noqa: F401
@@ -21,12 +21,19 @@ def energy_jump(sub: SubsolutionState) -> float:
     The construction equates half h |u|^2 with the kinetic-energy budget E,
     so the total energy just after t = 0 is the integral of E + a h^2 at the
     first interior node; the jump is its excess over the problem's data energy.
+    A jump that is not finite (a term past the float range) aborts.
     """
     prob = sub.problem
     a, h0, u0 = prob.a, prob.h0, prob.u0
-    e_after = float(np.mean(sub.kinetic_energy[1] + a * prob.height[1] ** 2))
-    e_data = float(np.mean(0.5 * h0 * (u0[0] ** 2 + u0[1] ** 2) + a * h0**2))
-    return e_after - e_data
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        e_after = float(np.mean(sub.kinetic_energy[1] + a * prob.height[1] ** 2))
+        e_data = float(np.mean(0.5 * h0 * (u0[0] ** 2 + u0[1] ** 2) + a * h0**2))
+        jump = e_after - e_data
+    if not np.isfinite(jump):
+        raise NumericalAbort(
+            f"initial energy jump is not finite (after = {e_after:.3e}, data = {e_data:.3e})"
+        )
+    return jump
 
 
 def relative_energy(state: State, ref: State, a: float) -> float:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SolvabilityError
+from .errors import NumericalAbort, SolvabilityError
 
 #: mean-freeness tolerance for torus solvability, relative to max(1, max|slice|);
 #: inputs within it are mean-corrected, beyond it rejected
@@ -113,13 +113,17 @@ class HelmholtzParts:
 
 
 def helmholtz_decompose(q: np.ndarray) -> HelmholtzParts:
-    """Unique L2-orthogonal splitting of periodic (2, nx, ny) samples."""
-    Vmean = np.array([float(np.mean(q[0])), float(np.mean(q[1]))])
-    # grad(psi) is the curl-free mean-zero part: -Lap(psi) = -div q
-    div_q = div_values(q)
-    psi = poisson_solve_values(-(div_q - np.mean(div_q)))
-    gpsi = grad_values(psi)
-    v = q - (Vmean[:, None, None] + gpsi)
+    """Unique L2-orthogonal splitting of periodic (2, nx, ny) samples.  A
+    part that is not finite (a sum past the float range) aborts."""
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        Vmean = np.array([float(np.mean(q[0])), float(np.mean(q[1]))])
+        # grad(psi) is the curl-free mean-zero part: -Lap(psi) = -div q
+        div_q = div_values(q)
+        psi = poisson_solve_values(-(div_q - np.mean(div_q)))
+        gpsi = grad_values(psi)
+        v = q - (Vmean[:, None, None] + gpsi)
+    if not all(np.all(np.isfinite(x)) for x in (Vmean, psi, v)):
+        raise NumericalAbort("Helmholtz parts of the momentum are not finite")
     return HelmholtzParts(v=v, Vmean=Vmean, psi=psi)
 
 

@@ -92,7 +92,8 @@ def design_height(
             f"height excursion budget too small (tau = {tau:.3e}); "
             "increase amplitude_cap or smooth psi0"
         )
-    s = tau * (1.0 - np.exp(-times / tau))
+    # an infinite tau (g negligible beside h0) gives the profile's limit s(t) = t
+    s = times if math.isinf(tau) else tau * (1.0 - np.exp(-times / tau))
     values = h0[None] + s[:, None, None] * g[None]
     if np.any(values <= 0.0):
         raise DesignError("designed height lost positivity")
@@ -101,13 +102,19 @@ def design_height(
 
 def stream_potential(h: np.ndarray, dt: float) -> np.ndarray:
     """Mean-zero potential with -Lap(psi(t)) = dh/dt per time slice, one
-    stacked Poisson solve per node chunk."""
-    mass = h.mean(axis=(1, 2))
+    stacked Poisson solve per node chunk.  A mass that is not finite aborts,
+    and so does a dh/dt past the float range (the solve rejects its mean)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        mass = h.mean(axis=(1, 2))
+        psi = time_derivative(h, dt)  # each chunk's solve overwrites its dh/dt
+    if not np.all(np.isfinite(mass)):
+        raise NumericalAbort(f"height mass is not finite (max |h| = {np.max(np.abs(h)):.3e})")
     if float(np.max(np.abs(mass - mass[0]))) > MASS_DRIFT_TOL:
         raise SolvabilityError("height mass drifts in time; potential undefined")
-    psi = time_derivative(h, dt)  # each chunk's solve overwrites its dh/dt
     for k in _node_chunks(0, h.shape[0], h[0].size):
-        psi[k] = spectral.poisson_solve_values(psi[k] - psi[k].mean(axis=(1, 2), keepdims=True))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = psi[k] - psi[k].mean(axis=(1, 2), keepdims=True)
+        psi[k] = spectral.poisson_solve_values(rhs)
     return psi
 
 
@@ -211,14 +218,16 @@ def solve_stress(
     """Deviatoric stress corrector M(t) with div M equal to the mean-free part
     of the friction-plus-force right-hand side, mean-zero per slice.  The
     arguments are those of solve_mean_momentum plus its solution V.  Node
-    chunks are solved together; nodes with a zero right-hand side keep M = +0."""
+    chunks are solved together; nodes with a zero right-hand side keep M = +0.
+    The solve rejects a right-hand side past the float range."""
     out = np.zeros((h.shape[0], 2, *h.shape[1:]))
     for k in _node_chunks(0, h.shape[0], h[0].size):
-        term = drag[k][:, None] * (v[k] + V[k][:, :, None, None] + grad_psi[k])
-        rhs = term.mean(axis=(2, 3), keepdims=True) - term
-        if f is not None:
-            force = h[k][:, None] * f
-            rhs += force - force.mean(axis=(2, 3), keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = drag[k][:, None] * (v[k] + V[k][:, :, None, None] + grad_psi[k])
+            rhs = term.mean(axis=(2, 3), keepdims=True) - term
+            if f is not None:
+                force = h[k][:, None] * f
+                rhs += force - force.mean(axis=(2, 3), keepdims=True)
         live = np.flatnonzero(np.any(rhs != 0.0, axis=(1, 2, 3)))
         if live.size:
             out[k.start + live] = spectral.korn_solve_values(rhs[live])
@@ -325,11 +334,17 @@ def energy_gap(sub: SubsolutionState) -> float:
 def transport_residual(sub: SubsolutionState) -> float:
     """Max residual of the linear constraint d(velocity)/dt + div(flux) = 0,
     with the discrete time stencil; interior nodes only, in the node chunks
-    of solve_stress."""
-    dv = time_derivative(sub.velocity, sub.problem.dt)
-    chunks = _node_chunks(1, dv.shape[0] - 1, dv[0, 0].size)
-    worst = [np.max(np.abs(dv[k] + spectral.div_traceless_values(sub.flux[k]))) for k in chunks]
-    return float(np.max(worst))
+    of solve_stress.  A residual that is not finite aborts."""
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        dv = time_derivative(sub.velocity, sub.problem.dt)
+        chunks = _node_chunks(1, dv.shape[0] - 1, dv[0, 0].size)
+        worst = [
+            np.max(np.abs(dv[k] + spectral.div_traceless_values(sub.flux[k]))) for k in chunks
+        ]
+        residual = float(np.max(worst))
+    if not math.isfinite(residual):
+        raise NumericalAbort(f"transport residual is not finite (dt = {sub.problem.dt:.3e})")
+    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +654,8 @@ def oscillatory_pair(
     wave = _WavePotential(box, (e1, e2), n, omega)
 
     amp = 0.5 * math.sqrt(gap * float(np.min(r)))
+    if amp == math.inf:  # gap min(r) overflows: no pair is sized, as for a vanishing gap
+        return zero()
     # outside the box only the spectral tail of the cutoff remains, so the
     # padded level (half the box gap above lambda0) is a strict check there
     np.add(e_pad, 0.5 * gap, out=e_pad, where=~mask)

@@ -657,12 +657,14 @@ WORKBENCH_BROKEN = st.one_of(
     gamma=_maybe(st.one_of(st.just(0.0), MAGNITUDE)),
     gamma2=_maybe(st.one_of(st.just(0.0), MAGNITUDE)),
     lam=_maybe(MAGNITUDE),
+    h0=_maybe(MAGNITUDE),
+    u0=_maybe(SIGNED_MAGNITUDE),
     chunk_nodes=st.integers(1, 4),
     broken=st.one_of(st.none(), st.none(), st.none(), WORKBENCH_BROKEN),  # most run the loop
 )
 def test_workbench_exit_codes_are_documented(
     time_nodes, osc_n, delta, amplitude_cap, seed, steps, T, force, gamma, gamma2, lam,
-    chunk_nodes, broken,
+    h0, u0, chunk_nodes, broken,
 ):
     """Whatever the workbench keys and arguments, main returns 0, 2, 3 or 4,
     and nothing escapes it: no traceback and no RuntimeWarning, which
@@ -672,7 +674,8 @@ def test_workbench_exit_codes_are_documented(
     the base's 0.2 and 0, or log-uniform up to 1e308, and workbench.lambda
     is searched or log-uniform up to 1e308.  Each force component is
     constant, so the force is a read-only view, and small or log-uniform up
-    to 1e308.  At 8^2 a node chunk would
+    to 1e308.  The amplitudes of h0 and u0 are the base's (1 and 0.1) or
+    log-uniform from the smallest subnormal to 1e308.  At 8^2 a node chunk would
     hold 128 nodes, so the chunk size is lowered to 1 to 4 nodes, and the
     per-node passes cross chunk boundaries."""
     keys = {
@@ -688,6 +691,10 @@ def test_workbench_exit_codes_are_documented(
     }
     if gamma is not None:  # else the base's 0.2
         keys["friction.gamma"] = repr(gamma)
+    if h0 is not None:
+        keys["initial.h0"] = f"{h0!r}*(1 + 0.05*cos(2*pi*x1))"
+    if u0 is not None:
+        keys["initial.u0x"] = f"{u0!r}*sin(2*pi*x2)"
     args = {"--steps": str(steps), "--seed": None if seed is None else str(seed)}
     if broken is not None:
         (args if broken[0].startswith("--") else keys)[broken[0]] = broken[1]
@@ -1457,13 +1464,102 @@ class TestFuzzFindings:
                 3,
                 "numerical abort: mean momentum V is not finite (dt = 1.250e-01)",
             ),
+            # "overflow encountered in reduce": V is finite (about 1e270) on
+            # two nodes, but the mean of drag (v + V + grad psi) in
+            # solve_stress overflows, and the Korn solve rejects it
+            (
+                {
+                    "friction.gamma2": "1e37",
+                    "workbench.time_nodes": "2",
+                    "workbench.osc_n": "1",
+                    "workbench.delta": "0.5",
+                },
+                3,
+                "numerical abort: stress right-hand side must be mean-free on the torus "
+                "(|mean| / max(1, max|slice|) = nan > 1e-10)",
+            ),
         ],
         ids=[
             "force-1e7", "force-1e200", "extended-lambda-1e300", "fixed-lambda-force-1e200",
-            "extended-gamma2-1e307",
+            "extended-gamma2-1e307", "extended-gamma2-1e37-two-nodes",
         ],
     )
     def test_workbench_overflow(self, tmp_path, capsys, overrides, code, message):
+        scn = scenario8(tmp_path, overrides)
+        out = tmp_path / "wb"
+        assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out)]) == code
+        assert capsys.readouterr().err == (f"shlab: {message}\n" if message else "")
+        assert out.exists() == (code == 0)
+
+    POISSON_NAN = (
+        "numerical abort: Poisson right-hand side must be mean-free on the torus "
+        "(|mean| / max(1, max|slice|) = nan > 1e-10)"
+    )
+
+    @pytest.mark.parametrize(
+        "overrides,code,message",
+        [
+            # "invalid value encountered in multiply": design_height's tau =
+            # cap min h0 / max|g| overflowed, and s(t) = tau (1 - exp(-t/tau))
+            # formed inf * 0
+            ({"initial.u0x": "1e-309*sin(2*pi*x2)"}, 0, ""),
+            # "overflow encountered in reduce": the mean of h0 u0 in
+            # spectral.helmholtz_decompose
+            ({"initial.u0x": "1e307*sin(2*pi*x2)"}, 3, POISSON_NAN),
+            # "invalid value encountered in multiply": oscillatory_pair's
+            # amplitude 0.5 sqrt(gap min r) overflowed, and
+            # _WavePotential.evaluate formed inf * 0
+            ({"initial.h0": "1e104*(1 + 0.05*cos(2*pi*x1))"}, 0, ""),
+            # "overflow encountered in square": |u0|^2 in
+            # diagnostics.energy_jump, although h0 |u0|^2 is about 1e-13
+            (
+                {
+                    "initial.h0": "1e-323*(1 + 0.05*cos(2*pi*x1))",
+                    "initial.u0x": "1e155*sin(2*pi*x2)",
+                },
+                3,
+                "numerical abort: initial energy jump is not finite "
+                "(after = 1.101e-01, data = inf)",
+            ),
+            # "overflow encountered in reduce": the mass of each height slice
+            # in workbench.stream_potential (a fixed lambda skips the offset
+            # search, whose bracket a max(h0)^2 aborts first)
+            (
+                {"initial.h0": "1e307*(1 + 0.05*cos(2*pi*x1))", "workbench.lambda": "1.0"},
+                3,
+                "numerical abort: height mass is not finite (max |h| = 1.057e+307)",
+            ),
+            # "overflow encountered in divide" and, on two time nodes,
+            # "overflow encountered in reduce": dh/dt over dt = 1.25e-301,
+            # and the mean of its slice, in workbench.stream_potential
+            (
+                {"initial.h0": "1e100*(1 + 0.05*cos(2*pi*x1))", "physics.T": "1e-300"},
+                3,
+                POISSON_NAN,
+            ),
+            (
+                {
+                    "initial.h0": "1.0000000000000001e+23*(1 + 0.05*cos(2*pi*x1))",
+                    "physics.T": "1e-300",
+                    "workbench.time_nodes": "2",
+                    "workbench.osc_n": "1",
+                    "workbench.delta": "0.5",
+                },
+                3,
+                POISSON_NAN,
+            ),
+            # "overflow encountered in divide": d(velocity)/dt at an end node
+            # in workbench.transport_residual, which reads interior nodes only
+            ({"initial.h0": "1e30*(1 + 0.05*cos(2*pi*x1))", "physics.T": "1e-300"}, 0, ""),
+        ],
+        ids=[
+            "tiny-u0", "huge-u0", "huge-h0", "subnormal-h0-huge-u0", "huge-h0-fixed-lambda",
+            "huge-dh-dt", "huge-dh-dt-mean", "huge-dv-dt-end-node",
+        ],
+    )
+    def test_workbench_extreme_amplitude(self, tmp_path, capsys, overrides, code, message):
+        # found by the property test with the h0 and u0 amplitudes drawn
+        # log-uniformly: each RuntimeWarning escaped main
         scn = scenario8(tmp_path, overrides)
         out = tmp_path / "wb"
         assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out)]) == code
