@@ -37,10 +37,14 @@ def energy_jump(sub: SubsolutionState) -> float:
 
 
 def relative_energy(state: State, ref: State, a: float) -> float:
-    """Distance-like functional: integral of half h |u - U|^2 + a (h - H)^2."""
-    du = state.velocity() - ref.velocity()
-    dh = state.h - ref.h
-    return float(np.mean(0.5 * state.h * (du[0] ** 2 + du[1] ** 2) + a * dh * dh))
+    """Distance-like functional: integral of half h |u - U|^2 + a (h - H)^2.
+    A value that is not finite (a term past the float range) aborts."""
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        du, dh = state.velocity() - ref.velocity(), state.h - ref.h
+        value = float(np.mean(0.5 * state.h * (du[0] ** 2 + du[1] ** 2) + a * dh * dh))
+    if not np.isfinite(value):
+        raise NumericalAbort(f"relative energy is not finite (E_rel = {value})")
+    return value
 
 
 def restrict_state(state: State, coarse: TorusGrid) -> State:

@@ -144,18 +144,20 @@ class Workspace:
         self.free = self.fields[6:]
 
     def fill(self, h: np.ndarray, q1: np.ndarray, q2: np.ndarray, a: float) -> None:
-        """Compute the terms from the arrays of a state."""
+        """Compute the terms from the arrays of a state.  A term past the float
+        range stays infinite: the CFL step is then 0, or the step aborts."""
         root = self.free[0]
-        np.multiply(2.0 * a, h, out=root)
-        np.sqrt(root, out=root)
-        for speed, qa in zip(self.speeds, (q1, q2)):
-            np.divide(qa, h, out=speed)
-            np.abs(speed, out=speed)
-            speed += root
-        np.multiply(a, h, out=self.pressure)
-        self.pressure *= h
-        np.multiply(q1, q2, out=self.cross)
-        self.cross /= h
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(2.0 * a, h, out=root)
+            np.sqrt(root, out=root)
+            for speed, qa in zip(self.speeds, (q1, q2)):
+                np.divide(qa, h, out=speed)
+                np.abs(speed, out=speed)
+                speed += root
+            np.multiply(a, h, out=self.pressure)
+            self.pressure *= h
+            np.multiply(q1, q2, out=self.cross)
+            self.cross /= h
 
 
 def _pairwise(ufunc, x: np.ndarray, out: np.ndarray, axis: int, at_face: bool) -> None:
@@ -275,15 +277,17 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
     hn, q_pre = h.copy(), work.q
     np.copyto(q_pre, state.q)
     diff = work.free[-1]  # the scratch row that rusanov_flux leaves free
-    for axis, dxi in ((0, grid.dx), (1, grid.dy)):
-        flux = rusanov_flux(h, q1, q2, axis, work)
-        coef = dt / dxi
-        for w, fl in zip((hn, *q_pre), flux):
-            _pairwise(np.subtract, fl, diff, axis, at_face=False)
-            diff *= coef
-            w -= diff
+    # a flux past the float range leaves hn or q_pre not finite: aborts below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis, dxi in ((0, grid.dx), (1, grid.dy)):
+            flux = rusanov_flux(h, q1, q2, axis, work)
+            coef = dt / dxi
+            for w, fl in zip((hn, *q_pre), flux):
+                _pairwise(np.subtract, fl, diff, axis, at_face=False)
+                diff *= coef
+                w -= diff
 
-    # unreachable for a dt from cfl_dt (see there); NaN fails these too
+    # for a dt from cfl_dt only an overflowing flux fails these (see there)
     if not (hn.min() > 0.0 and hn.max() < np.inf):
         raise NumericalAbort("height lost positivity or finiteness: dt exceeds the CFL bound")
     if not (q_pre.min() > -np.inf and q_pre.max() < np.inf):

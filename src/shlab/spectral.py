@@ -87,7 +87,11 @@ def _demean(values: np.ndarray, what: str) -> np.ndarray:
         mean = np.mean(values, axis=(-2, -1), keepdims=True)
         scale = np.maximum(1.0, np.max(np.abs(values), axis=(-2, -1), keepdims=True))
         worst = float(np.max(np.abs(mean) / scale))
-    if not worst <= MEAN_TOL:  # NaN fails
+    if not worst <= MEAN_TOL:  # NaN fails; a rejection names its cause
+        if not np.all(np.isfinite(values)):
+            raise SolvabilityError(f"{what} is not finite")
+        if not np.all(np.isfinite(mean)):
+            raise SolvabilityError(f"{what} sums past the float range")
         raise SolvabilityError(
             f"{what} must be mean-free on the torus "
             f"(|mean| / max(1, max|slice|) = {worst:.3e} > {MEAN_TOL:g})"

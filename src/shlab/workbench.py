@@ -29,14 +29,12 @@ from .errors import (
     EnergyPositivityError,
     InvalidValueError,
     NumericalAbort,
-    SolvabilityError,
 )
 from .fields import TorusGrid, deviatoric_outer, time_derivative
 from .friction import FrictionParams, friction_coefficient_values
 from .solver import Scenario
 
 E_MIN_FACTOR = 1e-6
-MASS_DRIFT_TOL = 1e-10
 #: bytes per node chunk at 32 a cell: 8 nodes at 32^2, 2 at 64^2, 1 from 128^2 on
 NODE_CHUNK_BYTES = 256 * 1024
 
@@ -45,7 +43,7 @@ def _node_chunks(start: int, stop: int, cells: int):
     """Consecutive slices of the time nodes start, ..., stop - 1, each of at
     most NODE_CHUNK_BYTES at 32 bytes a cell for `cells` cells: the largest
     per-node pair, a (2, nx, ny // 2 + 1) complex half-plane spectrum of the
-    Korn or gradient transforms and the (2, nx, ny) float64 array of its irfft2."""
+    Korn transforms and the (2, nx, ny) float64 array of its irfft2."""
     step = max(1, NODE_CHUNK_BYTES // (32 * cells))
     return [slice(k, min(k + step, stop)) for k in range(start, stop, step)]
 
@@ -71,62 +69,40 @@ class _NodeSum:
 # height design and derived fields
 
 
-def design_height(
-    h0: np.ndarray, psi0: np.ndarray, times: np.ndarray, amplitude_cap: float
+def height_profile(
+    h0: np.ndarray, g: np.ndarray, times: np.ndarray, amplitude_cap: float
 ) -> np.ndarray:
-    """Choose a positive height history h(t) = h0 + s(t) g on the nodes, for
-    (nx, ny) samples of h0 and of the initial potential psi0.
+    """Profile s on the nodes of the positive height history h(t) = h0 + s(t) g,
+    for (nx, ny) samples of h0 and of g = -Lap(psi0), psi0 the initial potential.
 
-    g = -Lap(psi0) is mean-zero, so total mass is constant; s(0) = 0 and
-    s'(0) = 1 match the initial data and its first time derivative.  The
-    profile s(t) = tau (1 - exp(-t/tau)) is bounded by tau, which is sized so
-    the excursion never exceeds amplitude_cap * min h0.
+    g is mean-zero, so total mass is constant; s(0) = 0 and s'(0) = 1 match
+    the initial data and its first time derivative.  The profile
+    s(t) = tau (1 - exp(-t/tau)), formed as -tau expm1(-t/tau) without
+    cancellation at small t, is bounded by tau, which is sized so the
+    excursion never exceeds amplitude_cap * min h0.
     """
-    g = -spectral.laplacian_values(psi0)
     gmax = float(np.max(np.abs(g)))
-    if gmax == 0.0:
-        return np.broadcast_to(h0, (times.size, *h0.shape)).copy()
-    tau = amplitude_cap * float(np.min(h0)) / gmax
+    tau = math.inf if gmax == 0.0 else amplitude_cap * float(np.min(h0)) / gmax
     if tau < 1e-8:
         raise DesignError(
             f"height excursion budget too small (tau = {tau:.3e}); "
             "increase amplitude_cap or smooth psi0"
         )
-    # an infinite tau (g negligible beside h0) gives the profile's limit s(t) = t
-    s = times if math.isinf(tau) else tau * (1.0 - np.exp(-times / tau))
-    values = h0[None] + s[:, None, None] * g[None]
-    if np.any(values <= 0.0):
-        raise DesignError("designed height lost positivity")
-    return values
-
-
-def stream_potential(h: np.ndarray, dt: float) -> np.ndarray:
-    """Mean-zero potential with -Lap(psi(t)) = dh/dt per time slice, one
-    stacked Poisson solve per node chunk.  A mass that is not finite aborts,
-    and so does a dh/dt past the float range (the solve rejects its mean)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        mass = h.mean(axis=(1, 2))
-        psi = time_derivative(h, dt)  # each chunk's solve overwrites its dh/dt
-    if not np.all(np.isfinite(mass)):
-        raise NumericalAbort(f"height mass is not finite (max |h| = {np.max(np.abs(h)):.3e})")
-    if float(np.max(np.abs(mass - mass[0]))) > MASS_DRIFT_TOL:
-        raise SolvabilityError("height mass drifts in time; potential undefined")
-    for k in _node_chunks(0, h.shape[0], h[0].size):
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs = psi[k] - psi[k].mean(axis=(1, 2), keepdims=True)
-        psi[k] = spectral.poisson_solve_values(rhs)
-    return psi
+    # an infinite tau (g zero or negligible beside h0) gives the limit s(t) = t
+    return times.copy() if math.isinf(tau) else -tau * np.expm1(-times / tau)
 
 
 def kinetic_energy_field(
-    offset: float, a: float, h: np.ndarray, psi: np.ndarray, dt: float
+    offset: float, a: float, h: np.ndarray, psi0: np.ndarray, s: np.ndarray, dt: float
 ) -> np.ndarray:
-    """Kinetic-energy budget E(t, x) = offset - a h^2 - d(psi)/dt, formed per
-    node chunk.  Aborts if E is not finite: no offset can certify it."""
+    """Kinetic-energy budget E = offset - a h^2 - d(psi)/dt per node chunk, with
+    d(psi)/dt = (DDs)_k psi0 for the height profile s, D the stencil of
+    time_derivative.  Aborts if E is not finite: no offset can certify it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        E = time_derivative(psi, dt)  # each chunk of E overwrites its d(psi)/dt
+        rate = time_derivative(time_derivative(s, dt), dt)
+        E = np.empty(h.shape)
         for k in _node_chunks(0, h.shape[0], h[0].size):
-            E[k] = offset - a * h[k] ** 2 - E[k]
+            E[k] = offset - a * h[k] ** 2 - rate[k, None, None] * psi0
     if not np.all(np.isfinite(E)):
         raise NumericalAbort(
             "kinetic energy budget E = offset - a h^2 - d(psi)/dt is not finite "
@@ -358,10 +334,11 @@ class WorkbenchProblem(Scenario):
     budget amplitude_cap and the oscillation frequency osc_n of improvement
     steps.  The scenario's cfl and n_output are the solver's and unused here.
 
-    The time nodes, the height design, the potential psi and grad(psi) do not
-    depend on the energy offset, so they are derived once per problem (cached
-    properties, psi and grad(psi) per node chunk) and shared, unmodified, by
-    every candidate, which holds the problem itself.
+    The height h0 + s g is separable, and so is the potential: psi(t_k) =
+    (Ds)_k psi0 (see grad_potential).  The nodes, s, g, the height and
+    grad(psi) do not depend on the energy offset, so they are derived once per
+    problem (cached properties) and shared, unmodified, by every candidate,
+    which holds the problem itself.
     """
 
     num_steps: int = 64
@@ -410,21 +387,29 @@ class WorkbenchProblem(Scenario):
         return float(self.times[1] - self.times[0])
 
     @cached_property
-    def height(self) -> np.ndarray:
-        psi0 = self.initial_split.psi
-        return design_height(self.h0, psi0, self.times, self.amplitude_cap)
+    def excursion(self) -> np.ndarray:
+        """g = -Lap(psi0), the (nx, ny) direction of the height excursion."""
+        return -spectral.laplacian_values(self.initial_split.psi)
 
     @cached_property
-    def potential(self) -> np.ndarray:
-        return stream_potential(self.height, self.dt)
+    def profile(self) -> np.ndarray:
+        """The (K+1,) profile s of the designed height h0 + s g."""
+        return height_profile(self.h0, self.excursion, self.times, self.amplitude_cap)
+
+    @cached_property
+    def height(self) -> np.ndarray:
+        values = self.h0 + self.profile[:, None, None] * self.excursion
+        if np.any(values <= 0.0):
+            raise DesignError("designed height lost positivity")
+        return values
 
     @cached_property
     def grad_potential(self) -> np.ndarray:
-        psi = self.potential
-        out = np.empty((psi.shape[0], 2, *psi.shape[1:]))
-        for k in _node_chunks(0, psi.shape[0], psi[0].size):
-            out[k] = spectral.grad_values(psi[k])
-        return out
+        """grad(psi) at the nodes: (Ds)_k grad(psi0), D the stencil of
+        time_derivative.  -Lap(psi) = dh/dt holds exactly: D is linear with
+        weights summing to 0, so D(h0 + s g) = (Ds) g = -Lap((Ds) psi0)."""
+        rate = time_derivative(self.profile, self.dt)
+        return rate[:, None, None, None] * spectral.grad_values(self.initial_split.psi)
 
     def build(self, offset: float) -> SubsolutionState:
         """Assemble the candidate with velocity frozen at v0 and zero flux.
@@ -432,7 +417,9 @@ class WorkbenchProblem(Scenario):
         Only E, the drag coefficient, V and M depend on the offset.
         """
         offset = float(offset)
-        E = kinetic_energy_field(offset, self.a, self.height, self.potential, self.dt)
+        E = kinetic_energy_field(
+            offset, self.a, self.height, self.initial_split.psi, self.profile, self.dt
+        )
         # read-only views of the one v0 slice at every node and of a zero flux
         v = np.broadcast_to(self.initial_split.v, (self.times.size, 2, *self.grid.shape))
         return self.candidate(offset, E, v, np.broadcast_to(0.0, v.shape), self.delta)

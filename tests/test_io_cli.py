@@ -557,6 +557,19 @@ def scenario8(tmp_path, overrides: dict, base: dict = WORKBENCH8) -> str:
     return str(write_scenario(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items())))
 
 
+def test_searched_offset_does_not_depend_on_a_small_final_time(tmp_path):
+    # the offset certifies E = offset - a h^2 - d(psi)/dt, where d(psi)/dt is
+    # the profile s differenced twice over dt = T/8: with s = tau (1 - exp(-t/tau))
+    # its cancellation read 307.4 at T = 1e-9 and 3.1e8 at T = 1e-12
+    offsets = {}
+    for T in ("1e-3", "1e-6", "1e-9", "1e-12"):
+        (tmp_path / T).mkdir()
+        problem = load_config(scenario8(tmp_path / T, {"physics.T": T})).to_workbench_problem()
+        offsets[T] = workbench.find_energy_offset(problem)
+    for T in ("1e-6", "1e-9", "1e-12"):
+        assert offsets[T] == pytest.approx(offsets["1e-3"], rel=1e-8)
+
+
 class TestCliWorkbenchExitCodes:
     @pytest.mark.parametrize(
         "overrides,args",
@@ -587,9 +600,12 @@ class TestCliWorkbenchExitCodes:
     @pytest.mark.parametrize(
         "T,message",
         [
-            # the RK4 over dt = 1.25e299 overflows the mean momentum (T = 1e-300
-            # is TestFuzzFindings::test_non_finite_energy_budget_exits_3)
+            # the RK4 over dt = 1.25e299 overflows the mean momentum
             ("1e300", "mean momentum V is not finite (dt = 1.250e+299)"),
+            # over dt = 1.25e-301 the rounding of the height profile s, divided
+            # by dt twice in d(psi)/dt = (DDs) psi0, fails the certificate of
+            # every offset of the doubling search
+            ("1e-300", "energy offset search hit its cap without certifying"),
         ],
     )
     def test_extreme_final_time_exits_3(self, tmp_path, capsys, T, message):
@@ -865,14 +881,30 @@ EPS_ENTRY = st.one_of(
     eps=_maybe(st.lists(EPS_ENTRY, max_size=4).map(",".join)),
     refine=_maybe(st.one_of(st.integers(-3, 8), st.sampled_from(["100000", "10**18", "2.5"]))),
     amplitude=st.sampled_from(["0", "0.1", "0.5"]),
-    T=st.sampled_from(["0", "0.02", "1e-300"]),
+    T=st.one_of(st.sampled_from([0.0, 0.02, 1e-300]), MAGNITUDE),
+    h0=_maybe(MAGNITUDE),
+    u0=_maybe(SIGNED_MAGNITUDE),
+    force=_maybe(st.tuples(SIGNED_MAGNITUDE, SIGNED_MAGNITUDE)),
 )
-def test_wsu_and_convergence_exit_codes_are_documented(command, eps, refine, amplitude, T):
+def test_wsu_and_convergence_exit_codes_are_documented(
+    command, eps, refine, amplitude, T, h0, u0, force
+):
     """Whatever the --eps list and --refine factor of wsu, and whether the
     8x8 scenario is flat or still, both experiment commands exit 0, 2, 3 or
-    4, and no traceback or RuntimeWarning escapes them."""
-    with tempfile.TemporaryDirectory() as tmp:
-        overrides = {"physics.T": T, "initial.h0": f"1 + {amplitude}*cos(2*pi*x1)"}
+    4, and no traceback or RuntimeWarning escapes them.  T, the amplitudes
+    of h0 and u0 and each component of a constant force are drawn
+    log-uniformly from the smallest subnormal to 1e308 (T also from 0, 0.02
+    and 1e-300).  As in the simulate test, each run's step budget is cut
+    from MAX_STEPS to 2,000 steps, past which it aborts (exit 3)."""
+    overrides = {
+        "physics.T": repr(T),
+        "initial.h0": f"{1.0 if h0 is None else h0!r}*(1 + {amplitude}*cos(2*pi*x1))",
+        "initial.u0x": None if u0 is None else f"{u0!r}*sin(2*pi*x2)",
+        "force.fx": None if force is None else repr(force[0]),
+        "force.fy": None if force is None else repr(force[1]),
+    }
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "MAX_STEPS", 2000)
         scn = scenario8(Path(tmp), overrides, base=EXPERIMENT8)
         argv = [command, scn, "--out", str(Path(tmp) / "out")]
         if command == "wsu":
@@ -1395,18 +1427,20 @@ class TestFuzzFindings:
 
     def test_non_finite_energy_budget_exits_3(self, tmp_path, capsys, monkeypatch):
         # exit 3 after 60 doublings with "energy offset search hit its cap
-        # without certifying": over dt = 1.25e-301 the one-sided time stencil's
-        # roundoff overflows d(psi)/dt, so no offset gives a finite E
+        # without certifying": no offset gives a finite E.  Over dt = 1.25e-301
+        # the rounding of the height profile s, divided by dt twice in
+        # d(psi)/dt = (DDs) psi0, overflows against psi0 of about 1e99
         builds = []
         real = workbench.WorkbenchProblem.build
         spy = lambda self, lam: builds.append(lam) or real(self, lam)  # noqa: E731
         monkeypatch.setattr(workbench.WorkbenchProblem, "build", spy)
-        scn = scenario8(tmp_path, {"physics.T": "1e-300"})
+        overrides = {"initial.h0": "1e100*(1 + 0.05*cos(2*pi*x1))", "physics.T": "1e-300"}
+        scn = scenario8(tmp_path, overrides)
         out = tmp_path / "wb"
         assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
             "shlab: numerical abort: kinetic energy budget E = offset - a h^2 - d(psi)/dt "
-            "is not finite (offset = 6.473e-01, dt = 1.250e-301)\n"
+            "is not finite (offset = 5.473e+199, dt = 1.250e-301)\n"
         )
         assert len(builds) == 1  # the first probe aborts the search
         assert not out.exists()
@@ -1466,7 +1500,8 @@ class TestFuzzFindings:
             ),
             # "overflow encountered in reduce": V is finite (about 1e270) on
             # two nodes, but the mean of drag (v + V + grad psi) in
-            # solve_stress overflows, and the Korn solve rejects it
+            # solve_stress overflowed, and the Korn solve rejected it.  With
+            # psi = (Ds) psi0 its sum stays finite, and the margin overflows
             (
                 {
                     "friction.gamma2": "1e37",
@@ -1475,8 +1510,7 @@ class TestFuzzFindings:
                     "workbench.delta": "0.5",
                 },
                 3,
-                "numerical abort: stress right-hand side must be mean-free on the torus "
-                "(|mean| / max(1, max|slice|) = nan > 1e-10)",
+                "numerical abort: certificate margin is not finite everywhere",
             ),
         ],
         ids=[
@@ -1491,10 +1525,8 @@ class TestFuzzFindings:
         assert capsys.readouterr().err == (f"shlab: {message}\n" if message else "")
         assert out.exists() == (code == 0)
 
-    POISSON_NAN = (
-        "numerical abort: Poisson right-hand side must be mean-free on the torus "
-        "(|mean| / max(1, max|slice|) = nan > 1e-10)"
-    )
+    POISSON_NAN = "numerical abort: Poisson right-hand side is not finite"
+    CAP = "numerical abort: energy offset search hit its cap without certifying"
 
     @pytest.mark.parametrize(
         "overrides,code,message",
@@ -1522,20 +1554,25 @@ class TestFuzzFindings:
                 "(after = 1.101e-01, data = inf)",
             ),
             # "overflow encountered in reduce": the mass of each height slice
-            # in workbench.stream_potential (a fixed lambda skips the offset
-            # search, whose bracket a max(h0)^2 aborts first)
+            # in the Poisson solve of dh/dt that the potential no longer
+            # needs (a fixed lambda skips the offset search, whose bracket
+            # a max(h0)^2 aborts first); now a h^2 overflows in E
             (
                 {"initial.h0": "1e307*(1 + 0.05*cos(2*pi*x1))", "workbench.lambda": "1.0"},
                 3,
-                "numerical abort: height mass is not finite (max |h| = 1.057e+307)",
+                "numerical abort: kinetic energy budget E = offset - a h^2 - d(psi)/dt "
+                "is not finite (offset = 1.000e+00, dt = 1.250e-01)",
             ),
             # "overflow encountered in divide" and, on two time nodes,
             # "overflow encountered in reduce": dh/dt over dt = 1.25e-301,
-            # and the mean of its slice, in workbench.stream_potential
+            # and the mean of its slice, in that Poisson solve.  Now the
+            # rounding of the profile, divided by dt twice, makes E infinite
+            # at the first probe, or fails the certificate at every probe
             (
                 {"initial.h0": "1e100*(1 + 0.05*cos(2*pi*x1))", "physics.T": "1e-300"},
                 3,
-                POISSON_NAN,
+                "numerical abort: kinetic energy budget E = offset - a h^2 - d(psi)/dt "
+                "is not finite (offset = 5.473e+199, dt = 1.250e-301)",
             ),
             (
                 {
@@ -1546,11 +1583,18 @@ class TestFuzzFindings:
                     "workbench.delta": "0.5",
                 },
                 3,
-                POISSON_NAN,
+                CAP,
             ),
             # "overflow encountered in divide": d(velocity)/dt at an end node
-            # in workbench.transport_residual, which reads interior nodes only
-            ({"initial.h0": "1e30*(1 + 0.05*cos(2*pi*x1))", "physics.T": "1e-300"}, 0, ""),
+            # in workbench.transport_residual, which reads interior nodes only;
+            # that run exited 0 with psi = 0, since s g fell below the rounding
+            # of h0.  Now psi = (Ds) psi0, whose d(psi)/dt overflows as above
+            (
+                {"initial.h0": "1e30*(1 + 0.05*cos(2*pi*x1))", "physics.T": "1e-300"},
+                3,
+                "numerical abort: kinetic energy budget E = offset - a h^2 - d(psi)/dt "
+                "is not finite (offset = 5.473e+59, dt = 1.250e-301)",
+            ),
         ],
         ids=[
             "tiny-u0", "huge-u0", "huge-h0", "subnormal-h0-huge-u0", "huge-h0-fixed-lambda",
@@ -1565,6 +1609,62 @@ class TestFuzzFindings:
         assert cli.main(["workbench", scn, "--steps", "2", "--out", str(out)]) == code
         assert capsys.readouterr().err == (f"shlab: {message}\n" if message else "")
         assert out.exists() == (code == 0)
+
+    # found by the experiment commands' property test with T, the h0 and u0
+    # amplitudes and the force drawn log-uniformly
+    @pytest.mark.parametrize(
+        "command,overrides,message",
+        [
+            # "overflow encountered in multiply": qa qa in solver.rusanov_flux,
+            # once the pressure gradient of h0 ~ 1e120 has driven q past 1e154
+            # (with the T/100 step cap, dt ~ 1e-66), in every command's solver
+            *(
+                (
+                    command,
+                    {"physics.T": "1e-64", "initial.h0": "1e120*(1 + 0.1*cos(2*pi*x1))"},
+                    "momentum became non-finite",
+                )
+                for command in (["simulate"], ["convergence"], ["wsu", "--eps", "0.01"])
+            ),
+            # "overflow encountered in multiply": q1 q2 in Workspace.fill, once
+            # the force has driven both components of q past 1e154; the cross
+            # flux q1 q2 / h is about 1e170
+            *(
+                (
+                    command,
+                    {
+                        "physics.T": "1e-115",
+                        "initial.h0": "1e147*(1 + 0.5*cos(2*pi*x1))",
+                        "force.fx": "1e163",
+                        "force.fy": "1e162",
+                    },
+                    "momentum became non-finite",
+                )
+                for command in (["simulate"], ["convergence"])
+            ),
+            # "overflow encountered in square": |u - U|^2 in
+            # diagnostics.relative_energy, although h |u - U|^2 is about 1e85
+            (
+                ["wsu", "--eps", "0.01"],
+                {
+                    "physics.T": "0",
+                    "initial.h0": "1e-319*(1 + 0.5*cos(2*pi*x1))",
+                    "initial.u0x": "1e202*sin(2*pi*x2)",
+                },
+                "relative energy is not finite (E_rel = inf)",
+            ),
+        ],
+        ids=[
+            "flux-simulate", "flux-convergence", "flux-wsu", "cross-flux-simulate",
+            "cross-flux-convergence", "relative-energy",
+        ],
+    )
+    def test_experiment_overflow(self, tmp_path, capsys, command, overrides, message):
+        scn = scenario8(tmp_path, overrides, base=EXPERIMENT8)
+        out = tmp_path / "out"
+        assert cli.main([command[0], scn, *command[1:], "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"shlab: numerical abort: {message}\n"
+        assert not out.exists()
 
     INFINITE_ENERGY = "ledger kinetic is not finite at t = 0 (kinetic = inf)"
 

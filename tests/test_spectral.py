@@ -369,6 +369,25 @@ class TestSolvabilityTolerance:
         with pytest.raises(SolvabilityError):
             poisson_solve_values(np.where(np.arange(8) < 4, 1.7e308, -1.7e308) * np.ones((16, 1)))
 
+    @pytest.mark.parametrize(
+        "bad,cells,message",
+        [
+            (np.nan, 1, "Poisson right-hand side is not finite"),
+            (np.inf, 1, "Poisson right-hand side is not finite"),
+            (1e308, 16, "Poisson right-hand side sums past the float range"),
+            (1.0, 1, "Poisson right-hand side must be mean-free on the torus "
+                     "(|mean| / max(1, max|slice|) = 3.125e-02 > 1e-10)"),
+        ],
+        ids=["nan", "inf", "overflowing-mean", "mean"],
+    )
+    def test_rejection_names_its_cause(self, bad, cells, message):
+        # the first `cells` of a 4 x 8 slice set to bad, after a mean-free slice
+        f = np.zeros((2, 4, 8))
+        f[1].flat[:cells] = bad
+        with pytest.raises(SolvabilityError) as info:
+            poisson_solve_values(f)
+        assert str(info.value) == message
+
     def test_tolerance_is_relative(self):
         f = np.zeros((16, 8))
         f[0, 0] = 1e7

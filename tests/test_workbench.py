@@ -1,13 +1,16 @@
 """Subsolution workbench: height design, auxiliary solves, certificate,
 oscillatory perturbations, and the improvement loop."""
 
+import importlib.util
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import sample
-from shlab import spectral, workbench
+from shlab import cli, spectral, workbench
 from shlab.errors import (
     ConstraintError,
     DesignError,
@@ -15,7 +18,6 @@ from shlab.errors import (
     InvalidValueError,
     NumericalAbort,
     PositivityError,
-    SolvabilityError,
 )
 from shlab.fields import TorusGrid, deviatoric_outer, time_derivative
 from shlab.friction import FrictionParams, friction_coefficient_values
@@ -24,15 +26,14 @@ from shlab.workbench import (
     SpaceTimeBox,
     SubsolutionState,
     WorkbenchProblem,
-    design_height,
     energy_gap,
     find_energy_offset,
+    height_profile,
     improvement_step,
     kinetic_energy_field,
     oscillatory_pair,
     solve_mean_momentum,
     solve_stress,
-    stream_potential,
     subsolution_certificate,
     transport_residual,
 )
@@ -67,46 +68,77 @@ def cosine_psi0(grid, eps=1e-3):
     return sampled(grid, lambda x1, x2: eps * np.cos(TWO_PI * x1))
 
 
+def cosine_problem(grid, eps=1e-3, T=1.0, num_steps=16):
+    """A frictionless problem whose initial potential is psi0 = eps cos(2 pi x1):
+    q0 = grad(psi0) = -2 pi eps sin(2 pi x1) e1 on the height h0 = 1."""
+    return WorkbenchProblem(
+        grid=grid,
+        T=T,
+        num_steps=num_steps,
+        a=0.5,
+        friction=FrictionParams(),
+        h0=sample(grid, 1.0),
+        u0=sample(grid, lambda x1, x2: -TWO_PI * eps * np.sin(TWO_PI * x1), 0.0),
+    )
+
+
+def excursion_time(prob):
+    """tau = amplitude_cap min h0 / max|g| of the designed profile."""
+    return prob.amplitude_cap * float(np.min(prob.h0)) / float(np.max(np.abs(prob.excursion)))
+
+
 class TestDesignHeight:
     def test_zero_potential_keeps_h0(self, grid32):
         h0 = sampled(grid32, lambda x1, x2: 1.0 + 0.1 * np.sin(TWO_PI * x2))
-        h = design_height(h0, np.full(grid32.shape, 0.0), nodes(1.0, 8), 0.25)
-        for k in range(h.shape[0]):
-            np.testing.assert_array_equal(h[k], h0)
+        # g = 0 leaves no excursion to bound: tau = inf and the limit s(t) = t
+        s = height_profile(h0, np.full(grid32.shape, 0.0), nodes(1.0, 8), 0.25)
+        assert s.tobytes() == nodes(1.0, 8).tobytes()
+        prob = replace(canonical_problem(grid32, num_steps=8), h0=h0)  # at rest: psi0 = 0
+        for k in range(prob.times.size):
+            np.testing.assert_array_equal(prob.height[k], h0)
 
     def test_cosine_potential_closed_form(self, grid32):
         eps = 1e-3
-        h0 = np.full(grid32.shape, 1.0)
-        psi0 = cosine_psi0(grid32, eps)
-        times = nodes(1.0, 16)
-        h = design_height(h0, psi0, times, 0.25)
+        prob = cosine_problem(grid32, eps)
+        psi0 = prob.initial_split.psi
+        np.testing.assert_allclose(psi0, cosine_psi0(grid32, eps), atol=1e-15)
         # spectral oracle for g = -Lap(psi0); the excursion budget is set from
         # its sampled maximum
-        from shlab.spectral import laplacian_values
-
-        g = -laplacian_values(psi0)
+        g = prob.excursion
         np.testing.assert_allclose(
             g, TWO_PI**2 * eps * np.cos(TWO_PI * grid32.cell_centers()[0]), atol=1e-12
         )
         tau = 0.25 * 1.0 / float(np.max(np.abs(g)))
         for k in (0, 8, 16):
-            t = times[k]
+            t = prob.times[k]
             s = tau * (1.0 - np.exp(-t / tau))
-            np.testing.assert_allclose(h[k], 1.0 + s * g, atol=1e-12)
-        assert np.all(h > 0.0)
+            np.testing.assert_allclose(prob.height[k], 1.0 + s * g, atol=1e-12)
+        assert np.all(prob.height > 0.0)
+        # the height is h0 + s g, whole-stack bitwise
+        assert prob.height.tobytes() == (prob.h0 + prob.profile[:, None, None] * g).tobytes()
+
+    def test_profile_has_no_cancellation_at_small_t(self):
+        # tau (1 - exp(-t/tau)) loses every digit once t/tau is below the
+        # rounding of 1; the profile is t (1 - x/2 + x^2/6 - ...), x = t/tau,
+        # to the last bit
+        times = np.array([0.0, 1e-20, 1e-12, 1e-6])
+        g = np.array([[1.0, -1.0]])
+        s = height_profile(np.ones((1, 2)), g, times, 0.25)
+        assert s[0] == 0.0 and s[1] == 1e-20
+        x = times[2:] / 0.25  # t / tau
+        np.testing.assert_allclose(s[2:], times[2:] * (1.0 - x / 2.0 + x * x / 6.0), rtol=1e-15)
 
     def test_mass_is_constant(self, grid32):
-        h0 = sampled(grid32, lambda x1, x2: 1.0 + 0.3 * np.cos(TWO_PI * x2))
-        h = design_height(h0, cosine_psi0(grid32, 0.01), nodes(2.0, 12), 0.25)
-        masses = [float(np.mean(h[k])) for k in range(h.shape[0])]
+        prob = cosine_problem(grid32, 0.01, T=2.0, num_steps=12)
+        prob = replace(prob, h0=sampled(grid32, lambda x1, x2: 1.0 + 0.3 * np.cos(TWO_PI * x2)))
+        masses = [float(np.mean(prob.height[k])) for k in range(prob.times.size)]
         np.testing.assert_allclose(masses, masses[0], atol=1e-12)
 
     def test_rejects_nonpositive_h0(self, grid32):
         # a nonpositive min h0 leaves no excursion budget
+        g = -spectral.laplacian_values(cosine_psi0(grid32))
         with pytest.raises(DesignError):
-            design_height(
-                np.full(grid32.shape, -1.0), cosine_psi0(grid32), nodes(1.0, 8), 0.25
-            )
+            height_profile(np.full(grid32.shape, -1.0), g, nodes(1.0, 8), 0.25)
 
     def test_rejects_bad_cap(self, grid32):
         # the cap is an input of the problem, checked when the problem is built
@@ -114,70 +146,112 @@ class TestDesignHeight:
             replace(canonical_problem(grid32), amplitude_cap=1.5)
 
 
-class TestStreamPotential:
-    def test_constant_height_gives_zero(self, grid32):
-        psi = stream_potential(np.ones((9, 32, 32)), 0.125)
-        np.testing.assert_allclose(psi, 0.0, atol=1e-14)
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def poisson_per_node(h, dt):
+    """Reference potential: one Poisson solve of dh/dt - mean per time node."""
+    dh = time_derivative(h, dt)
+    return np.stack(
+        [spectral.poisson_solve_values(d - d.mean()) for d in dh]
+    )
+
+
+def separable_potential(prob):
+    """psi(t_k) = (Ds)_k psi0, whole stack."""
+    rate = time_derivative(prob.profile, prob.dt)
+    return rate[:, None, None] * prob.initial_split.psi
+
+
+class TestSeparablePotential:
+    """psi(t_k) = (Ds)_k psi0 solves -Lap(psi) = dh/dt for the designed height
+    h0 + s g, up to rounding, with no Poisson solve of the height stack."""
+
+    def test_flat_data_has_zero_potential(self, grid32):
+        prob = canonical_problem(grid32, num_steps=8)  # at rest: psi0 = 0 and g = 0
+        assert not np.any(prob.initial_split.psi) and not np.any(prob.excursion)
+        assert not np.any(prob.grad_potential)
+        E = prob.build(0.7).kinetic_energy
+        assert E.tobytes() == (0.7 - prob.a * prob.height**2).tobytes()
 
     def test_designed_height_analytic_potential(self, grid32):
         eps = 1e-3
-        times = nodes(1.0, 64)
-        h = design_height(
-            np.full(grid32.shape, 1.0), cosine_psi0(grid32, eps), times, 0.25
-        )
-        psi = stream_potential(h, times[1])
-        from shlab.spectral import laplacian_values
-
-        psi0 = cosine_psi0(grid32, eps)
-        tau = 0.25 / float(np.max(np.abs(laplacian_values(psi0))))
+        prob = cosine_problem(grid32, eps, num_steps=64)
+        tau = excursion_time(prob)
+        gpsi0 = grad_values(prob.initial_split.psi)
+        psi = separable_potential(prob)
         for k in (0, 32, 64):
-            t = times[k]
-            expected = np.exp(-t / tau) * psi0
-            np.testing.assert_allclose(psi[k], expected, atol=1e-8)
+            t = prob.times[k]
+            # psi = s'(t) psi0 = exp(-t/tau) psi0 to the stencil's O(dt^2), and
+            # grad(psi) 2 pi times larger
+            exact = np.exp(-t / tau)
+            np.testing.assert_allclose(psi[k], exact * cosine_psi0(grid32, eps), atol=1e-8)
+            np.testing.assert_allclose(prob.grad_potential[k], exact * gpsi0, atol=TWO_PI * 1e-8)
 
     def test_initial_slice_recovers_psi0(self, grid32):
-        psi0 = cosine_psi0(grid32, 1e-3)
-        times = nodes(1.0, 64)
-        h = design_height(np.full(grid32.shape, 1.0), psi0, times, 0.25)
-        psi = stream_potential(h, times[1])
-        np.testing.assert_allclose(psi[0], psi0, atol=1e-8)
+        prob = cosine_problem(grid32, 1e-3, num_steps=64)
+        np.testing.assert_allclose(
+            separable_potential(prob)[0], prob.initial_split.psi, atol=1e-8
+        )
 
-    def test_mass_drift_rejected(self, grid32):
-        times = np.linspace(0.0, 1.0, 5)
-        vals = np.ones((5, 32, 32)) + 1e-3 * times[:, None, None]
-        with pytest.raises(SolvabilityError):
-            stream_potential(vals, times[1])
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_matches_the_per_node_poisson_solve(self, tmp_path, seed):
+        # the benchmark's workbench-32 problem at its seed
+        workloads = _load_workloads()
+        scn = tmp_path / "wb.scn"
+        scn.write_text(
+            workloads.scenario_text("workbench-32", seed, workloads.FULL["workbench-32"])
+        )
+        prob = cli.load_config(scn).to_workbench_problem()
+        psi = poisson_per_node(prob.height, prob.dt)
+        assert np.abs(separable_potential(prob) - psi).max() <= 1e-12 * np.abs(psi).max()
+        gpsi = grad_values(psi)
+        assert np.abs(prob.grad_potential - gpsi).max() <= 1e-12 * np.abs(gpsi).max()
+
+    def test_huge_height_keeps_its_constant_mass(self, tmp_path, capsys):
+        # the mass of h0 + s g is constant by construction; a check of its
+        # rounding against an absolute 1e-10 aborted this run with exit 3
+        scn = tmp_path / "wb.scn"
+        scn.write_text(
+            "grid.nx = 8\ngrid.ny = 8\nphysics.T = 1.0\nfriction.gamma = 0.2\n"
+            "workbench.delta = 0.05\nworkbench.time_nodes = 8\n"
+            "initial.h0 = 1e6*(1 + 0.05*cos(2*pi*x1 + 3.4))\n"
+            "initial.u0x = 0.1*sin(2*pi*x2 + 3.8)\n"
+            "initial.u0y = 0.05*cos(2*pi*x1 + 0.3)*sin(2*pi*x2 + 1.1)\n"
+        )
+        assert cli.main(["workbench", str(scn), "--steps", "0", "--out", str(tmp_path / "wb")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestKineticEnergyField:
     def test_constant_budget(self, grid32):
-        h, psi = np.ones((5, 32, 32)), np.zeros((5, 32, 32))
-        E = kinetic_energy_field(1.0, 0.5, h, psi, 0.25)
+        h, psi0 = np.ones((5, 32, 32)), np.zeros((32, 32))
+        E = kinetic_energy_field(1.0, 0.5, h, psi0, np.linspace(0.0, 1.0, 5), 0.25)
         np.testing.assert_allclose(E, 0.5, atol=1e-14)
 
     def test_zero_budget(self, grid32):
-        h, psi = np.ones((5, 32, 32)), np.zeros((5, 32, 32))
-        E = kinetic_energy_field(0.5, 0.5, h, psi, 0.25)
+        h, psi0 = np.ones((5, 32, 32)), np.zeros((32, 32))
+        E = kinetic_energy_field(0.5, 0.5, h, psi0, np.linspace(0.0, 1.0, 5), 0.25)
         np.testing.assert_allclose(E, 0.0, atol=1e-14)
 
     def test_time_varying_potential_enters(self, grid32):
         eps = 1e-3
-        times = nodes(1.0, 64)
-        h = design_height(
-            np.full(grid32.shape, 1.0), cosine_psi0(grid32, eps), times, 0.25
+        prob = cosine_problem(grid32, eps, num_steps=64)
+        E = kinetic_energy_field(
+            1.0, 0.5, prob.height, prob.initial_split.psi, prob.profile, prob.dt
         )
-        psi = stream_potential(h, times[1])
-        E = kinetic_energy_field(1.0, 0.5, h, psi, times[1])
-        from shlab.spectral import laplacian_values
-
-        psi0 = cosine_psi0(grid32, eps)
-        g = -laplacian_values(psi0)
-        tau = 0.25 / float(np.max(np.abs(g)))
+        tau = excursion_time(prob)
         k = 32
-        t = times[k]
+        t = prob.times[k]
         s = tau * (1.0 - np.exp(-t / tau))
-        h_k = 1.0 + s * g
-        dpsi_k = -np.exp(-t / tau) / tau * psi0
+        h_k = 1.0 + s * prob.excursion
+        dpsi_k = -np.exp(-t / tau) / tau * cosine_psi0(grid32, eps)
         np.testing.assert_allclose(E[k], 1.0 - 0.5 * h_k**2 - dpsi_k, atol=1e-7)
 
 
@@ -360,22 +434,24 @@ class TestBuildReuse:
 
     def test_second_build_reuses_the_potential(self, grid32, monkeypatch):
         calls = []
-        real = workbench.stream_potential
+        real = workbench.height_profile
         monkeypatch.setattr(
-            workbench, "stream_potential", lambda h, dt: calls.append(h) or real(h, dt)
+            workbench, "height_profile", lambda *args: calls.append(args) or real(*args)
         )
         prob = nonflat_problem(grid32)
         prob.build(1.2)
+        grad = prob.grad_potential
         prob.build(1.5)
         assert len(calls) == 1
+        assert prob.grad_potential is grad
 
     def test_grad_potential_is_the_spectral_gradient(self, grid32):
         prob = nonflat_problem(grid32)
         sub = prob.build(1.2)
+        rate = time_derivative(prob.profile, prob.dt)
+        gpsi0 = grad_values(prob.initial_split.psi)
         for k in (0, 4, 8):
-            np.testing.assert_array_equal(
-                sub.problem.grad_potential[k], grad_values(prob.potential[k])
-            )
+            np.testing.assert_array_equal(sub.problem.grad_potential[k], rate[k] * gpsi0)
 
     def test_too_few_time_steps_rejected(self, grid32):
         with pytest.raises(InvalidValueError, match="time steps"):
@@ -1020,9 +1096,10 @@ def chunk_case_problem(grid, case):
 
 class TestChunkedPasses:
     """Every per-node pass of the workbench runs on node chunks and equals
-    its whole-stack reference bit for bit: the potential and its gradient,
-    E, the drag, the mean momentum (whose sums rk4_on_arrays forms whole),
-    the stress, the certificate margin, the energy gap and the pair."""
+    its whole-stack reference bit for bit: the height, grad(psi), E, the
+    drag, the mean momentum (whose sums rk4_on_arrays forms whole), the
+    stress, the certificate margin, the energy gap and the pair.  psi and
+    grad(psi) also match the per-node Poisson solve of dh/dt to rounding."""
 
     def assert_passes_bitwise(self, sub):
         prob = sub.problem
@@ -1049,12 +1126,21 @@ class TestChunkedPasses:
         prob = chunk_case_problem(grid32, case)
         lam = find_energy_offset(prob)
         sub = prob.build(lam)
-        # the derived stacks of the problem and the built budget E
-        dh = time_derivative_stacked(prob.height, prob.dt)
-        psi = spectral.poisson_solve_values(dh - dh.mean(axis=(1, 2), keepdims=True))
-        assert prob.potential.tobytes() == psi.tobytes()
-        assert prob.grad_potential.tobytes() == grad_values(psi).tobytes()
-        E = lam - prob.a * prob.height**2 - time_derivative_stacked(psi, prob.dt)
+        # the derived stacks of the problem: psi and grad(psi) to rounding of
+        # the per-node Poisson solve of dh/dt, the rest bitwise
+        psi = poisson_per_node(prob.height, prob.dt)
+        assert np.abs(separable_potential(prob) - psi).max() <= 1e-12 * np.abs(psi).max()
+        gpsi = grad_values(psi)
+        assert np.abs(prob.grad_potential - gpsi).max() <= 1e-12 * np.abs(gpsi).max()
+        s, psi0 = prob.profile, prob.initial_split.psi
+        assert prob.height.tobytes() == (prob.h0 + s[:, None, None] * prob.excursion).tobytes()
+        rate = time_derivative_stacked(s, prob.dt)
+        assert prob.grad_potential.tobytes() == (
+            rate[:, None, None, None] * grad_values(psi0)
+        ).tobytes()
+        # the built budget E = lam - a h^2 - (DDs) psi0
+        dpsi = time_derivative_stacked(rate, prob.dt)[:, None, None] * psi0
+        E = lam - prob.a * prob.height**2 - dpsi
         assert sub.kinetic_energy.tobytes() == E.tobytes()
         # the built velocity (v0 at every node) and zero flux are broadcast views
         assert sub.velocity.strides[0] == 0 and not any(sub.flux.strides)
