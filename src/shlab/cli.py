@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import math
 import re
@@ -77,6 +76,7 @@ class _RunDir:
 
     def finish(self, scenario: str, seed: int, grid, t0: float) -> None:
         """Write run_manifest.json, timing the run from t0, and copy the scenario file."""
+        import hashlib  # here, not at module level: it loads OpenSSL, a few MiB of resident set
         scenario_path = Path(scenario)
         manifest = {
             "scenario_sha256": hashlib.sha256(scenario_path.read_bytes()).hexdigest(),

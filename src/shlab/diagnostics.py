@@ -206,12 +206,13 @@ def weak_residual(traj: Trajectory, basis_size: int = 4) -> WeakResidualReport:
     separable test functions (trig modes up to ``basis_size`` per direction in
     space, cubic decay-to-zero bump in time, vanishing at the final time).
 
-    The recorded friction selections are used as data, honoring the
-    multi-valued formulation; the time quadrature integrates the piecewise
-    linear interpolant of the stored snapshots exactly against the polynomial
-    time weight.  Both identities are linear in the snapshots, so each is
-    first summed over time into a handful of weighted fields, whose moments
-    against every test mode are then read from one DFT.
+    The friction priced is the one the solver applied: h gamma B with the
+    recorded Coulomb selections B as data (the multi-valued formulation),
+    and for gamma2 > 0 the drag gamma2 h |u| u at each stored state.  The
+    time quadrature integrates the piecewise linear interpolant of the
+    snapshots exactly against the polynomial time weight.  Both identities
+    are linear in the snapshots, so each is summed over time into a few
+    weighted fields, whose moments against every test mode come from one DFT.
     """
     if traj.selections is None or len(traj.selections) != len(traj.states):
         raise InvalidValueError("trajectory lacks friction-selection records")
@@ -236,7 +237,7 @@ def weak_residual(traj: Trajectory, basis_size: int = 4) -> WeakResidualReport:
     w = _time_weights(times, rho)
     dw = _time_weights(times, drho)
     dw[0] += rho(0.0)  # initial-data term
-    gamma = scn.friction.gamma
+    gamma, gamma2 = scn.friction.gamma, scn.friction.gamma2
     f = scn.f if scn.f is not None else 0.0
 
     # time-weighted fields: mass, mass flux q, momentum (with the friction and
@@ -249,6 +250,8 @@ def weak_residual(traj: Trajectory, basis_size: int = 4) -> WeakResidualReport:
         flux += wj * q
         mom += dwj * q
         mom -= wj * (h * (gamma * sel - f))
+        if gamma2 > 0.0:  # the extended drag gamma2 h |u| u = gamma2 |q| q / h
+            mom -= wj * (gamma2 * np.hypot(q[0], q[1]) / h * q)
         pres = scn.a * h * h
         mflux[0] += wj * (q[0] * q[0] / h + pres)
         mflux[1] += wj * (q[0] * q[1] / h)

@@ -124,7 +124,7 @@ class Scenario:
 
 
 class Workspace:
-    """Ten (nx, ny) float64 fields that the steps of one run reuse, so that
+    """Eight (nx, ny) float64 fields that the steps of one run reuse, so that
     a step allocates only the arrays that outlive it: the new h and q and
     the selection B.
 
@@ -132,16 +132,15 @@ class Workspace:
     and both flux sweeps read: each axis's wave speed |q_axis / h| +
     sqrt(2 a h), a h h and the cross flux q1 q2 / h (one array for both
     axes, since IEEE multiplication commutes).  The caller fills them once
-    per step, before `cfl_dt` and `step`, which never write them.  `q` is
-    the momentum that a step updates, and `free` four rows of scratch.
+    per step, before `cfl_dt` and `step`, which never write them.  `free`
+    is four rows of scratch.
     """
 
     def __init__(self, shape: tuple[int, int]):
-        self.fields = np.empty((10, *shape))
+        self.fields = np.empty((8, *shape))
         self.speeds = self.fields[:2]
         self.pressure, self.cross = self.fields[2:4]
-        self.q = self.fields[4:6]
-        self.free = self.fields[6:]
+        self.free = self.fields[4:]
 
     def fill(self, h: np.ndarray, q1: np.ndarray, q2: np.ndarray, a: float) -> None:
         """Compute the terms from the arrays of a state.  A term past the float
@@ -234,19 +233,12 @@ class StepInfo:
     work_inc: float
 
 
-def _mean_power(dq: np.ndarray, u: np.ndarray) -> float:
-    """The grid mean of dq . u for (2, nx, ny) stacks dq and u, computed in u."""
-    np.multiply(dq[0], u[0], out=u[0])
-    np.multiply(dq[1], u[1], out=u[1])
-    u[0] += u[1]
-    return float(np.mean(u[0]))
-
-
 def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[State, StepInfo]:
     """One split step: Rusanov fluxes, friction resolvent, explicit force.
 
     Every intermediate lives in `work`, which must hold the terms of this
-    state (`Workspace.fill`).  The new h and q and B are fresh arrays.
+    state (`Workspace.fill`), or in B's array, which holds the momentum
+    q_pre after the fluxes until B overwrites it.  h, q and B are fresh.
 
     B is the Coulomb selection that the resolvent applied, q_pre / s for its
     scale s = max(|q_pre|, dt gamma h), and 0 wherever dt gamma h = 0; so
@@ -274,8 +266,7 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
     grid = state.grid
     h = state.h
     q1, q2 = state.q
-    hn, q_pre = h.copy(), work.q
-    np.copyto(q_pre, state.q)
+    hn, q_pre = h.copy(), state.q.copy()  # q_pre's array becomes B
     diff = work.free[-1]  # the scratch row that rusanov_flux leaves free
     # a flux past the float range leaves hn or q_pre not finite: aborts below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -293,31 +284,37 @@ def step(state: State, scenario: Scenario, dt: float, work: Workspace) -> tuple[
     if not (q_pre.min() > -np.inf and q_pre.max() < np.inf):
         raise NumericalAbort("momentum became non-finite")
 
-    # the scratch rows are free again: the threshold dt gamma h and the
-    # friction scratch, then u and dt hn; the new momentum is a fresh array
-    thresh, scale = work.free[:2]
+    # the scratch rows are free again: dt gamma h, the resolvent's s, dq and u
+    thresh, scale, power, spare = work.free
     with np.errstate(over="ignore"):  # an infinite threshold stops the cell
         np.multiply(dt, scenario.friction.gamma, out=thresh)
         thresh *= hn
     q_post = friction_shrink(q_pre, hn, scenario.friction, dt, thresh, work.free[1:3])
-    with np.errstate(invalid="ignore"):  # 0 / 0 where dt gamma h = 0 = |q_pre|
-        B = q_pre / scale
+    rows = ((power, spare), (spare, scale))  # (dq, u); the last u once B is done with s
+    B = q_pre  # overwritten one component at a time, after that component's dq
+    for a, (dq, u) in enumerate(rows):
+        np.subtract(q_pre[a], q_post[a], out=dq)
+        with np.errstate(invalid="ignore"):  # 0 / 0 where dt gamma h = 0 = |q_pre|
+            np.divide(q_pre[a], scale, out=B[a])
+        np.divide(q_post[a], hn, out=u)
+        dq *= u
+    power += spare
+    diss_inc = float(np.mean(power))
     if not thresh.min() > 0.0:  # B = 0 where dt gamma h = 0, over any such 0 / 0
         B[:, thresh == 0.0] = 0.0
 
-    dq, u = q_pre, work.free[1:3]  # dq overwrites q_pre, which is done with
-    np.subtract(q_pre, q_post, out=dq)
-    np.divide(q_post, hn, out=u)
-    diss_inc = _mean_power(dq, u)
-
     q_final = q_post
     if scenario.f is not None:  # q_final += dt hn f, in place
+        dthn = thresh  # free, as B's mask is taken
         with np.errstate(over="ignore", invalid="ignore"):  # such a work aborts just below
-            np.multiply(dt, hn, out=work.free[3])
-            np.multiply(work.free[3], scenario.f, out=dq)
-            q_final += dq
-            np.divide(q_final, hn, out=u)
-            work_inc = _mean_power(dq, u)
+            np.multiply(dt, hn, out=dthn)
+            for a, (dq, u) in enumerate(rows):
+                np.multiply(dthn, scenario.f[a], out=dq)
+                q_final[a] += dq
+                np.divide(q_final[a], hn, out=u)
+                dq *= u
+            power += spare
+            work_inc = float(np.mean(power))
         if not np.isfinite(work_inc):
             raise NumericalAbort(f"work of the force is not finite (work increment = {work_inc})")
     else:

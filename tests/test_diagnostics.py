@@ -224,6 +224,37 @@ class TestWeakResidual:
         # momentum residual at the splitting error, not O(1)
         assert rep.momentum < 0.05
 
+    def test_extended_drag_is_priced(self):
+        """With gamma2 > 0 the solver also applies the drag gamma2 h |u| u.
+        Priced at each stored state, it keeps the momentum residual at the
+        Coulomb law's first-order level: at gamma2 = 2 within 5% of the
+        gamma2 = 0 value on 32^2 (2.40e-3; 4.22e-3 without the drag), and
+        halved on 64^2 (1.19e-3)."""
+
+        def momentum(n, gamma2):
+            grid = TorusGrid(n, n)
+            scn = Scenario(
+                grid=grid,
+                T=0.1,
+                a=0.5,
+                friction=FrictionParams(gamma=0.2, gamma2=gamma2),
+                h0=sample(
+                    grid, lambda x1, x2: 1.0 + 0.2 * np.sin(TWO_PI * x1) * np.cos(TWO_PI * x2)
+                ),
+                u0=sample(
+                    grid,
+                    lambda x1, x2: 0.3 * np.cos(TWO_PI * x2),
+                    lambda x1, x2: 0.1 * np.sin(TWO_PI * x1),
+                ),
+                f=sample(grid, 0.1, 0.0),
+                n_output=41,
+            )
+            return weak_residual(simulate(scn), basis_size=2).momentum
+
+        coulomb, extended = momentum(32, 0.0), momentum(32, 2.0)
+        assert extended == pytest.approx(coulomb, rel=0.05)
+        assert np.log2(extended / momentum(64, 2.0)) >= 0.95
+
     @pytest.mark.parametrize("shape", [(8, 8), (8, 12)])
     def test_basis_size_bounds(self, shape):
         traj = simulate(wave_scenario(TorusGrid(*shape), T=0.05, n_output=3))
@@ -282,7 +313,7 @@ def loop_weak_residual(traj, basis_size):
     def drho(t):
         return -3.0 / T * (1.0 - t / T) ** 2
 
-    gamma = scn.friction.gamma
+    gamma, gamma2 = scn.friction.gamma, scn.friction.gamma2
     fvals = scn.f if scn.f is not None else np.zeros((2, *scn.grid.shape))
     h = np.array([s.h for s in traj.states])
     q = np.array([s.q for s in traj.states])
@@ -306,7 +337,8 @@ def loop_weak_residual(traj, basis_size):
             c_series = (q[:, d] * X).mean(axis=(1, 2))
             conv = (q[:, d] * qdotg / h).mean(axis=(1, 2))
             pres = (scn.a * h * h * gX[d]).mean(axis=(1, 2))
-            src = (h * (gamma * B[:, d] - fvals[d]) * X).mean(axis=(1, 2))
+            drag = gamma2 * np.hypot(q[:, 0], q[:, 1]) / h * q[:, d]
+            src = ((h * (gamma * B[:, d] - fvals[d]) + drag) * X).mean(axis=(1, 2))
             r_mom = (
                 _loop_time_integral(times, c_series, drho)
                 + _loop_time_integral(times, conv + pres, rho)
@@ -329,15 +361,16 @@ def band_limited(rng, grid, kmax=3, amplitude=1.0):
     return amplitude * out / np.max(np.abs(out))
 
 
-def random_trajectory(seed, grid, n_times):
+def random_trajectory(seed, grid, n_times, gamma2=0.0):
     """Arbitrary (not solver-produced) snapshots: h > 0, any q, |B| <= 1,
-    a varying gamma and a nonzero force, at random increasing times."""
+    a varying gamma, the drag coefficient gamma2 and a nonzero force, at
+    random increasing times."""
     rng = np.random.default_rng(seed)
     scn = Scenario(
         grid=grid,
         T=1.0,
         a=float(rng.uniform(0.2, 2.0)),
-        friction=FrictionParams(gamma=0.3 + band_limited(rng, grid, 2, 0.25)),
+        friction=FrictionParams(gamma=0.3 + band_limited(rng, grid, 2, 0.25), gamma2=gamma2),
         h0=sample(grid, 1.0),
         u0=sample(grid, 0.0, 0.0),
         f=np.stack([band_limited(rng, grid), band_limited(rng, grid)]),
@@ -361,11 +394,16 @@ def random_trajectory(seed, grid, n_times):
     ids=["16x16-m4", "16x16-nyquist", "12x20-m3", "12x20-nyquist"],
 )
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_times=st.integers(2, 5))
-def test_dft_residual_matches_loop_oracle(shape, basis_size, seed, n_times):
-    traj = random_trajectory(seed, TorusGrid(*shape), n_times)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_times=st.integers(2, 5),
+    gamma2=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+)
+def test_dft_residual_matches_loop_oracle(shape, basis_size, seed, n_times, gamma2):
+    traj = random_trajectory(seed, TorusGrid(*shape), n_times, gamma2)
     rep = weak_residual(traj, basis_size=basis_size)
     ref = loop_weak_residual(traj, basis_size)
     scale = max(ref)
     for got, want in zip((rep.continuity, rep.momentum, rep.mass_mode), ref):
         assert abs(got - want) <= 1e-12 * scale
+
