@@ -443,19 +443,61 @@ def find_energy_offset(problem: WorkbenchProblem) -> float:
     """Smallest constant energy offset whose candidate certifies, bisected to
     a relative width of 1e-3 and multiplied by a safety factor of 1.1.  The
     search starts from the bracket a max(h0)^2 + delta, doubled until it
-    certifies; a bracket that is not finite aborts."""
+    certifies; a bracket that is not finite aborts.
 
-    def passes(lam: float) -> bool:
+    The answer is still the bisection's point times 1.1, but its questions
+    are read from the bracket (fail, ok) of the offsets built, under the
+    monotonicity the bisection assumes; only offsets inside it are built.
+    Up to three secant steps on the min margin narrow the bracket first.
+    The margin is nearly linear in the offset: E rises one for one with it,
+    the rest only through the drag gamma sqrt(h/2E) in V and M (slope 0.999
+    at workbench-32).  So the first step takes unit slope, and each lands
+    1e-7 past its root, towards the farther end of the bracket.  A step
+    needs a slope within 1% of the one before (a probe below the drag floor
+    has margin -inf, and none); one without, or above the doubling's next
+    point, builds that point instead while nothing has passed, and ends the
+    steps once something has.  The extended law's drag grows with E, so its
+    margin can fall at large offsets: it takes no steps.  At workbench-32
+    the search takes 4 builds instead of 12."""
+    fail, ok = 0.0, math.inf  # the bisection's first lo, and no pass yet
+
+    def probe(lam: float) -> float:
+        """Build and certify lam, narrowing (fail, ok): its min margin, or
+        -inf if E dips below the drag floor."""
+        nonlocal fail, ok
         try:
-            return subsolution_certificate(problem.build(lam)).passed
+            margin = subsolution_certificate(problem.build(lam)).min_margin
         except EnergyPositivityError:
-            return False
+            margin = -math.inf
+        fail, ok = (fail, lam) if margin > 0.0 else (lam, ok)
+        return margin
+
+    def passes(lam: float) -> bool:  # an overflowed offset is built, and aborts
+        return probe(lam) > 0.0 if fail < lam < ok or lam == math.inf else lam >= ok
 
     lo = 0.0
     with np.errstate(over="ignore"):  # such a bracket aborts just below
         hi = float(problem.a * np.max(problem.h0) ** 2 + problem.delta)
     if not math.isfinite(hi):
         raise NumericalAbort(f"energy offset bracket a max(h0)^2 + delta is not finite ({hi})")
+    top, lam, margin, slope, prior, steps = hi, hi, probe(hi), 1.0, 1.0, 0
+    for _ in range(59):  # builds no doubling point past the loop's last
+        while top <= fail:  # the doubling's next point
+            top *= 2.0
+        if problem.friction.gamma2 > 0.0 or steps == 3 or top == math.inf or not slope > 0.0:
+            break
+        if ok - fail <= 1e-6 * ok < math.inf:
+            break
+        root = lam - margin / slope
+        step = root * (1.0 + 1e-7 if ok - root > root - fail else 1.0 - 1e-7)
+        if not abs(slope - prior) <= 0.01 * prior < math.inf or step > top:
+            step = top  # the doubling's own next build; past a pass, the end
+        if not fail < step < ok:
+            break
+        steps += step < top
+        last, last_margin, prior = lam, margin, slope
+        lam, margin = step, probe(step)
+        slope = (margin - last_margin) / (lam - last)
     for _ in range(60):
         if passes(hi):
             break

@@ -20,6 +20,18 @@ def sample(grid, *fns):
     return out[0] if len(fns) == 1 else out
 
 
+def band_limited(rng, grid, kmax=3, amplitude=1.0):
+    """Random real trig polynomial with modes |k| <= kmax per direction,
+    scaled so its sup norm is at most ``amplitude``."""
+    x1, x2 = grid.cell_centers()
+    out = np.zeros(grid.shape)
+    for k1 in range(-kmax, kmax + 1):
+        for k2 in range(kmax + 1):
+            c, phi = rng.normal(), rng.uniform(0.0, 2.0 * np.pi)
+            out += c * np.cos(2.0 * np.pi * (k1 * x1 + k2 * x2) + phi)
+    return amplitude * out / np.max(np.abs(out))
+
+
 @pytest.fixture
 def grid32():
     return TorusGrid(32, 32)

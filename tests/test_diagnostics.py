@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample
+from conftest import band_limited, sample
 from shlab.errors import InvalidValueError
 from shlab.fields import TorusGrid
 from shlab.friction import FrictionParams
@@ -347,18 +347,6 @@ def loop_weak_residual(traj, basis_size):
             )
             worst_mom = max(worst_mom, abs(r_mom))
     return worst_cont, worst_mom, mass_mode
-
-
-def band_limited(rng, grid, kmax=3, amplitude=1.0):
-    """Random real trig polynomial with modes |k| <= kmax per direction,
-    scaled so its sup norm is at most ``amplitude``."""
-    x1, x2 = grid.cell_centers()
-    out = np.zeros(grid.shape)
-    for k1 in range(-kmax, kmax + 1):
-        for k2 in range(kmax + 1):
-            c, phi = rng.normal(), rng.uniform(0.0, TWO_PI)
-            out += c * np.cos(TWO_PI * (k1 * x1 + k2 * x2) + phi)
-    return amplitude * out / np.max(np.abs(out))
 
 
 def random_trajectory(seed, grid, n_times, gamma2=0.0):

@@ -587,6 +587,13 @@ def test_searched_offset_does_not_depend_on_a_small_final_time(tmp_path):
         assert offsets[T] == pytest.approx(offsets["1e-3"], rel=1e-8)
 
 
+def test_searched_offset_of_the_8x8_workbench_scenario(tmp_path):
+    # bit for bit the float of the plain doubling and bisection, which built
+    # every offset it asked about
+    problem = load_config(scenario8(tmp_path, {})).to_workbench_problem()
+    assert workbench.find_energy_offset(problem) == 0.7349319040835912
+
+
 class TestCliWorkbenchExitCodes:
     @pytest.mark.parametrize(
         "overrides,args",

@@ -2,14 +2,17 @@
 oscillatory perturbations, and the improvement loop."""
 
 import importlib.util
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import sample
+from conftest import band_limited, sample
 from shlab import cli, spectral, workbench
 from shlab.errors import (
     ConstraintError,
@@ -18,6 +21,7 @@ from shlab.errors import (
     InvalidValueError,
     NumericalAbort,
     PositivityError,
+    ShlabError,
 )
 from shlab.fields import TorusGrid, deviatoric_outer, time_derivative
 from shlab.friction import FrictionParams, friction_coefficient_values
@@ -146,13 +150,21 @@ class TestDesignHeight:
             replace(canonical_problem(grid32), amplitude_cap=1.5)
 
 
-def _load_workloads():
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _load_bench(name: str):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def workbench32_problem(tmp_path, seed):
+    """The benchmark's workbench-32 problem at its seed."""
+    workloads = _load_bench("workloads")
+    scn = tmp_path / "wb.scn"
+    scn.write_text(workloads.scenario_text("workbench-32", seed, workloads.FULL["workbench-32"]))
+    return cli.load_config(scn).to_workbench_problem()
 
 
 def poisson_per_node(h, dt):
@@ -202,13 +214,7 @@ class TestSeparablePotential:
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_matches_the_per_node_poisson_solve(self, tmp_path, seed):
-        # the benchmark's workbench-32 problem at its seed
-        workloads = _load_workloads()
-        scn = tmp_path / "wb.scn"
-        scn.write_text(
-            workloads.scenario_text("workbench-32", seed, workloads.FULL["workbench-32"])
-        )
-        prob = cli.load_config(scn).to_workbench_problem()
+        prob = workbench32_problem(tmp_path, seed)
         psi = poisson_per_node(prob.height, prob.dt)
         assert np.abs(separable_potential(prob) - psi).max() <= 1e-12 * np.abs(psi).max()
         gpsi = grad_values(psi)
@@ -720,10 +726,92 @@ class TestCertificateAndGap:
         assert -gap >= min_margin
 
 
+def bisection_oracle(problem: WorkbenchProblem) -> float:
+    """The offset search as a plain doubling and bisection that builds every
+    offset it asks about, with the loops and messages of find_energy_offset."""
+
+    def passes(lam):
+        try:
+            return subsolution_certificate(problem.build(lam)).passed
+        except EnergyPositivityError:
+            return False
+
+    lo = 0.0
+    with np.errstate(over="ignore"):
+        hi = float(problem.a * np.max(problem.h0) ** 2 + problem.delta)
+    if not math.isfinite(hi):
+        raise NumericalAbort(f"energy offset bracket a max(h0)^2 + delta is not finite ({hi})")
+    for _ in range(60):
+        if passes(hi):
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise NumericalAbort("energy offset search hit its cap without certifying")
+    while hi - lo > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return 1.1 * hi
+
+
+def run_search(search, problem):
+    """search(problem) with WorkbenchProblem.build counted.  Returns its
+    float, or the type and message of the shlab error it raised; the offsets
+    it built, in order; and those whose build raised EnergyPositivityError."""
+    built, floored = [], []
+    build = WorkbenchProblem.build
+
+    def counted(self, offset):
+        built.append(offset)
+        try:
+            return build(self, offset)
+        except EnergyPositivityError:
+            floored.append(offset)
+            raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WorkbenchProblem, "build", counted)
+        try:
+            result = search(problem)
+        except ShlabError as exc:
+            result = (type(exc), str(exc))
+    return result, built, floored
+
+
+def random_problem(seed, n, num_steps, gamma, gamma2, delta, a, T, h_amp, u_amp, rot, force):
+    """A band-limited problem: h0 = h_amp (1 + b phi) and the momentum
+    h_amp u_amp (grad phi + rot perp-grad chi) / 2 pi, for random fields phi
+    and chi with modes |k| <= 2 and b in [0, 0.5].  With rot = 0 and u_amp > 0
+    the initial potential is a positive multiple of phi, so it peaks where
+    h0 does, which lets the first bracket pass at once for small T."""
+    grid = TorusGrid(n, n)
+    rng = np.random.default_rng(seed)
+    phi, chi = band_limited(rng, grid, kmax=2), band_limited(rng, grid, kmax=2)
+    h0 = h_amp * (1.0 + rng.uniform(0.0, 0.5) * phi)
+    chi1, chi2 = grad_values(chi)
+    q0 = h_amp * u_amp / TWO_PI * (grad_values(phi) + rot * np.stack([-chi2, chi1]))
+    return WorkbenchProblem(
+        grid=grid,
+        T=T,
+        num_steps=num_steps,
+        a=a,
+        friction=FrictionParams(gamma=gamma, gamma2=gamma2),
+        h0=h0,
+        u0=q0 / h0,
+        f=None if force is None else np.broadcast_to(np.array(force)[:, None, None], (2, n, n)),
+        delta=delta,
+    )
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
 class TestFindEnergyOffset:
     def test_canonical_value(self, grid32):
         lam = find_energy_offset(canonical_problem(grid32))
         assert lam == pytest.approx(1.1 * 0.6, rel=0.02)
+        # bit for bit the float of the plain doubling and bisection
+        assert lam == 0.66064453125
 
     def test_doubling_delta_raises_at_most_proportionally(self, grid32):
         lam1 = find_energy_offset(canonical_problem(grid32, delta=0.1))
@@ -747,6 +835,90 @@ class TestFindEnergyOffset:
         lam = find_energy_offset(prob)
         assert subsolution_certificate(prob.build(lam)).passed
         assert not subsolution_certificate(prob.build(lam / 1.2)).passed
+
+    @pytest.mark.parametrize("u_amp,first", [(0.03, "passes"), (0.3, "dips below the floor")])
+    def test_first_bracket_passes_at_once_or_dips_below_the_floor(self, u_amp, first):
+        # two draws of the property test below: the first bracket passes (and
+        # a later probe dips below the drag floor), or the first probe dips
+        prob = random_problem(
+            seed=0, n=8, num_steps=4, gamma=0.2, gamma2=0.0, delta=0.1, a=0.5, T=0.01,
+            h_amp=1.0, u_amp=u_amp, rot=0.0, force=None,
+        )
+        result, built, floored = run_search(find_energy_offset, prob)
+        expected, oracle_built, oracle_floored = run_search(bisection_oracle, prob)
+        assert isinstance(expected, float) and result == expected
+        assert oracle_floored
+        if first == "passes":
+            assert subsolution_certificate(prob.build(built[0])).passed
+            assert len(built) < len(oracle_built)
+        else:  # no margin to step from: the plain bisection's builds
+            assert floored[:1] == built[:1]
+            assert len(built) == len(oracle_built)
+
+    @settings(max_examples=60, deadline=None)
+    # an extended-law draw on which steps would certify 307.5 where the plain
+    # search aborts, and one on which steps on a slope that moved by more than
+    # 1% would take 17 builds to its 14
+    @example(
+        seed=2323326418, n=8, num_steps=7, gamma=0.05, gamma2=0.5, delta=0.0643, a=0.1061,
+        T=6.78, h_amp=42.09, u_amp=-0.00715, rot=1.0, force=None,
+    )
+    @example(
+        seed=3533605134, n=16, num_steps=2, gamma=1.0, gamma2=0.0, delta=1.089, a=0.0659,
+        T=2.055, h_amp=5.028, u_amp=-0.001227, rot=0.0, force=(-0.416, -0.1874),
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([8, 16]),
+        num_steps=st.integers(2, 8),
+        gamma=st.sampled_from([0.0, 0.05, 0.2, 1.0]),
+        gamma2=st.sampled_from([0.0, 0.5]),
+        delta=log_uniform(1e-3, 3.0),
+        a=log_uniform(0.03, 10.0),
+        T=log_uniform(5e-3, 10.0),
+        h_amp=log_uniform(1e-2, 1e2),
+        u_amp=st.tuples(st.sampled_from([1.0, -1.0]), log_uniform(1e-3, 3.0)).map(
+            lambda t: t[0] * t[1]
+        ),
+        rot=st.one_of(st.just(0.0), log_uniform(1e-3, 10.0)),
+        force=st.one_of(st.none(), st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))),
+    )
+    def test_same_answer_as_the_plain_bisection_in_no_more_builds(self, **draw):
+        """On random band-limited problems the search returns the plain
+        bisection's float bit for bit, or raises the same error with the same
+        message, and builds no more often."""
+        prob = random_problem(**draw)
+        result, built, floored = run_search(find_energy_offset, prob)
+        expected, oracle_built, oracle_floored = run_search(bisection_oracle, prob)
+        if isinstance(expected, float) and max(oracle_built) == oracle_built[0]:
+            event("the first bracket passes at once")
+        if floored or oracle_floored:
+            event("a probe dips below the drag floor")
+        event(f"{len(oracle_built) - len(built)} builds saved")
+        assert result == expected
+        assert len(built) <= len(oracle_built)
+
+    @pytest.mark.parametrize(
+        "seed,offset", [(0, 0.6817562295299746), (3, 0.6754376664011755), (7, 0.680068392807552)]
+    )
+    def test_workbench32_offset_in_at_most_4_builds(self, tmp_path, monkeypatch, seed, offset):
+        # the plain bisection's float at the benchmark's workbench-32 problem,
+        # which it found in 12 builds; the bench tracer sees the same builds
+        problem = workbench32_problem(tmp_path, seed)
+        tracing = _load_bench("tracing")
+        for owner, attr, *_ in tracing.TRACE_POINTS:  # so that the hooks are undone
+            monkeypatch.setattr(tracing._owner(owner), attr, getattr(tracing._owner(owner), attr))
+        tracer = tracing.Tracer()
+        tracer.install()
+        result, built, _ = run_search(cli.find_energy_offset, problem)
+        assert result == offset
+        spans = dict(enumerate(tracer.name))
+        searches = {i for i, name in spans.items() if name == "workbench.find_energy_offset"}
+        probes = [
+            i for i, name in spans.items()
+            if name == "workbench.build" and tracer.parent[i] in searches
+        ]
+        assert len(probes) == len(built) <= 4
 
 
 def lemma_inputs(grid, K=32, T=1.0):
